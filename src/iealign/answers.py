@@ -377,16 +377,6 @@ def attach_cot(example: AlignmentExample, explanation: str) -> AlignmentExample:
     )
 
 
-def split_cot(output: str, cot: Optional[str]) -> str:
-    """Recover the answer suffix of a possibly CoT-prefixed output."""
-    if cot is None:
-        return output
-    prefix = cot + COT_SEPARATOR
-    if not output.startswith(prefix):
-        raise ValueError("output does not start with its recorded CoT")
-    return output[len(prefix):]
-
-
 # ---------------------------------------------------------------------------
 # Markdown table helpers (on-demand IE)
 

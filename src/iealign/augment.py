@@ -21,7 +21,7 @@ from typing import Optional
 from .client import BaseClient, GenParams, TransportError, prompt_digest
 from .errors import ConfigurationError, DataError
 from .formats import TASK_SLOTS, OPTIONAL_SLOTS, template_slots
-from .model import TaskKind
+from .model import TaskKind, read_records, write_jsonl_atomic
 from .prompts import DescriptionPool
 
 logger = logging.getLogger(__name__)
@@ -295,18 +295,11 @@ def generate_cot(req: CotRequest, client: BaseClient, temperature: float = 0.7) 
 
 
 def load_candidates(path) -> list[GenCandidate]:
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                out.append(candidate_from_record(json.loads(line)))
-    return out
+    return read_records(path, candidate_from_record)
 
 
 def save_candidates(candidates: list[GenCandidate], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for c in candidates:
-            f.write(json.dumps(c.to_record(), ensure_ascii=False, sort_keys=True) + "\n")
+    write_jsonl_atomic((c.to_record() for c in candidates), path)
 
 
 def review(

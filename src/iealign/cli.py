@@ -22,7 +22,7 @@ from .augment import load_candidates, review as apply_review, save_candidates, S
 from .client import make_client
 from .errors import ConfigurationError, DataError
 from .ingest import MixturePlan, ReaderSpec, filter_length, filter_na, load_dataset, mix_general, mix_proportional
-from .model import TaskKind, read_instances, write_instances
+from .model import TaskKind, atomic_open, read_instances, write_instances
 from .pipeline import (
     DpoPlan,
     SftOptions,
@@ -79,8 +79,8 @@ def _require_files(*paths) -> None:
 def _write_json(data: dict, out: Optional[str]) -> None:
     text = json.dumps(data, ensure_ascii=False, sort_keys=True, indent=2)
     if out:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        with atomic_open(out) as f:
+            f.write(text + "\n")
     else:
         click.echo(text)
 
@@ -129,7 +129,6 @@ def ingest(config_path, out_path, seed, lenient):
     )
     n_after_na = len(instances)
     instances = filter_length(instances, max_tokens=cfg.get("max_tokens", 2048))
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     write_instances(instances, out_path)
     click.echo(
         f"loaded {n_loaded}, after NA filter {n_after_na}, "
@@ -160,7 +159,6 @@ def mix(config_path, out_path, seed):
     if cfg.get("general"):
         general = read_instances(cfg["general"])
         mixed = mix_general(mixed, general, ie_rate=cfg.get("ie_rate", 0.2), seed=plan.seed)
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     write_instances(mixed, out_path)
     click.echo(f"contributions {counts}, total {len(mixed)} -> {out_path}")
 
@@ -277,14 +275,13 @@ def stats(corpus_path, out_path):
     _require_files(corpus_path)
     records = []
     skipped = 0
-    with open(corpus_path, encoding="utf-8") as f:
+    with open(corpus_path, "rb") as f:  # per-line decoding, as in model.load_jsonl
         for line in f:
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
+                records.append(json.loads(line.decode("utf-8")))
+            except ValueError:  # JSONDecodeError or UnicodeDecodeError
                 skipped += 1
     report = corpus_stats(records)
     report["malformed_lines"] = skipped

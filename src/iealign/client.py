@@ -13,13 +13,13 @@ import json
 import logging
 import os
 import random
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigurationError
+from .model import atomic_open
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -73,15 +73,8 @@ class ResponseCache:
     def put(self, key: str, text: str) -> None:
         if not self.directory:
             return
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                json.dump({"text": text}, f, ensure_ascii=False)
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        with atomic_open(self._path(key)) as f:
+            json.dump({"text": text}, f, ensure_ascii=False)
 
 
 class BaseClient:

@@ -324,8 +324,8 @@ EVAL_FORMATS: dict[TaskKind, FormatSpec] = {
         input_template=(
             'Please give the answer in the tuple form "[Answer]: ({predicate}; {subject}; '
             '{object}; {time}; {location})". If one or more of the last three elements does '
-            "not exist, it can be omitted.",
-        )[0],
+            "not exist, it can be omitted."
+        ),
         answer_template="({predicate}; {subject}; {object}; {time}; {location})",
         item_separator=" ",
         fail_output="NA",

@@ -20,8 +20,8 @@ from .model import (
     IEInstance,
     SchemaDef,
     TaskKind,
-    _gold_from_json,
-    _schema_from_json,
+    gold_from_json,
+    schema_from_json,
     stable_id,
     validate_instance,
 )
@@ -44,7 +44,7 @@ class ReaderSpec:
 def load_schema(path) -> SchemaDef:
     try:
         with open(path, encoding="utf-8") as f:
-            return _schema_from_json(json.load(f))
+            return schema_from_json(json.load(f))
     except FileNotFoundError:
         raise ConfigurationError(f"schema file not found: {path}")
 
@@ -93,7 +93,7 @@ def _read_record(spec: ReaderSpec, schema: Optional[SchemaDef], line: str, linen
         raise DataError("missing gold", line=lineno, field=spec.gold_field)
     text = raw[spec.text_field]
     try:
-        gold = _gold_from_json(spec.task, raw[spec.gold_field])
+        gold = gold_from_json(spec.task, raw[spec.gold_field])
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"bad gold encoding: {e}", line=lineno, field=spec.gold_field)
     gold = _apply_null_labels(spec.task, gold, spec.null_labels)

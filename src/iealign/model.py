@@ -3,15 +3,25 @@
 All types are immutable values after construction. Instances round-trip
 through one JSON object per line (UTF-8) with fields exactly
 {id, dataset, task, text, schema, gold, is_na}; unknown fields are rejected.
+This module is also the one place that decides how a file is written
+(`atomic_open`) and how JSONL is read back (`load_jsonl`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Iterator, Optional
+from pathlib import Path
+from typing import Any, Callable, Iterable, Iterator, Optional, TextIO, TypeVar
+
+from .errors import DataError
+
+T = TypeVar("T")
 
 
 class TaskKind(str, Enum):
@@ -30,6 +40,8 @@ CLOSED_IE_TASKS = frozenset(
     {TaskKind.NER, TaskKind.RC, TaskKind.RE, TaskKind.ED, TaskKind.EAE, TaskKind.EE, TaskKind.ERE}
 )
 SCHEMA_FREE_TASKS = frozenset({TaskKind.OPENIE, TaskKind.ONDEMANDIE})
+# Closed-IE tasks whose items hold their one schema label at index 1 (all but EE).
+_PAIR_LABEL_TASKS = (TaskKind.NER, TaskKind.RC, TaskKind.RE, TaskKind.ED, TaskKind.EAE, TaskKind.ERE)
 
 
 @dataclass(frozen=True)
@@ -84,18 +96,21 @@ class Extraction:
             return False
         return len(self.items) == 0
 
+    # Label-slot dispatch, the same in the three methods below: EE nests roles
+    # under each event type, every other closed-IE task keeps its label at
+    # index 1, and schema-free tasks carry no schema labels.
+
     def labels_used(self) -> tuple[str, ...]:
         """Schema-constrained label strings appearing in the items."""
-        out: list[str] = []
-        if self.task in (TaskKind.NER, TaskKind.ED, TaskKind.EAE):
-            out = [it[1] for it in self.items]
-        elif self.task in (TaskKind.RC, TaskKind.RE, TaskKind.ERE):
-            out = [it[1] for it in self.items]
-        elif self.task is TaskKind.EE:
+        if self.task is TaskKind.EE:
+            out: list[str] = []
             for trig, etype, args in self.items:
                 out.append(etype)
                 out.extend(role for _, role in args)
-        return tuple(out)
+            return tuple(out)
+        if self.task in _PAIR_LABEL_TASKS:
+            return tuple(it[1] for it in self.items)
+        return ()
 
     def relabel(self, mapping: dict[str, str]) -> "Extraction":
         """Return a copy with every schema label renamed through `mapping`."""
@@ -103,12 +118,12 @@ class Extraction:
         def m(x: str) -> str:
             return mapping.get(x, x)
 
-        if self.task in (TaskKind.NER, TaskKind.ED, TaskKind.EAE, TaskKind.RC, TaskKind.RE, TaskKind.ERE):
-            items = tuple((it[0], m(it[1])) + tuple(it[2:]) for it in self.items)
-        elif self.task is TaskKind.EE:
+        if self.task is TaskKind.EE:
             items = tuple(
                 (trig, m(etype), tuple((a, m(r)) for a, r in args)) for trig, etype, args in self.items
             )
+        elif self.task in _PAIR_LABEL_TASKS:
+            items = tuple((it[0], m(it[1])) + tuple(it[2:]) for it in self.items)
         else:
             items = self.items
         return Extraction(self.task, items, self.trigger, self.table)
@@ -116,14 +131,14 @@ class Extraction:
     def restrict(self, allowed: Iterable[str]) -> "Extraction":
         """Drop items whose label is outside `allowed` (closed IE only)."""
         allowed = set(allowed)
-        if self.task in (TaskKind.NER, TaskKind.ED, TaskKind.EAE, TaskKind.RC, TaskKind.RE, TaskKind.ERE):
-            items = tuple(it for it in self.items if it[1] in allowed)
-        elif self.task is TaskKind.EE:
+        if self.task is TaskKind.EE:
             items = tuple(
                 (trig, etype, tuple((a, r) for a, r in args if r in allowed))
                 for trig, etype, args in self.items
                 if etype in allowed
             )
+        elif self.task in _PAIR_LABEL_TASKS:
+            items = tuple(it for it in self.items if it[1] in allowed)
         else:
             items = self.items
         return Extraction(self.task, items, self.trigger, self.table)
@@ -254,7 +269,7 @@ def validate_instance(inst: IEInstance) -> list[str]:
 RECORD_FIELDS = ("id", "dataset", "task", "text", "schema", "gold", "is_na")
 
 
-def _gold_to_json(gold: Extraction) -> Any:
+def gold_to_json(gold: Extraction) -> Any:
     task = gold.task
     if task is TaskKind.ONDEMANDIE:
         return {"table": gold.table}
@@ -268,7 +283,7 @@ def _gold_to_json(gold: Extraction) -> Any:
     return [list(it) for it in gold.items]
 
 
-def _gold_from_json(task: TaskKind, data: Any) -> Extraction:
+def gold_from_json(task: TaskKind, data: Any) -> Extraction:
     if task is TaskKind.ONDEMANDIE:
         return Extraction(task, table=data["table"])
     if task is TaskKind.EAE:
@@ -283,7 +298,7 @@ def _gold_from_json(task: TaskKind, data: Any) -> Extraction:
     return Extraction(task, tuple(tuple(it) for it in data))
 
 
-def _schema_to_json(schema: Optional[SchemaDef]) -> Any:
+def schema_to_json(schema: Optional[SchemaDef]) -> Any:
     if schema is None:
         return None
     return {
@@ -295,7 +310,7 @@ def _schema_to_json(schema: Optional[SchemaDef]) -> Any:
     }
 
 
-def _schema_from_json(data: Any) -> Optional[SchemaDef]:
+def schema_from_json(data: Any) -> Optional[SchemaDef]:
     if data is None:
         return None
     return SchemaDef(
@@ -313,8 +328,8 @@ def instance_to_record(inst: IEInstance) -> dict:
         "dataset": inst.dataset,
         "task": inst.task.value,
         "text": inst.text,
-        "schema": _schema_to_json(inst.schema),
-        "gold": _gold_to_json(inst.gold),
+        "schema": schema_to_json(inst.schema),
+        "gold": gold_to_json(inst.gold),
         "is_na": inst.is_na,
     }
 
@@ -332,29 +347,77 @@ def instance_from_record(record: dict) -> IEInstance:
         dataset=record["dataset"],
         task=task,
         text=record["text"],
-        schema=_schema_from_json(record["schema"]),
-        gold=_gold_from_json(task, record["gold"]),
+        schema=schema_from_json(record["schema"]),
+        gold=gold_from_json(task, record["gold"]),
         is_na=record["is_na"],
     )
 
 
-def dump_jsonl(records: Iterable[dict], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+@contextmanager
+def atomic_open(path) -> Iterator[TextIO]:
+    """Open a text file that replaces `path` when the block exits cleanly.
+
+    Writes go to a temp file in the same directory, renamed over `path` on
+    success and removed on any exception, so `path` only ever holds a complete
+    file. The file gets the mode a plain ``open(path, "w")`` would give it.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    f = open(tmp, "x", encoding="utf-8")
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl_atomic(records: Iterable[dict], path) -> None:
+    """Write one JSON object per line, streaming `records`, atomically."""
+    with atomic_open(path) as f:
         for rec in records:
             f.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
 
 
-def load_jsonl(path) -> Iterator[dict]:
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+def load_jsonl(path) -> Iterator[Any]:
+    """Yield the value of each non-blank line; a line that is not UTF-8 JSON
+    raises DataError naming it. Lines are decoded one by one so that a bad
+    byte is reported at its own line."""
+    with open(path, "rb") as f:
+        for lineno, line in enumerate(f, 1):
+            if line.strip():
+                try:
+                    value = json.loads(line.decode("utf-8"))
+                except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+                    raise DataError(f"invalid JSON: {e}", line=lineno) from None
+                yield value
+
+
+def read_records(path, convert: Callable[[Any], T]) -> list[T]:
+    """`convert` applied to each value of a JSONL file. A record it rejects
+    with ValueError, KeyError or TypeError raises DataError naming its line."""
+    out: list[T] = []
+    for value in load_jsonl(path):
+        try:
+            out.append(convert(value))
+        except (ValueError, KeyError, TypeError) as e:
+            raise DataError(f"bad record: {e!r}", line=_record_line(path, len(out) + 1)) from None
+    return out
+
+
+def _record_line(path, index: int) -> int:
+    """Line number of the index-th (1-based) non-blank line; only read on the
+    error path, so load_jsonl need not hand out line numbers."""
+    with open(path, "rb") as f:
+        nonblank = (n for n, line in enumerate(f, 1) if line.strip())
+        return next(itertools.islice(nonblank, index - 1, None))
 
 
 def write_instances(instances: Iterable[IEInstance], path) -> None:
-    dump_jsonl((instance_to_record(i) for i in instances), path)
+    write_jsonl_atomic((instance_to_record(i) for i in instances), path)
 
 
 def read_instances(path) -> list[IEInstance]:
-    return [instance_from_record(rec) for rec in load_jsonl(path)]
+    return read_records(path, instance_from_record)

@@ -13,7 +13,6 @@ import hashlib
 import json
 import logging
 import os
-import tempfile
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -32,7 +31,10 @@ from .model import (
     Extraction,
     IEInstance,
     TaskKind,
+    atomic_open,
     read_instances,
+    read_records,
+    write_jsonl_atomic,
 )
 from .prefpairs import (
     DpoPlan,
@@ -218,22 +220,6 @@ def _example_record(ex: AlignmentExample, inst: IEInstance) -> dict:
     }
 
 
-def example_from_record(rec: dict) -> AlignmentExample:
-    return AlignmentExample(
-        instance_id=rec["id"],
-        task=TaskKind(rec["task"]),
-        prompt=rec["prompt"],
-        demonstrations=tuple(tuple(d) for d in rec["demonstrations"]),
-        output=rec["output"],
-        answer=rec["answer"],
-        cot=rec["cot"],
-        format=spec_from_json(rec["format"]),
-        schema_view_labels=tuple(rec["schema_view_labels"]),
-        has_guidelines=rec["has_guidelines"],
-        symbolized=rec["symbolized"],
-    )
-
-
 # ---------------------------------------------------------------------------
 # DPO construction
 
@@ -416,7 +402,7 @@ def evaluate(
 
 
 # ---------------------------------------------------------------------------
-# Manifests and atomic file output
+# Manifests and run outputs
 
 
 def file_digest(path) -> str:
@@ -431,21 +417,6 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def write_jsonl_atomic(records: Sequence[dict], path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            for rec in records:
-                f.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_manifest(path, config: dict, counts: dict, outputs: dict[str, str], started: float) -> dict:
     from . import __version__
 
@@ -456,17 +427,9 @@ def write_manifest(path, config: dict, counts: dict, outputs: dict[str, str], st
         "outputs": {name: file_digest(p) for name, p in outputs.items()},
         "wall_time_s": round(time.monotonic() - started, 3),
     }
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            json.dump(manifest, f, ensure_ascii=False, sort_keys=True, indent=2)
-            f.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path) as f:
+        json.dump(manifest, f, ensure_ascii=False, sort_keys=True, indent=2)
+        f.write("\n")
     return manifest
 
 
@@ -522,7 +485,7 @@ def run_build_dpo(
     started = time.monotonic()
     try:
         corpus, summary = build_dpo(instances, plan, client, pool_dir=pool_dir)
-        write_jsonl_atomic([pair_to_record(p) for p in corpus], out_dir / "dpo.jsonl")
+        write_jsonl_atomic((pair_to_record(p) for p in corpus), out_dir / "dpo.jsonl")
     except Exception:
         preserve_partials(out_dir, "build-dpo")
         raise
@@ -536,18 +499,13 @@ def run_build_dpo(
 
 
 def load_predictions(path) -> dict[str, str]:
-    preds: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                preds[rec["id"]] = rec["output"]
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
-                raise DataError(f"bad prediction record: {e}", line=lineno)
-    return preds
+    return dict(read_records(path, _prediction))
+
+
+def _prediction(rec: dict) -> tuple[str, str]:
+    if not isinstance(rec["id"], str):
+        raise TypeError(f"prediction id {rec['id']!r} is not a string")
+    return rec["id"], rec["output"]
 
 
 def evaluate_files(pred_path, gold_path, task: Optional[TaskKind] = None, fmt=None) -> dict:

@@ -182,15 +182,3 @@ def pair_to_record(pair: PreferencePair) -> dict:
         "dataset": pair.dataset,
     }
 
-
-def pair_from_record(rec: dict) -> PreferencePair:
-    return PreferencePair(
-        instance_id=rec["id"],
-        prompt=rec["prompt"],
-        preferred=rec["chosen"],
-        dispreferred=rec["rejected"],
-        preferred_score=rec["chosen_score"],
-        dispreferred_score=rec["rejected_score"],
-        origin=rec["origin"],
-        dataset=rec.get("dataset", ""),
-    )

@@ -16,7 +16,6 @@ from iealign.answers import (
     parse_answer_lenient,
     parse_markdown_table,
     serialize_answer,
-    split_cot,
 )
 from iealign.formats import EVAL_FORMATS, load_format_library
 from iealign.model import AlignmentExample, Extraction, TaskKind
@@ -239,7 +238,6 @@ def test_attach_and_split_cot():
     ex = attach_cot(_example(), "Step one. Step two.")
     assert ex.cot == "Step one. Step two."
     assert ex.output == "Step one. Step two.\n\n[Answer]: x: person;"
-    assert split_cot(ex.output, ex.cot) == ex.answer
 
 
 def test_attach_cot_twice_raises():
@@ -251,11 +249,6 @@ def test_attach_cot_twice_raises():
 def test_attach_cot_empty_raises():
     with pytest.raises(ValueError):
         attach_cot(_example(), "   ")
-
-
-def test_split_cot_mismatch_raises():
-    with pytest.raises(ValueError):
-        split_cot("something else", "recorded cot")
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ import json
 import pytest
 import yaml
 from click.testing import CliRunner
+from conftest import assert_kept, fail_on_second
 
 from iealign.augment import GenCandidate, KIND_TASK_DESCRIPTION, save_candidates
-from iealign.cli import main
-from iealign.model import TaskKind, _gold_to_json, _schema_to_json, read_instances, write_instances
+from iealign.cli import _write_json, main
+from iealign.model import TaskKind, gold_to_json, read_instances, schema_to_json, write_instances
 from iealign.synth import make_corpus, make_schema
 
 
@@ -28,9 +29,9 @@ def _raw_dataset(tmp_path, task=TaskKind.NER, n=30, seed=0, na_rate=0.3):
     raw = tmp_path / "raw.jsonl"
     with open(raw, "w", encoding="utf-8") as f:
         for inst in corpus:
-            f.write(json.dumps({"text": inst.text, "gold": _gold_to_json(inst.gold)}) + "\n")
+            f.write(json.dumps({"text": inst.text, "gold": gold_to_json(inst.gold)}) + "\n")
     schema = tmp_path / "schema.json"
-    schema.write_text(json.dumps(_schema_to_json(make_schema(task))), encoding="utf-8")
+    schema.write_text(json.dumps(schema_to_json(make_schema(task))), encoding="utf-8")
     return raw, schema, corpus
 
 
@@ -83,6 +84,25 @@ def test_ingest_malformed_line_exits_1_strict_0_lenient(runner, tmp_path):
     out = tmp_path / "out.jsonl"
     assert runner.invoke(main, ["ingest", "--config", cfg, "--out", str(out)]).exit_code == 1
     assert runner.invoke(main, ["ingest", "--config", cfg, "--out", str(out), "--lenient"]).exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda p: write_instances(fail_on_second(make_corpus(TaskKind.NER, 2, seed=0)), p),  # ingest, mix
+        lambda p: save_candidates(
+            fail_on_second([GenCandidate(KIND_TASK_DESCRIPTION, "NER", t, "s") for t in "ab"]), p
+        ),  # review
+        lambda p: _write_json({"text": "lone surrogate \ud800"}, str(p)),  # evaluate/stats --out
+    ],
+    ids=["instances", "candidates", "report"],
+)
+def test_failed_write_keeps_previous_file(tmp_path, write):
+    dest = tmp_path / "out"
+    dest.write_bytes(b"previous\n")
+    with pytest.raises((RuntimeError, UnicodeEncodeError)):
+        write(dest)
+    assert_kept(dest, b"previous\n")
 
 
 def test_ingest_unknown_task_exits_2(runner, tmp_path):
@@ -196,14 +216,80 @@ def test_stats_cli_counts_malformed(runner, tmp_path):
     cfg = _write_yaml(tmp_path / "sft.yaml", {"instances": str(inst), "options": {"max_tokens": 100000}})
     assert runner.invoke(main, ["build-sft", "--config", cfg, "--out", str(run)]).exit_code == 0
     corpus_path = run / "sft.jsonl"
-    with open(corpus_path, "a", encoding="utf-8") as f:
-        f.write("oops not json\n")
+    with open(corpus_path, "ab") as f:
+        f.write(b"oops not json\n" + b'{"cut mid-character": "caf\xc3\n')
     result = runner.invoke(main, ["stats", "--corpus", str(corpus_path)])
     assert result.exit_code == 0, result.output
     report = json.loads(result.output)
-    assert report["malformed_lines"] == 1
+    assert report["malformed_lines"] == 2
     assert report["total"] == 15
     assert report["closure_violations"] == 0
+
+
+def _replace_line(path, lineno, text):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[lineno - 1] = text
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _truncated_instances(tmp_path):
+    inst, _ = _canonical(tmp_path, n=3)
+    _replace_line(inst, 2, inst.read_text(encoding="utf-8").splitlines()[1][:40])
+    cfg = _write_yaml(tmp_path / "sft.yaml", {"instances": str(inst)})
+    return ["build-sft", "--config", cfg, "--out", str(tmp_path / "run")], 2
+
+
+def _instances_cut_mid_character(tmp_path):
+    inst, corpus = _canonical(tmp_path, n=3)
+    with open(inst, "ab") as f:
+        f.write('{"text": "café'.encode("utf-8")[:-1])
+    cfg = _write_yaml(tmp_path / "sft.yaml", {"instances": str(inst)})
+    return ["build-sft", "--config", cfg, "--out", str(tmp_path / "run")], len(corpus) + 1
+
+
+def _instance_missing_fields(tmp_path):
+    inst, _ = _canonical(tmp_path, n=3)
+    record = json.loads(inst.read_text(encoding="utf-8").splitlines()[2])
+    del record["gold"]
+    _replace_line(inst, 3, json.dumps(record))
+    cfg = _write_yaml(tmp_path / "sft.yaml", {"instances": str(inst)})
+    return ["build-sft", "--config", cfg, "--out", str(tmp_path / "run")], 3
+
+
+def _prediction_without_output(tmp_path):
+    inst, corpus = _canonical(tmp_path, n=3)
+    pred = tmp_path / "pred.jsonl"
+    # the blank line counts: the error names the line in the file
+    pred.write_text(f'{{"id": "{corpus[0].id}", "output": "NA"}}\n\n{{"id": "{corpus[1].id}"}}\n',
+                    encoding="utf-8")
+    return ["evaluate", "--pred", str(pred), "--gold", str(inst)], 3
+
+
+def _candidate_not_json(tmp_path):
+    cand_path = tmp_path / "cands.jsonl"
+    save_candidates([GenCandidate(KIND_TASK_DESCRIPTION, "NER", "a description", source="s")], cand_path)
+    with open(cand_path, "a", encoding="utf-8") as f:
+        f.write("not json\n")
+    return ["review", "list", "--candidates", str(cand_path)], 2
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _truncated_instances,
+        _instances_cut_mid_character,
+        _instance_missing_fields,
+        _prediction_without_output,
+        _candidate_not_json,
+    ],
+    ids=lambda case: case.__name__.lstrip("_"),
+)
+def test_malformed_input_is_data_error_naming_its_line(runner, tmp_path, case):
+    args, line = case(tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("data error: ")
+    assert result.output.rstrip().endswith(f"| line {line}")
 
 
 # ---------------------------------------------------------------------------

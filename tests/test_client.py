@@ -1,7 +1,10 @@
 """Model client tests: mock policies, caching, retry/backoff, and the
 environment-only API key rule."""
 
+import os
+
 import pytest
+from conftest import assert_kept
 
 from iealign.client import (
     GenParams,
@@ -101,6 +104,18 @@ def test_cache_roundtrip_and_call_counter(tmp_path):
     fresh = MockClient(policy="fixed:x", cache=ResponseCache(str(tmp_path)))
     assert fresh.complete("p", GenParams()) == "x"
     assert fresh.call_count == 0  # cache survives across client instances
+
+
+def test_cache_put_is_atomic_with_umask_mode(tmp_path, umask):
+    cache = ResponseCache(str(tmp_path))
+    cache.put("k", "first")
+    entry = tmp_path / "k.json"
+    assert os.stat(entry).st_mode & 0o777 == umask
+    previous = entry.read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        cache.put("k", "lone surrogate \ud800")  # fails while the entry is written
+    assert_kept(entry, previous)
+    assert cache.get("k") == "first"
 
 
 def test_cache_distinguishes_params_and_index(tmp_path):

@@ -18,7 +18,7 @@ from iealign.ingest import (
     mix_proportional,
     whitespace_token_count,
 )
-from iealign.model import TaskKind, _gold_to_json, _schema_to_json
+from iealign.model import TaskKind, gold_to_json, schema_to_json
 from iealign.synth import make_corpus, make_schema
 
 
@@ -26,13 +26,13 @@ def write_raw(tmp_path, instances, name="raw.jsonl"):
     path = tmp_path / name
     with open(path, "w", encoding="utf-8") as f:
         for inst in instances:
-            f.write(json.dumps({"text": inst.text, "gold": _gold_to_json(inst.gold)}) + "\n")
+            f.write(json.dumps({"text": inst.text, "gold": gold_to_json(inst.gold)}) + "\n")
     return path
 
 
 def write_schema(tmp_path, task):
     path = tmp_path / "schema.json"
-    path.write_text(json.dumps(_schema_to_json(make_schema(task))), encoding="utf-8")
+    path.write_text(json.dumps(schema_to_json(make_schema(task))), encoding="utf-8")
     return path
 
 

@@ -3,9 +3,11 @@ construction, composition stats with the label-closure audit, evaluation,
 and manifest/atomic-output behavior."""
 
 import json
+import os
 import random
 
 import pytest
+from conftest import assert_kept, fail_on_second
 
 from iealign.answers import serialize_answer
 from iealign.client import MockClient
@@ -20,7 +22,6 @@ from iealign.pipeline import (
     eval_format_for,
     evaluate,
     evaluate_files,
-    example_from_record,
     file_digest,
     load_predictions,
     run_build_dpo,
@@ -28,6 +29,7 @@ from iealign.pipeline import (
     select_cot_ids,
     stats,
     write_jsonl_atomic,
+    write_manifest,
 )
 from iealign.prefpairs import DpoPlan
 from iealign.synth import make_corpus, make_instance, make_schema
@@ -105,15 +107,6 @@ def test_select_cot_ids_caps_per_task():
     chosen = select_cot_ids(eligible, SftOptions(seed=0, cot_per_task=10))
     assert len([c for c in chosen if c.startswith("n")]) == 10
     assert {"r1", "r2"} <= chosen
-
-
-def test_example_record_roundtrip():
-    corpus = make_corpus(TaskKind.EE, 5, seed=3)
-    records, _ = build_sft(corpus, SftOptions(seed=0, max_tokens=100_000))
-    for rec in records:
-        ex = example_from_record(rec)
-        assert ex.instance_id == rec["id"]
-        assert ex.prompt == rec["prompt"] and ex.answer == rec["answer"]
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +216,10 @@ def test_evaluate_files_and_task_guard(tmp_path):
 
 def test_load_predictions_rejects_malformed(tmp_path):
     p = tmp_path / "pred.jsonl"
-    p.write_text('{"id": "a", "output": "x"}\n{"id": "b"}\n', encoding="utf-8")
-    with pytest.raises(DataError):
-        load_predictions(p)
+    for bad in ('{"id": "b"}', '{"id": ["b"], "output": "x"}', '["b", "x"]', '{"id": "b", '):
+        p.write_text('{"id": "a", "output": "x"}\n' + bad + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="line 2"):
+            load_predictions(p)
 
 
 # ---------------------------------------------------------------------------
@@ -271,3 +265,25 @@ def test_write_jsonl_atomic_sorted_keys(tmp_path):
     write_jsonl_atomic([{"b": 1, "a": 2}], p)
     assert p.read_text() == '{"a": 2, "b": 1}\n'
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda p: write_jsonl_atomic(fail_on_second([{"a": 1}, {"b": 2}]), p),
+        lambda p: write_manifest(p, {}, {"a": 1, "z": object()}, {}, 0.0),  # not JSON-serializable
+    ],
+    ids=["jsonl", "manifest"],
+)
+def test_failed_write_keeps_previous_file(tmp_path, write):
+    dest = tmp_path / "out"
+    dest.write_bytes(b"previous\n")
+    with pytest.raises((RuntimeError, TypeError)):
+        write(dest)
+    assert_kept(dest, b"previous\n")
+
+
+@pytest.mark.parametrize("name", ["sft.jsonl", "manifest.json"])
+def test_run_outputs_get_umask_mode(tmp_path, umask, name):
+    run_build_sft(make_corpus(TaskKind.NER, 5, seed=0), SftOptions(seed=0, max_tokens=100_000), tmp_path)
+    assert os.stat(tmp_path / name).st_mode & 0o777 == umask

@@ -12,7 +12,6 @@ from iealign.prefpairs import (
     assemble_dpo_corpus,
     build_offline_pair,
     build_online_pair,
-    pair_from_record,
     pair_to_record,
     score_samples,
 )
@@ -167,11 +166,6 @@ def test_plan_validation():
         DpoPlan(gap_threshold=0.0)
     with pytest.raises(ConfigurationError):
         DpoPlan(offline_rate=1.5)
-
-
-def test_pair_record_roundtrip():
-    pair = _candidates(1, 0)[0]
-    assert pair_from_record(pair_to_record(pair)) == pair
 
 
 def test_no_pair_has_equal_sides():
