@@ -8,6 +8,7 @@ validation runs before any output file is created.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import logging
@@ -163,18 +164,19 @@ def mix(config_path, out_path, seed):
     click.echo(f"contributions {counts}, total {len(mixed)} -> {out_path}")
 
 
-def _sft_options(cfg: dict, seed: Optional[int]) -> SftOptions:
-    opts = cfg.get("options", {})
-    allowed = {
-        "demo_rate", "demo_k_range", "demo_pool_size", "guideline_rate",
-        "symbol_rate", "cot_rate", "cot_per_task", "max_tokens", "pool_dir",
-    }
-    unknown = set(opts) - allowed
+def _options(cls, label: str, cfg: dict, key: str, seed: Optional[int]):
+    """`cls` built from the mapping `cfg[key]`, whose keys must be fields of
+    `cls` other than seed (YAML lists become tuples); the seed is --seed or
+    the config's top-level seed."""
+    given = cfg.get(key) or {}
+    if not isinstance(given, dict):
+        raise ConfigurationError(f"{label} options must be a mapping")
+    allowed = {f.name for f in dataclasses.fields(cls)} - {"seed"}
+    unknown = set(given) - allowed
     if unknown:
-        raise ConfigurationError(f"unknown SFT options: {sorted(unknown)}")
-    if "demo_k_range" in opts:
-        opts["demo_k_range"] = tuple(opts["demo_k_range"])
-    return SftOptions(seed=seed if seed is not None else cfg.get("seed", 0), **opts)
+        raise ConfigurationError(f"unknown {label} options: {sorted(unknown)}")
+    values = {k: tuple(v) if isinstance(v, list) else v for k, v in given.items()}
+    return cls(seed=seed if seed is not None else cfg.get("seed", 0), **values)
 
 
 def _make_backend(cfg: dict, backend_override: Optional[str]):
@@ -205,7 +207,7 @@ def build_sft_cmd(config_path, out_dir, seed, backend):
     if "instances" not in cfg:
         raise ConfigurationError("build-sft config missing 'instances'")
     _require_files(cfg["instances"])
-    opts = _sft_options(cfg, seed)
+    opts = _options(SftOptions, "SFT", cfg, "options", seed)
     if opts.pool_dir:
         _require_files(opts.pool_dir)
     client = _make_backend(cfg, backend)
@@ -227,15 +229,7 @@ def build_dpo_cmd(config_path, out_dir, seed, backend):
     if "instances" not in cfg:
         raise ConfigurationError("build-dpo config missing 'instances'")
     _require_files(cfg["instances"])
-    plan_cfg = cfg.get("plan", {})
-    plan = DpoPlan(
-        gap_threshold=plan_cfg.get("gap_threshold", 0.10),
-        offline_rate=plan_cfg.get("offline_rate", 0.7),
-        target_size=plan_cfg.get("target_size", 10_000),
-        sample_temperature=plan_cfg.get("sample_temperature", 1.0),
-        samples_per_instance=plan_cfg.get("samples_per_instance", 5),
-        seed=seed if seed is not None else cfg.get("seed", 0),
-    )
+    plan = _options(DpoPlan, "DPO plan", cfg, "plan", seed)
     client = _make_backend(cfg, backend)
     if client is None:
         raise ConfigurationError("build-dpo requires a backend (config 'backend' or --backend)")

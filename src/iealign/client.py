@@ -29,14 +29,11 @@ logger = logging.getLogger(__name__)
 class GenParams:
     temperature: float = 0.7
     max_tokens: int = 1024
-    n: int = 1
     seed: Optional[int] = None  # mock backends only
 
     def __post_init__(self):
         if self.temperature < 0:
             raise ConfigurationError(f"temperature must be >= 0, got {self.temperature}")
-        if self.n < 1:
-            raise ConfigurationError(f"n must be >= 1, got {self.n}")
 
     def digest(self) -> str:
         body = f"{self.temperature}|{self.max_tokens}|{self.seed}"

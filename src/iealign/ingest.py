@@ -68,10 +68,9 @@ def load_dataset(spec: ReaderSpec, path, lenient: bool = False) -> list[IEInstan
             f"schema task {schema.task.value} does not match reader task {spec.task.value}"
         )
     instances = []
-    with open(path, encoding="utf-8") as f:
+    with open(path, "rb") as f:  # per-line decoding, as in model.load_jsonl
         for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 instances.append(_read_record(spec, schema, line, lineno))
@@ -82,10 +81,10 @@ def load_dataset(spec: ReaderSpec, path, lenient: bool = False) -> list[IEInstan
     return instances
 
 
-def _read_record(spec: ReaderSpec, schema: Optional[SchemaDef], line: str, lineno: int) -> IEInstance:
+def _read_record(spec: ReaderSpec, schema: Optional[SchemaDef], line: bytes, lineno: int) -> IEInstance:
     try:
-        raw = json.loads(line)
-    except json.JSONDecodeError as e:
+        raw = json.loads(line.decode("utf-8"))
+    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
         raise DataError(f"invalid JSON: {e}", line=lineno)
     if spec.text_field not in raw:
         raise DataError("missing text", line=lineno, field=spec.text_field)
@@ -98,8 +97,12 @@ def _read_record(spec: ReaderSpec, schema: Optional[SchemaDef], line: str, linen
         raise DataError(f"bad gold encoding: {e}", line=lineno, field=spec.gold_field)
     gold = _apply_null_labels(spec.task, gold, spec.null_labels)
     index = raw.get("index", lineno - 1)
+    try:
+        inst_id = stable_id(spec.dataset, index, text)
+    except UnicodeEncodeError as e:  # a lone surrogate, e.g. from a "\ud800" JSON escape
+        raise DataError(f"text is not valid Unicode: {e}", line=lineno, field=spec.text_field)
     inst = IEInstance(
-        id=stable_id(spec.dataset, index, text),
+        id=inst_id,
         dataset=spec.dataset,
         task=spec.task,
         text=text,

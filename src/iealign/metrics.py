@@ -1,5 +1,6 @@
 """Scoring functions: exact-match F1, ROUGE-L F1, smoothed sentence BLEU,
-soft header matching, and open-IE tuple F1.
+soft header matching, and open-IE tuple F1. Both matchers pair items one to
+one through `max_assignment`, which is exact at any size.
 
 Tokenization for the text-level metrics is fixed and documented: lowercase,
 split on whitespace and punctuation boundaries. Counts aggregate micro-style
@@ -12,7 +13,6 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .model import Extraction
@@ -133,6 +133,57 @@ def sentence_bleu_m3(candidate: str, reference: str, max_n: int = 4) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Optimal one-to-one assignment
+
+
+def max_assignment(scores: Sequence[Sequence[float]]) -> float:
+    """Maximum total score of a one-to-one matching between the rows and the
+    columns of a rectangular score matrix (Kuhn-Munkres with potentials,
+    O(n^2 m) for n <= m). Integer scores give an integer total."""
+    if len(scores) > len(scores[0] if scores else ()):
+        scores = list(zip(*scores))  # the shorter side goes on the rows
+    if not scores or not scores[0]:
+        return 0
+    n, m = len(scores), len(scores[0])
+    # Column 0 is a sentinel; row_of[j] is the 1-based row matched to column j
+    # (0 = free). Minimizing -score maximizes score; u, v are the potentials.
+    u = [0.0] * (n + 1)
+    v = [0.0] * (m + 1)
+    row_of = [0] * (m + 1)
+    way = [0] * (m + 1)
+    for i in range(1, n + 1):
+        row_of[0] = i
+        j0 = 0
+        slack = [math.inf] * (m + 1)
+        used = [False] * (m + 1)
+        while row_of[j0]:
+            used[j0] = True
+            i0 = row_of[j0]
+            row = scores[i0 - 1]
+            delta, j1 = math.inf, 0
+            for j in range(1, m + 1):
+                if not used[j]:
+                    reduced = -row[j - 1] - u[i0] - v[j]
+                    if reduced < slack[j]:
+                        slack[j], way[j] = reduced, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:  # flip the augmenting path back to the sentinel
+            j1 = way[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    col_of = {row_of[j]: j for j in range(1, m + 1) if row_of[j]}
+    return sum(scores[i - 1][col_of[i] - 1] for i in range(1, n + 1))
+
+
+# ---------------------------------------------------------------------------
 # Soft header matching (on-demand IE table headers)
 
 
@@ -149,25 +200,12 @@ def header_soft_f1(
     threshold: float = 0.5,
     similarity: Callable[[str, str], float] = dice_similarity,
 ) -> PRF:
-    """One-to-one greedy matching on descending pairwise similarity; pairs with
-    similarity >= threshold count as tp."""
-    scored = [
-        (similarity(p, g), i, j)
-        for i, p in enumerate(pred_headers)
-        for j, g in enumerate(gold_headers)
+    """tp is the largest number of one-to-one (pred, gold) header pairs whose
+    similarity is >= threshold, an integer count."""
+    matches = [
+        [1 if similarity(p, g) >= threshold else 0 for g in gold_headers] for p in pred_headers
     ]
-    scored.sort(key=lambda t: (-t[0], t[1], t[2]))
-    used_pred: set[int] = set()
-    used_gold: set[int] = set()
-    tp = 0
-    for sim, i, j in scored:
-        if sim < threshold:
-            break
-        if i in used_pred or j in used_gold:
-            continue
-        used_pred.add(i)
-        used_gold.add(j)
-        tp += 1
+    tp = max_assignment(matches)
     return PRF(tp, len(pred_headers) - tp, len(gold_headers) - tp)
 
 
@@ -205,52 +243,11 @@ def tuple_pair_score(pred: Sequence[Optional[str]], gold: Sequence[Optional[str]
     return sum(scores) / len(scores) if scores else 0.0
 
 
-def _best_assignment(scores: list[list[float]]) -> float:
-    """Exhaustive optimal one-to-one assignment on a |pred| x |gold| score matrix."""
-    n_pred, n_gold = len(scores), len(scores[0]) if scores else 0
-    if not n_pred or not n_gold:
-        return 0.0
-    if n_pred <= n_gold:
-        return max(
-            sum(scores[i][perm[i]] for i in range(n_pred))
-            for perm in permutations(range(n_gold), n_pred)
-        )
-    return max(
-        sum(scores[perm[j]][j] for j in range(n_gold))
-        for perm in permutations(range(n_pred), n_gold)
-    )
-
-
-def _greedy_assignment(scores: list[list[float]]) -> float:
-    pairs = [
-        (scores[i][j], i, j) for i in range(len(scores)) for j in range(len(scores[0]))
-    ]
-    pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
-    used_i: set[int] = set()
-    used_j: set[int] = set()
-    total = 0.0
-    for s, i, j in pairs:
-        if i in used_i or j in used_j:
-            continue
-        used_i.add(i)
-        used_j.add(j)
-        total += s
-    return total
-
-
 def openie_tuple_f1(
     pred: Sequence[Sequence[Optional[str]]],
     gold: Sequence[Sequence[Optional[str]]],
-    exhaustive_limit: int = 8,
 ) -> PRF:
-    """One-to-one tuple matching maximizing summed slot-averaged token F1;
-    matched pairs contribute fractionally to tp. Exhaustive assignment up to
-    `exhaustive_limit` tuples per side, greedy beyond."""
-    if not pred or not gold:
-        return PRF(0.0, float(len(pred)), float(len(gold)))
-    scores = [[tuple_pair_score(p, g) for g in gold] for p in pred]
-    if max(len(pred), len(gold)) <= exhaustive_limit:
-        tp = _best_assignment(scores)
-    else:
-        tp = _greedy_assignment(scores)
+    """One-to-one tuple matching maximizing summed slot-averaged token F1
+    (exact, via `max_assignment`); matched pairs contribute fractionally to tp."""
+    tp = max_assignment([[tuple_pair_score(p, g) for g in gold] for p in pred])
     return PRF(tp, len(pred) - tp, len(gold) - tp)

@@ -360,6 +360,7 @@ def atomic_open(path) -> Iterator[TextIO]:
     Writes go to a temp file in the same directory, renamed over `path` on
     success and removed on any exception, so `path` only ever holds a complete
     file. The file gets the mode a plain ``open(path, "w")`` would give it.
+    Text that UTF-8 cannot encode raises DataError naming `path`.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -369,8 +370,10 @@ def atomic_open(path) -> Iterator[TextIO]:
         with f:
             yield f
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         tmp.unlink(missing_ok=True)
+        if isinstance(e, UnicodeEncodeError):  # a lone surrogate, e.g. from a "\ud800" JSON escape
+            raise DataError(f"cannot write {path}: {e}") from None
         raise
 
 

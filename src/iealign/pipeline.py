@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -433,20 +432,6 @@ def write_manifest(path, config: dict, counts: dict, outputs: dict[str, str], st
     return manifest
 
 
-def preserve_partials(out_dir, stage: str) -> None:
-    """Move any files already written by a failed run under failed/."""
-    out_dir = Path(out_dir)
-    failed = out_dir / "failed"
-    moved = False
-    for p in sorted(out_dir.glob("*")):
-        if p.is_file():
-            failed.mkdir(parents=True, exist_ok=True)
-            os.replace(p, failed / p.name)
-            moved = True
-    if moved:
-        logger.error("stage %s failed; partial outputs preserved under %s", stage, failed)
-
-
 def run_build_sft(
     instances: Sequence[IEInstance],
     opts: SftOptions,
@@ -455,14 +440,9 @@ def run_build_sft(
     config: Optional[dict] = None,
 ) -> dict:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
-    try:
-        records, report = build_sft(instances, opts, client=client)
-        write_jsonl_atomic(records, out_dir / "sft.jsonl")
-    except Exception:
-        preserve_partials(out_dir, "build-sft")
-        raise
+    records, report = build_sft(instances, opts, client=client)
+    write_jsonl_atomic(records, out_dir / "sft.jsonl")
     return write_manifest(
         out_dir / "manifest.json",
         config or {"seed": opts.seed},
@@ -481,14 +461,9 @@ def run_build_dpo(
     config: Optional[dict] = None,
 ) -> dict:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
-    try:
-        corpus, summary = build_dpo(instances, plan, client, pool_dir=pool_dir)
-        write_jsonl_atomic((pair_to_record(p) for p in corpus), out_dir / "dpo.jsonl")
-    except Exception:
-        preserve_partials(out_dir, "build-dpo")
-        raise
+    corpus, summary = build_dpo(instances, plan, client, pool_dir=pool_dir)
+    write_jsonl_atomic((pair_to_record(p) for p in corpus), out_dir / "dpo.jsonl")
     return write_manifest(
         out_dir / "manifest.json",
         config or {"seed": plan.seed},

@@ -10,6 +10,7 @@ from conftest import assert_kept, fail_on_second
 
 from iealign.augment import GenCandidate, KIND_TASK_DESCRIPTION, save_candidates
 from iealign.cli import _write_json, main
+from iealign.errors import DataError
 from iealign.model import TaskKind, gold_to_json, read_instances, schema_to_json, write_instances
 from iealign.synth import make_corpus, make_schema
 
@@ -79,11 +80,31 @@ def test_ingest_missing_input_exits_2_without_output(runner, tmp_path):
 
 def test_ingest_malformed_line_exits_1_strict_0_lenient(runner, tmp_path):
     raw = tmp_path / "raw.jsonl"
-    raw.write_text('{"text": "ok", "gold": []}\nnot json\n', encoding="utf-8")
     cfg = _write_yaml(tmp_path / "cfg.yaml", {"dataset": "d", "task": "OpenIE", "path": str(raw)})
     out = tmp_path / "out.jsonl"
-    assert runner.invoke(main, ["ingest", "--config", cfg, "--out", str(out)]).exit_code == 1
-    assert runner.invoke(main, ["ingest", "--config", cfg, "--out", str(out), "--lenient"]).exit_code == 0
+    # not JSON; not UTF-8; a lone surrogate in the text
+    for bad in [b"not json", b'{"text": "caf\xe9", "gold": []}', b'{"text": "\\ud800", "gold": []}']:
+        raw.write_bytes(b'{"text": "ok", "gold": []}\n' + bad + b"\n")
+        result = runner.invoke(main, ["ingest", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 1
+        assert "data error:" in result.output and "line 2" in result.output
+        assert not out.exists()
+        result = runner.invoke(main, ["ingest", "--config", cfg, "--out", str(out), "--lenient"])
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith("loaded 1,")
+        out.unlink()
+
+
+def test_ingest_unwritable_text_is_data_error(runner, tmp_path):
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text('{"text": "ok", "gold": [["a \\ud800", "b", null, null, null]]}\n', encoding="utf-8")
+    cfg = _write_yaml(tmp_path / "cfg.yaml", {"dataset": "d", "task": "OpenIE", "path": str(raw)})
+    out = tmp_path / "out.jsonl"
+    result = runner.invoke(main, ["ingest", "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 1
+    assert f"data error: cannot write {out}" in result.output
+    assert not out.exists()
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 @pytest.mark.parametrize(
@@ -100,7 +121,7 @@ def test_ingest_malformed_line_exits_1_strict_0_lenient(runner, tmp_path):
 def test_failed_write_keeps_previous_file(tmp_path, write):
     dest = tmp_path / "out"
     dest.write_bytes(b"previous\n")
-    with pytest.raises((RuntimeError, UnicodeEncodeError)):
+    with pytest.raises((RuntimeError, DataError)):
         write(dest)
     assert_kept(dest, b"previous\n")
 
@@ -157,6 +178,16 @@ def test_build_sft_unknown_option_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["build-sft", "--config", cfg, "--out", str(tmp_path / "run")])
     assert result.exit_code == 2
     assert "unknown SFT options" in result.output
+
+
+def test_build_dpo_unknown_plan_key_exits_2(runner, tmp_path):
+    inst, _ = _canonical(tmp_path)
+    cfg = _write_yaml(tmp_path / "dpo.yaml", {"instances": str(inst), "plan": {"target_sise": 5}})
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["build-dpo", "--config", cfg, "--out", str(out), "--backend", "fixed:x"])
+    assert result.exit_code == 2
+    assert "unknown DPO plan options: ['target_sise']" in result.output
+    assert not out.exists()
 
 
 def test_build_dpo_requires_backend(runner, tmp_path):

@@ -1,7 +1,8 @@
 """Metric tests: exact-match F1, ROUGE-L vs a brute-force LCS oracle,
-smoothed sentence BLEU vs an exact-rational reference, soft header matching,
-and open-IE tuple F1 (greedy vs exhaustive assignment)."""
+smoothed sentence BLEU vs an exact-rational reference, the assignment routine
+vs a brute-force maximum, soft header matching, and open-IE tuple F1."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -14,11 +15,10 @@ from hypothesis import strategies as st
 
 from iealign.metrics import (
     PRF,
-    _best_assignment,
-    _greedy_assignment,
     dice_similarity,
     exact_match_f1,
     header_soft_f1,
+    max_assignment,
     micro_prf,
     openie_tuple_f1,
     rouge_l_f1,
@@ -211,6 +211,45 @@ def test_bleu_bounded(cand, ref):
 
 
 # ---------------------------------------------------------------------------
+# Optimal assignment against a brute-force maximum
+
+
+def assignment_oracle(scores):
+    """Best total over every one-to-one matching of the shorter side."""
+    n, m = len(scores), len(scores[0])
+    if n > m:
+        scores, n, m = [list(col) for col in zip(*scores)], m, n
+    return max(
+        sum(scores[i][j] for i, j in enumerate(cols))
+        for cols in itertools.permutations(range(m), n)
+    )
+
+
+def _random_matrix(rng, n, m):
+    """Scores drawn so that ties and zeros are common."""
+    return [[rng.choice([0.0, 0.0, 0.5, 1.0, rng.random()]) for _ in range(m)] for _ in range(n)]
+
+
+def test_max_assignment_matches_bruteforce_oracle():
+    rng = random.Random(3)
+    for n in range(1, 8):
+        for m in range(1, 8):
+            for _ in range(6):
+                scores = _random_matrix(rng, n, m)
+                assert max_assignment(scores) == pytest.approx(assignment_oracle(scores), abs=1e-9)
+            ones = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
+            assert max_assignment(ones) == assignment_oracle(ones)
+    for n, m in [(8, 9), (9, 8), (9, 9)]:
+        scores = _random_matrix(rng, n, m)
+        assert max_assignment(scores) == pytest.approx(assignment_oracle(scores), abs=1e-9)
+
+
+def test_max_assignment_empty_sides():
+    assert max_assignment([]) == 0
+    assert max_assignment([[], []]) == 0
+
+
+# ---------------------------------------------------------------------------
 # Soft header matching
 
 
@@ -228,14 +267,12 @@ def test_header_soft_f1_threshold_and_one_to_one():
     assert (prf2.tp, prf2.fp, prf2.fn) == (0, 1, 1)
 
 
-def test_header_greedy_equals_exhaustive_small():
-    rng = random.Random(5)
-    words = ["name", "date", "place", "event", "person", "time", "location", "title"]
-    for _ in range(200):
-        hp = rng.sample(words, rng.randint(1, 4))
-        hg = rng.sample(words, rng.randint(1, 4))
-        scores = [[dice_similarity(p, g) for g in hg] for p in hp]
-        assert _greedy_assignment(scores) == pytest.approx(_best_assignment(scores))
+def test_header_soft_f1_maximizes_matched_pairs():
+    # "birth date" scores >= 0.5 against both gold headers; matching it to
+    # "birth date" first would leave "start date" unmatched.
+    prf = header_soft_f1(["start date", "birth date"], ["date of birth", "birth date"])
+    assert (prf.tp, prf.fp, prf.fn) == (2, 0, 0)
+    assert isinstance(prf.tp, int)
 
 
 # ---------------------------------------------------------------------------
@@ -267,30 +304,19 @@ def test_openie_fractional_tp():
     assert prf.fp == pytest.approx(1 / 3)
 
 
-def test_openie_uses_exhaustive_below_limit():
-    """On small inputs the production scorer equals the exhaustive optimum
-    even when greedy would differ."""
-    # greedy picks 0.9 first and ends at 0.9; optimal is 0.8 + 0.8
-    assert _best_assignment([[0.9, 0.8], [0.8, 0.0]]) == pytest.approx(1.6)
-    assert _greedy_assignment([[0.9, 0.8], [0.8, 0.0]]) == pytest.approx(0.9)
-
-
-def test_openie_greedy_equals_exhaustive_on_frozen_fixture():
-    """Frozen fixture (seed 0, first 100 non-empty pairs of <=4-item tuple
-    sets): greedy matching equals the exhaustive optimum on every case."""
-    rng = random.Random(0)
-    checked = 0
-    while checked < 100:
-        a = make_extraction(TaskKind.OPENIE, rng, max_items=4)
-        b = make_extraction(TaskKind.OPENIE, rng, max_items=4)
-        if not a.items or not b.items:
-            continue
-        scores = [[tuple_pair_score(p, g) for g in b.items] for p in a.items]
-        assert _greedy_assignment(scores) == pytest.approx(_best_assignment(scores))
-        # the production entry point agrees with exhaustive on small inputs
-        prf = openie_tuple_f1(a.items, b.items)
-        assert prf.tp == pytest.approx(_best_assignment(scores))
-        checked += 1
+def test_openie_tuple_f1_optimal_beyond_eight_tuples():
+    """Five blocks with disjoint words, ten tuples a side. In each block p1-g1
+    scores 5/6 and p1-g2, p2-g1 score 1/2 while p2-g2 scores 0, so matching
+    the best pair first gives 5/6 a block; the optimum is 1."""
+    pred, gold = [], []
+    for k in range(5):
+        a, b, c, d, z = (f"{w}{k}" for w in ("alpha", "beta", "gamma", "delta", "zeta"))
+        pred += [(a, b), (z, f"{b} {c}")]
+        gold += [(a, f"{b} {c}"), (a, d)]
+    assert tuple_pair_score(pred[0], gold[0]) == pytest.approx(5 / 6)
+    prf = openie_tuple_f1(pred, gold)
+    assert prf.tp == pytest.approx(5.0)
+    assert (prf.fp, prf.fn) == (pytest.approx(5.0), pytest.approx(5.0))
 
 
 @given(st.integers(0, 2**32 - 1))

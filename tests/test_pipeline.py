@@ -248,16 +248,18 @@ def test_run_build_dpo_manifest(tmp_path):
 
 
 def test_failure_preserves_partials(tmp_path):
+    """A failed rerun leaves the previous run's complete outputs in place."""
     out = tmp_path / "run"
-    out.mkdir()
-    (out / "stale.jsonl").write_text("leftover\n", encoding="utf-8")
     corpus = make_corpus(TaskKind.NER, 3, seed=0)
+    run_build_sft(corpus, SftOptions(seed=0, max_tokens=100_000), out)
+    previous = {name: (out / name).read_bytes() for name in ("sft.jsonl", "manifest.json")}
     bad = SftOptions(seed=0)
     object.__setattr__(bad, "demo_k_range", (8, 1))  # force a failure mid-build
     with pytest.raises(Exception):
         run_build_sft(corpus, bad, out)
-    assert (out / "failed" / "stale.jsonl").exists()
-    assert not (out / "stale.jsonl").exists()
+    for name, data in previous.items():
+        assert_kept(out / name, data)
+    assert not (out / "failed").exists()
 
 
 def test_write_jsonl_atomic_sorted_keys(tmp_path):
