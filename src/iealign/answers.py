@@ -12,18 +12,12 @@ import json
 import random
 import re
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .formats import (
-    OPTIONAL_SLOTS,
-    TASK_SLOTS,
-    CompiledTemplate,
-    compile_template,
-    compile_truncations,
-    unquote_value,
-)
-from .model import AlignmentExample, Extraction, FormatSpec, TaskKind
+from .formats import CompiledTemplate, compile_template, compile_truncations, unquote_value
+from .model import OPTIONAL_SLOTS, TASK_SLOTS, AlignmentExample, Extraction, FormatSpec, TaskKind
 
 
 class SerializationError(ValueError):
@@ -36,15 +30,31 @@ class ParseError(ValueError):
         self.offset = offset
 
 
+class DiagnosticKind(Enum):
+    UNPARSEABLE = "unparseable"  # text the item grammar does not match
+    MISSING_PREFIX = "missing_prefix"  # the format's answer prefix is absent
+    BAD_JSON = "bad_json"  # no JSON object, malformed JSON, or no 'items'
+    BAD_ITEM = "bad_item"  # a JSON item that is not an object or lacks a slot
+    DUPLICATE = "duplicate"  # a repeated item, dropped
+    RECOVERED_JSON = "recovered_json"  # a JSON object found inside prose
+
+    @property
+    def fatal(self) -> bool:
+        """Whether strict parsing rejects an answer with this diagnostic."""
+        return self not in (DiagnosticKind.DUPLICATE, DiagnosticKind.RECOVERED_JSON)
+
+
+class Diagnostic(NamedTuple):
+    kind: DiagnosticKind
+    offset: int  # the offset the message names, else 0
+    message: str
+
+
 @dataclass
 class ParseResult:
     extraction: Extraction
-    diagnostics: list[str] = field(default_factory=list)
+    diagnostics: list[Diagnostic] = field(default_factory=list)
     out_of_view: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -55,9 +65,8 @@ def _item_values(task: TaskKind, item: tuple, spec: FormatSpec) -> dict[str, Opt
     slots = TASK_SLOTS[task]
     if task is TaskKind.EE:
         trig, etype, args = item
-        rendered_args = spec.arg_separator.join(
-            _render_item(compile_arg(spec), {"word": w, "role": r}) for w, r in args
-        )
+        arg_tpl = _compiled(spec.arg_template)
+        rendered_args = spec.arg_separator.join(arg_tpl.render({"word": w, "role": r}) for w, r in args)
         return {"trigger": trig, "type": etype, "arguments": rendered_args}
     return {slot: item[i] if i < len(item) else None for i, slot in enumerate(slots)}
 
@@ -73,14 +82,6 @@ def _compiled(template: str) -> CompiledTemplate:
 @lru_cache(maxsize=64)
 def _compiled_openie(template: str) -> tuple[CompiledTemplate, ...]:
     return tuple(compile_truncations(template, optional_count=2))
-
-
-def compile_arg(spec: FormatSpec) -> CompiledTemplate:
-    return _compiled(spec.arg_template)
-
-
-def _render_item(tpl: CompiledTemplate, values: dict[str, Optional[str]]) -> str:
-    return tpl.render(values)
 
 
 def _render_openie_item(spec: FormatSpec, item: tuple) -> str:
@@ -149,11 +150,11 @@ def serialize_answer(gold: Extraction, spec: FormatSpec, seed: Optional[int] = N
 
 
 def _item_from_groups(task: TaskKind, groups: dict[str, str], spec: FormatSpec,
-                      diagnostics: list[str]) -> tuple:
+                      diagnostics: list[Diagnostic]) -> tuple:
     slots = TASK_SLOTS[task]
     if task is TaskKind.EE:
         args_blob = groups.get("arguments", "")
-        args = _parse_items_loop(args_blob, compile_arg(spec), spec.arg_separator,
+        args = _parse_items_loop(args_blob, _compiled(spec.arg_template), spec.arg_separator,
                                  diagnostics, label="argument")
         arg_items = tuple((unquote_value(g["word"]), unquote_value(g["role"])) for g in args)
         return (unquote_value(groups["trigger"]), unquote_value(groups["type"]), arg_items)
@@ -170,7 +171,7 @@ def _item_from_groups(task: TaskKind, groups: dict[str, str], spec: FormatSpec,
 
 
 def _parse_items_loop(text: str, tpl: CompiledTemplate, separator: str,
-                      diagnostics: list[str], label: str = "item") -> list[dict[str, str]]:
+                      diagnostics: list[Diagnostic], label: str = "item") -> list[dict[str, str]]:
     items = []
     pos = 0
     n = len(text)
@@ -191,14 +192,16 @@ def _parse_items_loop(text: str, tpl: CompiledTemplate, separator: str,
             continue
         m = pattern.match(text, pos)
         if m is None:
-            diagnostics.append(f"unparseable {label} at offset {pos}: {text[pos:pos + 40]!r}")
+            diagnostics.append(Diagnostic(
+                DiagnosticKind.UNPARSEABLE, pos, f"unparseable {label} at offset {pos}: {text[pos:pos + 40]!r}"
+            ))
             break
         items.append(m.groupdict())
         pos = m.end()
     return items
 
 
-def _parse_openie_items(text: str, spec: FormatSpec, diagnostics: list[str]) -> list[tuple]:
+def _parse_openie_items(text: str, spec: FormatSpec, diagnostics: list[Diagnostic]) -> list[tuple]:
     variants = _compiled_openie(spec.answer_template)
     items = []
     pos = 0
@@ -225,12 +228,14 @@ def _parse_openie_items(text: str, spec: FormatSpec, diagnostics: list[str]) -> 
                 matched = True
                 break
         if not matched:
-            diagnostics.append(f"unparseable item at offset {pos}: {text[pos:pos + 40]!r}")
+            diagnostics.append(Diagnostic(
+                DiagnosticKind.UNPARSEABLE, pos, f"unparseable item at offset {pos}: {text[pos:pos + 40]!r}"
+            ))
             break
     return items
 
 
-def _strip_prefix(text: str, spec: FormatSpec, diagnostics: list[str]) -> str:
+def _strip_prefix(text: str, spec: FormatSpec, diagnostics: list[Diagnostic]) -> str:
     prefix = spec.answer_prefix
     if not prefix:
         return text
@@ -239,7 +244,7 @@ def _strip_prefix(text: str, spec: FormatSpec, diagnostics: list[str]) -> str:
         return stripped[len(prefix):]
     if stripped.startswith(prefix.rstrip()):
         return stripped[len(prefix.rstrip()):]
-    diagnostics.append(f"missing answer prefix {prefix!r}")
+    diagnostics.append(Diagnostic(DiagnosticKind.MISSING_PREFIX, 0, f"missing answer prefix {prefix!r}"))
     return text
 
 
@@ -250,7 +255,7 @@ def parse_answer_lenient(
     trigger: Optional[str] = None,
 ) -> ParseResult:
     task = spec.task
-    diagnostics: list[str] = []
+    diagnostics: list[Diagnostic] = []
     body = text.strip()
     if task is TaskKind.ONDEMANDIE:
         return ParseResult(Extraction(task, table=text))
@@ -275,7 +280,7 @@ def parse_answer_lenient(
     seen = set()
     for it in items:
         if it in seen:
-            diagnostics.append(f"duplicate item dropped: {it!r}")
+            diagnostics.append(Diagnostic(DiagnosticKind.DUPLICATE, 0, f"duplicate item dropped: {it!r}"))
         else:
             seen.add(it)
             deduped.append(it)
@@ -292,7 +297,7 @@ def parse_answer_lenient(
     return ParseResult(extraction, diagnostics, out_of_view)
 
 
-def _parse_json_body(body: str, task: TaskKind, diagnostics: list[str]):
+def _parse_json_body(body: str, task: TaskKind, diagnostics: list[Diagnostic]):
     extra = None
     try:
         payload = json.loads(body)
@@ -300,16 +305,16 @@ def _parse_json_body(body: str, task: TaskKind, diagnostics: list[str]):
         # recover an embedded JSON object if the model wrapped it in prose
         start, end = body.find("{"), body.rfind("}")
         if start == -1 or end <= start:
-            diagnostics.append("no JSON object found")
+            diagnostics.append(Diagnostic(DiagnosticKind.BAD_JSON, 0, "no JSON object found"))
             return [], extra
         try:
             payload = json.loads(body[start : end + 1])
-            diagnostics.append("recovered embedded JSON object")
+            diagnostics.append(Diagnostic(DiagnosticKind.RECOVERED_JSON, 0, "recovered embedded JSON object"))
         except json.JSONDecodeError as e:
-            diagnostics.append(f"malformed JSON: {e}")
+            diagnostics.append(Diagnostic(DiagnosticKind.BAD_JSON, 0, f"malformed JSON: {e}"))
             return [], extra
     if not isinstance(payload, dict) or "items" not in payload:
-        diagnostics.append("JSON payload missing 'items'")
+        diagnostics.append(Diagnostic(DiagnosticKind.BAD_JSON, 0, "JSON payload missing 'items'"))
         return [], extra
     if task is TaskKind.EAE:
         extra = payload.get("trigger")
@@ -317,14 +322,14 @@ def _parse_json_body(body: str, task: TaskKind, diagnostics: list[str]):
     slots = TASK_SLOTS[task]
     for obj in payload["items"]:
         if not isinstance(obj, dict):
-            diagnostics.append(f"non-object item: {obj!r}")
+            diagnostics.append(Diagnostic(DiagnosticKind.BAD_ITEM, 0, f"non-object item: {obj!r}"))
             continue
         if task is TaskKind.EE:
             try:
                 args = tuple((a["word"], a["role"]) for a in obj.get("arguments", []))
                 items.append((obj["trigger"], obj["type"], args))
             except (KeyError, TypeError):
-                diagnostics.append(f"bad EE item: {obj!r}")
+                diagnostics.append(Diagnostic(DiagnosticKind.BAD_ITEM, 0, f"bad EE item: {obj!r}"))
             continue
         try:
             values = []
@@ -337,7 +342,7 @@ def _parse_json_body(body: str, task: TaskKind, diagnostics: list[str]):
                     raise KeyError(slot)
             items.append(tuple(values))
         except KeyError as e:
-            diagnostics.append(f"item missing slot {e}: {obj!r}")
+            diagnostics.append(Diagnostic(DiagnosticKind.BAD_ITEM, 0, f"item missing slot {e}: {obj!r}"))
     return items, extra
 
 
@@ -347,12 +352,12 @@ def parse_answer(
     view_labels: Optional[tuple[str, ...]] = None,
     trigger: Optional[str] = None,
 ) -> Extraction:
-    """Strict parse: raises ParseError on any malformed input."""
+    """Strict parse: raises ParseError for the first fatal diagnostic. Only a
+    dropped duplicate item and a recovered embedded JSON object are tolerated."""
     result = parse_answer_lenient(text, spec, view_labels, trigger)
-    bad = [d for d in result.diagnostics if d.startswith(("unparseable", "malformed", "no JSON", "missing answer prefix", "JSON payload", "item missing", "bad EE", "non-object"))]
-    if bad:
-        m = re.search(r"offset (\d+)", bad[0])
-        raise ParseError(bad[0], int(m.group(1)) if m else 0)
+    for d in result.diagnostics:
+        if d.kind.fatal:
+            raise ParseError(d.message, d.offset)
     return result.extraction
 
 

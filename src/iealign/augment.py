@@ -20,8 +20,8 @@ from typing import Optional
 
 from .client import BaseClient, GenParams, TransportError, prompt_digest
 from .errors import ConfigurationError, DataError
-from .formats import TASK_SLOTS, OPTIONAL_SLOTS, template_slots
-from .model import TaskKind, read_records, write_jsonl_atomic
+from .formats import template_slots
+from .model import OPTIONAL_SLOTS, TASK_SLOTS, TaskKind, read_records, write_jsonl_atomic
 from .prompts import DescriptionPool
 
 logger = logging.getLogger(__name__)
@@ -35,6 +35,9 @@ STATUS_ACCEPTED = "Accepted"
 STATUS_REJECTED = "Rejected"
 
 COT_WORDS_RANGE = (70, 200)
+# Sampling parameters of every generation request: descriptions, format
+# templates and CoT explanations.
+GENERATION_PARAMS = GenParams(temperature=0.7)
 
 COT_PROMPT_TEMPLATE = """\
 Please generate a step-by-step explanation for [Answer] based on [Question], and give reasons for each step.
@@ -102,7 +105,6 @@ def grow_task_descriptions(
     client: BaseClient,
     target: int = 20,
     seed: int = 0,
-    temperature: float = 0.7,
     iteration_cap: Optional[int] = None,
 ) -> list[GenCandidate]:
     """Iteratively prompt with 3 random manual + up to 2 previously generated
@@ -113,7 +115,6 @@ def grow_task_descriptions(
         )
     cap = iteration_cap if iteration_cap is not None else 10 * target
     rng = random.Random(seed)
-    params = GenParams(temperature=temperature)
     candidates: list[GenCandidate] = []
     seen = {_normalize(d) for d in pool.all()}
     for iteration in range(cap):
@@ -124,7 +125,7 @@ def grow_task_descriptions(
         generated = rng.sample(prior, min(2, len(prior)))
         prompt = _growth_prompt(pool.task, manual, generated)
         try:
-            text = client.complete(prompt, params, index=iteration).strip()
+            text = client.complete(prompt, GENERATION_PARAMS, index=iteration).strip()
         except TransportError as e:
             logger.error("generation failed after retries, returning partial result: %s", e)
             break
@@ -206,7 +207,6 @@ def generate_format_templates(
     exemplars: list[dict],
     target: int = 15,
     seed: int = 0,
-    temperature: float = 0.7,
     iteration_cap: Optional[int] = None,
 ) -> list[GenCandidate]:
     """Generate format-template candidates; candidates that fail placeholder
@@ -217,7 +217,6 @@ def generate_format_templates(
         raise ConfigurationError(f"format templates not applicable to task {task.value}")
     cap = iteration_cap if iteration_cap is not None else 10 * target
     rng = random.Random(seed)
-    params = GenParams(temperature=temperature)
     candidates: list[GenCandidate] = []
     seen: set[str] = set()
     pending = 0
@@ -226,7 +225,7 @@ def generate_format_templates(
             break
         prompt = _format_prompt(task, rng.choice(exemplars))
         try:
-            text = client.complete(prompt, params, index=iteration).strip()
+            text = client.complete(prompt, GENERATION_PARAMS, index=iteration).strip()
         except TransportError as e:
             logger.error("generation failed after retries, returning partial result: %s", e)
             break
@@ -277,11 +276,11 @@ def sample_words_limit(rng: random.Random) -> int:
     return rng.randint(*COT_WORDS_RANGE)
 
 
-def generate_cot(req: CotRequest, client: BaseClient, temperature: float = 0.7) -> str:
+def generate_cot(req: CotRequest, client: BaseClient) -> str:
     prompt = COT_PROMPT_TEMPLATE.format(
         words_number=req.words_limit, input=req.question, output=req.answer
     )
-    text = client.complete(prompt, GenParams(temperature=temperature)).strip()
+    text = client.complete(prompt, GENERATION_PARAMS).strip()
     if not text:
         raise DataError("empty CoT explanation from client")
     n_words = len(text.split())

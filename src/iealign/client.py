@@ -119,7 +119,9 @@ class MockClient(BaseClient):
       echo_gold          return the registered gold text verbatim
       fixed:<text>       always return <text>
       noisy_gold:<p>     gold with each token independently corrupted w.p. p
-      scripted           responses looked up by prompt digest
+
+    Gold texts are registered per prompt with `register_gold`; a prompt with
+    none registered gets `fallback`.
     """
 
     backend_id = "mock"
@@ -128,16 +130,13 @@ class MockClient(BaseClient):
         self,
         policy: str = "echo_gold",
         seed: int = 0,
-        gold_map: Optional[dict[str, str]] = None,
-        script: Optional[dict[str, list[str]]] = None,
         fallback: str = "NA",
         cache: Optional[ResponseCache] = None,
     ):
         super().__init__(cache)
         self.policy = policy
         self.seed = seed
-        self.gold_map = gold_map or {}
-        self.script = script or {}
+        self.gold_map = {}  # prompt digest -> gold text
         self.fallback = fallback
 
     def register_gold(self, prompt: str, gold: str) -> None:
@@ -151,20 +150,13 @@ class MockClient(BaseClient):
         return self.gold_map[digest]
 
     def _generate(self, prompt: str, params: GenParams, index: int) -> str:
-        digest = prompt_digest(prompt)
         if self.policy == "echo_gold":
             return self._lookup_gold(prompt)
         if self.policy.startswith("fixed:"):
             return self.policy[len("fixed:"):]
         if self.policy.startswith("noisy_gold:"):
             p = float(self.policy[len("noisy_gold:"):])
-            return self._corrupt(self._lookup_gold(prompt), p, digest, index)
-        if self.policy == "scripted":
-            responses = self.script.get(digest)
-            if not responses:
-                logger.warning("mock: no script for prompt %s, using fallback", digest)
-                return self.fallback
-            return responses[index % len(responses)]
+            return self._corrupt(self._lookup_gold(prompt), p, prompt_digest(prompt), index)
         raise ConfigurationError(f"unknown mock policy {self.policy!r}")
 
     def _corrupt(self, gold: str, p: float, digest: str, index: int) -> str:

@@ -17,26 +17,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .model import FormatSpec, TaskKind
-
-# Canonical slot order per task; template slot names map to item positions.
-TASK_SLOTS: dict[TaskKind, tuple[str, ...]] = {
-    TaskKind.NER: ("entity", "type"),
-    TaskKind.RC: ("subject", "relation", "object"),
-    TaskKind.RE: ("subject", "relation", "object"),
-    TaskKind.ED: ("event", "class"),
-    TaskKind.EAE: ("word", "role"),
-    TaskKind.EE: ("trigger", "type", "arguments"),
-    TaskKind.ERE: ("first_event", "relation", "second_event"),
-    TaskKind.OPENIE: ("predicate", "subject", "object", "time", "location"),
-}
-
-EE_ARG_SLOTS = ("word", "role")
-
-# Trailing OpenIE slots that may be omitted entirely.
-OPTIONAL_SLOTS: dict[TaskKind, tuple[str, ...]] = {
-    TaskKind.OPENIE: ("time", "location"),
-}
+from .model import EE_ARG_SLOTS, TASK_SLOTS, FormatSpec, TaskKind
 
 _SLOT_RE = re.compile(r"\{([a-zA-Z_][a-zA-Z0-9_ ]*)\}")
 _QUOTE_TRIGGERS = set(';:()"\n,.|[]')

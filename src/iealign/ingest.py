@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ConfigurationError, DataError
 from .model import (
@@ -21,6 +21,7 @@ from .model import (
     SchemaDef,
     TaskKind,
     gold_from_json,
+    gold_shape_problems,
     schema_from_json,
     stable_id,
     validate_instance,
@@ -86,23 +87,30 @@ def _read_record(spec: ReaderSpec, schema: Optional[SchemaDef], line: bytes, lin
         raw = json.loads(line.decode("utf-8"))
     except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
         raise DataError(f"invalid JSON: {e}", line=lineno)
+    if not isinstance(raw, dict):
+        raise DataError("record is not a JSON object", line=lineno)
+    try:
+        json.dumps(raw, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as e:  # a lone surrogate, e.g. from a "\ud800" JSON escape
+        raise DataError(f"record is not valid Unicode: {e}", line=lineno)
     if spec.text_field not in raw:
         raise DataError("missing text", line=lineno, field=spec.text_field)
     if spec.gold_field not in raw:
         raise DataError("missing gold", line=lineno, field=spec.gold_field)
     text = raw[spec.text_field]
+    if not isinstance(text, str):
+        raise DataError("text is not a string", line=lineno, field=spec.text_field)
     try:
         gold = gold_from_json(spec.task, raw[spec.gold_field])
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"bad gold encoding: {e}", line=lineno, field=spec.gold_field)
+    problems = gold_shape_problems(gold)  # before the null labels are read off the items
+    if problems:
+        raise DataError("invalid instance: " + "; ".join(problems), line=lineno)
     gold = _apply_null_labels(spec.task, gold, spec.null_labels)
     index = raw.get("index", lineno - 1)
-    try:
-        inst_id = stable_id(spec.dataset, index, text)
-    except UnicodeEncodeError as e:  # a lone surrogate, e.g. from a "\ud800" JSON escape
-        raise DataError(f"text is not valid Unicode: {e}", line=lineno, field=spec.text_field)
     inst = IEInstance(
-        id=inst_id,
+        id=stable_id(spec.dataset, index, text),
         dataset=spec.dataset,
         task=spec.task,
         text=text,
@@ -138,17 +146,11 @@ def filter_na(
     return kept
 
 
-def filter_length(
-    instances: Sequence[IEInstance],
-    max_tokens: int = 2048,
-    tokenizer: Callable[[str], int] = whitespace_token_count,
-    render: Optional[Callable[[IEInstance], str]] = None,
-) -> list[IEInstance]:
-    """Drop instances whose rendered text exceeds `max_tokens` (inclusive
-    boundary: exactly max_tokens is retained). The default rendering is the
-    instance text; the pipeline re-checks fully assembled examples later."""
-    render = render or (lambda inst: inst.text)
-    return [inst for inst in instances if tokenizer(render(inst)) <= max_tokens]
+def filter_length(instances: Sequence[IEInstance], max_tokens: int = 2048) -> list[IEInstance]:
+    """Drop instances whose text exceeds `max_tokens` whitespace tokens
+    (inclusive boundary: exactly max_tokens is retained). The pipeline
+    re-checks fully assembled examples later."""
+    return [inst for inst in instances if whitespace_token_count(inst.text) <= max_tokens]
 
 
 # ---------------------------------------------------------------------------

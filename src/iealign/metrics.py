@@ -97,12 +97,14 @@ def rouge_l_f1(pred: str, ref: str) -> float:
 # ---------------------------------------------------------------------------
 # Sentence BLEU, 4-gram, uniform weights, smoothing method 3
 
+BLEU_MAX_N = 4
+
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def sentence_bleu_m3(candidate: str, reference: str, max_n: int = 4) -> float:
+def sentence_bleu_m3(candidate: str, reference: str) -> float:
     """Sentence-level BLEU with brevity penalty and NIST geometric smoothing:
     the k-th zero n-gram precision is replaced by 1 / (2^k * denominator)."""
     cand = tokenize(candidate)
@@ -111,7 +113,7 @@ def sentence_bleu_m3(candidate: str, reference: str, max_n: int = 4) -> float:
         return 0.0
     numerators: list[int] = []
     denominators: list[int] = []
-    for n in range(1, max_n + 1):
+    for n in range(1, BLEU_MAX_N + 1):
         cand_ngrams = _ngram_counts(cand, n)
         ref_ngrams = _ngram_counts(ref, n)
         num = sum(min(c, ref_ngrams[g]) for g, c in cand_ngrams.items())
@@ -129,7 +131,7 @@ def sentence_bleu_m3(candidate: str, reference: str, max_n: int = 4) -> float:
             precisions.append(num / den)
     c, r = len(cand), len(ref)
     bp = 1.0 if c > r else math.exp(1.0 - r / c)
-    return bp * math.exp(sum(math.log(p) for p in precisions) / max_n)
+    return bp * math.exp(sum(math.log(p) for p in precisions) / BLEU_MAX_N)
 
 
 # ---------------------------------------------------------------------------

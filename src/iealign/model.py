@@ -43,6 +43,26 @@ SCHEMA_FREE_TASKS = frozenset({TaskKind.OPENIE, TaskKind.ONDEMANDIE})
 # Closed-IE tasks whose items hold their one schema label at index 1 (all but EE).
 _PAIR_LABEL_TASKS = (TaskKind.NER, TaskKind.RC, TaskKind.RE, TaskKind.ED, TaskKind.EAE, TaskKind.ERE)
 
+# Canonical slot order per task; template slot names map to item positions.
+# OnDemandIE has no items.
+TASK_SLOTS: dict[TaskKind, tuple[str, ...]] = {
+    TaskKind.NER: ("entity", "type"),
+    TaskKind.RC: ("subject", "relation", "object"),
+    TaskKind.RE: ("subject", "relation", "object"),
+    TaskKind.ED: ("event", "class"),
+    TaskKind.EAE: ("word", "role"),
+    TaskKind.EE: ("trigger", "type", "arguments"),
+    TaskKind.ERE: ("first_event", "relation", "second_event"),
+    TaskKind.OPENIE: ("predicate", "subject", "object", "time", "location"),
+}
+
+EE_ARG_SLOTS = ("word", "role")
+
+# Trailing OpenIE slots that may be omitted entirely.
+OPTIONAL_SLOTS: dict[TaskKind, tuple[str, ...]] = {
+    TaskKind.OPENIE: ("time", "location"),
+}
+
 
 @dataclass(frozen=True)
 class LabelDef:
@@ -207,24 +227,40 @@ def stable_id(dataset: str, index: int, text: str) -> str:
     return f"{dataset}-{index}-{digest}"
 
 
-_SLOT_COUNT = {
-    TaskKind.NER: 2,
-    TaskKind.RC: 3,
-    TaskKind.RE: 3,
-    TaskKind.ED: 2,
-    TaskKind.EAE: 2,
-    TaskKind.ERE: 3,
-    TaskKind.OPENIE: 5,
-}
+def gold_shape_problems(gold: Extraction) -> list[str]:
+    """Problems with the shape of `gold`, as raw input can have them: every
+    item must have the task's width (`TASK_SLOTS`; EE arguments
+    `EE_ARG_SLOTS`) and string slot values (an absent optional slot is None),
+    and a trigger or table must be a string or None."""
+    problems = []
+    for name, value in (("trigger", gold.trigger), ("table", gold.table)):
+        if value is not None and not isinstance(value, str):
+            problems.append(f"gold: {name} {value!r} is not a string")
+    slots = TASK_SLOTS.get(gold.task, ())
+    optional = OPTIONAL_SLOTS.get(gold.task, ())
+    for it in gold.items:
+        if len(it) != len(slots):
+            problems.append(f"gold: item {it!r} has {len(it)} slots, expected {len(slots)}")
+            continue
+        values = it
+        if gold.task is TaskKind.EE:
+            values = list(it[:2])
+            for arg in it[2]:
+                if len(arg) != len(EE_ARG_SLOTS):
+                    problems.append(f"gold: argument {arg!r} has {len(arg)} slots, expected {len(EE_ARG_SLOTS)}")
+                values.extend(arg)
+        elif optional:
+            values = [v for slot, v in zip(slots, it) if v is not None or slot not in optional]
+        if not all(isinstance(v, str) for v in values):
+            problems.append(f"gold: item {it!r} has a slot value that is not a string")
+    return problems
 
 
 def validate_extraction(gold: Extraction, schema: Optional[SchemaDef]) -> list[str]:
-    problems = []
-    if gold.task in _SLOT_COUNT:
-        width = _SLOT_COUNT[gold.task]
-        for it in gold.items:
-            if len(it) != width:
-                problems.append(f"gold: item {it!r} has {len(it)} slots, expected {width}")
+    # The checks below hash items and read their labels, so they need well-shaped items.
+    problems = gold_shape_problems(gold)
+    if problems:
+        return problems
     if gold.task is TaskKind.RC and len(gold.items) > 1:
         problems.append("gold: RC carries more than one relation item")
     if gold.task is TaskKind.EAE and gold.items and gold.trigger is None:

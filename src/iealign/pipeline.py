@@ -44,7 +44,6 @@ from .prefpairs import (
     score_samples,
 )
 from .prompts import (
-    SchemaAugmentOptions,
     SchemaView,
     assemble_input,
     attach_demonstrations,
@@ -105,7 +104,6 @@ def build_sft(
     instances: Sequence[IEInstance],
     opts: SftOptions,
     client: Optional[BaseClient] = None,
-    library: Optional[dict] = None,
 ) -> tuple[list[dict], dict]:
     """Assemble one training record per instance and return (records, stats).
 
@@ -113,9 +111,8 @@ def build_sft(
     answer serialization, demonstrations, prompt layout, length re-check, and
     CoT attachment for the capped eligible subset (skipped without a client).
     """
-    library = library or load_format_library()
+    library = load_format_library()
     pools = {}
-    aug = SchemaAugmentOptions(guideline_rate=opts.guideline_rate, symbol_rate=opts.symbol_rate)
 
     # small per-task demonstration pools keep demo sampling O(1) per instance
     by_task: dict[TaskKind, list[IEInstance]] = {}
@@ -146,7 +143,10 @@ def build_sft(
         view = None
         gold = inst.gold
         if task in CLOSED_IE_TASKS:
-            view, gold = augment_schema(inst.schema, inst.gold, aug, derive_seed(opts.seed, "schema", inst.id))
+            view, gold = augment_schema(
+                inst.schema, inst.gold, guideline_rate=opts.guideline_rate, symbol_rate=opts.symbol_rate,
+                seed=derive_seed(opts.seed, "schema", inst.id),
+            )
 
         if task not in pools:
             pools[task] = load_description_pool(task, opts.pool_dir)
@@ -251,12 +251,11 @@ def build_dpo(
     plan: DpoPlan,
     client: BaseClient,
     pool_dir: Optional[str] = None,
-    library: Optional[dict] = None,
 ) -> tuple[list, dict]:
     """Score samples per instance, form pair candidates, and assemble the
     final corpus. Gold answers use the fixed evaluation format with an
     unshuffled item order so BLEU scores have a stable reference."""
-    library = library or load_format_library()
+    library = load_format_library()
     candidates = []
     skipped = 0
     for inst in instances:
@@ -351,23 +350,15 @@ def stats(records: Sequence[dict]) -> dict:
 # Evaluation
 
 
-def evaluate(
-    predictions: dict[str, str],
-    gold_instances: Sequence[IEInstance],
-    fmt=None,
-) -> dict:
+def evaluate(predictions: dict[str, str], gold_instances: Sequence[IEInstance]) -> dict:
     """Score predicted answer texts against gold instances with exact-match
-    micro F1 under the fixed evaluation grammar. Unparseable or missing
-    predictions score zero extractions and are counted."""
+    micro F1 under each task's fixed evaluation grammar (`eval_format_for`).
+    Unparseable or missing predictions score zero extractions and are counted."""
     parts: list[PRF] = []
     parse_failures = 0
     diagnostics: list[dict] = []
     for inst in gold_instances:
-        spec = fmt or eval_format_for(inst.task)
-        if spec.task is not inst.task:
-            raise ConfigurationError(
-                f"format {spec.name!r} is for {spec.task.value}, instance is {inst.task.value}"
-            )
+        spec = eval_format_for(inst.task)
         text = predictions.get(inst.id)
         notes: list[str] = []
         if text is None:
@@ -483,7 +474,7 @@ def _prediction(rec: dict) -> tuple[str, str]:
     return rec["id"], rec["output"]
 
 
-def evaluate_files(pred_path, gold_path, task: Optional[TaskKind] = None, fmt=None) -> dict:
+def evaluate_files(pred_path, gold_path, task: Optional[TaskKind] = None) -> dict:
     golds = read_instances(gold_path)
     if task is not None:
         mismatched = [g.id for g in golds if g.task is not task]
@@ -492,4 +483,4 @@ def evaluate_files(pred_path, gold_path, task: Optional[TaskKind] = None, fmt=No
                 f"{len(mismatched)} gold instances are not {task.value} (first: {mismatched[0]})"
             )
     preds = load_predictions(pred_path)
-    return evaluate(preds, golds, fmt=fmt)
+    return evaluate(preds, golds)

@@ -87,20 +87,8 @@ def sample_task_description(pool: DescriptionPool, seed: int) -> str:
 # Schema augmentation
 
 
-@dataclass(frozen=True)
-class SchemaAugmentOptions:
-    shuffle: bool = True
-    subset: bool = True
-    guideline_rate: float = 0.2
-    symbol_rate: float = 0.1
-    symbol_prefix: str = "LABEL_"
-    max_exemplars: int = 3
-
-    def __post_init__(self):
-        for name in ("guideline_rate", "symbol_rate"):
-            rate = getattr(self, name)
-            if not 0 <= rate <= 1:
-                raise ConfigurationError(f"{name} must be in [0, 1], got {rate}")
+SYMBOL_PREFIX = "LABEL_"  # symbolized labels read LABEL_1, LABEL_2, ...
+MAX_EXEMPLARS = 3  # exemplars shown per label when guidelines are included
 
 
 @dataclass(frozen=True)
@@ -112,46 +100,33 @@ class SchemaView:
     def label_names(self) -> tuple[str, ...]:
         return tuple(l.name for l in self.labels)
 
-    def inverse_map(self) -> Optional[dict]:
-        if self.symbol_map is None:
-            return None
-        return {v: k for k, v in self.symbol_map.items()}
-
 
 def augment_schema(
     schema: SchemaDef,
     gold: Extraction,
-    opts: SchemaAugmentOptions,
+    guideline_rate: float,
+    symbol_rate: float,
     seed: int,
 ) -> tuple[SchemaView, Extraction]:
     """Sample a shuffled label subset of size k in [1, |schema|], restrict the
-    gold to it, and independently flip guideline inclusion and symbolization."""
+    gold to it, then include guidelines with probability `guideline_rate` and
+    symbolize the labels with probability `symbol_rate`, independently."""
     if not schema.labels:
         raise ConfigurationError("empty schema")
     rng = random.Random(seed)
-    n = len(schema.labels)
-    k = rng.randint(1, n) if opts.subset else n
-    if opts.subset or opts.shuffle:
-        shown = tuple(rng.sample(list(schema.labels), k))
-    else:
-        shown = schema.labels[:k]
+    k = rng.randint(1, len(schema.labels))
+    shown = rng.sample(list(schema.labels), k)
     restricted = gold.restrict(l.name for l in shown)
-    include_guidelines = rng.random() < opts.guideline_rate
-    symbolize = rng.random() < opts.symbol_rate
+    include_guidelines = rng.random() < guideline_rate
     symbol_map = None
-    if symbolize:
-        symbol_map = {l.name: f"{opts.symbol_prefix}{i}" for i, l in enumerate(shown, 1)}
-        shown = tuple(
-            LabelDef(symbol_map[l.name], l.guideline, l.exemplars[: opts.max_exemplars])
-            for l in shown
-        )
+    if rng.random() < symbol_rate:
+        symbol_map = {l.name: f"{SYMBOL_PREFIX}{i}" for i, l in enumerate(shown, 1)}
         restricted = restricted.relabel(symbol_map)
-    else:
-        shown = tuple(
-            LabelDef(l.name, l.guideline, l.exemplars[: opts.max_exemplars]) for l in shown
-        )
-    view = SchemaView(shown, symbol_map, include_guidelines)
-    return view, restricted
+    labels = tuple(
+        LabelDef(symbol_map[l.name] if symbol_map else l.name, l.guideline, l.exemplars[:MAX_EXEMPLARS])
+        for l in shown
+    )
+    return SchemaView(labels, symbol_map, include_guidelines), restricted
 
 
 def render_schema_section(view: SchemaView) -> str:

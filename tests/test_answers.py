@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iealign.answers import (
+    DiagnosticKind,
     ParseError,
     SerializationError,
     attach_cot,
@@ -191,7 +192,8 @@ def test_lenient_duplicate_items_dropped():
     spec = EVAL_FORMATS[TaskKind.NER]
     result = parse_answer_lenient("[Answer]: Paris: location; Paris: location;", spec)
     assert result.extraction.items == (("Paris", "location"),)
-    assert any("duplicate" in d for d in result.diagnostics)
+    assert [d.kind for d in result.diagnostics] == [DiagnosticKind.DUPLICATE]
+    assert parse_answer("[Answer]: Paris: location; Paris: location;", spec) == result.extraction
 
 
 def test_lenient_out_of_view_labels():
@@ -213,7 +215,21 @@ def test_lenient_json_recovery_from_prose():
     payload = '{"task": "NER", "items": [{"entity": "Paris", "type": "location"}]}'
     result = parse_answer_lenient(f"Here is the answer: {payload}", spec)
     assert result.extraction.items == (("Paris", "location"),)
-    assert any("recovered" in d for d in result.diagnostics)
+    assert [d.kind for d in result.diagnostics] == [DiagnosticKind.RECOVERED_JSON]
+    assert parse_answer(f"Here is the answer: {payload}", spec) == result.extraction
+
+
+def test_strict_parse_error_offset_is_the_parser_offset():
+    spec = EVAL_FORMATS[TaskKind.NER]
+    with pytest.raises(ParseError) as e:
+        parse_answer("[Answer]: Paris: location; (((", spec)
+    assert e.value.offset == 17
+    assert str(e.value) == "unparseable item at offset 17: '(((' (at offset 17)"
+    # a number in the model's own output is not an offset
+    json_spec = next(s for s in LIBRARY[TaskKind.NER] if s.family == "Json")
+    with pytest.raises(ParseError) as e:
+        parse_answer('{"task": "NER", "items": [{"entity": "see offset 41"}]}', json_spec)
+    assert e.value.offset == 0
 
 
 # ---------------------------------------------------------------------------

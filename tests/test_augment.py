@@ -22,17 +22,17 @@ from iealign.augment import (
     save_candidates,
     validate_template_parts,
 )
-from iealign.client import MockClient
+from iealign.client import BaseClient, MockClient
 from iealign.errors import ConfigurationError, DataError
 from iealign.model import TaskKind
 from iealign.prompts import DescriptionPool, load_description_pool
 
 
-class _SequenceClient(MockClient):
+class _SequenceClient(BaseClient):
     """Returns queued responses in order regardless of the prompt."""
 
     def __init__(self, responses):
-        super().__init__(policy="scripted")
+        super().__init__()
         self.responses = list(responses)
         self.n = 0
 
@@ -141,13 +141,13 @@ def test_sample_words_limit_range():
 def test_generate_cot_uses_prompt_fields():
     captured = {}
 
-    class _Capture(MockClient):
+    class _Capture(BaseClient):
         def _generate(self, prompt, params, index):
             captured["prompt"] = prompt
             return "Because the text mentions it."
 
     req = CotRequest("the question", "the answer", words_limit=100)
-    text = generate_cot(req, _Capture(policy="scripted"))
+    text = generate_cot(req, _Capture())
     assert text == "Because the text mentions it."
     assert "the question" in captured["prompt"]
     assert "the answer" in captured["prompt"]

@@ -80,31 +80,31 @@ def test_ingest_missing_input_exits_2_without_output(runner, tmp_path):
 
 def test_ingest_malformed_line_exits_1_strict_0_lenient(runner, tmp_path):
     raw = tmp_path / "raw.jsonl"
-    cfg = _write_yaml(tmp_path / "cfg.yaml", {"dataset": "d", "task": "OpenIE", "path": str(raw)})
     out = tmp_path / "out.jsonl"
-    # not JSON; not UTF-8; a lone surrogate in the text
-    for bad in [b"not json", b'{"text": "caf\xe9", "gold": []}', b'{"text": "\\ud800", "gold": []}']:
+    cases = [
+        ("OpenIE", b"not json"),
+        ("OpenIE", b'{"text": "caf\xe9", "gold": []}'),  # not UTF-8
+        ("OpenIE", b'{"text": "\\ud800", "gold": []}'),  # a lone surrogate in the text
+        ("OpenIE", b'{"text": "ok", "gold": [["a \\ud800", "b", null, null, null]]}'),  # ... in the gold
+        ("NER", b"5"),  # not an object
+        ("NER", b'{"text": 5, "gold": []}'),
+        ("NER", b'{"text": "ok", "gold": [["a"]]}'),  # an item one slot short
+        ("NER", b'{"text": "ok", "gold": [[["a"], "person"]]}'),  # a slot value that is not a string
+        ("EE", b'{"text": "ok", "gold": [{"trigger": "t", "type": "e", "arguments": [["a"]]}]}'),
+    ]
+    for task, bad in cases:
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(schema_to_json(make_schema(TaskKind(task)))), encoding="utf-8")
+        cfg = _write_yaml(tmp_path / "cfg.yaml", {"dataset": "d", "task": task, "path": str(raw), "schema": str(schema)})
         raw.write_bytes(b'{"text": "ok", "gold": []}\n' + bad + b"\n")
         result = runner.invoke(main, ["ingest", "--config", cfg, "--out", str(out)])
-        assert result.exit_code == 1
+        assert result.exit_code == 1, (bad, result.output)
         assert "data error:" in result.output and "line 2" in result.output
         assert not out.exists()
         result = runner.invoke(main, ["ingest", "--config", cfg, "--out", str(out), "--lenient"])
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 0, (bad, result.output)
         assert result.output.startswith("loaded 1,")
         out.unlink()
-
-
-def test_ingest_unwritable_text_is_data_error(runner, tmp_path):
-    raw = tmp_path / "raw.jsonl"
-    raw.write_text('{"text": "ok", "gold": [["a \\ud800", "b", null, null, null]]}\n', encoding="utf-8")
-    cfg = _write_yaml(tmp_path / "cfg.yaml", {"dataset": "d", "task": "OpenIE", "path": str(raw)})
-    out = tmp_path / "out.jsonl"
-    result = runner.invoke(main, ["ingest", "--config", cfg, "--out", str(out)])
-    assert result.exit_code == 1
-    assert f"data error: cannot write {out}" in result.output
-    assert not out.exists()
-    assert list(tmp_path.glob("*.tmp")) == []
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from iealign.client import (
     ResponseCache,
     TransportError,
     make_client,
-    prompt_digest,
 )
 from iealign.errors import ConfigurationError, DataError
 
@@ -43,17 +42,6 @@ def test_echo_gold_fallback_when_unregistered():
 def test_fixed_policy():
     client = MockClient(policy="fixed:hello there")
     assert client.complete("anything", GenParams()) == "hello there"
-
-
-def test_scripted_policy_cycles():
-    digest = prompt_digest("p")
-    client = MockClient(policy="scripted", script={digest: ["a", "b"]})
-    assert [client.complete("p", GenParams(), index=i) for i in range(3)] == ["a", "b", "a"]
-
-
-def test_scripted_unknown_prompt_uses_fallback():
-    client = MockClient(policy="scripted", fallback="NA")
-    assert client.complete("p", GenParams()) == "NA"
 
 
 def test_unknown_policy_rejected():

@@ -102,6 +102,23 @@ def test_validate_wrong_slot_count():
     assert any("slots" in p for p in validate_extraction(gold, schema))
 
 
+@pytest.mark.parametrize(
+    "gold, problem",
+    [
+        (Extraction(TaskKind.NER, (("a",),)), "has 1 slots, expected 2"),
+        (Extraction(TaskKind.NER, ((["a"], "person"),)), "not a string"),
+        (Extraction(TaskKind.EE, (("t", "attack", (("a",),)),)), "argument ('a',) has 1 slots"),
+        (Extraction(TaskKind.EAE, (("a", "agent"),), trigger=5), "trigger 5 is not a string"),
+        (Extraction(TaskKind.OPENIE, (("p", "s", None, None, None),)), "not a string"),
+    ],
+)
+def test_validate_shape_is_checked_before_labels(gold, problem):
+    """A badly shaped item is reported, not an IndexError or unhashable-type
+    TypeError from the label and duplicate checks."""
+    schema = SchemaDef(gold.task, (LabelDef("person"), LabelDef("attack"), LabelDef("agent")))
+    assert any(problem in p for p in validate_extraction(gold, schema))
+
+
 # ---------------------------------------------------------------------------
 # Extraction algebra
 

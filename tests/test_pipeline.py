@@ -193,12 +193,6 @@ def test_evaluate_unparseable_and_missing_score_zero():
     assert notes[corpus[1].id] == ["missing prediction"]
 
 
-def test_evaluate_format_task_mismatch():
-    inst = make_instance(TaskKind.NER, "d", 0, random.Random(0), make_schema(TaskKind.NER))
-    with pytest.raises(ConfigurationError):
-        evaluate({inst.id: "x"}, [inst], fmt=EVAL_FORMATS[TaskKind.RC])
-
-
 def test_evaluate_files_and_task_guard(tmp_path):
     corpus = make_corpus(TaskKind.NER, 5, dataset="d", seed=8)
     gold_path = tmp_path / "gold.jsonl"

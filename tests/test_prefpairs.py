@@ -3,7 +3,7 @@ and corpus assembly ratios/determinism."""
 
 import pytest
 
-from iealign.client import MockClient
+from iealign.client import BaseClient, MockClient
 from iealign.errors import ConfigurationError
 from iealign.model import PreferencePair
 from iealign.prefpairs import (
@@ -40,14 +40,13 @@ def test_score_samples_echo_gold_all_ones():
 
 
 def test_score_samples_mixed_gold_and_noise():
-    from iealign.client import prompt_digest
-
     gold = "alpha beta gamma delta"
-    client = MockClient(
-        policy="scripted",
-        script={prompt_digest("prompt"): [gold, "zzz yyy", "zzz yyy", "zzz yyy", "zzz yyy"]},
-    )
-    s = score_samples("i", "d", "prompt", gold, client, n=5)
+
+    class _GoldThenNoise(BaseClient):
+        def _generate(self, prompt, params, index):
+            return gold if index == 0 else "zzz yyy"
+
+    s = score_samples("i", "d", "prompt", gold, _GoldThenNoise(), n=5)
     scores = [score for _, score in s.samples]
     assert scores[0] == pytest.approx(1.0)
     assert all(sc < 0.01 for sc in scores[1:])

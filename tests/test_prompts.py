@@ -12,7 +12,6 @@ from iealign.formats import EVAL_FORMATS, load_format_library
 from iealign.model import AlignmentExample, TaskKind
 from iealign.prompts import (
     AssemblyError,
-    SchemaAugmentOptions,
     SchemaView,
     assemble_input,
     attach_demonstrations,
@@ -62,7 +61,7 @@ def test_augment_subset_size_in_range():
     inst = make_instance(TaskKind.NER, "d", 0, random.Random(0), schema)
     sizes = set()
     for seed in range(200):
-        view, _ = augment_schema(schema, inst.gold, SchemaAugmentOptions(), seed)
+        view, _ = augment_schema(schema, inst.gold, guideline_rate=0.2, symbol_rate=0.1, seed=seed)
         sizes.add(len(view.labels))
     assert sizes == set(range(1, len(schema.labels) + 1))
 
@@ -71,7 +70,7 @@ def test_augment_restricts_gold_to_view():
     schema = make_schema(TaskKind.NER)
     inst = make_instance(TaskKind.NER, "d", 1, random.Random(1), schema)
     for seed in range(50):
-        view, gold = augment_schema(schema, inst.gold, SchemaAugmentOptions(), seed)
+        view, gold = augment_schema(schema, inst.gold, guideline_rate=0.2, symbol_rate=0.1, seed=seed)
         allowed = set(view.label_names())
         assert all(lab in allowed for lab in gold.labels_used())
 
@@ -79,13 +78,12 @@ def test_augment_restricts_gold_to_view():
 def test_symbolization_is_bijective_and_reversible():
     schema = make_schema(TaskKind.RE)
     inst = make_instance(TaskKind.RE, "d", 2, random.Random(2), schema)
-    opts = SchemaAugmentOptions(symbol_rate=1.0)
-    view, gold = augment_schema(schema, inst.gold, opts, seed=4)
+    view, gold = augment_schema(schema, inst.gold, guideline_rate=0.2, symbol_rate=1.0, seed=4)
     assert view.symbol_map is not None
     # bijective: distinct symbols, inverse restores original labels
     assert len(set(view.symbol_map.values())) == len(view.symbol_map)
     assert all(s.startswith("LABEL_") for s in view.symbol_map.values())
-    restored = gold.relabel(view.inverse_map())
+    restored = gold.relabel({v: k for k, v in view.symbol_map.items()})
     assert set(restored.labels_used()) <= set(view.symbol_map.keys())
 
 
@@ -94,8 +92,8 @@ def test_symbolization_is_bijective_and_reversible():
 def test_symbol_map_bijection_property(seed):
     schema = make_schema(TaskKind.NER)
     inst = make_instance(TaskKind.NER, "d", 0, random.Random(seed), schema)
-    view, _ = augment_schema(schema, inst.gold, SchemaAugmentOptions(symbol_rate=1.0), seed)
-    inv = view.inverse_map()
+    view, _ = augment_schema(schema, inst.gold, guideline_rate=0.2, symbol_rate=1.0, seed=seed)
+    inv = {v: k for k, v in view.symbol_map.items()}
     assert {view.symbol_map[k] for k in view.symbol_map} == set(inv.keys())
     assert all(view.symbol_map[inv[s]] == s for s in inv)
 
@@ -104,7 +102,7 @@ def test_guideline_rate_flip():
     schema = make_schema(TaskKind.NER)
     inst = make_instance(TaskKind.NER, "d", 3, random.Random(3), schema)
     hits = sum(
-        augment_schema(schema, inst.gold, SchemaAugmentOptions(guideline_rate=0.2), s)[0].guidelines_included
+        augment_schema(schema, inst.gold, guideline_rate=0.2, symbol_rate=0.1, seed=s)[0].guidelines_included
         for s in range(2000)
     )
     assert 0.15 < hits / 2000 < 0.25
@@ -115,7 +113,7 @@ def test_augment_empty_schema_rejected():
 
     inst = make_instance(TaskKind.NER, "d", 0, random.Random(0))
     with pytest.raises(ConfigurationError):
-        augment_schema(SchemaDef(TaskKind.NER, ()), inst.gold, SchemaAugmentOptions(), 0)
+        augment_schema(SchemaDef(TaskKind.NER, ()), inst.gold, guideline_rate=0.2, symbol_rate=0.1, seed=0)
 
 
 def test_render_schema_section_with_guidelines():
