@@ -81,16 +81,14 @@ def _compiled(template: str) -> CompiledTemplate:
 
 @lru_cache(maxsize=64)
 def _compiled_openie(template: str) -> tuple[CompiledTemplate, ...]:
+    """The template with 0, 1 and 2 trailing slots dropped, longest first."""
     return tuple(compile_truncations(template, optional_count=2))
 
 
-def _render_openie_item(spec: FormatSpec, item: tuple) -> str:
-    tpl = _compiled(spec.answer_template)
-    values = _item_values(TaskKind.OPENIE, item, spec)
-    keep = len(tpl.slots)
-    while keep > 3 and values.get(tpl.slots[keep - 1]) is None:
-        keep -= 1
-    return tpl.render_truncated(values, keep)
+def _openie_accept(groups: dict[str, str]) -> bool:
+    # A match with an empty predicate or subject is degenerate; a shorter
+    # variant may still match.
+    return all(unquote_value(groups.get(slot) or "") for slot in ("predicate", "subject"))
 
 
 def _json_item(task: TaskKind, item: tuple) -> dict:
@@ -130,18 +128,19 @@ def serialize_answer(gold: Extraction, spec: FormatSpec, seed: Optional[int] = N
         return json.dumps(payload, ensure_ascii=False)
     rendered = []
     for item in items:
+        values = _item_values(gold.task, item, spec)
         if gold.task is TaskKind.OPENIE:
-            rendered.append(_render_openie_item(spec, item))
+            # drop the absent trailing slots, in the template's slot order
+            variants = _compiled_openie(spec.answer_template)
+            slots = variants[0].slots
+            dropped = 0
+            while len(slots) - dropped > 3 and values.get(slots[-1 - dropped]) is None:
+                dropped += 1
+            rendered.append(variants[dropped].render(values))
+        elif any(v is None for v in values.values()):
+            raise SerializationError(f"missing slot value in item {item!r}")
         else:
-            values = _item_values(gold.task, item, spec)
-            if any(v is None for v in values.values()):
-                raise SerializationError(f"missing slot value in item {item!r}")
-            tpl = _compiled(spec.answer_template)
-            if gold.task is TaskKind.EE:
-                # arguments are pre-rendered; substitute without re-quoting
-                rendered.append(tpl.render(values, raw=("arguments",)))
-            else:
-                rendered.append(tpl.render(values))
+            rendered.append(_compiled(spec.answer_template).render(values))
     return spec.answer_prefix + spec.item_separator.join(rendered)
 
 
@@ -153,35 +152,34 @@ def _item_from_groups(task: TaskKind, groups: dict[str, str], spec: FormatSpec,
                       diagnostics: list[Diagnostic]) -> tuple:
     slots = TASK_SLOTS[task]
     if task is TaskKind.EE:
-        args_blob = groups.get("arguments", "")
-        args = _parse_items_loop(args_blob, _compiled(spec.arg_template), spec.arg_separator,
-                                 diagnostics, label="argument")
+        args = _parse_items_loop(groups.get("arguments", ""), (_compiled(spec.arg_template),),
+                                 spec.arg_separator, diagnostics, label="argument")
         arg_items = tuple((unquote_value(g["word"]), unquote_value(g["role"])) for g in args)
         return (unquote_value(groups["trigger"]), unquote_value(groups["type"]), arg_items)
-    optional = set(OPTIONAL_SLOTS.get(task, ()))
-    out = []
-    for slot in slots:
-        raw = groups.get(slot)
-        if raw is None:
-            out.append(None)
-            continue
-        value = unquote_value(raw)
-        out.append(None if value == "" and slot in optional else value)
-    return tuple(out[: len(slots)])
+    if task is TaskKind.OPENIE:  # an empty slot, quoted or not, is absent
+        return tuple(unquote_value(groups.get(slot) or "") or None for slot in slots)
+    return tuple(None if groups.get(slot) is None else unquote_value(groups[slot]) for slot in slots)
 
 
-def _parse_items_loop(text: str, tpl: CompiledTemplate, separator: str,
-                      diagnostics: list[Diagnostic], label: str = "item") -> list[dict[str, str]]:
+def _parse_items_loop(text: str, templates: tuple[CompiledTemplate, ...], separator: str,
+                      diagnostics: list[Diagnostic], label: str = "item",
+                      accept=None) -> list[dict[str, str]]:
+    """Match items from the start of `text`, trying `templates` in order at
+    each position and skipping a match that `accept(groups)` rejects; stop
+    with a diagnostic at the first position no template matches."""
     items = []
     pos = 0
     n = len(text)
     sep = separator.strip()
-    pattern = tpl.pattern
-    if tpl.parts[-1] == "":
-        # template ends with a slot: terminate it at the separator or the end,
-        # otherwise the trailing lazy slot would match a single unit
-        term = f"(?={re.escape(separator)}|$)" if sep else r"(?=\s|$)"
-        pattern = re.compile(pattern.pattern + term)
+    patterns = []
+    for tpl in templates:
+        pattern = tpl.pattern
+        if tpl.parts[-1] == "":
+            # template ends with a slot: terminate it at the separator or the end,
+            # otherwise the trailing lazy slot would match a single unit
+            term = f"(?={re.escape(separator)}|$)" if sep else r"(?=\s|$)"
+            pattern = re.compile(pattern.pattern + term)
+        patterns.append(pattern)
     while pos < n:
         while pos < n and text[pos].isspace():
             pos += 1
@@ -190,48 +188,17 @@ def _parse_items_loop(text: str, tpl: CompiledTemplate, separator: str,
         if sep and text.startswith(sep, pos):
             pos += len(sep)
             continue
-        m = pattern.match(text, pos)
-        if m is None:
+        for pattern in patterns:
+            m = pattern.match(text, pos)
+            if m is not None and (accept is None or accept(m.groupdict())):
+                break
+        else:
             diagnostics.append(Diagnostic(
                 DiagnosticKind.UNPARSEABLE, pos, f"unparseable {label} at offset {pos}: {text[pos:pos + 40]!r}"
             ))
             break
         items.append(m.groupdict())
         pos = m.end()
-    return items
-
-
-def _parse_openie_items(text: str, spec: FormatSpec, diagnostics: list[Diagnostic]) -> list[tuple]:
-    variants = _compiled_openie(spec.answer_template)
-    items = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        while pos < n and (text[pos].isspace() or text[pos] == ","):
-            pos += 1
-        if pos >= n:
-            break
-        matched = False
-        for tpl in variants:
-            m = tpl.pattern.match(text, pos)
-            if m is not None:
-                groups = m.groupdict()
-                values = []
-                for slot in TASK_SLOTS[TaskKind.OPENIE]:
-                    raw = groups.get(slot)
-                    value = unquote_value(raw) if raw else ""
-                    values.append(value if value else None)
-                if values[0] is None or values[1] is None:
-                    continue  # degenerate match; try a shorter variant
-                items.append(tuple(values))
-                pos = m.end()
-                matched = True
-                break
-        if not matched:
-            diagnostics.append(Diagnostic(
-                DiagnosticKind.UNPARSEABLE, pos, f"unparseable item at offset {pos}: {text[pos:pos + 40]!r}"
-            ))
-            break
     return items
 
 
@@ -269,11 +236,12 @@ def parse_answer_lenient(
         items, extra = _parse_json_body(body, task, diagnostics)
         if task is TaskKind.EAE and trigger is None:
             trigger = extra
-    elif task is TaskKind.OPENIE:
-        items = _parse_openie_items(body, spec, diagnostics)
     else:
-        tpl = _compiled(spec.answer_template)
-        groups = _parse_items_loop(body, tpl, spec.item_separator, diagnostics)
+        if task is TaskKind.OPENIE:
+            groups = _parse_items_loop(body, _compiled_openie(spec.answer_template), ",", diagnostics,
+                                       accept=_openie_accept)
+        else:
+            groups = _parse_items_loop(body, (_compiled(spec.answer_template),), spec.item_separator, diagnostics)
         items = [_item_from_groups(task, g, spec, diagnostics) for g in groups]
 
     deduped: list[tuple] = []

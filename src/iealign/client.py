@@ -60,12 +60,21 @@ class ResponseCache:
         return self.directory / f"{key}.json"
 
     def get(self, key: str) -> Optional[str]:
+        """The cached text, or None on a miss. A corrupt entry is a miss; the
+        text generated in its place overwrites it."""
         if not self.directory:
             return None
         path = self._path(key)
         if not path.exists():
             return None
-        return json.loads(path.read_text(encoding="utf-8"))["text"]
+        try:
+            text = json.loads(path.read_text(encoding="utf-8"))["text"]
+            if not isinstance(text, str):
+                raise TypeError(f"text is {type(text).__name__}, not a string")
+        except (ValueError, KeyError, TypeError) as e:  # ValueError: bad JSON or UTF-8
+            logger.warning("ignoring corrupt cache entry %s: %r", path, e)
+            return None
+        return text
 
     def put(self, key: str, text: str) -> None:
         if not self.directory:
@@ -214,6 +223,9 @@ class LiveClient(BaseClient):
         self._last_call = time.monotonic()
 
     def _generate(self, prompt: str, params: GenParams, index: int) -> str:
+        """Post the prompt. A 429, a 5xx, a connection error or a timeout is
+        retried with exponential backoff; any other failure, such as a 4xx
+        or a body without a text completion, raises TransportError at once."""
         body = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -222,23 +234,41 @@ class LiveClient(BaseClient):
         }
         headers = {"Authorization": f"Bearer {self.api_key}"}
         delay = 1.0
-        last_error: Optional[Exception] = None
-        for attempt in range(self.max_retries):
+        error = None
+        for attempt in range(1, self.max_retries + 1):
             self._throttle()
             try:
-                resp = self.session.post(
-                    self.endpoint, json=body, headers=headers, timeout=self.timeout
-                )
-                if resp.status_code in (429, 500, 502, 503, 504):
-                    raise TransportError(f"HTTP {resp.status_code}")
-                resp.raise_for_status()
-                return resp.json()["choices"][0]["message"]["content"]
-            except Exception as e:  # transient transport failures retry
-                last_error = e
-                logger.warning("live call failed (attempt %d/%d): %s", attempt + 1, self.max_retries, e)
+                resp = self.session.post(self.endpoint, json=body, headers=headers, timeout=self.timeout)
+            except OSError as e:  # requests' exceptions are OSErrors
+                if not _transient(e):
+                    raise TransportError(f"live call failed: {e!r}") from e
+                error = repr(e)
+            else:
+                if resp.status_code != 429 and resp.status_code < 500:
+                    break
+                error = f"HTTP {resp.status_code}"
+            if attempt < self.max_retries:
+                logger.warning("live call failed (attempt %d/%d): %s", attempt, self.max_retries, error)
                 time.sleep(delay)
                 delay = min(delay * 2, 30.0)
-        raise TransportError(f"exhausted {self.max_retries} retries: {last_error}")
+        else:
+            raise TransportError(f"exhausted {self.max_retries} retries: {error}")
+        try:
+            resp.raise_for_status()
+            text = resp.json()["choices"][0]["message"]["content"]
+        except (OSError, ValueError, LookupError, TypeError) as e:  # HTTPError is an OSError; ValueError: not JSON
+            raise TransportError(f"live call failed: {e!r}") from e
+        if not isinstance(text, str):
+            raise TransportError(f"live call failed: completion is {type(text).__name__}, not a string")
+        return text
+
+
+def _transient(error: OSError) -> bool:
+    # Imported on a failure only: a client given another session, as in the
+    # benchmark, never loads requests.
+    import requests
+
+    return isinstance(error, (requests.ConnectionError, requests.Timeout))
 
 
 def make_client(config: dict, cache_dir: Optional[str] = None) -> BaseClient:

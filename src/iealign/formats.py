@@ -31,7 +31,7 @@ def quote_value(value: str) -> str:
     """Quote a slot value if it would break the grammar when rendered raw."""
     if value and not any(ch in _QUOTE_TRIGGERS for ch in value) and value == value.strip():
         return value
-    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return force_quote(value)
 
 
 def force_quote(value: str) -> str:
@@ -66,36 +66,26 @@ class CompiledTemplate:
     Slots the template itself wraps in double quotes (e.g. ``"{type}"``) are
     "forced": the quotes move out of the literals and the value is rendered
     with exactly one layer of quoting, so quotes never nest ambiguously.
+    Loose slots hold pre-rendered text and render as is.
     """
 
     slots: tuple[str, ...]
     parts: tuple[str, ...]  # literals; len(parts) == len(slots) + 1
     pattern: re.Pattern
-    forced: frozenset = frozenset()
+    forced: frozenset
+    loose: frozenset
 
-    def _render_slot(self, slot: str, v: str | None, raw) -> str:
-        if slot in raw:
-            return v or ""
-        if slot in self.forced:
-            return force_quote(v if v is not None else "")
-        return quote_value(v) if v is not None and v != "" else ""
-
-    def render(self, values: dict[str, str | None], raw: tuple[str, ...] = ()) -> str:
+    def render(self, values: dict[str, str | None]) -> str:
         out = [self.parts[0]]
         for slot, lit in zip(self.slots, self.parts[1:]):
-            out.append(self._render_slot(slot, values.get(slot), raw))
+            v = values.get(slot)
+            if slot in self.loose:
+                out.append(v or "")
+            elif slot in self.forced:
+                out.append(force_quote(v or ""))
+            else:
+                out.append(quote_value(v) if v else "")
             out.append(lit)
-        return "".join(out)
-
-    def render_truncated(self, values: dict[str, str | None], keep: int) -> str:
-        """Render only the first `keep` slots, closing with the final literal.
-        Used for OpenIE tuples whose trailing optional slots are absent."""
-        out = [self.parts[0]]
-        for i in range(keep):
-            out.append(self._render_slot(self.slots[i], values.get(self.slots[i]), ()))
-            if i < keep - 1:
-                out.append(self.parts[i + 1])
-        out.append(self.parts[-1])
         return "".join(out)
 
 
@@ -141,7 +131,8 @@ def compile_template(
         tail = tail[1:]
     parts.append(tail)
     regex.append(re.escape(tail))
-    return CompiledTemplate(tuple(slots), tuple(parts), re.compile("".join(regex)), frozenset(forced))
+    pattern = re.compile("".join(regex))
+    return CompiledTemplate(tuple(slots), tuple(parts), pattern, frozenset(forced), frozenset(loose))
 
 
 def compile_truncations(template: str, optional_count: int) -> list[CompiledTemplate]:

@@ -78,6 +78,12 @@ class SftOptions:
             rate = getattr(self, name)
             if not 0 <= rate <= 1:
                 raise ConfigurationError(f"{name} must be in [0, 1], got {rate}")
+        k_range = self.demo_k_range
+        if len(k_range) != 2 or not 0 <= k_range[0] <= k_range[1]:
+            raise ConfigurationError(f"demo_k_range must be (lo, hi) with 0 <= lo <= hi, got {k_range}")
+        for name, low in (("demo_pool_size", 0), ("cot_per_task", 0), ("max_tokens", 1)):
+            if getattr(self, name) < low:
+                raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 def cot_eligible(instance_id: str, is_na: bool, opts: SftOptions) -> bool:

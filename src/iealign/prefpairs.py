@@ -47,6 +47,9 @@ class DpoPlan:
             raise ConfigurationError(f"gap_threshold must be in (0, 1), got {self.gap_threshold}")
         if not 0 <= self.offline_rate <= 1:
             raise ConfigurationError(f"offline_rate must be in [0, 1], got {self.offline_rate}")
+        for name, low in (("target_size", 0), ("samples_per_instance", 1), ("sample_temperature", 0)):
+            if getattr(self, name) < low:
+                raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 def score_samples(

@@ -128,6 +128,41 @@ def test_openie_middle_absent_slot():
     assert parse_answer(text, spec).items == gold.items
 
 
+@pytest.mark.parametrize("body,items,diagnostics", [
+    # commas and whitespace both separate tuples; trailing slots may be omitted
+    ("(met; Alice; Bob), (left; Carol; home; today)",
+     (("met", "Alice", "Bob", None, None), ("left", "Carol", "home", "today", None)), []),
+    ("(met; Alice; Bob),(left; Carol; home)",
+     (("met", "Alice", "Bob", None, None), ("left", "Carol", "home", None, None)), []),
+    # an empty predicate or subject matches no variant
+    ("(; Alice; Bob)", (), [(DiagnosticKind.UNPARSEABLE, 0)]),
+    ("(met; ; Bob; ; Paris)", (), [(DiagnosticKind.UNPARSEABLE, 0)]),
+    # any other empty slot, quoted or not, is absent
+    ('(met; Alice; ""; ; Paris)', (("met", "Alice", None, None, "Paris"),), []),
+])
+def test_openie_parse_exact(body, items, diagnostics):
+    result = parse_answer_lenient("[Answer]: " + body, EVAL_FORMATS[TaskKind.OPENIE])
+    assert result.extraction.items == items
+    assert [(d.kind, d.offset) for d in result.diagnostics] == diagnostics
+
+
+@pytest.mark.parametrize("name,expected", [
+    ("openie-tuple", "[Answer]: (met; Alice; Bob; ; Paris) (left; Carol; home; today)"),
+    ("openie-svo", "[Answer]: (Alice; met; Bob; ; Paris) (Carol; left; home; today)"),
+    ("openie-nl", 'The predicate "met" connects "Alice" with "Bob" at time "" in location "Paris". '
+                  'The predicate "left" connects "Carol" with "home" at time "today".'),
+])
+def test_openie_render_exact(name, expected):
+    """Absent trailing slots are dropped in the template's own slot order;
+    an absent middle slot renders empty."""
+    items = (("met", "Alice", "Bob", None, "Paris"), ("left", "Carol", "home", "today", None))
+    gold = Extraction(TaskKind.OPENIE, items)
+    spec = next(s for s in LIBRARY[TaskKind.OPENIE] if s.name == name)
+    text = serialize_answer(gold, spec, seed=None)
+    assert text == expected
+    assert parse_answer(text, spec).items == gold.items
+
+
 # ---------------------------------------------------------------------------
 # Empty gold / fail output
 

@@ -190,6 +190,28 @@ def test_build_dpo_unknown_plan_key_exits_2(runner, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,key,values,message", [
+    ("build-dpo", "plan", {"target_size": -5}, "target_size must be >= 0, got -5"),
+    ("build-dpo", "plan", {"samples_per_instance": 0}, "samples_per_instance must be >= 1, got 0"),
+    ("build-dpo", "plan", {"sample_temperature": -0.5}, "sample_temperature must be >= 0, got -0.5"),
+    ("build-sft", "options", {"demo_k_range": [8, 1]}, "demo_k_range must be (lo, hi) with 0 <= lo <= hi"),
+    ("build-sft", "options", {"demo_k_range": [-1, 2]}, "demo_k_range must be (lo, hi) with 0 <= lo <= hi"),
+    ("build-sft", "options", {"cot_per_task": -1}, "cot_per_task must be >= 0, got -1"),
+    ("build-sft", "options", {"demo_pool_size": -1}, "demo_pool_size must be >= 0, got -1"),
+    ("build-sft", "options", {"max_tokens": 0}, "max_tokens must be >= 1, got 0"),
+])
+def test_build_out_of_range_option_exits_2(runner, tmp_path, command, key, values, message):
+    """An out-of-range plan or option is a configuration error before any
+    output is written, not a traceback at the first instance."""
+    inst, _ = _canonical(tmp_path)
+    cfg = _write_yaml(tmp_path / "run.yaml", {"instances": str(inst), key: values})
+    out = tmp_path / "run"
+    result = runner.invoke(main, [command, "--config", cfg, "--out", str(out), "--backend", "noisy_gold:0.5"])
+    assert result.exit_code == 2, result.output
+    assert f"configuration error: {message}" in result.output
+    assert not out.exists()
+
+
 def test_build_dpo_requires_backend(runner, tmp_path):
     inst, _ = _canonical(tmp_path)
     cfg = _write_yaml(tmp_path / "dpo.yaml", {"instances": str(inst)})

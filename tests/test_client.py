@@ -1,9 +1,11 @@
 """Model client tests: mock policies, caching, retry/backoff, and the
 environment-only API key rule."""
 
+import json
 import os
 
 import pytest
+import requests
 from conftest import assert_kept
 
 from iealign.client import (
@@ -104,6 +106,20 @@ def test_cache_put_is_atomic_with_umask_mode(tmp_path, umask):
     assert cache.get("k") == "first"
 
 
+@pytest.mark.parametrize("content", [b'{"text": "x"', b"{}", b"\xff\xfe", b'{"text": 5}'])
+def test_corrupt_cache_entry_is_a_miss(tmp_path, caplog, content):
+    cache = ResponseCache(str(tmp_path))
+    client = MockClient(policy="fixed:fresh", cache=cache)
+    entry = tmp_path / f"{client._cache_key('p', GenParams(), 0)}.json"
+    entry.write_bytes(content)
+    with caplog.at_level("WARNING", logger="iealign.client"):
+        assert client.complete("p", GenParams()) == "fresh"
+    assert "ignoring corrupt cache entry" in caplog.text
+    assert client.call_count == 1
+    assert json.loads(entry.read_text(encoding="utf-8")) == {"text": "fresh"}  # overwritten
+    assert list(tmp_path.iterdir()) == [entry]
+
+
 def test_cache_distinguishes_params_and_index(tmp_path):
     cache = ResponseCache(str(tmp_path))
     client = MockClient(policy="fixed:x", cache=cache)
@@ -130,7 +146,7 @@ class _FakeResponse:
 
     def raise_for_status(self):
         if self.status_code >= 400:
-            raise RuntimeError(f"HTTP {self.status_code}")
+            raise requests.HTTPError(f"HTTP {self.status_code}")
 
     def json(self):
         return self._payload
@@ -143,7 +159,10 @@ class _FakeSession:
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.calls += 1
-        return self.responses.pop(0)
+        response = self.responses.pop(0)
+        if isinstance(response, Exception):
+            raise response
+        return response
 
 
 def _ok(text):
@@ -168,6 +187,32 @@ def test_live_client_exhausts_retries(monkeypatch):
     )
     with pytest.raises(TransportError, match="exhausted"):
         client.complete("p", GenParams())
+
+
+@pytest.mark.parametrize("responses,posts,sleeps,text", [
+    ([_FakeResponse(500)] * 5, 5, [1.0, 2.0, 4.0, 8.0], None),  # no sleep after the last attempt
+    ([requests.ConnectionError("reset"), requests.Timeout("slow"), _ok("done")], 3, [1.0, 2.0], "done"),
+    ([_FakeResponse(401)], 1, [], None),
+    ([_FakeResponse(200, {"error": "no choices"})], 1, [], None),
+    ([_FakeResponse(200, {"choices": [{"message": {"content": None}}]})], 1, [], None),
+    ([_FakeResponse(200, ["not", "an", "object"])], 1, [], None),
+    ([requests.exceptions.InvalidURL("bad url")], 1, [], None),
+])
+def test_live_client_retries_only_transient_failures(monkeypatch, responses, posts, sleeps, text):
+    """Only a 429, a 5xx, a connection error or a timeout is retried; any
+    other failure is a TransportError after one post and no sleep."""
+    monkeypatch.setenv("IEALIGN_API_KEY", "test-key")
+    slept = []
+    monkeypatch.setattr("time.sleep", slept.append)
+    session = _FakeSession(responses)
+    client = LiveClient(endpoint="https://example.invalid/v1", model="m", qps=0, max_retries=5, session=session)
+    if text is None:
+        with pytest.raises(TransportError):
+            client.complete("p", GenParams())
+    else:
+        assert client.complete("p", GenParams()) == text
+    assert session.calls == posts
+    assert slept == sleeps
 
 
 # ---------------------------------------------------------------------------

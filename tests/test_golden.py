@@ -1,5 +1,6 @@
 """Golden digests: the exact bytes of `sft.jsonl`, `dpo.jsonl` and the
-evaluate report for one small fixed config.
+evaluate report for one small fixed config, and the parsed items and
+diagnostics of a fixed set of mutated answers.
 
 A change that means to keep the output bytes must leave these digests as
 they are. A change that alters the bytes on purpose updates a digest here and
@@ -9,13 +10,14 @@ says in CHANGES.md why the bytes changed.
 import hashlib
 import random
 
-from iealign.answers import serialize_answer
+from iealign.answers import parse_answer_lenient, serialize_answer
 from iealign.cli import _write_json
 from iealign.client import MockClient
+from iealign.formats import EVAL_FORMATS, load_format_library
 from iealign.model import CLOSED_IE_TASKS, Extraction, TaskKind
 from iealign.pipeline import SftOptions, eval_format_for, evaluate, run_build_dpo, run_build_sft
 from iealign.prefpairs import DpoPlan
-from iealign.synth import make_corpus, make_extraction
+from iealign.synth import make_corpus, make_extraction, make_schema
 
 # The tasks with a packaged description pool: every task but OnDemandIE.
 SFT_TASKS = tuple(t for t in TaskKind if t is not TaskKind.ONDEMANDIE)
@@ -24,6 +26,7 @@ EVAL_TASKS = tuple(sorted(CLOSED_IE_TASKS, key=lambda t: t.value)) + (TaskKind.O
 SFT_DIGEST = "6e96523922e5f6bab095b8a334f51aacc38d9b840cb270eb18c927435ebc47d3"
 DPO_DIGEST = "46559693dceb57d6709b7b47859d1c0a367d4b7b753aa58d6207fd5716ef8e85"
 EVALUATE_DIGEST = "44bc6f65007acbd6242eb1b1e342940c9e3eea1f4f1f946e58655bc8b1658b40"
+PARSE_DIGEST = "6da9cc41c33e0ae260c6fc37fd91561a3940cf8121318831036c91d732c7ca9a"
 
 
 def _sha256(path) -> str:
@@ -85,3 +88,41 @@ def test_evaluate_report_digest(tmp_path):
     assert report["parse_failures"] > 0 and report["tp"] > 0
     _write_json(report, str(tmp_path / "evaluate.json"))
     assert _sha256(tmp_path / "evaluate.json") == EVALUATE_DIGEST
+
+
+# Characters a mutation inserts or substitutes: template punctuation, quotes,
+# escapes and whitespace, plus two plain letters.
+_MUTATION_CHARS = '();:,."\\ |[]{}\naZ'
+
+
+def _parse_cases():
+    """About 30 seeded serializations per packaged and evaluation spec (not
+    Markdown), each mutated at one position, plus seeded junk."""
+    rng = random.Random(2024)
+    specs = [s for group in load_format_library().values() for s in group if s.family != "Markdown"]
+    for spec in specs + list(EVAL_FORMATS.values()):
+        schema = make_schema(spec.task)
+        for _ in range(30):
+            text = serialize_answer(make_extraction(spec.task, rng, schema), spec, seed=rng.randrange(100))
+            pos = rng.randrange(len(text) + 1)
+            op = rng.randrange(3)
+            if op == 0:  # delete
+                text = text[:pos] + text[pos + 1:]
+            elif op == 1:  # insert
+                text = text[:pos] + rng.choice(_MUTATION_CHARS) + text[pos:]
+            else:  # substitute
+                text = text[:pos] + rng.choice(_MUTATION_CHARS) + text[pos + 1:]
+            yield spec, text
+        for _ in range(3):
+            yield spec, "".join(rng.choice(_MUTATION_CHARS) for _ in range(rng.randrange(30)))
+
+
+def test_parse_lenient_digest():
+    """Items and diagnostics (kind, offset, message, in order) of every case."""
+    results = []
+    for spec, text in _parse_cases():
+        r = parse_answer_lenient(text, spec)
+        diagnostics = [(d.kind.value, d.offset, d.message) for d in r.diagnostics]
+        results.append((spec.name, text, r.extraction.items, diagnostics))
+    assert len(results) > 1000
+    assert hashlib.sha256(repr(results).encode("utf-8")).hexdigest() == PARSE_DIGEST
