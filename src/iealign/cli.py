@@ -13,6 +13,7 @@ import functools
 import json
 import logging
 import sys
+import typing
 from pathlib import Path
 from typing import Optional
 
@@ -166,17 +167,34 @@ def mix(config_path, out_path, seed):
 
 def _options(cls, label: str, cfg: dict, key: str, seed: Optional[int]):
     """`cls` built from the mapping `cfg[key]`, whose keys must be fields of
-    `cls` other than seed (YAML lists become tuples); the seed is --seed or
-    the config's top-level seed."""
+    `cls` other than seed and whose values must fit the field types (YAML
+    lists become tuples); the seed is --seed or the config's top-level seed."""
     given = cfg.get(key) or {}
     if not isinstance(given, dict):
         raise ConfigurationError(f"{label} options must be a mapping")
-    allowed = {f.name for f in dataclasses.fields(cls)} - {"seed"}
-    unknown = set(given) - allowed
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(given) - (set(fields) - {"seed"})
     if unknown:
         raise ConfigurationError(f"unknown {label} options: {sorted(unknown)}")
-    values = {k: tuple(v) if isinstance(v, list) else v for k, v in given.items()}
-    return cls(seed=seed if seed is not None else cfg.get("seed", 0), **values)
+    values = {**given, "seed": seed if seed is not None else cfg.get("seed", 0)}
+    hints = typing.get_type_hints(cls)
+    for name, value in values.items():
+        if not _fits(value, hints[name]):
+            raise ConfigurationError(f"{label} option {name} must be {fields[name].type}, got {value!r}")
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
+
+
+def _fits(value, hint) -> bool:
+    """Whether a YAML value fits a field type: an int fits a float field, a
+    bool fits no number field, and a list fits a tuple field item by item."""
+    if hint in (int, float):
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, list) and len(value) == len(args) and all(map(_fits, value, args))
+    if typing.get_origin(hint) is typing.Union:
+        return any(_fits(value, arg) for arg in args)
+    return isinstance(value, hint)
 
 
 def _make_backend(cfg: dict, backend_override: Optional[str]):

@@ -2,8 +2,8 @@
 
 Ships a deterministic mock backend (the default for pipeline testing) and a
 minimal live chat-completion client. Completions are cached on disk keyed by
-(backend id, prompt digest, params digest, sample index); cache writes are
-atomic so concurrent workers cannot corrupt entries.
+(backend identity digest, prompt digest, params digest, sample index); cache
+writes are atomic so concurrent workers cannot corrupt entries.
 """
 
 from __future__ import annotations
@@ -90,8 +90,15 @@ class BaseClient:
         self.cache = cache or ResponseCache(None)
         self.call_count = 0  # generations actually performed (cache misses)
 
+    def identity(self) -> tuple:
+        """Everything besides the prompt and parameters that decides a
+        completion, so that a shared cache never serves one backend's text
+        to another."""
+        return (self.backend_id,)
+
     def _cache_key(self, prompt: str, params: GenParams, index: int) -> str:
-        return f"{self.backend_id}-{prompt_digest(prompt)}-{params.digest()}-{index}"
+        backend = hashlib.sha256(repr(self.identity()).encode("utf-8")).hexdigest()[:16]
+        return f"{self.backend_id}-{backend}-{prompt_digest(prompt)}-{params.digest()}-{index}"
 
     def complete(self, prompt: str, params: GenParams, index: int = 0) -> str:
         key = self._cache_key(prompt, params, index)
@@ -147,6 +154,9 @@ class MockClient(BaseClient):
         self.seed = seed
         self.gold_map = {}  # prompt digest -> gold text
         self.fallback = fallback
+
+    def identity(self) -> tuple:
+        return (self.backend_id, self.policy, self.seed, self.fallback)
 
     def register_gold(self, prompt: str, gold: str) -> None:
         self.gold_map[prompt_digest(prompt)] = gold
@@ -215,6 +225,9 @@ class LiveClient(BaseClient):
 
             session = requests.Session()
         self.session = session
+
+    def identity(self) -> tuple:
+        return (self.backend_id, self.endpoint, self.model)
 
     def _throttle(self) -> None:
         wait = self._last_call + self.min_interval - time.monotonic()

@@ -104,34 +104,49 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
+@dataclass(frozen=True)
+class BleuReference:
+    """A reference text's token count and its 1..BLEU_MAX_N-gram counts,
+    counted once so that many candidates can be scored against it."""
+
+    length: int
+    ngrams: tuple[Counter, ...]
+
+    @classmethod
+    def of(cls, text: str) -> "BleuReference":
+        tokens = tokenize(text)
+        return cls(len(tokens), tuple(_ngram_counts(tokens, n) for n in range(1, BLEU_MAX_N + 1)))
+
+    def score(self, candidate: str) -> float:
+        """Sentence-level BLEU with brevity penalty and NIST geometric smoothing:
+        the k-th zero n-gram precision is replaced by 1 / (2^k * denominator)."""
+        cand = tokenize(candidate)
+        if not cand:
+            return 0.0
+        numerators: list[int] = []
+        denominators: list[int] = []
+        for n, ref_ngrams in enumerate(self.ngrams, 1):
+            num = sum(min(c, ref_ngrams.get(g, 0)) for g, c in _ngram_counts(cand, n).items())
+            numerators.append(num)
+            denominators.append(max(1, len(cand) - n + 1))
+        if numerators[0] == 0:
+            return 0.0
+        precisions: list[float] = []
+        zeros_seen = 1
+        for num, den in zip(numerators, denominators):
+            if num == 0:
+                precisions.append(1.0 / (2**zeros_seen * den))
+                zeros_seen += 1
+            else:
+                precisions.append(num / den)
+        c, r = len(cand), self.length
+        bp = 1.0 if c > r else math.exp(1.0 - r / c)
+        return bp * math.exp(sum(math.log(p) for p in precisions) / BLEU_MAX_N)
+
+
 def sentence_bleu_m3(candidate: str, reference: str) -> float:
-    """Sentence-level BLEU with brevity penalty and NIST geometric smoothing:
-    the k-th zero n-gram precision is replaced by 1 / (2^k * denominator)."""
-    cand = tokenize(candidate)
-    ref = tokenize(reference)
-    if not cand:
-        return 0.0
-    numerators: list[int] = []
-    denominators: list[int] = []
-    for n in range(1, BLEU_MAX_N + 1):
-        cand_ngrams = _ngram_counts(cand, n)
-        ref_ngrams = _ngram_counts(ref, n)
-        num = sum(min(c, ref_ngrams[g]) for g, c in cand_ngrams.items())
-        numerators.append(num)
-        denominators.append(max(1, len(cand) - n + 1))
-    if numerators[0] == 0:
-        return 0.0
-    precisions: list[float] = []
-    zeros_seen = 1
-    for num, den in zip(numerators, denominators):
-        if num == 0:
-            precisions.append(1.0 / (2**zeros_seen * den))
-            zeros_seen += 1
-        else:
-            precisions.append(num / den)
-    c, r = len(cand), len(ref)
-    bp = 1.0 if c > r else math.exp(1.0 - r / c)
-    return bp * math.exp(sum(math.log(p) for p in precisions) / BLEU_MAX_N)
+    """`BleuReference.score` for a single candidate."""
+    return BleuReference.of(reference).score(candidate)
 
 
 # ---------------------------------------------------------------------------

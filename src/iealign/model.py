@@ -230,8 +230,9 @@ def stable_id(dataset: str, index: int, text: str) -> str:
 def gold_shape_problems(gold: Extraction) -> list[str]:
     """Problems with the shape of `gold`, as raw input can have them: every
     item must have the task's width (`TASK_SLOTS`; EE arguments
-    `EE_ARG_SLOTS`) and string slot values (an absent optional slot is None),
-    and a trigger or table must be a string or None."""
+    `EE_ARG_SLOTS`) and string slot values (an absent optional slot is None;
+    an OpenIE value must not be empty, as it would not parse back), and a
+    trigger or table must be a string or None."""
     problems = []
     for name, value in (("trigger", gold.trigger), ("table", gold.table)):
         if value is not None and not isinstance(value, str):
@@ -253,6 +254,8 @@ def gold_shape_problems(gold: Extraction) -> list[str]:
             values = [v for slot, v in zip(slots, it) if v is not None or slot not in optional]
         if not all(isinstance(v, str) for v in values):
             problems.append(f"gold: item {it!r} has a slot value that is not a string")
+        elif gold.task is TaskKind.OPENIE and "" in values:
+            problems.append(f"gold: OpenIE item {it!r} has an empty slot value")
     return problems
 
 

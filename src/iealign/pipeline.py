@@ -44,6 +44,7 @@ from .prefpairs import (
     score_samples,
 )
 from .prompts import (
+    DescriptionPool,
     SchemaView,
     assemble_input,
     attach_demonstrations,
@@ -244,10 +245,13 @@ def eval_format_for(task: TaskKind, library: Optional[dict] = None):
 def dpo_prompt(inst: IEInstance, fmt, pool_dir: Optional[str], seed: int) -> str:
     """Prompt for preference sampling: full (unaugmented) schema, a seeded
     task description, the fixed evaluation format, no demonstrations."""
+    return _dpo_prompt(inst, fmt, load_description_pool(inst.task, pool_dir), seed)
+
+
+def _dpo_prompt(inst: IEInstance, fmt, pool: DescriptionPool, seed: int) -> str:
     view = None
     if inst.task in CLOSED_IE_TASKS:
         view = SchemaView(inst.schema.labels)
-    pool = load_description_pool(inst.task, pool_dir)
     desc = sample_task_description(pool, derive_seed(seed, "dpo-desc", inst.id))
     return assemble_input(inst, view, desc, fmt)
 
@@ -262,12 +266,15 @@ def build_dpo(
     final corpus. Gold answers use the fixed evaluation format with an
     unshuffled item order so BLEU scores have a stable reference."""
     library = load_format_library()
+    pools = {}
     candidates = []
     skipped = 0
     for inst in instances:
         fmt = eval_format_for(inst.task, library)
         gold_text = serialize_answer(inst.gold, fmt, seed=None)
-        prompt = dpo_prompt(inst, fmt, pool_dir, plan.seed)
+        if inst.task not in pools:
+            pools[inst.task] = load_description_pool(inst.task, pool_dir)
+        prompt = _dpo_prompt(inst, fmt, pools[inst.task], plan.seed)
         try:
             scored = score_samples(
                 inst.id, inst.dataset, prompt, gold_text, client,
@@ -360,11 +367,12 @@ def evaluate(predictions: dict[str, str], gold_instances: Sequence[IEInstance]) 
     """Score predicted answer texts against gold instances with exact-match
     micro F1 under each task's fixed evaluation grammar (`eval_format_for`).
     Unparseable or missing predictions score zero extractions and are counted."""
+    library = load_format_library()
     parts: list[PRF] = []
     parse_failures = 0
     diagnostics: list[dict] = []
     for inst in gold_instances:
-        spec = eval_format_for(inst.task)
+        spec = eval_format_for(inst.task, library)
         text = predictions.get(inst.id)
         notes: list[str] = []
         if text is None:

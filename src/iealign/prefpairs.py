@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .client import BaseClient, GenParams
 from .errors import ConfigurationError
-from .metrics import sentence_bleu_m3
+from .metrics import BleuReference
 from .model import PreferencePair
 from .seeds import derive_rng
 
@@ -61,12 +61,14 @@ def score_samples(
     n: int = 5,
     temperature: float = 1.0,
 ) -> ScoredSamples:
-    """Draw n samples for the prompt and score each against the gold text."""
+    """Draw n samples for the prompt and score each against the gold text,
+    whose n-grams are counted once."""
     if hasattr(client, "register_gold"):
         client.register_gold(prompt, gold_text)
     params = GenParams(temperature=temperature)
     texts = client.sample_n(prompt, n, params)
-    samples = tuple((t, sentence_bleu_m3(t, gold_text)) for t in texts)
+    reference = BleuReference.of(gold_text)
+    samples = tuple((t, reference.score(t)) for t in texts)
     return ScoredSamples(instance_id, dataset, prompt, gold_text, samples)
 
 

@@ -86,6 +86,7 @@ def test_ingest_malformed_line_exits_1_strict_0_lenient(runner, tmp_path):
         ("OpenIE", b'{"text": "caf\xe9", "gold": []}'),  # not UTF-8
         ("OpenIE", b'{"text": "\\ud800", "gold": []}'),  # a lone surrogate in the text
         ("OpenIE", b'{"text": "ok", "gold": [["a \\ud800", "b", null, null, null]]}'),  # ... in the gold
+        ("OpenIE", b'{"text": "ok", "gold": [["met", "", "Bob", null, null]]}'),  # an empty subject
         ("NER", b"5"),  # not an object
         ("NER", b'{"text": 5, "gold": []}'),
         ("NER", b'{"text": "ok", "gold": [["a"]]}'),  # an item one slot short
@@ -174,10 +175,11 @@ def test_build_sft_end_to_end(runner, tmp_path):
 
 def test_build_sft_unknown_option_exits_2(runner, tmp_path):
     inst, _ = _canonical(tmp_path)
-    cfg = _write_yaml(tmp_path / "sft.yaml", {"instances": str(inst), "options": {"bogus": 1}})
-    result = runner.invoke(main, ["build-sft", "--config", cfg, "--out", str(tmp_path / "run")])
-    assert result.exit_code == 2
-    assert "unknown SFT options" in result.output
+    for options in ({"bogus": 1}, {"seed": 3}):  # the seed is set at the top level
+        cfg = _write_yaml(tmp_path / "sft.yaml", {"instances": str(inst), "options": options})
+        result = runner.invoke(main, ["build-sft", "--config", cfg, "--out", str(tmp_path / "run")])
+        assert result.exit_code == 2
+        assert f"unknown SFT options: {sorted(options)}" in result.output
 
 
 def test_build_dpo_unknown_plan_key_exits_2(runner, tmp_path):
@@ -210,6 +212,37 @@ def test_build_out_of_range_option_exits_2(runner, tmp_path, command, key, value
     assert result.exit_code == 2, result.output
     assert f"configuration error: {message}" in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,key,values,message", [
+    ("build-sft", "options", {"demo_k_range": 3}, "SFT option demo_k_range must be tuple[int, int], got 3"),
+    ("build-sft", "options", {"demo_k_range": [1, 2.5]}, "SFT option demo_k_range must be tuple[int, int], got [1, 2.5]"),
+    ("build-sft", "options", {"cot_per_task": "many"}, "SFT option cot_per_task must be int, got 'many'"),
+    ("build-sft", "options", {"max_tokens": True}, "SFT option max_tokens must be int, got True"),
+    ("build-sft", "options", {"demo_rate": False}, "SFT option demo_rate must be float, got False"),
+    ("build-sft", "options", {"pool_dir": ["a"]}, "SFT option pool_dir must be Optional[str], got ['a']"),
+    ("build-dpo", "plan", {"gap_threshold": "0.1"}, "DPO plan option gap_threshold must be float, got '0.1'"),
+    ("build-dpo", "seed", "seven", "DPO plan option seed must be int, got 'seven'"),
+])
+def test_build_option_of_wrong_type_exits_2(runner, tmp_path, command, key, values, message):
+    """A value that does not fit its option's type is a configuration error
+    before any output is written, not a TypeError traceback."""
+    inst, _ = _canonical(tmp_path)
+    cfg = _write_yaml(tmp_path / "run.yaml", {"instances": str(inst), key: values})
+    out = tmp_path / "run"
+    result = runner.invoke(main, [command, "--config", cfg, "--out", str(out), "--backend", "noisy_gold:0.5"])
+    assert result.exit_code == 2, result.output
+    assert f"configuration error: {message}" in result.output
+    assert not out.exists()
+
+
+def test_build_int_for_float_option_is_accepted(runner, tmp_path):
+    inst, _ = _canonical(tmp_path)
+    options = {"demo_rate": 1, "guideline_rate": 0, "demo_k_range": [2, 2]}
+    cfg = _write_yaml(tmp_path / "run.yaml", {"instances": str(inst), "options": options})
+    result = runner.invoke(main, ["build-sft", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output.splitlines()[0])["demo_histogram"] == {"2": 40}
 
 
 def test_build_dpo_requires_backend(runner, tmp_path):

@@ -129,6 +129,27 @@ def test_cache_distinguishes_params_and_index(tmp_path):
     assert client.call_count == 3
 
 
+def test_shared_cache_keeps_backends_apart(tmp_path, monkeypatch):
+    """Clients that answer differently never read each other's entries."""
+    cache = ResponseCache(str(tmp_path))
+    assert MockClient(policy="fixed:A", cache=cache).complete("p", GenParams()) == "A"
+    assert MockClient(policy="fixed:B", cache=cache).complete("p", GenParams()) == "B"
+    assert MockClient(policy="fixed:A", cache=cache).complete("p", GenParams()) == "A"
+    assert len(list(tmp_path.iterdir())) == 2
+
+    monkeypatch.setenv("IEALIGN_API_KEY", "k")
+    clients = [
+        MockClient(policy="noisy_gold:0.5", seed=0),
+        MockClient(policy="noisy_gold:0.5", seed=1),
+        MockClient(policy="noisy_gold:0.5", seed=0, fallback="none"),
+        LiveClient("http://a/v1", "m1", session=object()),
+        LiveClient("http://b/v1", "m1", session=object()),
+        LiveClient("http://a/v1", "m2", session=object()),
+    ]
+    keys = {c._cache_key("p", GenParams(), 0) for c in clients}
+    assert len(keys) == len(clients)
+
+
 # ---------------------------------------------------------------------------
 # Live client
 

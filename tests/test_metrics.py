@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from iealign.metrics import (
     PRF,
+    BleuReference,
     dice_similarity,
     exact_match_f1,
     header_soft_f1,
@@ -202,6 +203,23 @@ def test_bleu_no_unigram_overlap_is_zero():
 def test_bleu_matches_oracle_property(cand_words, ref_words):
     cand, ref = " ".join(cand_words), " ".join(ref_words)
     assert sentence_bleu_m3(cand, ref) == pytest.approx(bleu_oracle(cand, ref), abs=1e-9)
+
+
+_BLEU_WORDS = st.lists(st.sampled_from(["red", "blue", "green", "dot", ","]), min_size=0, max_size=10)
+
+
+@given(_BLEU_WORDS, st.lists(_BLEU_WORDS, min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_bleu_reference_scores_many_candidates(ref_words, cand_lists):
+    """One reference scored against several candidates in turn gives each
+    the score of a fresh single-candidate call: scoring leaves it unchanged."""
+    ref = " ".join(ref_words)
+    reference = BleuReference.of(ref)
+    for cand in (" ".join(words) for words in cand_lists):
+        got = reference.score(cand)
+        assert got == sentence_bleu_m3(cand, ref)
+        assert got == pytest.approx(bleu_oracle(cand, ref), abs=1e-9)
+    assert reference == BleuReference.of(ref)
 
 
 @given(st.text(alphabet="ab cd", min_size=0, max_size=30), st.text(alphabet="ab cd", min_size=0, max_size=30))

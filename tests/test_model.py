@@ -119,6 +119,17 @@ def test_validate_shape_is_checked_before_labels(gold, problem):
     assert any(problem in p for p in validate_extraction(gold, schema))
 
 
+@pytest.mark.parametrize(
+    "item",
+    [("", "Alice", "Bob", None, None), ("met", "", "Bob", None, None),
+     ("met", "Alice", "", None, None), ("met", "Alice", "Bob", "", None), ("met", "Alice", "Bob", "now", "")],
+)
+def test_openie_empty_slot_value_is_a_problem(item):
+    """An empty OpenIE value would not parse back from its serialization."""
+    problems = validate_extraction(Extraction(TaskKind.OPENIE, (item,)), None)
+    assert problems == [f"gold: OpenIE item {item!r} has an empty slot value"]
+
+
 # ---------------------------------------------------------------------------
 # Extraction algebra
 

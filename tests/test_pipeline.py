@@ -9,8 +9,9 @@ import random
 import pytest
 from conftest import assert_kept, fail_on_second
 
+from iealign import pipeline
 from iealign.answers import serialize_answer
-from iealign.client import MockClient
+from iealign.client import BaseClient, MockClient
 from iealign.errors import ConfigurationError, DataError
 from iealign.formats import EVAL_FORMATS, MARKDOWN_SPEC
 from iealign.model import TaskKind, write_instances
@@ -19,6 +20,7 @@ from iealign.pipeline import (
     build_dpo,
     build_sft,
     cot_eligible,
+    dpo_prompt,
     eval_format_for,
     evaluate,
     evaluate_files,
@@ -159,6 +161,62 @@ def test_build_dpo_perfect_client_yields_no_pairs():
     pairs, summary = build_dpo(corpus, DpoPlan(target_size=100, seed=1), client)
     assert pairs == [] and summary["total"] == 0
     assert summary["note"] == "no qualifying pairs"
+
+
+def _count_calls(monkeypatch, name):
+    """Record the arguments of every call to `pipeline.<name>`."""
+    calls = []
+    original = getattr(pipeline, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+def test_packaged_data_loaded_once_per_stage(monkeypatch):
+    """`evaluate` and `build_dpo` load the format library once, not per RE or
+    EE instance, and `build_dpo` loads each task's description pool once."""
+    corpus = _mixed_corpus(20, tasks=(TaskKind.NER, TaskKind.RE, TaskKind.EE))
+    library_loads = _count_calls(monkeypatch, "load_format_library")
+    pool_loads = _count_calls(monkeypatch, "load_description_pool")
+    evaluate({}, corpus)
+    assert len(library_loads) == 1
+    build_dpo(corpus, DpoPlan(target_size=10, seed=1), MockClient(policy="noisy_gold:0.6"))
+    assert len(library_loads) == 2
+    assert sorted(task.value for task, _ in pool_loads) == ["EE", "NER", "RE"]
+
+
+class _RecordingClient(BaseClient):
+    def __init__(self):
+        super().__init__()
+        self.prompts = []
+
+    def _generate(self, prompt, params, index):
+        self.prompts.append(prompt)
+        return "NA"
+
+
+@pytest.mark.parametrize("with_pool_dir", [False, True])
+def test_build_dpo_prompts_are_dpo_prompt(tmp_path, with_pool_dir):
+    """The prompts `build_dpo` samples with are `dpo_prompt`'s, with the
+    packaged pools and with user pool files."""
+    pool_dir = None
+    if with_pool_dir:
+        pool_dir = str(tmp_path)
+        for task in ("NER", "RE"):
+            (tmp_path / task).mkdir()
+            (tmp_path / task / "manual.txt").write_text(f"Own {task} text one.\nOwn {task} text two.\n")
+            (tmp_path / task / "generated.txt").write_text(f"Generated {task} text.\n")
+    corpus = _mixed_corpus(15, tasks=(TaskKind.NER, TaskKind.RE))
+    client = _RecordingClient()
+    build_dpo(corpus, DpoPlan(target_size=10, seed=4, samples_per_instance=1), client, pool_dir=pool_dir)
+    expected = [dpo_prompt(i, eval_format_for(i.task), pool_dir, 4) for i in corpus]
+    assert client.prompts == expected
+    if with_pool_dir:
+        assert any("Generated NER text." in p for p in expected)
 
 
 def test_eval_format_for_all_tasks():
