@@ -4,6 +4,10 @@ Ships a deterministic mock backend (the default for pipeline testing) and a
 minimal live chat-completion client. Completions are cached on disk keyed by
 (backend identity digest, prompt digest, params digest, sample index); cache
 writes are atomic so concurrent workers cannot corrupt entries.
+
+A client's `workers` is how many prompts a stage may sample at once. It is 1
+for CPU-bound backends such as the mock, whose calls run on the caller's
+thread; `LiveClient`, which waits on the network, takes it as a setting.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import json
 import logging
 import os
 import random
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,6 +45,13 @@ class GenParams:
         return hashlib.sha256(body.encode()).hexdigest()[:16]
 
 
+# Longest wait between two attempts of one live call, in seconds.
+MAX_BACKOFF_S = 30.0
+# Most live calls in flight at once: requests' default connection-pool size,
+# so no pooled connection is ever discarded.
+MAX_WORKERS = 10
+
+
 class TransportError(Exception):
     pass
 
@@ -49,7 +61,8 @@ def prompt_digest(prompt: str) -> str:
 
 
 class ResponseCache:
-    """Content-addressed completion cache; None directory disables caching."""
+    """Content-addressed completion cache. With a None directory the client
+    neither reads nor writes it."""
 
     def __init__(self, directory: Optional[str] = None):
         self.directory = Path(directory) if directory else None
@@ -62,8 +75,6 @@ class ResponseCache:
     def get(self, key: str) -> Optional[str]:
         """The cached text, or None on a miss. A corrupt entry is a miss; the
         text generated in its place overwrites it."""
-        if not self.directory:
-            return None
         path = self._path(key)
         if not path.exists():
             return None
@@ -77,18 +88,18 @@ class ResponseCache:
         return text
 
     def put(self, key: str, text: str) -> None:
-        if not self.directory:
-            return
         with atomic_open(self._path(key)) as f:
             json.dump({"text": text}, f, ensure_ascii=False)
 
 
 class BaseClient:
     backend_id = "base"
+    workers = 1
 
     def __init__(self, cache: Optional[ResponseCache] = None):
         self.cache = cache or ResponseCache(None)
         self.call_count = 0  # generations actually performed (cache misses)
+        self._count_lock = threading.Lock()
 
     def identity(self) -> tuple:
         """Everything besides the prompt and parameters that decides a
@@ -101,13 +112,18 @@ class BaseClient:
         return f"{self.backend_id}-{backend}-{prompt_digest(prompt)}-{params.digest()}-{index}"
 
     def complete(self, prompt: str, params: GenParams, index: int = 0) -> str:
-        key = self._cache_key(prompt, params, index)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached
+        """The cached completion, or a generated one. Safe to call from
+        `workers` threads at once for distinct (prompt, index) pairs."""
+        key = self._cache_key(prompt, params, index) if self.cache.directory else None
+        if key is not None:
+            cached = self.cache.get(key)
+            if cached is not None:
+                return cached
         text = self._generate(prompt, params, index)
-        self.call_count += 1
-        self.cache.put(key, text)
+        with self._count_lock:
+            self.call_count += 1
+        if key is not None:
+            self.cache.put(key, text)
         return text
 
     def sample_n(self, prompt: str, n: int, params: GenParams) -> list[str]:
@@ -161,8 +177,7 @@ class MockClient(BaseClient):
     def register_gold(self, prompt: str, gold: str) -> None:
         self.gold_map[prompt_digest(prompt)] = gold
 
-    def _lookup_gold(self, prompt: str) -> str:
-        digest = prompt_digest(prompt)
+    def _lookup_gold(self, digest: str) -> str:
         if digest not in self.gold_map:
             logger.warning("mock: no gold registered for prompt %s, using fallback", digest)
             return self.fallback
@@ -170,12 +185,13 @@ class MockClient(BaseClient):
 
     def _generate(self, prompt: str, params: GenParams, index: int) -> str:
         if self.policy == "echo_gold":
-            return self._lookup_gold(prompt)
+            return self._lookup_gold(prompt_digest(prompt))
         if self.policy.startswith("fixed:"):
             return self.policy[len("fixed:"):]
         if self.policy.startswith("noisy_gold:"):
             p = float(self.policy[len("noisy_gold:"):])
-            return self._corrupt(self._lookup_gold(prompt), p, prompt_digest(prompt), index)
+            digest = prompt_digest(prompt)
+            return self._corrupt(self._lookup_gold(digest), p, digest, index)
         raise ConfigurationError(f"unknown mock policy {self.policy!r}")
 
     def _corrupt(self, gold: str, p: float, digest: str, index: int) -> str:
@@ -193,7 +209,9 @@ class LiveClient(BaseClient):
     """Minimal chat-completion HTTP client with retries and rate limiting.
 
     The API key comes from the environment variable named by `api_key_env`;
-    it is never read from configuration files.
+    it is never read from configuration files. `qps` is one limit shared by
+    all `workers` threads. Neither goes into `identity()`: no completion
+    depends on them.
     """
 
     backend_id = "live"
@@ -208,8 +226,13 @@ class LiveClient(BaseClient):
         timeout: float = 60.0,
         cache: Optional[ResponseCache] = None,
         session=None,
+        workers: int = 4,
     ):
         super().__init__(cache)
+        if isinstance(workers, bool) or not isinstance(workers, int) or not 1 <= workers <= MAX_WORKERS:
+            raise ConfigurationError(f"workers must be an int in 1..{MAX_WORKERS}, got {workers!r}")
+        if isinstance(qps, bool) or not isinstance(qps, (int, float)) or not qps >= 0:
+            raise ConfigurationError(f"qps must be a number >= 0, got {qps!r}")
         api_key = os.environ.get(api_key_env)
         if not api_key:
             raise ConfigurationError(f"API key environment variable {api_key_env} is not set")
@@ -219,7 +242,9 @@ class LiveClient(BaseClient):
         self.min_interval = 1.0 / qps if qps > 0 else 0.0
         self.max_retries = max_retries
         self.timeout = timeout
-        self._last_call = 0.0
+        self.workers = workers
+        self._last_call = 0.0  # the latest reserved post time
+        self._throttle_lock = threading.Lock()
         if session is None:
             import requests
 
@@ -230,15 +255,21 @@ class LiveClient(BaseClient):
         return (self.backend_id, self.endpoint, self.model)
 
     def _throttle(self) -> None:
-        wait = self._last_call + self.min_interval - time.monotonic()
-        if wait > 0:
-            time.sleep(wait)
-        self._last_call = time.monotonic()
+        """Reserve the next free post time, min_interval after the last one
+        reserved by any worker, and sleep until it outside the lock."""
+        with self._throttle_lock:
+            now = time.monotonic()
+            slot = max(now, self._last_call + self.min_interval)
+            self._last_call = slot
+        if slot > now:
+            time.sleep(slot - now)
 
     def _generate(self, prompt: str, params: GenParams, index: int) -> str:
         """Post the prompt. A 429, a 5xx, a connection error or a timeout is
-        retried with exponential backoff; any other failure, such as a 4xx
-        or a body without a text completion, raises TransportError at once."""
+        retried with exponential backoff, or after the response's
+        `Retry-After` seconds when it gives them; any other failure, such as
+        a 4xx or a body without a text completion, raises TransportError at
+        once."""
         body = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -250,6 +281,7 @@ class LiveClient(BaseClient):
         error = None
         for attempt in range(1, self.max_retries + 1):
             self._throttle()
+            wait = delay
             try:
                 resp = self.session.post(self.endpoint, json=body, headers=headers, timeout=self.timeout)
             except OSError as e:  # requests' exceptions are OSErrors
@@ -260,10 +292,11 @@ class LiveClient(BaseClient):
                 if resp.status_code != 429 and resp.status_code < 500:
                     break
                 error = f"HTTP {resp.status_code}"
+                wait = _retry_after(resp, delay)
             if attempt < self.max_retries:
                 logger.warning("live call failed (attempt %d/%d): %s", attempt, self.max_retries, error)
-                time.sleep(delay)
-                delay = min(delay * 2, 30.0)
+                time.sleep(wait)
+                delay = min(delay * 2, MAX_BACKOFF_S)
         else:
             raise TransportError(f"exhausted {self.max_retries} retries: {error}")
         try:
@@ -274,6 +307,13 @@ class LiveClient(BaseClient):
         if not isinstance(text, str):
             raise TransportError(f"live call failed: completion is {type(text).__name__}, not a string")
         return text
+
+
+def _retry_after(resp, default: float) -> float:
+    """The response's `Retry-After` when it is a whole number of seconds,
+    capped at MAX_BACKOFF_S; `default` otherwise (an HTTP date, say)."""
+    value = resp.headers.get("Retry-After", "").strip()
+    return min(float(value), MAX_BACKOFF_S) if value.isdecimal() else default
 
 
 def _transient(error: OSError) -> bool:
@@ -302,5 +342,6 @@ def make_client(config: dict, cache_dir: Optional[str] = None) -> BaseClient:
             api_key_env=config.get("api_key_env", "IEALIGN_API_KEY"),
             qps=config.get("qps", 1.0),
             cache=cache,
+            workers=config.get("workers", 4),
         )
     raise ConfigurationError(f"unknown backend kind {kind!r}")

@@ -12,7 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -264,32 +266,59 @@ def build_dpo(
 ) -> tuple[list, dict]:
     """Score samples per instance, form pair candidates, and assemble the
     final corpus. Gold answers use the fixed evaluation format with an
-    unshuffled item order so BLEU scores have a stable reference."""
+    unshuffled item order so BLEU scores have a stable reference.
+
+    Up to `client.workers` instances are sampled at once, each one's samples
+    drawn in order by one worker, and the results are taken in input order,
+    so the corpus does not depend on the worker count. An instance whose
+    sampling fails with a TransportError is skipped; any other error stops
+    the instances not yet started and is raised."""
     library = load_format_library()
     pools = {}
-    candidates = []
-    skipped = 0
+    jobs = []
     for inst in instances:
         fmt = eval_format_for(inst.task, library)
         gold_text = serialize_answer(inst.gold, fmt, seed=None)
         if inst.task not in pools:
             pools[inst.task] = load_description_pool(inst.task, pool_dir)
-        prompt = _dpo_prompt(inst, fmt, pools[inst.task], plan.seed)
+        jobs.append((inst, gold_text, _dpo_prompt(inst, fmt, pools[inst.task], plan.seed)))
+
+    failed = threading.Event()
+
+    def sample(job):
+        """The instance's scored samples, or None when it is skipped."""
+        inst, gold_text, prompt = job
+        if failed.is_set():  # another instance failed: build_dpo raises, and no result is used
+            return None
         try:
-            scored = score_samples(
+            return score_samples(
                 inst.id, inst.dataset, prompt, gold_text, client,
                 n=plan.samples_per_instance, temperature=plan.sample_temperature,
             )
         except TransportError as e:
             logger.warning("skipping instance %s: %s", inst.id, e)
-            skipped += 1
-            continue
-        online = build_online_pair(scored, plan.gap_threshold)
-        offline = build_offline_pair(scored, plan.gap_threshold)
-        if online is not None:
-            candidates.append(online)
-        if offline is not None:
-            candidates.append(offline)
+            return None
+        except BaseException:
+            failed.set()
+            raise
+
+    candidates = []
+    skipped = 0
+    executor = ThreadPoolExecutor(client.workers) if client.workers > 1 else None
+    try:
+        for scored in executor.map(sample, jobs) if executor else map(sample, jobs):
+            if scored is None:
+                skipped += 1
+                continue
+            online = build_online_pair(scored, plan.gap_threshold)
+            offline = build_offline_pair(scored, plan.gap_threshold)
+            if online is not None:
+                candidates.append(online)
+            if offline is not None:
+                candidates.append(offline)
+    finally:
+        if executor:
+            executor.shutdown(cancel_futures=True)
     corpus, summary = assemble_dpo_corpus(candidates, plan)
     summary["skipped_instances"] = skipped
     summary["candidate_online"] = sum(1 for p in candidates if p.origin == "online")

@@ -1,8 +1,12 @@
-"""Model client tests: mock policies, caching, retry/backoff, and the
-environment-only API key rule."""
+"""Model client tests: mock policies, caching, retry/backoff, thread
+safety, and the environment-only API key rule."""
 
 import json
 import os
+import re
+import sys
+import threading
+from types import SimpleNamespace
 
 import pytest
 import requests
@@ -161,9 +165,10 @@ def test_live_client_requires_api_key_env(monkeypatch):
 
 
 class _FakeResponse:
-    def __init__(self, status_code, payload=None):
+    def __init__(self, status_code, payload=None, headers=None):
         self.status_code = status_code
         self._payload = payload or {}
+        self.headers = headers or {}
 
     def raise_for_status(self):
         if self.status_code >= 400:
@@ -218,6 +223,11 @@ def test_live_client_exhausts_retries(monkeypatch):
     ([_FakeResponse(200, {"choices": [{"message": {"content": None}}]})], 1, [], None),
     ([_FakeResponse(200, ["not", "an", "object"])], 1, [], None),
     ([requests.exceptions.InvalidURL("bad url")], 1, [], None),
+    # Retry-After in whole seconds replaces that one wait, capped at 30 s
+    ([_FakeResponse(429, headers={"Retry-After": "3"}), _FakeResponse(503, headers={"Retry-After": "120"}),
+      _FakeResponse(500), _ok("done")], 4, [3.0, 30.0, 4.0], "done"),
+    ([_FakeResponse(429, headers={"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+      _FakeResponse(503, headers={"Retry-After": "1.5"}), _ok("done")], 3, [1.0, 2.0], "done"),
 ])
 def test_live_client_retries_only_transient_failures(monkeypatch, responses, posts, sleeps, text):
     """Only a 429, a 5xx, a connection error or a timeout is retried; any
@@ -236,6 +246,30 @@ def test_live_client_retries_only_transient_failures(monkeypatch, responses, pos
     assert slept == sleeps
 
 
+def test_live_client_counts_every_generation_across_threads(monkeypatch):
+    """call_count stays exact when many threads complete at once."""
+    monkeypatch.setenv("IEALIGN_API_KEY", "test-key")
+    session = SimpleNamespace(post=lambda url, json=None, headers=None, timeout=None: _ok("x"))
+    client = LiveClient(endpoint="https://example.invalid/v1", model="m", qps=0, session=session, workers=8)
+
+    def run(t):
+        for i in range(200):
+            client.complete(f"p{t}", GenParams(), index=i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert client.call_count == 8 * 200
+
+
 # ---------------------------------------------------------------------------
 # Factory
 
@@ -245,6 +279,34 @@ def test_make_client_mock_and_unknown(tmp_path):
     assert client.complete("p", GenParams()) == "y"
     with pytest.raises(ConfigurationError):
         make_client({"kind": "telepathy"})
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("workers", 0, "workers must be an int in 1..10, got 0"),
+    ("workers", 11, "workers must be an int in 1..10, got 11"),
+    ("workers", "4", "workers must be an int in 1..10, got '4'"),
+    ("workers", True, "workers must be an int in 1..10, got True"),
+    ("qps", -1, "qps must be a number >= 0, got -1"),
+    ("qps", "fast", "qps must be a number >= 0, got 'fast'"),
+    ("qps", float("nan"), "qps must be a number >= 0, got nan"),
+])
+def test_make_client_rejects_bad_live_settings(monkeypatch, key, value, message):
+    monkeypatch.setenv("IEALIGN_API_KEY", "k")
+    config = {"kind": "live", "endpoint": "http://a/v1", "model": "m", key: value}
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        make_client(config)
+
+
+def test_make_client_live_workers_and_cache_key(monkeypatch):
+    """workers is read from the config (default 4) and, like qps, stays out
+    of the cache key: no completion depends on it."""
+    monkeypatch.setenv("IEALIGN_API_KEY", "k")
+    base = {"kind": "live", "endpoint": "http://a/v1", "model": "m"}
+    clients = [make_client(base), make_client({**base, "workers": 1, "qps": 0}),
+               make_client({**base, "workers": 10, "qps": 2.5})]
+    assert [c.workers for c in clients] == [4, 1, 10]
+    assert len({c._cache_key("p", GenParams(), 0) for c in clients}) == 1
+    assert MockClient().workers == 1
 
 
 def test_sample_n_validation():

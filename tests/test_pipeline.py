@@ -5,13 +5,17 @@ and manifest/atomic-output behavior."""
 import json
 import os
 import random
+import threading
+import time
+from collections import Counter
 
 import pytest
+import requests
 from conftest import assert_kept, fail_on_second
 
 from iealign import pipeline
 from iealign.answers import serialize_answer
-from iealign.client import BaseClient, MockClient
+from iealign.client import BaseClient, LiveClient, MockClient
 from iealign.errors import ConfigurationError, DataError
 from iealign.formats import EVAL_FORMATS, MARKDOWN_SPEC
 from iealign.model import TaskKind, write_instances
@@ -217,6 +221,121 @@ def test_build_dpo_prompts_are_dpo_prompt(tmp_path, with_pool_dir):
     assert client.prompts == expected
     if with_pool_dir:
         assert any("Generated NER text." in p for p in expected)
+
+
+class _Response:
+    def __init__(self, status_code, text=None):
+        self.status_code = status_code
+        self.text = text
+
+    def raise_for_status(self):
+        if self.status_code >= 400:
+            raise requests.HTTPError(f"HTTP {self.status_code}")
+
+    def json(self):
+        return {"choices": [{"message": {"content": self.text}}]}
+
+
+class _KeyedSession:
+    """A thread-safe chat endpoint whose answer depends only on the prompt
+    and on how often that prompt was asked before, as the benchmark's fake
+    transport's does: a copy of the prompt's gold with each token replaced
+    w.p. 0.6. Prompts in `refused` always get a 401; post number `fail_on`
+    raises RuntimeError. Records each post's start time and thread."""
+
+    def __init__(self, gold_by_prompt, refused=(), fail_on=None, latency_s=0.001):
+        self.gold = gold_by_prompt
+        self.refused = set(refused)
+        self.fail_on = fail_on
+        self.latency_s = latency_s
+        self.posts = 0
+        self.starts: list[tuple[float, int]] = []
+        self._asked = Counter()
+        self._lock = threading.Lock()
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        prompt = json["messages"][0]["content"]
+        with self._lock:
+            self.posts += 1
+            post = self.posts
+            nth = self._asked[prompt]
+            self._asked[prompt] += 1
+            self.starts.append((time.monotonic(), threading.get_ident()))
+        if post == self.fail_on:
+            raise RuntimeError("injected failure")
+        time.sleep(self.latency_s)
+        if prompt in self.refused:
+            return _Response(401)
+        rng = random.Random(f"{prompt}|{nth}")
+        tokens = self.gold[prompt].split()
+        return _Response(200, " ".join("noise" if rng.random() < 0.6 else tok for tok in tokens))
+
+
+def _live_setup(monkeypatch, n_instances, seed):
+    """Non-NA NER instances and the gold answer for each one's DPO prompt."""
+    monkeypatch.setenv("IEALIGN_API_KEY", "k")
+    corpus = [i for i in make_corpus(TaskKind.NER, n_instances, dataset="d", seed=11) if not i.is_na]
+    fmt = eval_format_for(TaskKind.NER)
+    gold = {dpo_prompt(i, fmt, None, seed): serialize_answer(i.gold, fmt, seed=None) for i in corpus}
+    assert len(gold) == len(corpus)  # distinct prompts: each one's answers depend on one worker only
+    return corpus, gold
+
+
+@pytest.mark.parametrize("refuse_one", [False, True])
+def test_live_dpo_bytes_independent_of_worker_count(tmp_path, monkeypatch, refuse_one):
+    """dpo.jsonl and the manifest counts are the same for 1, 2 and 4
+    workers, a prompt that always gets a 401 is skipped the same way, and no
+    more than `workers` threads post (none but the caller's at 1)."""
+    plan = DpoPlan(target_size=100, seed=2)  # more than the candidates: all kept, in input order
+    corpus, gold = _live_setup(monkeypatch, 40, plan.seed)
+    refused = list(gold)[7:8] if refuse_one else []
+    runs = {}
+    for workers in (1, 2, 4):
+        session = _KeyedSession(gold, refused=refused)
+        client = LiveClient("http://fake/v1", "m", qps=0, session=session, workers=workers)
+        manifest = run_build_dpo(corpus, plan, client, tmp_path / f"w{workers}")
+        runs[workers] = ((tmp_path / f"w{workers}" / "dpo.jsonl").read_bytes(), manifest["counts"])
+        assert client.call_count == session.posts - len(refused)
+        assert session.posts == 5 * len(corpus) - 4 * len(refused)  # a 401 is not retried
+        threads = {ident for _, ident in session.starts}
+        if workers == 1:
+            assert threads == {threading.get_ident()}
+        else:
+            assert threading.get_ident() not in threads and len(threads) <= workers
+    assert runs[1] == runs[2] == runs[4]
+    assert runs[1][1]["skipped_instances"] == len(refused)
+    assert runs[1][1]["total"] > 0
+
+
+def test_live_dpo_workers_share_one_qps(monkeypatch):
+    """qps limits the posts of all workers together: the k-th post starts
+    at least k / qps after the first could."""
+    plan = DpoPlan(target_size=4, seed=2)
+    corpus, gold = _live_setup(monkeypatch, 4, plan.seed)
+    session = _KeyedSession(gold, latency_s=0.0)
+    client = LiveClient("http://fake/v1", "m", qps=200, session=session, workers=4)
+    started = time.monotonic()
+    build_dpo(corpus, plan, client)
+    assert session.posts == 20
+    for k, (start, _) in enumerate(sorted(session.starts)):
+        assert start - started >= k * 0.005 - 1e-4
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_live_dpo_unexpected_error_stops_queued_instances(tmp_path, monkeypatch, workers):
+    """An error that is not a TransportError is raised once the instances
+    already started finish, not after every queued one, and no output is
+    written."""
+    plan = DpoPlan(target_size=30, seed=2, samples_per_instance=1)
+    corpus, gold = _live_setup(monkeypatch, 40, plan.seed)
+    session = _KeyedSession(gold, fail_on=3, latency_s=0.0)
+    client = LiveClient("http://fake/v1", "m", qps=0, session=session, workers=workers)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="injected failure"):
+        run_build_dpo(corpus, plan, client, tmp_path / "run")
+    assert 3 <= session.posts <= 3 + workers < len(corpus)
+    assert not (tmp_path / "run").exists()
+    assert threading.active_count() == before
 
 
 def test_eval_format_for_all_tasks():
