@@ -7,7 +7,7 @@ writes are atomic so concurrent workers cannot corrupt entries.
 
 A client's `workers` is how many prompts a stage may sample at once. It is 1
 for CPU-bound backends such as the mock, whose calls run on the caller's
-thread; `LiveClient`, which waits on the network, takes it as a setting.
+thread, and 4 for `LiveClient`, which waits on the network.
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ class GenParams:
 
 # Longest wait between two attempts of one live call, in seconds.
 MAX_BACKOFF_S = 30.0
-# Most live calls in flight at once: requests' default connection-pool size,
-# so no pooled connection is ever discarded.
-MAX_WORKERS = 10
 
 
 class TransportError(Exception):
@@ -210,11 +207,14 @@ class LiveClient(BaseClient):
 
     The API key comes from the environment variable named by `api_key_env`;
     it is never read from configuration files. `qps` is one limit shared by
-    all `workers` threads. Neither goes into `identity()`: no completion
-    depends on them.
+    all `workers` threads and stays out of `identity()`: no completion
+    depends on it.
     """
 
     backend_id = "live"
+    # Below requests' default connection-pool size of 10, so no pooled
+    # connection is discarded; `qps` is what bounds the request rate.
+    workers = 4
 
     def __init__(
         self,
@@ -226,11 +226,8 @@ class LiveClient(BaseClient):
         timeout: float = 60.0,
         cache: Optional[ResponseCache] = None,
         session=None,
-        workers: int = 4,
     ):
         super().__init__(cache)
-        if isinstance(workers, bool) or not isinstance(workers, int) or not 1 <= workers <= MAX_WORKERS:
-            raise ConfigurationError(f"workers must be an int in 1..{MAX_WORKERS}, got {workers!r}")
         if isinstance(qps, bool) or not isinstance(qps, (int, float)) or not qps >= 0:
             raise ConfigurationError(f"qps must be a number >= 0, got {qps!r}")
         api_key = os.environ.get(api_key_env)
@@ -242,7 +239,6 @@ class LiveClient(BaseClient):
         self.min_interval = 1.0 / qps if qps > 0 else 0.0
         self.max_retries = max_retries
         self.timeout = timeout
-        self.workers = workers
         self._last_call = 0.0  # the latest reserved post time
         self._throttle_lock = threading.Lock()
         if session is None:
@@ -342,6 +338,5 @@ def make_client(config: dict, cache_dir: Optional[str] = None) -> BaseClient:
             api_key_env=config.get("api_key_env", "IEALIGN_API_KEY"),
             qps=config.get("qps", 1.0),
             cache=cache,
-            workers=config.get("workers", 4),
         )
     raise ConfigurationError(f"unknown backend kind {kind!r}")

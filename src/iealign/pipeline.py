@@ -268,11 +268,13 @@ def build_dpo(
     final corpus. Gold answers use the fixed evaluation format with an
     unshuffled item order so BLEU scores have a stable reference.
 
-    Up to `client.workers` instances are sampled at once, each one's samples
-    drawn in order by one worker, and the results are taken in input order,
-    so the corpus does not depend on the worker count. An instance whose
-    sampling fails with a TransportError is skipped; any other error stops
-    the instances not yet started and is raised."""
+    Up to `client.workers` prompts are sampled at once. The instances that
+    share a prompt are sampled in input order by one worker, so each sees
+    the cache hits and backend answers it would see on one thread, and the
+    results are taken in input order: the corpus does not depend on the
+    worker count. An instance whose sampling fails with a TransportError is
+    skipped; any other error stops the instances not yet started and is
+    raised."""
     library = load_format_library()
     pools = {}
     jobs = []
@@ -302,11 +304,19 @@ def build_dpo(
             failed.set()
             raise
 
+    def sample_unit(positions):
+        return [(pos, sample(jobs[pos])) for pos in positions]
+
+    units = {}  # prompt -> positions of its instances, in input order
+    for pos, (_, _, prompt) in enumerate(jobs):
+        units.setdefault(prompt, []).append(pos)
+
     candidates = []
     skipped = 0
     executor = ThreadPoolExecutor(client.workers) if client.workers > 1 else None
     try:
-        for scored in executor.map(sample, jobs) if executor else map(sample, jobs):
+        results = executor.map(sample_unit, units.values()) if executor else map(sample_unit, units.values())
+        for scored in _in_input_order(results):
             if scored is None:
                 skipped += 1
                 continue
@@ -327,6 +337,19 @@ def build_dpo(
         logger.warning("no qualifying pairs")
         summary["note"] = "no qualifying pairs"
     return corpus, summary
+
+
+def _in_input_order(units):
+    """The results of units of (position, result) pairs, by position. Units
+    come in the order of their first position, so when one arrives every
+    earlier position has arrived too."""
+    done = {}
+    next_pos = 0
+    for unit in units:
+        done.update(unit)
+        while next_pos in done:
+            yield done.pop(next_pos)
+            next_pos += 1
 
 
 # ---------------------------------------------------------------------------

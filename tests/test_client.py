@@ -250,7 +250,7 @@ def test_live_client_counts_every_generation_across_threads(monkeypatch):
     """call_count stays exact when many threads complete at once."""
     monkeypatch.setenv("IEALIGN_API_KEY", "test-key")
     session = SimpleNamespace(post=lambda url, json=None, headers=None, timeout=None: _ok("x"))
-    client = LiveClient(endpoint="https://example.invalid/v1", model="m", qps=0, session=session, workers=8)
+    client = LiveClient(endpoint="https://example.invalid/v1", model="m", qps=0, session=session)
 
     def run(t):
         for i in range(200):
@@ -281,31 +281,27 @@ def test_make_client_mock_and_unknown(tmp_path):
         make_client({"kind": "telepathy"})
 
 
-@pytest.mark.parametrize("key,value,message", [
-    ("workers", 0, "workers must be an int in 1..10, got 0"),
-    ("workers", 11, "workers must be an int in 1..10, got 11"),
-    ("workers", "4", "workers must be an int in 1..10, got '4'"),
-    ("workers", True, "workers must be an int in 1..10, got True"),
-    ("qps", -1, "qps must be a number >= 0, got -1"),
-    ("qps", "fast", "qps must be a number >= 0, got 'fast'"),
-    ("qps", float("nan"), "qps must be a number >= 0, got nan"),
+@pytest.mark.parametrize("qps,message", [
+    (-1, "qps must be a number >= 0, got -1"),
+    ("fast", "qps must be a number >= 0, got 'fast'"),
+    (True, "qps must be a number >= 0, got True"),
+    (float("nan"), "qps must be a number >= 0, got nan"),
 ])
-def test_make_client_rejects_bad_live_settings(monkeypatch, key, value, message):
+def test_make_client_rejects_bad_qps(monkeypatch, qps, message):
     monkeypatch.setenv("IEALIGN_API_KEY", "k")
-    config = {"kind": "live", "endpoint": "http://a/v1", "model": "m", key: value}
+    config = {"kind": "live", "endpoint": "http://a/v1", "model": "m", "qps": qps}
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         make_client(config)
 
 
-def test_make_client_live_workers_and_cache_key(monkeypatch):
-    """workers is read from the config (default 4) and, like qps, stays out
-    of the cache key: no completion depends on it."""
+def test_make_client_live_qps_not_in_cache_key(monkeypatch):
+    """qps stays out of the cache key: no completion depends on it. The live
+    client samples on 4 workers, the mock on the caller's thread."""
     monkeypatch.setenv("IEALIGN_API_KEY", "k")
     base = {"kind": "live", "endpoint": "http://a/v1", "model": "m"}
-    clients = [make_client(base), make_client({**base, "workers": 1, "qps": 0}),
-               make_client({**base, "workers": 10, "qps": 2.5})]
-    assert [c.workers for c in clients] == [4, 1, 10]
+    clients = [make_client(base), make_client({**base, "qps": 0}), make_client({**base, "qps": 2.5})]
     assert len({c._cache_key("p", GenParams(), 0) for c in clients}) == 1
+    assert clients[0].workers == 4
     assert MockClient().workers == 1
 
 

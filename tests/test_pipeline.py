@@ -8,6 +8,7 @@ import random
 import threading
 import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 import requests
@@ -15,7 +16,7 @@ from conftest import assert_kept, fail_on_second
 
 from iealign import pipeline
 from iealign.answers import serialize_answer
-from iealign.client import BaseClient, LiveClient, MockClient
+from iealign.client import BaseClient, LiveClient, MockClient, ResponseCache
 from iealign.errors import ConfigurationError, DataError
 from iealign.formats import EVAL_FORMATS, MARKDOWN_SPEC
 from iealign.model import TaskKind, write_instances
@@ -271,14 +272,22 @@ class _KeyedSession:
         return _Response(200, " ".join("noise" if rng.random() < 0.6 else tok for tok in tokens))
 
 
-def _live_setup(monkeypatch, n_instances, seed):
+def _live_setup(monkeypatch, n_instances, seed, pool_dir=None):
     """Non-NA NER instances and the gold answer for each one's DPO prompt."""
     monkeypatch.setenv("IEALIGN_API_KEY", "k")
     corpus = [i for i in make_corpus(TaskKind.NER, n_instances, dataset="d", seed=11) if not i.is_na]
+    return corpus, _live_gold(corpus, seed, pool_dir)
+
+
+def _live_gold(corpus, seed, pool_dir=None):
     fmt = eval_format_for(TaskKind.NER)
-    gold = {dpo_prompt(i, fmt, None, seed): serialize_answer(i.gold, fmt, seed=None) for i in corpus}
-    assert len(gold) == len(corpus)  # distinct prompts: each one's answers depend on one worker only
-    return corpus, gold
+    return {dpo_prompt(i, fmt, pool_dir, seed): serialize_answer(i.gold, fmt, seed=None) for i in corpus}
+
+
+def _live_client(session, workers, cache_dir=None):
+    client = LiveClient("http://fake/v1", "m", qps=0, session=session, cache=ResponseCache(cache_dir))
+    client.workers = workers
+    return client
 
 
 @pytest.mark.parametrize("refuse_one", [False, True])
@@ -288,11 +297,12 @@ def test_live_dpo_bytes_independent_of_worker_count(tmp_path, monkeypatch, refus
     more than `workers` threads post (none but the caller's at 1)."""
     plan = DpoPlan(target_size=100, seed=2)  # more than the candidates: all kept, in input order
     corpus, gold = _live_setup(monkeypatch, 40, plan.seed)
+    assert len(gold) == len(corpus)
     refused = list(gold)[7:8] if refuse_one else []
     runs = {}
     for workers in (1, 2, 4):
         session = _KeyedSession(gold, refused=refused)
-        client = LiveClient("http://fake/v1", "m", qps=0, session=session, workers=workers)
+        client = _live_client(session, workers)
         manifest = run_build_dpo(corpus, plan, client, tmp_path / f"w{workers}")
         runs[workers] = ((tmp_path / f"w{workers}" / "dpo.jsonl").read_bytes(), manifest["counts"])
         assert client.call_count == session.posts - len(refused)
@@ -307,13 +317,46 @@ def test_live_dpo_bytes_independent_of_worker_count(tmp_path, monkeypatch, refus
     assert runs[1][1]["total"] > 0
 
 
+@pytest.mark.parametrize("cached", [False, True])
+def test_live_dpo_instances_sharing_a_prompt(tmp_path, monkeypatch, cached):
+    """Instances with one prompt are sampled in input order by one worker,
+    so at 4 workers as at 1 a later one hits the earlier one's cache
+    entries, or without a cache asks the backend after it: the same
+    dpo.jsonl, counts and calls."""
+    plan = DpoPlan(target_size=100, seed=2)
+    pool_dir = tmp_path / "pools"
+    (pool_dir / TaskKind.NER.value).mkdir(parents=True)
+    (pool_dir / TaskKind.NER.value / "manual.txt").write_text("Find the entities.\n")
+    base, _ = _live_setup(monkeypatch, 16, plan.seed)
+    corpus = []
+    for k, inst in enumerate(base):
+        corpus.append(inst)
+        if k % 3 == 0:
+            corpus.append(replace(inst, id=f"{inst.id}-copy"))
+    corpus.append(replace(base[1], id=f"{base[1].id}-late"))
+    gold = _live_gold(corpus, plan.seed, str(pool_dir))
+    assert len(gold) == len(base) < len(corpus)
+    scored = _count_calls(monkeypatch, "build_online_pair")
+    runs = {}
+    for workers in (1, 4):
+        session = _KeyedSession(gold)
+        client = _live_client(session, workers, str(tmp_path / f"cache{workers}") if cached else None)
+        manifest = run_build_dpo(corpus, plan, client, tmp_path / f"w{workers}", pool_dir=str(pool_dir))
+        runs[workers] = ((tmp_path / f"w{workers}" / "dpo.jsonl").read_bytes(), manifest["counts"])
+        assert session.posts == client.call_count == 5 * len(base if cached else corpus)
+    assert runs[1] == runs[4]
+    assert runs[1][1]["total"] > 0
+    assert [args[0].instance_id for args in scored] == 2 * [inst.id for inst in corpus]
+
+
 def test_live_dpo_workers_share_one_qps(monkeypatch):
     """qps limits the posts of all workers together: the k-th post starts
     at least k / qps after the first could."""
     plan = DpoPlan(target_size=4, seed=2)
     corpus, gold = _live_setup(monkeypatch, 4, plan.seed)
     session = _KeyedSession(gold, latency_s=0.0)
-    client = LiveClient("http://fake/v1", "m", qps=200, session=session, workers=4)
+    client = LiveClient("http://fake/v1", "m", qps=200, session=session)
+    assert client.workers == 4
     started = time.monotonic()
     build_dpo(corpus, plan, client)
     assert session.posts == 20
@@ -329,7 +372,7 @@ def test_live_dpo_unexpected_error_stops_queued_instances(tmp_path, monkeypatch,
     plan = DpoPlan(target_size=30, seed=2, samples_per_instance=1)
     corpus, gold = _live_setup(monkeypatch, 40, plan.seed)
     session = _KeyedSession(gold, fail_on=3, latency_s=0.0)
-    client = LiveClient("http://fake/v1", "m", qps=0, session=session, workers=workers)
+    client = _live_client(session, workers)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="injected failure"):
         run_build_dpo(corpus, plan, client, tmp_path / "run")
