@@ -198,16 +198,24 @@ def _fits(value, hint) -> bool:
 
 
 def _make_backend(cfg: dict, backend_override: Optional[str]):
-    backend_cfg = dict(cfg.get("backend", {}))
+    """The client for the config's `backend` mapping with --backend applied,
+    or None when neither names one. An override of the config's kind updates
+    its settings; one of the other kind replaces them, so a live config's
+    endpoint never reaches a mock as an unknown key."""
+    backend_cfg = cfg.get("backend")
+    if backend_cfg is None:
+        backend_cfg = {}
+    if not isinstance(backend_cfg, dict):
+        raise ConfigurationError(f"backend must be a mapping, got {backend_cfg!r}")
     if backend_override:
         if backend_override in ("mock", "live"):
-            backend_cfg["kind"] = backend_override
+            override = {"kind": backend_override}
         elif backend_override.startswith(("http://", "https://")):
-            backend_cfg["kind"] = "live"
-            backend_cfg["endpoint"] = backend_override
+            override = {"kind": "live", "endpoint": backend_override}
         else:
-            backend_cfg["kind"] = "mock"
-            backend_cfg["policy"] = backend_override
+            override = {"kind": "mock", "policy": backend_override}
+        same_kind = backend_cfg.get("kind", "mock") == override["kind"]
+        backend_cfg = {**(backend_cfg if same_kind else {}), **override}
     if not backend_cfg:
         return None
     return make_client(backend_cfg, cache_dir=cfg.get("cache_dir"))

@@ -7,7 +7,8 @@ writes are atomic so concurrent workers cannot corrupt entries.
 
 A client's `workers` is how many prompts a stage may sample at once. It is 1
 for CPU-bound backends such as the mock, whose calls run on the caller's
-thread, and 4 for `LiveClient`, which waits on the network.
+thread, and 32 for `LiveClient`, which waits on the network and keeps one
+pooled connection per worker.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import random
 import threading
@@ -59,12 +61,10 @@ def prompt_digest(prompt: str) -> str:
 
 class ResponseCache:
     """Content-addressed completion cache. With a None directory the client
-    neither reads nor writes it."""
+    neither reads nor writes it; otherwise the first entry put creates it."""
 
     def __init__(self, directory: Optional[str] = None):
         self.directory = Path(directory) if directory else None
-        if self.directory:
-            self.directory.mkdir(parents=True, exist_ok=True)
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
@@ -163,7 +163,10 @@ class MockClient(BaseClient):
         cache: Optional[ResponseCache] = None,
     ):
         super().__init__(cache)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ConfigurationError(f"mock seed must be an int, got {seed!r}")
         self.policy = policy
+        self.noise = _noise_rate(policy)
         self.seed = seed
         self.gold_map = {}  # prompt digest -> gold text
         self.fallback = fallback
@@ -181,21 +184,33 @@ class MockClient(BaseClient):
         return self.gold_map[digest]
 
     def _generate(self, prompt: str, params: GenParams, index: int) -> str:
-        if self.policy == "echo_gold":
-            return self._lookup_gold(prompt_digest(prompt))
         if self.policy.startswith("fixed:"):
             return self.policy[len("fixed:"):]
-        if self.policy.startswith("noisy_gold:"):
-            p = float(self.policy[len("noisy_gold:"):])
-            digest = prompt_digest(prompt)
-            return self._corrupt(self._lookup_gold(digest), p, digest, index)
-        raise ConfigurationError(f"unknown mock policy {self.policy!r}")
+        digest = prompt_digest(prompt)
+        gold = self._lookup_gold(digest)
+        return gold if self.noise is None else self._corrupt(gold, self.noise, digest, index)
 
     def _corrupt(self, gold: str, p: float, digest: str, index: int) -> str:
         rng = random.Random(derive_seed(self.seed, "noisy", digest, str(index)))
         tokens = gold.split()
         out = [rng.choice(NOISE_VOCAB) if rng.random() < p else tok for tok in tokens]
         return " ".join(out)
+
+
+def _noise_rate(policy) -> Optional[float]:
+    """The token corruption rate of a `noisy_gold:<p>` policy, None for the
+    other policies; a policy that does not parse is a ConfigurationError."""
+    if policy == "echo_gold" or (isinstance(policy, str) and policy.startswith("fixed:")):
+        return None
+    if not (isinstance(policy, str) and policy.startswith("noisy_gold:")):
+        raise ConfigurationError(f"unknown mock policy {policy!r}")
+    try:
+        p = float(policy[len("noisy_gold:"):])
+    except ValueError:
+        p = math.nan  # fails the range check
+    if not 0 <= p <= 1:
+        raise ConfigurationError(f"noisy_gold rate must be a number in [0, 1], got {policy!r}")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +227,10 @@ class LiveClient(BaseClient):
     """
 
     backend_id = "live"
-    # Below requests' default connection-pool size of 10, so no pooled
-    # connection is discarded; `qps` is what bounds the request rate.
-    workers = 4
+    # Live throughput is min(qps, workers / latency) calls/s; at 4 workers a
+    # 2 s model latency held a 35k-call build to 2 calls/s. The session's
+    # pool keeps one connection per worker.
+    workers = 32
 
     def __init__(
         self,
@@ -245,6 +261,9 @@ class LiveClient(BaseClient):
             import requests
 
             session = requests.Session()
+            adapter = requests.adapters.HTTPAdapter(pool_maxsize=self.workers)
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
         self.session = session
 
     def identity(self) -> tuple:
@@ -320,23 +339,32 @@ def _transient(error: OSError) -> bool:
     return isinstance(error, (requests.ConnectionError, requests.Timeout))
 
 
+# The keys a backend config of each kind may set besides `kind`: the
+# keyword arguments of its client.
+BACKEND_KEYS = {
+    "mock": ("policy", "seed", "fallback"),
+    "live": ("endpoint", "model", "api_key_env", "qps"),
+}
+
+
 def make_client(config: dict, cache_dir: Optional[str] = None) -> BaseClient:
-    """Build a client from a backend config: {kind: live|mock, ...}."""
-    cache = ResponseCache(cache_dir)
+    """Build a client from a backend config: {kind: live|mock, ...}. An
+    unknown kind or key, a text setting that is not a string, or a live
+    config without `endpoint` and `model` is a ConfigurationError."""
     kind = config.get("kind", "mock")
+    if not isinstance(kind, str) or kind not in BACKEND_KEYS:
+        raise ConfigurationError(f"unknown backend kind {kind!r}")
+    settings = {k: v for k, v in config.items() if k != "kind"}
+    unknown = set(settings) - set(BACKEND_KEYS[kind])
+    if unknown:
+        raise ConfigurationError(f"unknown {kind} backend keys: {sorted(unknown, key=str)}")
+    for key in ("endpoint", "model", "api_key_env", "fallback"):
+        if not isinstance(settings.get(key, ""), str):
+            raise ConfigurationError(f"{kind} backend {key} must be a string, got {settings[key]!r}")
+    cache = ResponseCache(cache_dir)
     if kind == "mock":
-        return MockClient(
-            policy=config.get("policy", "echo_gold"),
-            seed=config.get("seed", 0),
-            fallback=config.get("fallback", "NA"),
-            cache=cache,
-        )
-    if kind == "live":
-        return LiveClient(
-            endpoint=config["endpoint"],
-            model=config["model"],
-            api_key_env=config.get("api_key_env", "IEALIGN_API_KEY"),
-            qps=config.get("qps", 1.0),
-            cache=cache,
-        )
-    raise ConfigurationError(f"unknown backend kind {kind!r}")
+        return MockClient(**settings, cache=cache)
+    missing = [k for k in ("endpoint", "model") if k not in settings]
+    if missing:
+        raise ConfigurationError(f"live backend missing {missing}")
+    return LiveClient(**settings, cache=cache)

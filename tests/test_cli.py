@@ -236,18 +236,41 @@ def test_build_option_of_wrong_type_exits_2(runner, tmp_path, command, key, valu
     assert not out.exists()
 
 
-def test_build_dpo_bad_live_setting_exits_2(runner, tmp_path, monkeypatch):
-    """A bad live setting exits 2 before any output is written; the
-    settings themselves are checked in test_client."""
+_LIVE = {"kind": "live", "endpoint": "http://localhost:9/v1", "model": "m"}
+
+
+@pytest.mark.parametrize("backend,override,message", [
+    ({**_LIVE, "qps": -1}, None, "qps must be a number >= 0, got -1"),
+    ([1, 2], None, "backend must be a mapping, got [1, 2]"),
+    ({"kind": "live", "endpoint": "http://localhost:9/v1"}, None, "live backend missing ['model']"),
+    ({"kind": "live", "model": "m"}, None, "live backend missing ['endpoint']"),
+    (None, "https://localhost:9/v1", "live backend missing ['model']"),
+    ({"kind": "mock", "policy": "noisy_gold:abc"}, None,
+     "noisy_gold rate must be a number in [0, 1], got 'noisy_gold:abc'"),
+    (None, "noisy_gold:1.5", "noisy_gold rate must be a number in [0, 1], got 'noisy_gold:1.5'"),
+    (None, "bogus", "unknown mock policy 'bogus'"),
+    ({"kind": "mock", "seed": "x"}, None, "mock seed must be an int, got 'x'"),
+    ({**_LIVE, "workers": 8}, None, "unknown live backend keys: ['workers']"),
+    ({**_LIVE, "qsp": 3}, None, "unknown live backend keys: ['qsp']"),
+    ({**_LIVE, "endpoint": 5}, None, "live backend endpoint must be a string, got 5"),
+], ids=["qps", "not_mapping", "no_model", "no_endpoint", "url_override_no_model", "policy_not_number",
+        "policy_rate_range", "policy_unknown", "mock_seed", "workers_key", "typo_key", "endpoint_type"])
+def test_build_dpo_bad_live_setting_exits_2(runner, tmp_path, monkeypatch, backend, override, message):
+    """A bad backend config exits 2 before any output is written, not with a
+    traceback or a setting silently ignored; the qps values are checked in
+    test_client."""
     monkeypatch.setenv("IEALIGN_API_KEY", "k")
     inst, _ = _canonical(tmp_path)
-    backend = {"kind": "live", "endpoint": "http://localhost:9/v1", "model": "m", "qps": -1}
-    cfg = _write_yaml(tmp_path / "dpo.yaml", {"instances": str(inst), "backend": backend})
+    config = {"instances": str(inst), "cache_dir": str(tmp_path / "cache")}
+    if backend is not None:
+        config["backend"] = backend
+    cfg = _write_yaml(tmp_path / "dpo.yaml", config)
     out = tmp_path / "run"
-    result = runner.invoke(main, ["build-dpo", "--config", cfg, "--out", str(out)])
+    args = ["build-dpo", "--config", cfg, "--out", str(out)] + (["--backend", override] if override else [])
+    result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
-    assert "configuration error: qps must be a number >= 0, got -1" in result.output
-    assert not out.exists()
+    assert f"configuration error: {message}" in result.output
+    assert not out.exists() and not (tmp_path / "cache").exists()
 
 
 def test_build_int_for_float_option_is_accepted(runner, tmp_path):
@@ -268,10 +291,13 @@ def test_build_dpo_requires_backend(runner, tmp_path):
 
 
 def test_build_dpo_with_mock_backend(runner, tmp_path):
+    """--backend with a mock policy replaces a live backend in the config
+    instead of passing it the live settings."""
     inst, _ = _canonical(tmp_path, n=80, na_rate=0.0)
     cfg = _write_yaml(tmp_path / "dpo.yaml", {
         "instances": str(inst),
         "plan": {"target_size": 20},
+        "backend": {"kind": "live", "endpoint": "http://localhost:9/v1", "model": "m", "qps": 2},
     })
     out = tmp_path / "run"
     result = runner.invoke(

@@ -195,6 +195,16 @@ def _ok(text):
     return _FakeResponse(200, {"choices": [{"message": {"content": text}}]})
 
 
+def test_live_client_pools_one_connection_per_worker(monkeypatch):
+    """The session a live client builds keeps up to `workers` connections
+    per host, for http and https alike."""
+    monkeypatch.setenv("IEALIGN_API_KEY", "test-key")
+    client = LiveClient(endpoint="https://example.invalid/v1", model="m")
+    for url in ("http://example.invalid/v1", "https://example.invalid/v1"):
+        adapter = client.session.get_adapter(url)
+        assert adapter.poolmanager.connection_pool_kw["maxsize"] == LiveClient.workers
+
+
 def test_live_client_retries_transient_then_succeeds(monkeypatch):
     monkeypatch.setenv("IEALIGN_API_KEY", "test-key")
     monkeypatch.setattr("time.sleep", lambda s: None)
@@ -296,12 +306,12 @@ def test_make_client_rejects_bad_qps(monkeypatch, qps, message):
 
 def test_make_client_live_qps_not_in_cache_key(monkeypatch):
     """qps stays out of the cache key: no completion depends on it. The live
-    client samples on 4 workers, the mock on the caller's thread."""
+    client samples on 32 workers, the mock on the caller's thread."""
     monkeypatch.setenv("IEALIGN_API_KEY", "k")
     base = {"kind": "live", "endpoint": "http://a/v1", "model": "m"}
     clients = [make_client(base), make_client({**base, "qps": 0}), make_client({**base, "qps": 2.5})]
     assert len({c._cache_key("p", GenParams(), 0) for c in clients}) == 1
-    assert clients[0].workers == 4
+    assert clients[0].workers == 32
     assert MockClient().workers == 1
 
 

@@ -292,15 +292,16 @@ def _live_client(session, workers, cache_dir=None):
 
 @pytest.mark.parametrize("refuse_one", [False, True])
 def test_live_dpo_bytes_independent_of_worker_count(tmp_path, monkeypatch, refuse_one):
-    """dpo.jsonl and the manifest counts are the same for 1, 2 and 4
-    workers, a prompt that always gets a 401 is skipped the same way, and no
-    more than `workers` threads post (none but the caller's at 1)."""
+    """dpo.jsonl and the manifest counts are the same for 1, 2, 4 and the
+    live client's own count of workers, a prompt that always gets a 401 is
+    skipped the same way, and no more than `workers` threads post (none but
+    the caller's at 1)."""
     plan = DpoPlan(target_size=100, seed=2)  # more than the candidates: all kept, in input order
     corpus, gold = _live_setup(monkeypatch, 40, plan.seed)
     assert len(gold) == len(corpus)
     refused = list(gold)[7:8] if refuse_one else []
     runs = {}
-    for workers in (1, 2, 4):
+    for workers in (1, 2, 4, LiveClient.workers):
         session = _KeyedSession(gold, refused=refused)
         client = _live_client(session, workers)
         manifest = run_build_dpo(corpus, plan, client, tmp_path / f"w{workers}")
@@ -312,7 +313,7 @@ def test_live_dpo_bytes_independent_of_worker_count(tmp_path, monkeypatch, refus
             assert threads == {threading.get_ident()}
         else:
             assert threading.get_ident() not in threads and len(threads) <= workers
-    assert runs[1] == runs[2] == runs[4]
+    assert runs[1] == runs[2] == runs[4] == runs[LiveClient.workers]
     assert runs[1][1]["skipped_instances"] == len(refused)
     assert runs[1][1]["total"] > 0
 
@@ -351,20 +352,21 @@ def test_live_dpo_instances_sharing_a_prompt(tmp_path, monkeypatch, cached):
 
 def test_live_dpo_workers_share_one_qps(monkeypatch):
     """qps limits the posts of all workers together: the k-th post starts
-    at least k / qps after the first could."""
-    plan = DpoPlan(target_size=4, seed=2)
-    corpus, gold = _live_setup(monkeypatch, 4, plan.seed)
+    at least k / qps after the first could, also when every worker reserves
+    its first slot at once."""
+    plan = DpoPlan(target_size=40, seed=2, samples_per_instance=2)
+    corpus, gold = _live_setup(monkeypatch, 40, plan.seed)
     session = _KeyedSession(gold, latency_s=0.0)
-    client = LiveClient("http://fake/v1", "m", qps=200, session=session)
-    assert client.workers == 4
+    client = LiveClient("http://fake/v1", "m", qps=400, session=session)
+    assert client.workers == 32 < len(gold)
     started = time.monotonic()
     build_dpo(corpus, plan, client)
-    assert session.posts == 20
+    assert session.posts == 80
     for k, (start, _) in enumerate(sorted(session.starts)):
-        assert start - started >= k * 0.005 - 1e-4
+        assert start - started >= k * 0.0025 - 1e-4
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("workers", [1, 2, 4, LiveClient.workers])
 def test_live_dpo_unexpected_error_stops_queued_instances(tmp_path, monkeypatch, workers):
     """An error that is not a TransportError is raised once the instances
     already started finish, not after every queued one, and no output is
