@@ -314,15 +314,10 @@ def _parse_json_body(body: str, task: TaskKind, diagnostics: list[Diagnostic]):
     return items, extra
 
 
-def parse_answer(
-    text: str,
-    spec: FormatSpec,
-    view_labels: Optional[tuple[str, ...]] = None,
-    trigger: Optional[str] = None,
-) -> Extraction:
+def parse_answer(text: str, spec: FormatSpec, trigger: Optional[str] = None) -> Extraction:
     """Strict parse: raises ParseError for the first fatal diagnostic. Only a
     dropped duplicate item and a recovered embedded JSON object are tolerated."""
-    result = parse_answer_lenient(text, spec, view_labels, trigger)
+    result = parse_answer_lenient(text, spec, trigger=trigger)
     for d in result.diagnostics:
         if d.kind.fatal:
             raise ParseError(d.message, d.offset)

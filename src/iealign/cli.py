@@ -24,7 +24,7 @@ from .augment import load_candidates, review as apply_review, save_candidates, S
 from .client import make_client
 from .errors import ConfigurationError, DataError
 from .ingest import MixturePlan, ReaderSpec, filter_length, filter_na, load_dataset, mix_general, mix_proportional
-from .model import TaskKind, atomic_open, read_instances, write_instances
+from .model import TaskKind, atomic_open, decode_jsonl_line, read_instances, write_instances
 from .pipeline import (
     DpoPlan,
     SftOptions,
@@ -295,13 +295,13 @@ def stats(corpus_path, out_path):
     _require_files(corpus_path)
     records = []
     skipped = 0
-    with open(corpus_path, "rb") as f:  # per-line decoding, as in model.load_jsonl
-        for line in f:
+    with open(corpus_path, "rb") as f:
+        for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
             try:
-                records.append(json.loads(line.decode("utf-8")))
-            except ValueError:  # JSONDecodeError or UnicodeDecodeError
+                records.append(decode_jsonl_line(line, lineno))
+            except DataError:
                 skipped += 1
     report = corpus_stats(records)
     report["malformed_lines"] = skipped
@@ -310,7 +310,7 @@ def stats(corpus_path, out_path):
 
 @main.group()
 def review():
-    """Inspect and decide on generated candidates (descriptions, templates)."""
+    """Inspect and decide on generated candidates (descriptions)."""
 
 
 @review.command("list")
@@ -336,7 +336,7 @@ def _decide(cand_path, cand_id, decision, pool_dir, audit_path):
 @review.command("accept")
 @click.argument("cand_id")
 @click.option("--candidates", "cand_path", required=True, help="Candidates JSONL.")
-@click.option("--pool-dir", default=None, help="Description pool directory to append to.")
+@click.option("--pool-dir", default=None, help="Description pool directory (needed to accept).")
 @click.option("--audit", "audit_path", default=None, help="Append-only audit log path.")
 @_guarded
 def review_accept(cand_id, cand_path, pool_dir, audit_path):

@@ -47,8 +47,11 @@ class GenParams:
         return hashlib.sha256(body.encode()).hexdigest()[:16]
 
 
-# Longest wait between two attempts of one live call, in seconds.
+# Attempts at one live call before it fails, the longest wait between two of
+# them, and the time one attempt may take, in seconds.
+MAX_ATTEMPTS = 5
 MAX_BACKOFF_S = 30.0
+TIMEOUT_S = 60.0
 
 
 class TransportError(Exception):
@@ -238,8 +241,6 @@ class LiveClient(BaseClient):
         model: str,
         api_key_env: str = "IEALIGN_API_KEY",
         qps: float = 1.0,
-        max_retries: int = 5,
-        timeout: float = 60.0,
         cache: Optional[ResponseCache] = None,
         session=None,
     ):
@@ -253,8 +254,6 @@ class LiveClient(BaseClient):
         self.model = model
         self.api_key = api_key
         self.min_interval = 1.0 / qps if qps > 0 else 0.0
-        self.max_retries = max_retries
-        self.timeout = timeout
         self._last_call = 0.0  # the latest reserved post time
         self._throttle_lock = threading.Lock()
         if session is None:
@@ -294,11 +293,11 @@ class LiveClient(BaseClient):
         headers = {"Authorization": f"Bearer {self.api_key}"}
         delay = 1.0
         error = None
-        for attempt in range(1, self.max_retries + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             self._throttle()
             wait = delay
             try:
-                resp = self.session.post(self.endpoint, json=body, headers=headers, timeout=self.timeout)
+                resp = self.session.post(self.endpoint, json=body, headers=headers, timeout=TIMEOUT_S)
             except OSError as e:  # requests' exceptions are OSErrors
                 if not _transient(e):
                     raise TransportError(f"live call failed: {e!r}") from e
@@ -308,12 +307,12 @@ class LiveClient(BaseClient):
                     break
                 error = f"HTTP {resp.status_code}"
                 wait = _retry_after(resp, delay)
-            if attempt < self.max_retries:
-                logger.warning("live call failed (attempt %d/%d): %s", attempt, self.max_retries, error)
+            if attempt < MAX_ATTEMPTS:
+                logger.warning("live call failed (attempt %d/%d): %s", attempt, MAX_ATTEMPTS, error)
                 time.sleep(wait)
                 delay = min(delay * 2, MAX_BACKOFF_S)
         else:
-            raise TransportError(f"exhausted {self.max_retries} retries: {error}")
+            raise TransportError(f"exhausted {MAX_ATTEMPTS} retries: {error}")
         try:
             resp.raise_for_status()
             text = resp.json()["choices"][0]["message"]["content"]

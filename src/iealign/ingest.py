@@ -20,6 +20,7 @@ from .model import (
     IEInstance,
     SchemaDef,
     TaskKind,
+    decode_jsonl_line,
     gold_from_json,
     gold_shape_problems,
     schema_from_json,
@@ -69,7 +70,7 @@ def load_dataset(spec: ReaderSpec, path, lenient: bool = False) -> list[IEInstan
             f"schema task {schema.task.value} does not match reader task {spec.task.value}"
         )
     instances = []
-    with open(path, "rb") as f:  # per-line decoding, as in model.load_jsonl
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
@@ -83,10 +84,7 @@ def load_dataset(spec: ReaderSpec, path, lenient: bool = False) -> list[IEInstan
 
 
 def _read_record(spec: ReaderSpec, schema: Optional[SchemaDef], line: bytes, lineno: int) -> IEInstance:
-    try:
-        raw = json.loads(line.decode("utf-8"))
-    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
-        raise DataError(f"invalid JSON: {e}", line=lineno)
+    raw = decode_jsonl_line(line, lineno)
     if not isinstance(raw, dict):
         raise DataError("record is not a JSON object", line=lineno)
     try:

@@ -423,18 +423,22 @@ def write_jsonl_atomic(records: Iterable[dict], path) -> None:
             f.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
 
 
+def decode_jsonl_line(line: bytes, lineno: int) -> Any:
+    """The value of one JSONL line read in binary mode; a line that is not
+    UTF-8 JSON raises DataError naming `lineno`. Decoding line by line
+    reports a bad byte at its own line."""
+    try:
+        return json.loads(line.decode("utf-8"))
+    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+        raise DataError(f"invalid JSON: {e}", line=lineno) from None
+
+
 def load_jsonl(path) -> Iterator[Any]:
-    """Yield the value of each non-blank line; a line that is not UTF-8 JSON
-    raises DataError naming it. Lines are decoded one by one so that a bad
-    byte is reported at its own line."""
+    """Yield the value of each non-blank line, as `decode_jsonl_line` reads it."""
     with open(path, "rb") as f:
         for lineno, line in enumerate(f, 1):
             if line.strip():
-                try:
-                    value = json.loads(line.decode("utf-8"))
-                except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
-                    raise DataError(f"invalid JSON: {e}", line=lineno) from None
-                yield value
+                yield decode_jsonl_line(line, lineno)
 
 
 def read_records(path, convert: Callable[[Any], T]) -> list[T]:

@@ -51,8 +51,10 @@ class DescriptionPool:
         return self.manual + self.generated
 
 
-def _read_lines(path: Path) -> list[str]:
-    if not path.exists():
+def _read_lines(path) -> list[str]:
+    """The stripped non-blank lines of a file (a Path or a packaged
+    resource), or none when it is missing."""
+    if not path.is_file():
         return []
     return [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
 
@@ -60,13 +62,9 @@ def _read_lines(path: Path) -> list[str]:
 def load_description_pool(task: TaskKind, pool_dir: Optional[str] = None) -> DescriptionPool:
     """Load the packaged manual descriptions plus any generated/manual files
     under `pool_dir/<task>/{manual,generated}.txt`."""
-    manual: list[str] = []
-    generated: list[str] = []
     packaged = resources.files("iealign").joinpath(f"data/pools/{task.value}/manual.txt")
-    if packaged.is_file():
-        manual.extend(
-            ln.strip() for ln in packaged.read_text(encoding="utf-8").splitlines() if ln.strip()
-        )
+    manual = _read_lines(packaged)
+    generated: list[str] = []
     if pool_dir is not None:
         base = Path(pool_dir) / task.value
         extra_manual = _read_lines(base / "manual.txt")

@@ -1,5 +1,5 @@
-"""Generation-and-review tests: pool growth, format-template candidates with
-auto-rejection, CoT generation, and the review queue with audit log."""
+"""Generation-and-review tests: pool growth, CoT generation, and the review
+queue with audit log."""
 
 import json
 
@@ -13,14 +13,11 @@ from iealign.augment import (
     CotRequest,
     GenCandidate,
     generate_cot,
-    generate_format_templates,
     grow_task_descriptions,
     load_candidates,
-    parse_template_parts,
     review,
     sample_words_limit,
     save_candidates,
-    validate_template_parts,
 )
 from iealign.client import BaseClient, MockClient
 from iealign.errors import ConfigurationError, DataError
@@ -66,56 +63,10 @@ def test_grow_descriptions_requires_three_manual():
 
 def test_grow_descriptions_stops_at_iteration_cap():
     pool = DescriptionPool(TaskKind.NER, manual=["a", "b", "c"])
-    client = _SequenceClient(["same"] * 50)
-    out = grow_task_descriptions(pool, client, target=5, seed=0, iteration_cap=10)
+    client = _SequenceClient(["same"] * 100)
+    out = grow_task_descriptions(pool, client, target=5, seed=0)
     assert len(out) == 1  # duplicates never accumulate
-
-
-# ---------------------------------------------------------------------------
-# Format templates
-
-
-GOOD_TEMPLATE = (
-    "(1) Instruction: Find all entities in the following text: {text}\n"
-    "(2) Fail output: NA\n"
-    '(3) Input template: Answer in the form "{entity}: {type};"\n'
-    "(4) Answer template: {entity}: {type};"
-)
-
-
-def test_parse_template_parts():
-    parts = parse_template_parts(GOOD_TEMPLATE)
-    assert parts["fail_output"] == "NA"
-    assert parts["answer_template"] == "{entity}: {type};"
-    assert parse_template_parts("no numbered parts here") is None
-
-
-def test_validate_template_parts():
-    parts = parse_template_parts(GOOD_TEMPLATE)
-    assert validate_template_parts(TaskKind.NER, parts) == []
-    bad = dict(parts, answer_template="{entity};")
-    assert any("missing placeholders" in p for p in validate_template_parts(TaskKind.NER, bad))
-    bad2 = dict(parts, instruction="no placeholder")
-    assert any("{text}" in p for p in validate_template_parts(TaskKind.NER, bad2))
-
-
-def test_generate_format_templates_auto_rejects_invalid():
-    exemplar = parse_template_parts(GOOD_TEMPLATE)
-    client = _SequenceClient([
-        GOOD_TEMPLATE,
-        "garbled response",
-        GOOD_TEMPLATE.replace("{type}", "{nonsense}"),
-    ])
-    out = generate_format_templates(TaskKind.NER, client, [exemplar], target=3, iteration_cap=3)
-    statuses = [c.status for c in out]
-    assert statuses[0] == STATUS_PENDING
-    assert statuses[1] == STATUS_REJECTED and "unparseable" in out[1].diagnostic
-    assert statuses[2] == STATUS_REJECTED and "unknown placeholders" in out[2].diagnostic
-
-
-def test_generate_format_templates_requires_exemplar():
-    with pytest.raises(ConfigurationError):
-        generate_format_templates(TaskKind.NER, MockClient(policy="fixed:x"), [])
+    assert client.n == 50  # 10 * target requests, then it gives up
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +141,20 @@ def test_review_reject_and_errors(tmp_path):
     fresh = _pending("third")
     with pytest.raises(DataError, match="bad decision"):
         review([fresh], {fresh.id: "maybe"})
+    # an accepted description with nowhere to go changes no candidate
+    other = _pending("fourth")
+    with pytest.raises(ConfigurationError, match="pool directory"):
+        review([fresh, other], {fresh.id: "reject", other.id: "accept"})
+    assert fresh.status == other.status == STATUS_PENDING
 
 
 def test_candidates_file_roundtrip(tmp_path):
     cands = [_pending("a"), _pending("b")]
     path = tmp_path / "cands.jsonl"
     save_candidates(cands, path)
+    # a record written when candidates also carried `diagnostic` and `parts`
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(json.dumps(dict(_pending("c").to_record(), diagnostic="", parts=None)) + "\n")
     back = load_candidates(path)
-    assert [c.text for c in back] == ["a", "b"]
-    assert [c.id for c in back] == [c.id for c in cands]
+    assert [c.text for c in back] == ["a", "b", "c"]
+    assert [c.id for c in back] == [c.id for c in cands] + [_pending("c").id]

@@ -447,3 +447,14 @@ def test_review_flow(runner, tmp_path):
 
     nothing_pending = runner.invoke(main, ["review", "list", "--candidates", str(cand_path)])
     assert cands[0].id not in nothing_pending.output
+
+
+def test_review_accept_without_pool_dir_changes_nothing(runner, tmp_path):
+    cand = GenCandidate(KIND_TASK_DESCRIPTION, "NER", "a fresh description", source="s")
+    cand_path = tmp_path / "cands.jsonl"
+    save_candidates([cand], cand_path)
+    before = cand_path.read_bytes()
+    result = runner.invoke(main, ["review", "accept", cand.id, "--candidates", str(cand_path)])
+    assert result.exit_code == 2, result.output
+    assert "pool directory" in result.output
+    assert cand_path.read_bytes() == before

@@ -218,9 +218,7 @@ def test_live_client_exhausts_retries(monkeypatch):
     monkeypatch.setenv("IEALIGN_API_KEY", "test-key")
     monkeypatch.setattr("time.sleep", lambda s: None)
     session = _FakeSession([_FakeResponse(500)] * 5)
-    client = LiveClient(
-        endpoint="https://example.invalid/v1", model="m", qps=0, max_retries=5, session=session
-    )
+    client = LiveClient(endpoint="https://example.invalid/v1", model="m", qps=0, session=session)
     with pytest.raises(TransportError, match="exhausted"):
         client.complete("p", GenParams())
 
@@ -246,7 +244,7 @@ def test_live_client_retries_only_transient_failures(monkeypatch, responses, pos
     slept = []
     monkeypatch.setattr("time.sleep", slept.append)
     session = _FakeSession(responses)
-    client = LiveClient(endpoint="https://example.invalid/v1", model="m", qps=0, max_retries=5, session=session)
+    client = LiveClient(endpoint="https://example.invalid/v1", model="m", qps=0, session=session)
     if text is None:
         with pytest.raises(TransportError):
             client.complete("p", GenParams())
