@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Optional
 
-from .client import BaseClient, GenParams, TransportError, prompt_digest
+from .client import BaseClient, TransportError, prompt_digest
 from .errors import ConfigurationError, DataError
 from .model import TaskKind, read_records, write_jsonl_atomic
 from .prompts import DescriptionPool
@@ -30,9 +30,9 @@ STATUS_ACCEPTED = "Accepted"
 STATUS_REJECTED = "Rejected"
 
 COT_WORDS_RANGE = (70, 200)
-# Sampling parameters of every generation request: descriptions and CoT
+# Sampling temperature of every generation request: descriptions and CoT
 # explanations.
-GENERATION_PARAMS = GenParams(temperature=0.7)
+GENERATION_TEMPERATURE = 0.7
 
 COT_PROMPT_TEMPLATE = """\
 Please generate a step-by-step explanation for [Answer] based on [Question], and give reasons for each step.
@@ -64,13 +64,16 @@ class GenCandidate:
 
 
 def candidate_from_record(rec: dict) -> GenCandidate:
-    return GenCandidate(
-        kind=rec["kind"],
-        task=rec["task"],
-        text=rec["text"],
-        source=rec["source"],
-        status=rec.get("status", STATUS_PENDING),
-    )
+    """The candidate a JSONL record holds. A field that is not a string is a
+    TypeError and a task that is not a TaskKind value a ValueError, so no
+    pool path is ever built from an unchecked task."""
+    fields = {name: rec[name] for name in ("kind", "task", "text", "source")}
+    fields["status"] = rec.get("status", STATUS_PENDING)
+    for name, value in fields.items():
+        if not isinstance(value, str):
+            raise TypeError(f"candidate {name} is {type(value).__name__}, not a string")
+    TaskKind(fields["task"])
+    return GenCandidate(**fields)
 
 
 def _normalize(text: str) -> str:
@@ -115,7 +118,7 @@ def grow_task_descriptions(
         generated = rng.sample(prior, min(2, len(prior)))
         prompt = _growth_prompt(pool.task, manual, generated)
         try:
-            text = client.complete(prompt, GENERATION_PARAMS, index=iteration).strip()
+            text = client.complete(prompt, GENERATION_TEMPERATURE, index=iteration).strip()
         except TransportError as e:
             logger.error("generation failed after retries, returning partial result: %s", e)
             break
@@ -132,34 +135,18 @@ def grow_task_descriptions(
 # Chain-of-thought explanations
 
 
-@dataclass(frozen=True)
-class CotRequest:
-    question: str
-    answer: str
-    words_limit: int
-
-    def __post_init__(self):
-        lo, hi = COT_WORDS_RANGE
-        if not lo <= self.words_limit <= hi:
-            raise ConfigurationError(
-                f"words_limit must be in [{lo}, {hi}], got {self.words_limit}"
-            )
-
-
 def sample_words_limit(rng: random.Random) -> int:
     return rng.randint(*COT_WORDS_RANGE)
 
 
-def generate_cot(req: CotRequest, client: BaseClient) -> str:
-    prompt = COT_PROMPT_TEMPLATE.format(
-        words_number=req.words_limit, input=req.question, output=req.answer
-    )
-    text = client.complete(prompt, GENERATION_PARAMS).strip()
+def generate_cot(question: str, answer: str, words_limit: int, client: BaseClient) -> str:
+    prompt = COT_PROMPT_TEMPLATE.format(words_number=words_limit, input=question, output=answer)
+    text = client.complete(prompt, GENERATION_TEMPERATURE).strip()
     if not text:
         raise DataError("empty CoT explanation from client")
     n_words = len(text.split())
-    if n_words > req.words_limit * 1.5:
-        logger.warning("CoT explanation is %d words, limit was %d", n_words, req.words_limit)
+    if n_words > words_limit * 1.5:
+        logger.warning("CoT explanation is %d words, limit was %d", n_words, words_limit)
     return text
 
 

@@ -72,6 +72,26 @@ def _load_config(path: Optional[str]) -> dict:
     return data
 
 
+# The type of each key that `ingest` and `mix` read from their config.
+INGEST_KEYS = {
+    "dataset": str, "task": str, "path": str, "schema": Optional[str], "text_field": str,
+    "gold_field": str, "null_labels": list[str], "na_keep_rate": float, "max_tokens": int, "seed": int,
+}
+MIX_KEYS = {
+    "datasets": dict[str, str], "general": Optional[str], "cap": int, "quotas": dict[str, int],
+    "ie_rate": float, "seed": int,
+}
+
+
+def _check_types(cfg: dict, label: str, types: dict) -> None:
+    """A ConfigurationError for the first key of `types` in `cfg` whose
+    value does not fit its type."""
+    for key, hint in types.items():
+        if key in cfg and not _fits(cfg[key], hint):
+            name = hint.__name__ if typing.get_origin(hint) is None else str(hint).replace("typing.", "")
+            raise ConfigurationError(f"{label} {key} must be {name}, got {cfg[key]!r}")
+
+
 def _require_files(*paths) -> None:
     for p in paths:
         if p is not None and not Path(p).exists():
@@ -106,6 +126,7 @@ def main(verbose: bool):
 def ingest(config_path, out_path, seed, lenient):
     """Read a raw dataset into canonical instances, applying NA and length filters."""
     cfg = _load_config(config_path)
+    _check_types(cfg, "ingest config", INGEST_KEYS)
     for key in ("dataset", "task", "path"):
         if key not in cfg:
             raise ConfigurationError(f"ingest config missing {key!r}")
@@ -147,6 +168,7 @@ def mix(config_path, out_path, seed):
     """Combine canonical datasets with the proportional cap, optionally mixing
     in a general-purpose corpus at a fixed IE rate."""
     cfg = _load_config(config_path)
+    _check_types(cfg, "mix config", MIX_KEYS)
     datasets_cfg = cfg.get("datasets")
     if not datasets_cfg:
         raise ConfigurationError("mix config missing 'datasets'")
@@ -172,27 +194,28 @@ def _options(cls, label: str, cfg: dict, key: str, seed: Optional[int]):
     given = cfg.get(key) or {}
     if not isinstance(given, dict):
         raise ConfigurationError(f"{label} options must be a mapping")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(given) - (set(fields) - {"seed"})
+    unknown = set(given) - ({f.name for f in dataclasses.fields(cls)} - {"seed"})
     if unknown:
         raise ConfigurationError(f"unknown {label} options: {sorted(unknown)}")
     values = {**given, "seed": seed if seed is not None else cfg.get("seed", 0)}
-    hints = typing.get_type_hints(cls)
-    for name, value in values.items():
-        if not _fits(value, hints[name]):
-            raise ConfigurationError(f"{label} option {name} must be {fields[name].type}, got {value!r}")
+    _check_types(values, f"{label} option", typing.get_type_hints(cls))
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
 
 def _fits(value, hint) -> bool:
     """Whether a YAML value fits a field type: an int fits a float field, a
-    bool fits no number field, and a list fits a tuple field item by item."""
+    bool fits no number field, a list fits a tuple field item by item, and
+    a list or a mapping fits a list or dict type when every item does."""
     if hint in (int, float):
         return isinstance(value, (int, hint)) and not isinstance(value, bool)
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple:
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:
         return isinstance(value, list) and len(value) == len(args) and all(map(_fits, value, args))
-    if typing.get_origin(hint) is typing.Union:
+    if origin is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(_fits(k, args[0]) and _fits(v, args[1]) for k, v in value.items())
+    if origin is typing.Union:
         return any(_fits(value, arg) for arg in args)
     return isinstance(value, hint)
 

@@ -1,9 +1,13 @@
 """Uniform interface to text-generation backends.
 
 Ships a deterministic mock backend (the default for pipeline testing) and a
-minimal live chat-completion client. Completions are cached on disk keyed by
-(backend identity digest, prompt digest, params digest, sample index); cache
-writes are atomic so concurrent workers cannot corrupt entries.
+minimal live chat-completion client. `BaseClient.complete` is the one
+generation call: a prompt, a temperature, a sample index and, optionally, the
+reference answer the caller scores the completion against. Only the mock
+reads the reference; it is in neither a live request nor a cache key.
+Completions are cached on disk keyed by (backend identity digest, prompt
+digest, params digest, sample index); cache writes are atomic so concurrent
+workers cannot corrupt entries.
 
 A client's `workers` is how many prompts a stage may sample at once. It is 1
 for CPU-bound backends such as the mock, whose calls run on the caller's
@@ -21,7 +25,6 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -32,26 +35,13 @@ from .seeds import derive_seed
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class GenParams:
-    temperature: float = 0.7
-    max_tokens: int = 1024
-    seed: Optional[int] = None  # mock backends only
-
-    def __post_init__(self):
-        if self.temperature < 0:
-            raise ConfigurationError(f"temperature must be >= 0, got {self.temperature}")
-
-    def digest(self) -> str:
-        body = f"{self.temperature}|{self.max_tokens}|{self.seed}"
-        return hashlib.sha256(body.encode()).hexdigest()[:16]
-
-
 # Attempts at one live call before it fails, the longest wait between two of
-# them, and the time one attempt may take, in seconds.
+# them, and the time one attempt may take, in seconds; then the most tokens a
+# live completion may hold.
 MAX_ATTEMPTS = 5
 MAX_BACKOFF_S = 30.0
 TIMEOUT_S = 60.0
+MAX_TOKENS = 1024
 
 
 class TransportError(Exception):
@@ -62,12 +52,19 @@ def prompt_digest(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:24]
 
 
-class ResponseCache:
-    """Content-addressed completion cache. With a None directory the client
-    neither reads nor writes it; otherwise the first entry put creates it."""
+def params_digest(temperature: float) -> str:
+    """The sampling parameters' part of a cache key. The text hashed keeps a
+    `None` where a sampling seed once stood, so existing entries stay hits;
+    an int temperature hashes as written (`1`, not `1.0`)."""
+    return hashlib.sha256(f"{temperature}|{MAX_TOKENS}|None".encode()).hexdigest()[:16]
 
-    def __init__(self, directory: Optional[str] = None):
-        self.directory = Path(directory) if directory else None
+
+class ResponseCache:
+    """Content-addressed completion cache in a directory, which the first
+    entry put creates."""
+
+    def __init__(self, directory: str):
+        self.directory = Path(directory)
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
@@ -97,7 +94,7 @@ class BaseClient:
     workers = 1
 
     def __init__(self, cache: Optional[ResponseCache] = None):
-        self.cache = cache or ResponseCache(None)
+        self.cache = cache  # None: neither read nor written
         self.call_count = 0  # generations actually performed (cache misses)
         self._count_lock = threading.Lock()
 
@@ -107,31 +104,30 @@ class BaseClient:
         to another."""
         return (self.backend_id,)
 
-    def _cache_key(self, prompt: str, params: GenParams, index: int) -> str:
+    def _cache_key(self, prompt: str, temperature: float, index: int) -> str:
         backend = hashlib.sha256(repr(self.identity()).encode("utf-8")).hexdigest()[:16]
-        return f"{self.backend_id}-{backend}-{prompt_digest(prompt)}-{params.digest()}-{index}"
+        return f"{self.backend_id}-{backend}-{prompt_digest(prompt)}-{params_digest(temperature)}-{index}"
 
-    def complete(self, prompt: str, params: GenParams, index: int = 0) -> str:
-        """The cached completion, or a generated one. Safe to call from
-        `workers` threads at once for distinct (prompt, index) pairs."""
-        key = self._cache_key(prompt, params, index) if self.cache.directory else None
+    def complete(
+        self, prompt: str, temperature: float, index: int = 0, reference: Optional[str] = None
+    ) -> str:
+        """The cached completion, or a generated one. `reference` is the
+        answer the caller scores the completion against; it stays out of the
+        cache key. Safe to call from `workers` threads at once for distinct
+        (prompt, index) pairs."""
+        key = self._cache_key(prompt, temperature, index) if self.cache is not None else None
         if key is not None:
             cached = self.cache.get(key)
             if cached is not None:
                 return cached
-        text = self._generate(prompt, params, index)
+        text = self._generate(prompt, temperature, index, reference)
         with self._count_lock:
             self.call_count += 1
         if key is not None:
             self.cache.put(key, text)
         return text
 
-    def sample_n(self, prompt: str, n: int, params: GenParams) -> list[str]:
-        if n < 1:
-            raise ConfigurationError(f"n must be >= 1, got {n}")
-        return [self.complete(prompt, params, index=i) for i in range(n)]
-
-    def _generate(self, prompt: str, params: GenParams, index: int) -> str:
+    def _generate(self, prompt: str, temperature: float, index: int, reference: Optional[str]) -> str:
         raise NotImplementedError
 
 
@@ -148,12 +144,13 @@ class MockClient(BaseClient):
     """Deterministic mock backend.
 
     Policies:
-      echo_gold          return the registered gold text verbatim
+      echo_gold          return the request's reference verbatim
       fixed:<text>       always return <text>
-      noisy_gold:<p>     gold with each token independently corrupted w.p. p
+      noisy_gold:<p>     the reference with each token independently
+                         corrupted w.p. p
 
-    Gold texts are registered per prompt with `register_gold`; a prompt with
-    none registered gets `fallback`.
+    A request without a reference is answered from `fallback`. The client
+    holds no state besides its settings and its call count.
     """
 
     backend_id = "mock"
@@ -171,27 +168,19 @@ class MockClient(BaseClient):
         self.policy = policy
         self.noise = _noise_rate(policy)
         self.seed = seed
-        self.gold_map = {}  # prompt digest -> gold text
         self.fallback = fallback
 
     def identity(self) -> tuple:
         return (self.backend_id, self.policy, self.seed, self.fallback)
 
-    def register_gold(self, prompt: str, gold: str) -> None:
-        self.gold_map[prompt_digest(prompt)] = gold
-
-    def _lookup_gold(self, digest: str) -> str:
-        if digest not in self.gold_map:
-            logger.warning("mock: no gold registered for prompt %s, using fallback", digest)
-            return self.fallback
-        return self.gold_map[digest]
-
-    def _generate(self, prompt: str, params: GenParams, index: int) -> str:
+    def _generate(self, prompt: str, temperature: float, index: int, reference: Optional[str]) -> str:
         if self.policy.startswith("fixed:"):
             return self.policy[len("fixed:"):]
         digest = prompt_digest(prompt)
-        gold = self._lookup_gold(digest)
-        return gold if self.noise is None else self._corrupt(gold, self.noise, digest, index)
+        if reference is None:
+            logger.warning("mock: no reference for prompt %s, using fallback", digest)
+            reference = self.fallback
+        return reference if self.noise is None else self._corrupt(reference, self.noise, digest, index)
 
     def _corrupt(self, gold: str, p: float, digest: str, index: int) -> str:
         rng = random.Random(derive_seed(self.seed, "noisy", digest, str(index)))
@@ -278,17 +267,17 @@ class LiveClient(BaseClient):
         if slot > now:
             time.sleep(slot - now)
 
-    def _generate(self, prompt: str, params: GenParams, index: int) -> str:
-        """Post the prompt. A 429, a 5xx, a connection error or a timeout is
-        retried with exponential backoff, or after the response's
-        `Retry-After` seconds when it gives them; any other failure, such as
-        a 4xx or a body without a text completion, raises TransportError at
-        once."""
+    def _generate(self, prompt: str, temperature: float, index: int, reference: Optional[str]) -> str:
+        """Post the prompt; the reference is not sent. A 429, a 5xx, a
+        connection error or a timeout is retried with exponential backoff,
+        or after the response's `Retry-After` seconds when it gives them; any
+        other failure, such as a 4xx or a body without a text completion,
+        raises TransportError at once."""
         body = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": params.temperature,
-            "max_tokens": params.max_tokens,
+            "temperature": temperature,
+            "max_tokens": MAX_TOKENS,
         }
         headers = {"Authorization": f"Bearer {self.api_key}"}
         delay = 1.0
@@ -360,7 +349,7 @@ def make_client(config: dict, cache_dir: Optional[str] = None) -> BaseClient:
     for key in ("endpoint", "model", "api_key_env", "fallback"):
         if not isinstance(settings.get(key, ""), str):
             raise ConfigurationError(f"{kind} backend {key} must be a string, got {settings[key]!r}")
-    cache = ResponseCache(cache_dir)
+    cache = ResponseCache(cache_dir) if cache_dir else None
     if kind == "mock":
         return MockClient(**settings, cache=cache)
     missing = [k for k in ("endpoint", "model") if k not in settings]

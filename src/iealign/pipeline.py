@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .answers import attach_cot, parse_answer, parse_answer_lenient, serialize_answer, ParseError
-from .augment import CotRequest, generate_cot, sample_words_limit
+from .augment import generate_cot, sample_words_limit
 from .client import BaseClient, TransportError
 from .errors import ConfigurationError, DataError
 from .formats import EVAL_FORMATS, MARKDOWN_SPEC, load_format_library, spec_from_json, spec_to_json
@@ -194,9 +194,8 @@ def build_sft(
 
         if inst.id in cot_ids:
             words = sample_words_limit(derive_rng(opts.seed, "cotwords", inst.id))
-            req = CotRequest(question=prompt, answer=example.answer, words_limit=words)
             try:
-                explanation = generate_cot(req, client)
+                explanation = generate_cot(prompt, example.answer, words, client)
             except (TransportError, DataError) as e:
                 logger.warning("CoT generation skipped for %s: %s", inst.id, e)
             else:

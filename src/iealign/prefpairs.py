@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .client import BaseClient, GenParams
+from .client import BaseClient
 from .errors import ConfigurationError
 from .metrics import BleuReference
 from .model import PreferencePair
@@ -58,15 +58,13 @@ def score_samples(
     prompt: str,
     gold_text: str,
     client: BaseClient,
-    n: int = 5,
-    temperature: float = 1.0,
+    n: int,
+    temperature: float,
 ) -> ScoredSamples:
-    """Draw n samples for the prompt and score each against the gold text,
-    whose n-grams are counted once."""
-    if hasattr(client, "register_gold"):
-        client.register_gold(prompt, gold_text)
-    params = GenParams(temperature=temperature)
-    texts = client.sample_n(prompt, n, params)
+    """Draw n samples for the prompt, each with the gold text as its
+    reference, and score each against the gold text, whose n-grams are
+    counted once."""
+    texts = [client.complete(prompt, temperature, i, reference=gold_text) for i in range(n)]
     reference = BleuReference.of(gold_text)
     samples = tuple((t, reference.score(t)) for t in texts)
     return ScoredSamples(instance_id, dataset, prompt, gold_text, samples)

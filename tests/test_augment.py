@@ -10,7 +10,6 @@ from iealign.augment import (
     STATUS_ACCEPTED,
     STATUS_PENDING,
     STATUS_REJECTED,
-    CotRequest,
     GenCandidate,
     generate_cot,
     grow_task_descriptions,
@@ -33,7 +32,7 @@ class _SequenceClient(BaseClient):
         self.responses = list(responses)
         self.n = 0
 
-    def _generate(self, prompt, params, index):
+    def _generate(self, prompt, temperature, index, reference):
         if self.n >= len(self.responses):
             return ""
         text = self.responses[self.n]
@@ -73,14 +72,6 @@ def test_grow_descriptions_stops_at_iteration_cap():
 # Chain of thought
 
 
-def test_cot_request_word_limit_validation():
-    with pytest.raises(ConfigurationError):
-        CotRequest("q", "a", words_limit=50)
-    with pytest.raises(ConfigurationError):
-        CotRequest("q", "a", words_limit=300)
-    CotRequest("q", "a", words_limit=120)
-
-
 def test_sample_words_limit_range():
     import random
 
@@ -93,12 +84,11 @@ def test_generate_cot_uses_prompt_fields():
     captured = {}
 
     class _Capture(BaseClient):
-        def _generate(self, prompt, params, index):
+        def _generate(self, prompt, temperature, index, reference):
             captured["prompt"] = prompt
             return "Because the text mentions it."
 
-    req = CotRequest("the question", "the answer", words_limit=100)
-    text = generate_cot(req, _Capture())
+    text = generate_cot("the question", "the answer", 100, _Capture())
     assert text == "Because the text mentions it."
     assert "the question" in captured["prompt"]
     assert "the answer" in captured["prompt"]
@@ -106,9 +96,8 @@ def test_generate_cot_uses_prompt_fields():
 
 
 def test_generate_cot_empty_response_raises():
-    req = CotRequest("q", "a", words_limit=100)
     with pytest.raises(DataError):
-        generate_cot(req, MockClient(policy="fixed:"))
+        generate_cot("q", "a", 100, MockClient(policy="fixed:"))
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,33 @@ def test_mix_missing_datasets_key_exits_2(runner, tmp_path):
     assert runner.invoke(main, ["mix", "--config", cfg, "--out", str(tmp_path / "o.jsonl")]).exit_code == 2
 
 
+@pytest.mark.parametrize("command,values,message", [
+    ("ingest", {"na_keep_rate": "0.5"}, "ingest config na_keep_rate must be float, got '0.5'"),
+    ("ingest", {"seed": "x"}, "ingest config seed must be int, got 'x'"),
+    ("ingest", {"null_labels": "NONE"}, "ingest config null_labels must be list[str], got 'NONE'"),
+    ("mix", {"cap": "5"}, "mix config cap must be int, got '5'"),
+    ("mix", {"quotas": {"a": "1"}}, "mix config quotas must be dict[str, int], got {'a': '1'}"),
+    ("mix", {"ie_rate": "0.2"}, "mix config ie_rate must be float, got '0.2'"),
+    ("mix", {"datasets": ["a.jsonl"]}, "mix config datasets must be dict[str, str], got ['a.jsonl']"),
+], ids=["na_keep_rate", "seed", "null_labels", "cap", "quotas", "ie_rate", "datasets"])
+def test_ingest_and_mix_mistyped_config_exits_2(runner, tmp_path, command, values, message):
+    """A config value of the wrong type is a configuration error before any
+    input is read or output written, not a traceback or a silent seed."""
+    if command == "ingest":
+        raw, schema, _ = _raw_dataset(tmp_path)
+        base = {"dataset": "d", "task": "NER", "path": str(raw), "schema": str(schema)}
+    else:
+        a, _ = _canonical(tmp_path, name="a.jsonl")
+        general, _ = _canonical(tmp_path, TaskKind.RE, name="general.jsonl")
+        base = {"datasets": {"a": str(a)}, "general": str(general)}
+    cfg = _write_yaml(tmp_path / "cfg.yaml", {**base, **values})
+    out = tmp_path / "out.jsonl"
+    result = runner.invoke(main, [command, "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"configuration error: {message}" in result.output
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # build-sft / build-dpo
 
@@ -399,6 +426,22 @@ def _candidate_not_json(tmp_path):
     return ["review", "list", "--candidates", str(cand_path)], 2
 
 
+def _candidate_text_not_a_string(tmp_path):
+    cand_path = tmp_path / "cands.jsonl"
+    record = GenCandidate(KIND_TASK_DESCRIPTION, "NER", "a description", source="s").to_record()
+    cand_path.write_text(json.dumps(record) + "\n" + json.dumps({**record, "text": 5}) + "\n", encoding="utf-8")
+    return ["review", "list", "--candidates", str(cand_path)], 2
+
+
+def _candidate_task_outside_the_pools(tmp_path):
+    """Accepting it would append to `escaped/generated.txt` beside `pools/`."""
+    cand = GenCandidate(KIND_TASK_DESCRIPTION, "../escaped", "a description", source="s")
+    cand_path = tmp_path / "cands.jsonl"
+    save_candidates([cand], cand_path)
+    pools = tmp_path / "pools"
+    return ["review", "accept", cand.id, "--candidates", str(cand_path), "--pool-dir", str(pools)], 1
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -407,15 +450,19 @@ def _candidate_not_json(tmp_path):
         _instance_missing_fields,
         _prediction_without_output,
         _candidate_not_json,
+        _candidate_text_not_a_string,
+        _candidate_task_outside_the_pools,
     ],
     ids=lambda case: case.__name__.lstrip("_"),
 )
 def test_malformed_input_is_data_error_naming_its_line(runner, tmp_path, case):
     args, line = case(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
     result = runner.invoke(main, args)
     assert result.exit_code == 1, result.output
     assert result.output.startswith("data error: ")
     assert result.output.rstrip().endswith(f"| line {line}")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # ---------------------------------------------------------------------------

@@ -13,21 +13,26 @@ import requests
 from conftest import assert_kept
 
 from iealign.client import (
-    GenParams,
     LiveClient,
     MockClient,
     ResponseCache,
     TransportError,
     make_client,
+    params_digest,
 )
 from iealign.errors import ConfigurationError, DataError
 
 
-def test_genparams_validation():
-    with pytest.raises(ConfigurationError):
-        GenParams(temperature=-1)
-    assert GenParams().digest() == GenParams().digest()
-    assert GenParams(temperature=1.0).digest() != GenParams(temperature=0.7).digest()
+def test_cache_keys_are_pinned(monkeypatch):
+    """Cache keys stay what earlier versions wrote, so existing entries stay
+    hits; an int temperature hashes as written."""
+    monkeypatch.setenv("IEALIGN_API_KEY", "k")
+    assert (MockClient(policy="noisy_gold:0.6", seed=6)._cache_key("p", 1.0, 3)
+            == "mock-c7ae82169d89c41c-148de9c5a7a44d19e56cd9ae-9b6454bf52788f4b-3")
+    assert (LiveClient("http://e", "m")._cache_key("p", 0.7, 0)
+            == "live-bae42e3e5c29274b-148de9c5a7a44d19e56cd9ae-8efb0c87f9dbeb23-0")
+    assert params_digest(1) == "dd50f305194ab6d1"
+    assert params_digest(1) != params_digest(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -36,36 +41,37 @@ def test_genparams_validation():
 
 def test_echo_gold_policy():
     client = MockClient(policy="echo_gold")
-    client.register_gold("prompt", "the gold answer")
-    assert client.complete("prompt", GenParams()) == "the gold answer"
+    assert client.complete("prompt", 0.7, reference="the gold answer") == "the gold answer"
 
 
-def test_echo_gold_fallback_when_unregistered():
+def test_echo_gold_fallback_when_unregistered(caplog):
+    """A request without a reference gets the fallback, with a warning."""
     client = MockClient(policy="echo_gold", fallback="NA")
-    assert client.complete("unknown prompt", GenParams()) == "NA"
+    with caplog.at_level("WARNING", logger="iealign.client"):
+        assert client.complete("unknown prompt", 0.7) == "NA"
+    assert "using fallback" in caplog.text
 
 
 def test_fixed_policy():
     client = MockClient(policy="fixed:hello there")
-    assert client.complete("anything", GenParams()) == "hello there"
+    assert client.complete("anything", 0.7) == "hello there"
 
 
 def test_unknown_policy_rejected():
     with pytest.raises(ConfigurationError):
-        MockClient(policy="bogus").complete("p", GenParams())
+        MockClient(policy="bogus").complete("p", 0.7)
 
 
 def test_noisy_gold_zero_is_identity():
     client = MockClient(policy="noisy_gold:0")
-    client.register_gold("p", "alpha beta gamma")
-    assert client.sample_n("p", 5, GenParams()) == ["alpha beta gamma"] * 5
+    gold = "alpha beta gamma"
+    assert [client.complete("p", 0.7, i, reference=gold) for i in range(5)] == [gold] * 5
 
 
 def test_noisy_gold_corruption_rate_near_p():
     gold = " ".join(f"tok{i}" for i in range(1000))
     client = MockClient(policy="noisy_gold:0.5", seed=1)
-    client.register_gold("p", gold)
-    out = client.complete("p", GenParams()).split()
+    out = client.complete("p", 0.7, reference=gold).split()
     corrupted = sum(1 for a, b in zip(gold.split(), out) if a != b)
     assert abs(corrupted / 1000 - 0.5) < 0.05
 
@@ -73,10 +79,9 @@ def test_noisy_gold_corruption_rate_near_p():
 def test_noisy_gold_deterministic_per_index():
     client1 = MockClient(policy="noisy_gold:0.5", seed=2)
     client2 = MockClient(policy="noisy_gold:0.5", seed=2)
-    for c in (client1, client2):
-        c.register_gold("p", "one two three four five six")
-    a = client1.sample_n("p", 5, GenParams())
-    b = client2.sample_n("p", 5, GenParams())
+    gold = "one two three four five six"
+    a = [client1.complete("p", 0.7, i, reference=gold) for i in range(5)]
+    b = [client2.complete("p", 0.7, i, reference=gold) for i in range(5)]
     assert a == b
     assert len(set(a)) > 1  # indexes draw independent corruption
 
@@ -88,13 +93,13 @@ def test_noisy_gold_deterministic_per_index():
 def test_cache_roundtrip_and_call_counter(tmp_path):
     cache = ResponseCache(str(tmp_path))
     client = MockClient(policy="fixed:x", cache=cache)
-    assert client.complete("p", GenParams()) == "x"
+    assert client.complete("p", 0.7) == "x"
     assert client.call_count == 1
-    assert client.complete("p", GenParams()) == "x"
+    assert client.complete("p", 0.7) == "x"
     assert client.call_count == 1  # served from cache
 
     fresh = MockClient(policy="fixed:x", cache=ResponseCache(str(tmp_path)))
-    assert fresh.complete("p", GenParams()) == "x"
+    assert fresh.complete("p", 0.7) == "x"
     assert fresh.call_count == 0  # cache survives across client instances
 
 
@@ -114,10 +119,10 @@ def test_cache_put_is_atomic_with_umask_mode(tmp_path, umask):
 def test_corrupt_cache_entry_is_a_miss(tmp_path, caplog, content):
     cache = ResponseCache(str(tmp_path))
     client = MockClient(policy="fixed:fresh", cache=cache)
-    entry = tmp_path / f"{client._cache_key('p', GenParams(), 0)}.json"
+    entry = tmp_path / f"{client._cache_key('p', 0.7, 0)}.json"
     entry.write_bytes(content)
     with caplog.at_level("WARNING", logger="iealign.client"):
-        assert client.complete("p", GenParams()) == "fresh"
+        assert client.complete("p", 0.7) == "fresh"
     assert "ignoring corrupt cache entry" in caplog.text
     assert client.call_count == 1
     assert json.loads(entry.read_text(encoding="utf-8")) == {"text": "fresh"}  # overwritten
@@ -127,18 +132,18 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path, caplog, content):
 def test_cache_distinguishes_params_and_index(tmp_path):
     cache = ResponseCache(str(tmp_path))
     client = MockClient(policy="fixed:x", cache=cache)
-    client.complete("p", GenParams(temperature=0.7))
-    client.complete("p", GenParams(temperature=1.0))
-    client.complete("p", GenParams(temperature=1.0), index=1)
+    client.complete("p", 0.7)
+    client.complete("p", 1.0)
+    client.complete("p", 1.0, index=1)
     assert client.call_count == 3
 
 
 def test_shared_cache_keeps_backends_apart(tmp_path, monkeypatch):
     """Clients that answer differently never read each other's entries."""
     cache = ResponseCache(str(tmp_path))
-    assert MockClient(policy="fixed:A", cache=cache).complete("p", GenParams()) == "A"
-    assert MockClient(policy="fixed:B", cache=cache).complete("p", GenParams()) == "B"
-    assert MockClient(policy="fixed:A", cache=cache).complete("p", GenParams()) == "A"
+    assert MockClient(policy="fixed:A", cache=cache).complete("p", 0.7) == "A"
+    assert MockClient(policy="fixed:B", cache=cache).complete("p", 0.7) == "B"
+    assert MockClient(policy="fixed:A", cache=cache).complete("p", 0.7) == "A"
     assert len(list(tmp_path.iterdir())) == 2
 
     monkeypatch.setenv("IEALIGN_API_KEY", "k")
@@ -150,7 +155,7 @@ def test_shared_cache_keeps_backends_apart(tmp_path, monkeypatch):
         LiveClient("http://b/v1", "m1", session=object()),
         LiveClient("http://a/v1", "m2", session=object()),
     ]
-    keys = {c._cache_key("p", GenParams(), 0) for c in clients}
+    keys = {c._cache_key("p", 0.7, 0) for c in clients}
     assert len(keys) == len(clients)
 
 
@@ -210,8 +215,26 @@ def test_live_client_retries_transient_then_succeeds(monkeypatch):
     monkeypatch.setattr("time.sleep", lambda s: None)
     session = _FakeSession([_FakeResponse(429), _FakeResponse(503), _ok("done")])
     client = LiveClient(endpoint="https://example.invalid/v1", model="m", qps=0, session=session)
-    assert client.complete("p", GenParams()) == "done"
+    assert client.complete("p", 0.7) == "done"
     assert session.calls == 3
+
+
+def test_live_client_never_sends_the_reference(monkeypatch):
+    """A reference leaves the posted body as it is."""
+    monkeypatch.setenv("IEALIGN_API_KEY", "test-key")
+    bodies = []
+
+    def post(url, json=None, headers=None, timeout=None):
+        bodies.append(json)
+        return _ok("x")
+
+    client = LiveClient(endpoint="https://example.invalid/v1", model="m", qps=0,
+                        session=SimpleNamespace(post=post))
+    client.complete("p", 1.0, 2)
+    client.complete("p", 1.0, 2, reference="the gold answer")
+    assert bodies[0] == bodies[1] == {
+        "model": "m", "messages": [{"role": "user", "content": "p"}], "temperature": 1.0, "max_tokens": 1024,
+    }
 
 
 def test_live_client_exhausts_retries(monkeypatch):
@@ -220,7 +243,7 @@ def test_live_client_exhausts_retries(monkeypatch):
     session = _FakeSession([_FakeResponse(500)] * 5)
     client = LiveClient(endpoint="https://example.invalid/v1", model="m", qps=0, session=session)
     with pytest.raises(TransportError, match="exhausted"):
-        client.complete("p", GenParams())
+        client.complete("p", 0.7)
 
 
 @pytest.mark.parametrize("responses,posts,sleeps,text", [
@@ -247,9 +270,9 @@ def test_live_client_retries_only_transient_failures(monkeypatch, responses, pos
     client = LiveClient(endpoint="https://example.invalid/v1", model="m", qps=0, session=session)
     if text is None:
         with pytest.raises(TransportError):
-            client.complete("p", GenParams())
+            client.complete("p", 0.7)
     else:
-        assert client.complete("p", GenParams()) == text
+        assert client.complete("p", 0.7) == text
     assert session.calls == posts
     assert slept == sleeps
 
@@ -262,7 +285,7 @@ def test_live_client_counts_every_generation_across_threads(monkeypatch):
 
     def run(t):
         for i in range(200):
-            client.complete(f"p{t}", GenParams(), index=i)
+            client.complete(f"p{t}", 0.7, index=i)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -284,7 +307,7 @@ def test_live_client_counts_every_generation_across_threads(monkeypatch):
 
 def test_make_client_mock_and_unknown(tmp_path):
     client = make_client({"kind": "mock", "policy": "fixed:y"}, cache_dir=str(tmp_path / "c"))
-    assert client.complete("p", GenParams()) == "y"
+    assert client.complete("p", 0.7) == "y"
     with pytest.raises(ConfigurationError):
         make_client({"kind": "telepathy"})
 
@@ -308,13 +331,6 @@ def test_make_client_live_qps_not_in_cache_key(monkeypatch):
     monkeypatch.setenv("IEALIGN_API_KEY", "k")
     base = {"kind": "live", "endpoint": "http://a/v1", "model": "m"}
     clients = [make_client(base), make_client({**base, "qps": 0}), make_client({**base, "qps": 2.5})]
-    assert len({c._cache_key("p", GenParams(), 0) for c in clients}) == 1
+    assert len({c._cache_key("p", 0.7, 0) for c in clients}) == 1
     assert clients[0].workers == 32
     assert MockClient().workers == 1
-
-
-def test_sample_n_validation():
-    client = MockClient(policy="fixed:x")
-    with pytest.raises(ConfigurationError):
-        client.sample_n("p", 0, GenParams())
-    assert client.sample_n("p", 1, GenParams()) == ["x"]

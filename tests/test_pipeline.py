@@ -199,7 +199,7 @@ class _RecordingClient(BaseClient):
         super().__init__()
         self.prompts = []
 
-    def _generate(self, prompt, params, index):
+    def _generate(self, prompt, temperature, index, reference):
         self.prompts.append(prompt)
         return "NA"
 
@@ -285,7 +285,8 @@ def _live_gold(corpus, seed, pool_dir=None):
 
 
 def _live_client(session, workers, cache_dir=None):
-    client = LiveClient("http://fake/v1", "m", qps=0, session=session, cache=ResponseCache(cache_dir))
+    cache = ResponseCache(cache_dir) if cache_dir else None
+    client = LiveClient("http://fake/v1", "m", qps=0, session=session, cache=cache)
     client.workers = workers
     return client
 

@@ -34,7 +34,7 @@ def _scored(scores, gold="the gold text here", texts=None):
 
 def test_score_samples_echo_gold_all_ones():
     client = MockClient(policy="echo_gold")
-    s = score_samples("i", "d", "prompt", "alpha beta gamma delta", client, n=5)
+    s = score_samples("i", "d", "prompt", "alpha beta gamma delta", client, n=5, temperature=1.0)
     assert len(s.samples) == 5
     assert all(score == pytest.approx(1.0) for _, score in s.samples)
 
@@ -43,10 +43,10 @@ def test_score_samples_mixed_gold_and_noise():
     gold = "alpha beta gamma delta"
 
     class _GoldThenNoise(BaseClient):
-        def _generate(self, prompt, params, index):
+        def _generate(self, prompt, temperature, index, reference):
             return gold if index == 0 else "zzz yyy"
 
-    s = score_samples("i", "d", "prompt", gold, _GoldThenNoise(), n=5)
+    s = score_samples("i", "d", "prompt", gold, _GoldThenNoise(), n=5, temperature=1.0)
     scores = [score for _, score in s.samples]
     assert scores[0] == pytest.approx(1.0)
     assert all(sc < 0.01 for sc in scores[1:])
@@ -56,10 +56,10 @@ def test_score_samples_cached_rerun_zero_calls(tmp_path):
     from iealign.client import ResponseCache
 
     client = MockClient(policy="echo_gold", cache=ResponseCache(str(tmp_path)))
-    score_samples("i", "d", "prompt", "alpha beta", client, n=5)
+    score_samples("i", "d", "prompt", "alpha beta", client, n=5, temperature=1.0)
     first = client.call_count
     assert first == 5
-    score_samples("i", "d", "prompt", "alpha beta", client, n=5)
+    score_samples("i", "d", "prompt", "alpha beta", client, n=5, temperature=1.0)
     assert client.call_count == first  # all served from cache
 
 
