@@ -1,6 +1,6 @@
 """Command-line interface orchestrating the pipeline.
 
-Subcommands: ingest, mix, build-sft, build-dpo, evaluate, stats, review.
+Subcommands: ingest, mix, build-sft, build-dpo, evaluate, stats.
 Configuration lives in one YAML file; --seed/--out/--backend flags override
 it. Exit codes: 0 success, 1 data errors, 2 configuration errors. Pre-flight
 validation runs before any output file is created.
@@ -20,7 +20,6 @@ from typing import Optional
 import click
 import yaml
 
-from .augment import load_candidates, review as apply_review, save_candidates, STATUS_PENDING
 from .client import make_client
 from .errors import ConfigurationError, DataError
 from .ingest import MixturePlan, ReaderSpec, filter_length, filter_na, load_dataset, mix_general, mix_proportional
@@ -28,6 +27,7 @@ from .model import TaskKind, atomic_open, decode_jsonl_line, read_instances, wri
 from .pipeline import (
     DpoPlan,
     SftOptions,
+    check_sft_record,
     evaluate_files,
     run_build_dpo,
     run_build_sft,
@@ -323,56 +323,12 @@ def stats(corpus_path, out_path):
             if not line.strip():
                 continue
             try:
-                records.append(decode_jsonl_line(line, lineno))
-            except DataError:
+                records.append(check_sft_record(decode_jsonl_line(line, lineno)))
+            except (DataError, KeyError, TypeError, ValueError):
                 skipped += 1
     report = corpus_stats(records)
     report["malformed_lines"] = skipped
     _write_json(report, out_path)
-
-
-@main.group()
-def review():
-    """Inspect and decide on generated candidates (descriptions)."""
-
-
-@review.command("list")
-@click.option("--candidates", "cand_path", required=True, help="Candidates JSONL.")
-@click.option("--all", "show_all", is_flag=True, help="Include decided candidates.")
-@_guarded
-def review_list(cand_path, show_all):
-    _require_files(cand_path)
-    for cand in load_candidates(cand_path):
-        if not show_all and cand.status != STATUS_PENDING:
-            continue
-        click.echo(f"{cand.id}  [{cand.status}]  {cand.kind}/{cand.task}: {cand.text[:100]!r}")
-
-
-def _decide(cand_path, cand_id, decision, pool_dir, audit_path):
-    _require_files(cand_path)
-    candidates = load_candidates(cand_path)
-    apply_review(candidates, {cand_id: decision}, pool_dir=pool_dir, audit_path=audit_path)
-    save_candidates(candidates, cand_path)
-    click.echo(f"{decision}ed {cand_id}")
-
-
-@review.command("accept")
-@click.argument("cand_id")
-@click.option("--candidates", "cand_path", required=True, help="Candidates JSONL.")
-@click.option("--pool-dir", default=None, help="Description pool directory (needed to accept).")
-@click.option("--audit", "audit_path", default=None, help="Append-only audit log path.")
-@_guarded
-def review_accept(cand_id, cand_path, pool_dir, audit_path):
-    _decide(cand_path, cand_id, "accept", pool_dir, audit_path)
-
-
-@review.command("reject")
-@click.argument("cand_id")
-@click.option("--candidates", "cand_path", required=True, help="Candidates JSONL.")
-@click.option("--audit", "audit_path", default=None, help="Append-only audit log path.")
-@_guarded
-def review_reject(cand_id, cand_path, audit_path):
-    _decide(cand_path, cand_id, "reject", None, audit_path)
 
 
 if __name__ == "__main__":

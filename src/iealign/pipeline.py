@@ -355,6 +355,28 @@ def _in_input_order(units):
 # Statistics and label-closure audit
 
 
+# The type of each field of an SFT record that `stats` reads.
+SFT_RECORD_TYPES = {
+    "id": str, "dataset": str, "task": str, "prompt": str, "demonstrations": list, "output": str,
+    "answer": str, "cot": (str, type(None)), "format": dict, "schema_view_labels": list,
+    "has_guidelines": bool, "symbolized": bool, "trigger": (str, type(None)),
+}
+
+
+def check_sft_record(rec) -> dict:
+    """`rec` when it holds every field `stats` reads, with its type: its task a
+    TaskKind value, its labels strings and its format one `spec_from_json`
+    reads, with string values. Otherwise a KeyError, TypeError or ValueError."""
+    for name, kind in SFT_RECORD_TYPES.items():
+        if not isinstance(rec[name], kind):
+            raise TypeError(f"SFT record {name} is {type(rec[name]).__name__}")
+    if not all(isinstance(v, str) for v in [*rec["schema_view_labels"], *rec["format"].values()]):
+        raise TypeError("SFT record labels and format values must be strings")
+    TaskKind(rec["task"])
+    spec_from_json(rec["format"])
+    return rec
+
+
 def stats(records: Sequence[dict]) -> dict:
     """Composition report over SFT records: per-task/per-dataset counts,
     demo/guideline/CoT/symbol rates, a length histogram, and the audit that
@@ -536,6 +558,8 @@ def load_predictions(path) -> dict[str, str]:
 def _prediction(rec: dict) -> tuple[str, str]:
     if not isinstance(rec["id"], str):
         raise TypeError(f"prediction id {rec['id']!r} is not a string")
+    if not isinstance(rec["output"], str):
+        raise TypeError(f"prediction output {rec['output']!r} is not a string")
     return rec["id"], rec["output"]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import random
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
@@ -41,14 +41,10 @@ class AssemblyError(ValueError):
 # Task description pools
 
 
-@dataclass
+@dataclass(frozen=True)
 class DescriptionPool:
     task: TaskKind
-    manual: list[str] = field(default_factory=list)
-    generated: list[str] = field(default_factory=list)
-
-    def all(self) -> list[str]:
-        return self.manual + self.generated
+    descriptions: tuple[str, ...]
 
 
 def _read_lines(path) -> list[str]:
@@ -60,25 +56,21 @@ def _read_lines(path) -> list[str]:
 
 
 def load_description_pool(task: TaskKind, pool_dir: Optional[str] = None) -> DescriptionPool:
-    """Load the packaged manual descriptions plus any generated/manual files
-    under `pool_dir/<task>/{manual,generated}.txt`."""
+    """The packaged descriptions of `task`, then the lines of
+    `pool_dir/<task>/generated.txt` in file order. A non-empty
+    `pool_dir/<task>/manual.txt` replaces the packaged descriptions."""
     packaged = resources.files("iealign").joinpath(f"data/pools/{task.value}/manual.txt")
-    manual = _read_lines(packaged)
-    generated: list[str] = []
+    descriptions = _read_lines(packaged)
     if pool_dir is not None:
         base = Path(pool_dir) / task.value
-        extra_manual = _read_lines(base / "manual.txt")
-        if extra_manual:
-            manual = extra_manual  # user pool overrides the packaged one
-        generated = _read_lines(base / "generated.txt")
-    return DescriptionPool(task, manual, generated)
+        descriptions = (_read_lines(base / "manual.txt") or descriptions) + _read_lines(base / "generated.txt")
+    return DescriptionPool(task, tuple(descriptions))
 
 
 def sample_task_description(pool: DescriptionPool, seed: int) -> str:
-    options = pool.all()
-    if not options:
+    if not pool.descriptions:
         raise ConfigurationError(f"empty description pool for task {pool.task.value}")
-    return random.Random(seed).choice(options)
+    return random.Random(seed).choice(pool.descriptions)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import yaml
 from click.testing import CliRunner
 from conftest import assert_kept, fail_on_second
 
-from iealign.augment import GenCandidate, KIND_TASK_DESCRIPTION, save_candidates
 from iealign.cli import _write_json, main
 from iealign.errors import DataError
 from iealign.model import TaskKind, gold_to_json, read_instances, schema_to_json, write_instances
@@ -112,12 +111,9 @@ def test_ingest_malformed_line_exits_1_strict_0_lenient(runner, tmp_path):
     "write",
     [
         lambda p: write_instances(fail_on_second(make_corpus(TaskKind.NER, 2, seed=0)), p),  # ingest, mix
-        lambda p: save_candidates(
-            fail_on_second([GenCandidate(KIND_TASK_DESCRIPTION, "NER", t, "s") for t in "ab"]), p
-        ),  # review
         lambda p: _write_json({"text": "lone surrogate \ud800"}, str(p)),  # evaluate/stats --out
     ],
-    ids=["instances", "candidates", "report"],
+    ids=["instances", "report"],
 )
 def test_failed_write_keeps_previous_file(tmp_path, write):
     dest = tmp_path / "out"
@@ -369,12 +365,19 @@ def test_stats_cli_counts_malformed(runner, tmp_path):
     cfg = _write_yaml(tmp_path / "sft.yaml", {"instances": str(inst), "options": {"max_tokens": 100000}})
     assert runner.invoke(main, ["build-sft", "--config", cfg, "--out", str(run)]).exit_code == 0
     corpus_path = run / "sft.jsonl"
+    record = json.loads(corpus_path.read_text(encoding="utf-8").splitlines()[0])
+    not_sft_records = [
+        {"id": "a"},
+        {"id": "a", "task": "NER", "format": 5, "demonstrations": []},
+        {**record, "task": "XX"},
+    ]
     with open(corpus_path, "ab") as f:
         f.write(b"oops not json\n" + b'{"cut mid-character": "caf\xc3\n')
+        f.write(b"".join(json.dumps(r).encode("utf-8") + b"\n" for r in not_sft_records))
     result = runner.invoke(main, ["stats", "--corpus", str(corpus_path)])
     assert result.exit_code == 0, result.output
     report = json.loads(result.output)
-    assert report["malformed_lines"] == 2
+    assert report["malformed_lines"] == 5
     assert report["total"] == 15
     assert report["closure_violations"] == 0
 
@@ -418,28 +421,12 @@ def _prediction_without_output(tmp_path):
     return ["evaluate", "--pred", str(pred), "--gold", str(inst)], 3
 
 
-def _candidate_not_json(tmp_path):
-    cand_path = tmp_path / "cands.jsonl"
-    save_candidates([GenCandidate(KIND_TASK_DESCRIPTION, "NER", "a description", source="s")], cand_path)
-    with open(cand_path, "a", encoding="utf-8") as f:
-        f.write("not json\n")
-    return ["review", "list", "--candidates", str(cand_path)], 2
-
-
-def _candidate_text_not_a_string(tmp_path):
-    cand_path = tmp_path / "cands.jsonl"
-    record = GenCandidate(KIND_TASK_DESCRIPTION, "NER", "a description", source="s").to_record()
-    cand_path.write_text(json.dumps(record) + "\n" + json.dumps({**record, "text": 5}) + "\n", encoding="utf-8")
-    return ["review", "list", "--candidates", str(cand_path)], 2
-
-
-def _candidate_task_outside_the_pools(tmp_path):
-    """Accepting it would append to `escaped/generated.txt` beside `pools/`."""
-    cand = GenCandidate(KIND_TASK_DESCRIPTION, "../escaped", "a description", source="s")
-    cand_path = tmp_path / "cands.jsonl"
-    save_candidates([cand], cand_path)
-    pools = tmp_path / "pools"
-    return ["review", "accept", cand.id, "--candidates", str(cand_path), "--pool-dir", str(pools)], 1
+def _prediction_output_not_a_string(tmp_path):
+    inst, corpus = _canonical(tmp_path, n=3)
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(f'{{"id": "{corpus[0].id}", "output": "NA"}}\n{{"id": "{corpus[1].id}", "output": 5}}\n',
+                    encoding="utf-8")
+    return ["evaluate", "--pred", str(pred), "--gold", str(inst)], 2
 
 
 @pytest.mark.parametrize(
@@ -449,9 +436,7 @@ def _candidate_task_outside_the_pools(tmp_path):
         _instances_cut_mid_character,
         _instance_missing_fields,
         _prediction_without_output,
-        _candidate_not_json,
-        _candidate_text_not_a_string,
-        _candidate_task_outside_the_pools,
+        _prediction_output_not_a_string,
     ],
     ids=lambda case: case.__name__.lstrip("_"),
 )
@@ -463,45 +448,3 @@ def test_malformed_input_is_data_error_naming_its_line(runner, tmp_path, case):
     assert result.output.startswith("data error: ")
     assert result.output.rstrip().endswith(f"| line {line}")
     assert sorted(tmp_path.rglob("*")) == before
-
-
-# ---------------------------------------------------------------------------
-# review
-
-
-def test_review_flow(runner, tmp_path):
-    cands = [GenCandidate(KIND_TASK_DESCRIPTION, "NER", "a fresh description", source="s")]
-    cand_path = tmp_path / "cands.jsonl"
-    save_candidates(cands, cand_path)
-
-    listed = runner.invoke(main, ["review", "list", "--candidates", str(cand_path)])
-    assert listed.exit_code == 0 and cands[0].id in listed.output
-
-    pool_dir = tmp_path / "pools"
-    audit = tmp_path / "audit.jsonl"
-    accepted = runner.invoke(main, [
-        "review", "accept", cands[0].id,
-        "--candidates", str(cand_path), "--pool-dir", str(pool_dir), "--audit", str(audit),
-    ])
-    assert accepted.exit_code == 0, accepted.output
-    assert "a fresh description" in (pool_dir / "NER" / "generated.txt").read_text()
-    assert json.loads(audit.read_text().splitlines()[0])["decision"] == "accept"
-
-    again = runner.invoke(main, [
-        "review", "reject", cands[0].id, "--candidates", str(cand_path),
-    ])
-    assert again.exit_code == 1  # already decided
-
-    nothing_pending = runner.invoke(main, ["review", "list", "--candidates", str(cand_path)])
-    assert cands[0].id not in nothing_pending.output
-
-
-def test_review_accept_without_pool_dir_changes_nothing(runner, tmp_path):
-    cand = GenCandidate(KIND_TASK_DESCRIPTION, "NER", "a fresh description", source="s")
-    cand_path = tmp_path / "cands.jsonl"
-    save_candidates([cand], cand_path)
-    before = cand_path.read_bytes()
-    result = runner.invoke(main, ["review", "accept", cand.id, "--candidates", str(cand_path)])
-    assert result.exit_code == 2, result.output
-    assert "pool directory" in result.output
-    assert cand_path.read_bytes() == before

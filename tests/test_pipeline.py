@@ -24,6 +24,7 @@ from iealign.pipeline import (
     SftOptions,
     build_dpo,
     build_sft,
+    check_sft_record,
     cot_eligible,
     dpo_prompt,
     eval_format_for,
@@ -139,6 +140,22 @@ def test_stats_counts_and_histograms():
     assert sum(report["per_task"].values()) == len(records)
     assert sum(report["per_dataset"].values()) == len(records)
     assert sum(report["length_histogram"].values()) == len(records)
+
+
+def test_build_sft_records_pass_the_record_check(tmp_path):
+    # no description is packaged for on-demand IE
+    (tmp_path / TaskKind.ONDEMANDIE.value).mkdir()
+    (tmp_path / TaskKind.ONDEMANDIE.value / "manual.txt").write_text("Fill in the table.\n", encoding="utf-8")
+    corpus = _mixed_corpus(20, tasks=tuple(TaskKind))
+    client = MockClient(policy="fixed:Because the text says so.")
+    opts = SftOptions(seed=2, cot_rate=0.5, cot_per_task=1000, max_tokens=100_000, pool_dir=str(tmp_path))
+    records, report = build_sft(corpus, opts, client=client)
+    assert report["cot_count"] > 0 and len(report["per_task"]) == len(TaskKind)
+    assert all(check_sft_record(r) is r for r in records)
+    for bad in ({"id": "a"}, dict(records[0], task="XX"), dict(records[0], format=5),
+                dict(records[0], schema_view_labels=[5]), dict(records[0], format={"family": "Json"})):
+        with pytest.raises((KeyError, TypeError, ValueError)):
+            check_sft_record(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ LIBRARY = load_format_library()
 @pytest.mark.parametrize("task", [t for t in TaskKind if t is not TaskKind.ONDEMANDIE])
 def test_packaged_pools_have_ten_manual_descriptions(task):
     pool = load_description_pool(task)
-    assert len(pool.manual) == 10
-    assert all(d.strip() for d in pool.manual)
+    assert len(pool.descriptions) == 10
+    assert all(d.strip() for d in pool.descriptions)
 
 
 def test_pool_dir_generated_extends_pool(tmp_path):
@@ -41,8 +41,17 @@ def test_pool_dir_generated_extends_pool(tmp_path):
     d.mkdir()
     (d / "generated.txt").write_text("extra one\nextra two\n", encoding="utf-8")
     pool = load_description_pool(TaskKind.NER, str(tmp_path))
-    assert pool.generated == ["extra one", "extra two"]
-    assert len(pool.all()) == 12
+    assert pool.descriptions == load_description_pool(TaskKind.NER).descriptions + ("extra one", "extra two")
+    assert len(pool.descriptions) == 12
+
+
+def test_pool_dir_manual_replaces_packaged_descriptions(tmp_path):
+    d = tmp_path / "NER"
+    d.mkdir()
+    (d / "manual.txt").write_text("mine one\n\n  mine two  \n", encoding="utf-8")
+    (d / "generated.txt").write_text("extra one\n", encoding="utf-8")
+    pool = load_description_pool(TaskKind.NER, str(tmp_path))
+    assert pool.descriptions == ("mine one", "mine two", "extra one")
 
 
 def test_sample_description_deterministic():
