@@ -13,6 +13,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 from .model import Extraction
@@ -100,22 +101,28 @@ def rouge_l_f1(pred: str, ref: str) -> float:
 BLEU_MAX_N = 4
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _all_ngrams(tokens: Sequence[str]) -> Counter:
+    """Every 1..BLEU_MAX_N-gram of `tokens` in one count; a gram's order is
+    its tuple length."""
+    shifted = [tokens[i:] for i in range(BLEU_MAX_N)]
+    return Counter(chain.from_iterable(zip(*shifted[:n]) for n in range(1, BLEU_MAX_N + 1)))
 
 
 @dataclass(frozen=True)
 class BleuReference:
-    """A reference text's token count and its 1..BLEU_MAX_N-gram counts,
-    counted once so that many candidates can be scored against it."""
+    """A reference text's token count and one count of all its
+    1..BLEU_MAX_N-grams, keyed by tuple, made once so that many candidates
+    can be scored against it. `score` clips every order in one pass over the
+    candidate's distinct grams; its integer numerators, and so its floats,
+    are bit-identical to counting each order on its own."""
 
     length: int
-    ngrams: tuple[Counter, ...]
+    ngrams: Counter
 
     @classmethod
     def of(cls, text: str) -> "BleuReference":
         tokens = tokenize(text)
-        return cls(len(tokens), tuple(_ngram_counts(tokens, n) for n in range(1, BLEU_MAX_N + 1)))
+        return cls(len(tokens), _all_ngrams(tokens))
 
     def score(self, candidate: str) -> float:
         """Sentence-level BLEU with brevity penalty and NIST geometric smoothing:
@@ -123,17 +130,16 @@ class BleuReference:
         cand = tokenize(candidate)
         if not cand:
             return 0.0
-        numerators: list[int] = []
-        denominators: list[int] = []
-        for n, ref_ngrams in enumerate(self.ngrams, 1):
-            num = sum(min(c, ref_ngrams.get(g, 0)) for g, c in _ngram_counts(cand, n).items())
-            numerators.append(num)
-            denominators.append(max(1, len(cand) - n + 1))
-        if numerators[0] == 0:
+        numerators = [0] * (BLEU_MAX_N + 1)  # indexed by order; slot 0 unused
+        ref_ngrams = self.ngrams
+        for gram, count in _all_ngrams(cand).items():
+            numerators[len(gram)] += min(count, ref_ngrams.get(gram, 0))
+        if numerators[1] == 0:
             return 0.0
         precisions: list[float] = []
         zeros_seen = 1
-        for num, den in zip(numerators, denominators):
+        for n in range(1, BLEU_MAX_N + 1):
+            num, den = numerators[n], max(1, len(cand) - n + 1)
             if num == 0:
                 precisions.append(1.0 / (2**zeros_seen * den))
                 zeros_seen += 1

@@ -439,7 +439,8 @@ def stats(records: Sequence[dict]) -> dict:
 def evaluate(predictions: dict[str, str], gold_instances: Sequence[IEInstance]) -> dict:
     """Score predicted answer texts against gold instances with exact-match
     micro F1 under each task's fixed evaluation grammar (`eval_format_for`).
-    Unparseable or missing predictions score zero extractions and are counted."""
+    Unparseable or missing predictions score zero extractions and are counted;
+    predictions whose id no gold instance has are logged as a count."""
     library = load_format_library()
     parts: list[PRF] = []
     parse_failures = 0
@@ -464,6 +465,9 @@ def evaluate(predictions: dict[str, str], gold_instances: Sequence[IEInstance]) 
         diagnostics.append(
             {"id": inst.id, "tp": prf.tp, "fp": prf.fp, "fn": prf.fn, "notes": notes}
         )
+    unknown = len(predictions.keys() - {inst.id for inst in gold_instances})
+    if unknown:
+        logger.warning("%d prediction ids match no gold instance and are not scored", unknown)
     total = micro_prf(parts)
     return {
         "n": len(gold_instances),
@@ -552,7 +556,17 @@ def run_build_dpo(
 
 
 def load_predictions(path) -> dict[str, str]:
-    return dict(read_records(path, _prediction))
+    """Prediction text by id; a repeated id is a DataError naming its line."""
+    predictions: dict[str, str] = {}
+
+    def add(rec: dict) -> None:
+        pred_id, text = _prediction(rec)
+        if pred_id in predictions:
+            raise ValueError(f"duplicate prediction id {pred_id!r}")
+        predictions[pred_id] = text
+
+    read_records(path, add)
+    return predictions
 
 
 def _prediction(rec: dict) -> tuple[str, str]:

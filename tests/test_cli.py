@@ -359,6 +359,28 @@ def test_evaluate_cli(runner, tmp_path):
     assert bad_task.exit_code == 2
 
 
+def _perfect_ner_output(instance):
+    from iealign.answers import serialize_answer
+    from iealign.formats import EVAL_FORMATS
+
+    return serialize_answer(instance.gold, EVAL_FORMATS[TaskKind.NER], seed=None)
+
+
+def test_evaluate_warns_once_for_prediction_ids_without_gold(runner, tmp_path, caplog):
+    inst, corpus = _canonical(tmp_path, n=3)
+    records = [{"id": i.id, "output": _perfect_ner_output(i)} for i in corpus]
+    records += [{"id": "no-such-id", "output": "NA"}, {"id": "nor-this", "output": "NA"}]
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    with caplog.at_level("WARNING", logger="iealign.pipeline"):
+        result = runner.invoke(main, ["evaluate", "--pred", str(pred), "--gold", str(inst)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["f1"] == 1.0
+    assert [r.getMessage() for r in caplog.records] == [
+        "2 prediction ids match no gold instance and are not scored"
+    ]
+
+
 def test_stats_cli_counts_malformed(runner, tmp_path):
     inst, _ = _canonical(tmp_path, n=15)
     run = tmp_path / "run"
@@ -429,6 +451,19 @@ def _prediction_output_not_a_string(tmp_path):
     return ["evaluate", "--pred", str(pred), "--gold", str(inst)], 2
 
 
+def _duplicate_prediction_id(tmp_path):
+    inst, corpus = _canonical(tmp_path, n=3)
+    perfect = _perfect_ner_output(corpus[0])
+    records = [
+        {"id": corpus[0].id, "output": perfect},
+        {"id": corpus[0].id, "output": "NA"},
+        {"id": "no-such-id", "output": perfect},
+    ]
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return ["evaluate", "--pred", str(pred), "--gold", str(inst)], 2
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -437,6 +472,7 @@ def _prediction_output_not_a_string(tmp_path):
         _instance_missing_fields,
         _prediction_without_output,
         _prediction_output_not_a_string,
+        _duplicate_prediction_id,
     ],
     ids=lambda case: case.__name__.lstrip("_"),
 )

@@ -10,11 +10,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iealign.metrics import (
     PRF,
+    BLEU_MAX_N,
     BleuReference,
     dice_similarity,
     exact_match_f1,
@@ -220,6 +221,61 @@ def test_bleu_reference_scores_many_candidates(ref_words, cand_lists):
         assert got == sentence_bleu_m3(cand, ref)
         assert got == pytest.approx(bleu_oracle(cand, ref), abs=1e-9)
     assert reference == BleuReference.of(ref)
+
+
+def per_order_bleu(candidate: str, reference: str) -> float:
+    """Smoothed sentence BLEU with one n-gram count per order, every float
+    operation in `BleuReference.score`'s order: the definition its one count
+    over all orders must match bit for bit."""
+
+    def counts(tokens, n):
+        return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+    cand, ref = tokenize(candidate), tokenize(reference)
+    if not cand:
+        return 0.0
+    numerators, denominators = [], []
+    for n in range(1, BLEU_MAX_N + 1):
+        ref_ngrams = counts(ref, n)
+        numerators.append(sum(min(c, ref_ngrams.get(g, 0)) for g, c in counts(cand, n).items()))
+        denominators.append(max(1, len(cand) - n + 1))
+    if numerators[0] == 0:
+        return 0.0
+    precisions = []
+    zeros_seen = 1
+    for num, den in zip(numerators, denominators):
+        if num == 0:
+            precisions.append(1.0 / (2**zeros_seen * den))
+            zeros_seen += 1
+        else:
+            precisions.append(num / den)
+    c, r = len(cand), len(ref)
+    bp = 1.0 if c > r else math.exp(1.0 - r / c)
+    return bp * math.exp(sum(math.log(p) for p in precisions) / BLEU_MAX_N)
+
+
+# Few distinct words, so n-grams repeat and clipping is hit; mixed case and
+# punctuation, alone or glued to words; anything from empty to 14 tokens.
+_BLEU_TEXT = st.one_of(
+    st.lists(st.sampled_from(["red", "Red", "RED", "dot", "Dot", ",", ".", "!?"]), max_size=12).map(" ".join),
+    st.text(alphabet="aA bB.,;!", max_size=14),
+)
+
+
+@given(_BLEU_TEXT, _BLEU_TEXT)
+@example("", "red dot")
+@example("red dot", "")
+@example("", "")
+@example("Red", "red")
+@example("red dot", "red dot red")
+@example("red red red red red", "red red")
+@example("red dot red dot red dot", "red dot red dot")
+@example(",.;!", ", . ; !")
+@example("!!! ,,,", "! ! , ,")
+@example("Red, DOT. red!", "red , dot . RED !")
+@settings(max_examples=300, deadline=None)
+def test_bleu_reference_equals_per_order_definition(cand, ref):
+    assert BleuReference.of(ref).score(cand) == per_order_bleu(cand, ref)
 
 
 @given(st.text(alphabet="ab cd", min_size=0, max_size=30), st.text(alphabet="ab cd", min_size=0, max_size=30))
