@@ -54,7 +54,6 @@ class Diagnostic(NamedTuple):
 class ParseResult:
     extraction: Extraction
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    out_of_view: tuple[str, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +217,6 @@ def _strip_prefix(text: str, spec: FormatSpec, diagnostics: list[Diagnostic]) ->
 def parse_answer_lenient(
     text: str,
     spec: FormatSpec,
-    view_labels: Optional[tuple[str, ...]] = None,
     trigger: Optional[str] = None,
 ) -> ParseResult:
     task = spec.task
@@ -258,11 +256,7 @@ def parse_answer_lenient(
         tuple(deduped),
         trigger=trigger if task is TaskKind.EAE else None,
     )
-    out_of_view: tuple[str, ...] = ()
-    if view_labels is not None:
-        allowed = set(view_labels)
-        out_of_view = tuple(lab for lab in extraction.labels_used() if lab not in allowed)
-    return ParseResult(extraction, diagnostics, out_of_view)
+    return ParseResult(extraction, diagnostics)
 
 
 def _parse_json_body(body: str, task: TaskKind, diagnostics: list[Diagnostic]):

@@ -23,7 +23,7 @@ import yaml
 from .client import make_client
 from .errors import ConfigurationError, DataError
 from .ingest import MixturePlan, ReaderSpec, filter_length, filter_na, load_dataset, mix_general, mix_proportional
-from .model import TaskKind, atomic_open, decode_jsonl_line, read_instances, write_instances
+from .model import TaskKind, read_instances, read_records, write_instances, write_json_atomic
 from .pipeline import (
     DpoPlan,
     SftOptions,
@@ -81,6 +81,16 @@ MIX_KEYS = {
     "datasets": dict[str, str], "general": Optional[str], "cap": int, "quotas": dict[str, int],
     "ie_rate": float, "seed": int,
 }
+# The top-level keys that `build-sft` and `build-dpo` read.
+SFT_KEYS = ("instances", "seed", "options", "backend", "cache_dir")
+DPO_KEYS = ("instances", "seed", "plan", "backend", "cache_dir", "pool_dir")
+
+
+def _check_keys(cfg: dict, label: str, known) -> None:
+    """A ConfigurationError naming the keys of `cfg` that `known` does not list."""
+    unknown = sorted(set(cfg) - set(known), key=str)
+    if unknown:
+        raise ConfigurationError(f"unknown {label} keys: {unknown}")
 
 
 def _check_types(cfg: dict, label: str, types: dict) -> None:
@@ -99,12 +109,10 @@ def _require_files(*paths) -> None:
 
 
 def _write_json(data: dict, out: Optional[str]) -> None:
-    text = json.dumps(data, ensure_ascii=False, sort_keys=True, indent=2)
     if out:
-        with atomic_open(out) as f:
-            f.write(text + "\n")
+        write_json_atomic(data, out)
     else:
-        click.echo(text)
+        click.echo(json.dumps(data, ensure_ascii=False, sort_keys=True, indent=2))
 
 
 @click.group()
@@ -126,6 +134,7 @@ def main(verbose: bool):
 def ingest(config_path, out_path, seed, lenient):
     """Read a raw dataset into canonical instances, applying NA and length filters."""
     cfg = _load_config(config_path)
+    _check_keys(cfg, "ingest config", INGEST_KEYS)
     _check_types(cfg, "ingest config", INGEST_KEYS)
     for key in ("dataset", "task", "path"):
         if key not in cfg:
@@ -168,6 +177,7 @@ def mix(config_path, out_path, seed):
     """Combine canonical datasets with the proportional cap, optionally mixing
     in a general-purpose corpus at a fixed IE rate."""
     cfg = _load_config(config_path)
+    _check_keys(cfg, "mix config", MIX_KEYS)
     _check_types(cfg, "mix config", MIX_KEYS)
     datasets_cfg = cfg.get("datasets")
     if not datasets_cfg:
@@ -253,6 +263,7 @@ def _make_backend(cfg: dict, backend_override: Optional[str]):
 def build_sft_cmd(config_path, out_dir, seed, backend):
     """Build the instruction-tuning corpus from canonical instances."""
     cfg = _load_config(config_path)
+    _check_keys(cfg, "build-sft config", SFT_KEYS)
     if "instances" not in cfg:
         raise ConfigurationError("build-sft config missing 'instances'")
     _require_files(cfg["instances"])
@@ -275,6 +286,7 @@ def build_sft_cmd(config_path, out_dir, seed, backend):
 def build_dpo_cmd(config_path, out_dir, seed, backend):
     """Build the preference-pair corpus with a model backend (mock allowed)."""
     cfg = _load_config(config_path)
+    _check_keys(cfg, "build-dpo config", DPO_KEYS)
     if "instances" not in cfg:
         raise ConfigurationError("build-dpo config missing 'instances'")
     _require_files(cfg["instances"])
@@ -316,16 +328,7 @@ def evaluate(pred_path, gold_path, task, out_path):
 def stats(corpus_path, out_path):
     """Composition report and schema-closure audit over an SFT corpus."""
     _require_files(corpus_path)
-    records = []
-    skipped = 0
-    with open(corpus_path, "rb") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                records.append(check_sft_record(decode_jsonl_line(line, lineno)))
-            except (DataError, KeyError, TypeError, ValueError):
-                skipped += 1
+    records, skipped = read_records(corpus_path, lambda rec, lineno: check_sft_record(rec), lenient=True)
     report = corpus_stats(records)
     report["malformed_lines"] = skipped
     _write_json(report, out_path)

@@ -166,33 +166,11 @@ def template_slots(template: str) -> tuple[str, ...]:
 
 
 def spec_to_json(spec: FormatSpec) -> dict:
-    return {
-        "family": spec.family,
-        "name": spec.name,
-        "task": spec.task.value,
-        "input_template": spec.input_template,
-        "answer_template": spec.answer_template,
-        "item_separator": spec.item_separator,
-        "fail_output": spec.fail_output,
-        "answer_prefix": spec.answer_prefix,
-        "arg_template": spec.arg_template,
-        "arg_separator": spec.arg_separator,
-    }
+    return {**vars(spec), "task": spec.task.value}
 
 
 def spec_from_json(data: dict) -> FormatSpec:
-    return FormatSpec(
-        family=data["family"],
-        name=data["name"],
-        task=TaskKind(data["task"]),
-        input_template=data["input_template"],
-        answer_template=data["answer_template"],
-        item_separator=data.get("item_separator", " "),
-        fail_output=data.get("fail_output", "NA"),
-        answer_prefix=data.get("answer_prefix", ""),
-        arg_template=data.get("arg_template", ""),
-        arg_separator=data.get("arg_separator", ", "),
-    )
+    return FormatSpec(**{**data, "task": TaskKind(data["task"])})
 
 
 def validate_spec(spec: FormatSpec) -> list[str]:

@@ -10,7 +10,6 @@ results do not depend on processing order or worker count.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -20,16 +19,14 @@ from .model import (
     IEInstance,
     SchemaDef,
     TaskKind,
-    decode_jsonl_line,
     gold_from_json,
     gold_shape_problems,
+    read_records,
     schema_from_json,
     stable_id,
     validate_instance,
 )
 from .seeds import derive_rng
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -63,28 +60,26 @@ def _apply_null_labels(task: TaskKind, gold: Extraction, null_labels: tuple[str,
 
 def load_dataset(spec: ReaderSpec, path, lenient: bool = False) -> list[IEInstance]:
     """Read a raw JSONL file into validated canonical instances, in source
-    order. In lenient mode malformed lines are logged and skipped."""
+    order. A malformed line, or one whose instance id an earlier line holds,
+    is a DataError naming it; in lenient mode it is logged and skipped."""
     schema = load_schema(spec.schema_path) if spec.schema_path else None
     if schema is not None and schema.task is not spec.task:
         raise ConfigurationError(
             f"schema task {schema.task.value} does not match reader task {spec.task.value}"
         )
-    instances = []
-    with open(path, "rb") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                instances.append(_read_record(spec, schema, line, lineno))
-            except DataError:
-                if not lenient:
-                    raise
-                logger.warning("skipping malformed record at %s:%d", path, lineno)
-    return instances
+    seen: set[str] = set()
+
+    def convert(raw, lineno: int) -> IEInstance:
+        inst = _read_record(spec, schema, raw, lineno)
+        if inst.id in seen:
+            raise DataError(f"duplicate instance id {inst.id!r}", line=lineno)
+        seen.add(inst.id)
+        return inst
+
+    return read_records(path, convert, lenient)[0]
 
 
-def _read_record(spec: ReaderSpec, schema: Optional[SchemaDef], line: bytes, lineno: int) -> IEInstance:
-    raw = decode_jsonl_line(line, lineno)
+def _read_record(spec: ReaderSpec, schema: Optional[SchemaDef], raw, lineno: int) -> IEInstance:
     if not isinstance(raw, dict):
         raise DataError("record is not a JSON object", line=lineno)
     try:
@@ -130,9 +125,7 @@ def whitespace_token_count(text: str) -> int:
     return len(text.split())
 
 
-def filter_na(
-    instances: Sequence[IEInstance], keep_rate: float = 0.2, seed: int = 0
-) -> list[IEInstance]:
+def filter_na(instances: Sequence[IEInstance], keep_rate: float, seed: int) -> list[IEInstance]:
     """Keep all non-NA instances; keep each NA instance independently with
     probability `keep_rate`. Relative order is preserved."""
     if not 0 <= keep_rate <= 1:
@@ -144,7 +137,7 @@ def filter_na(
     return kept
 
 
-def filter_length(instances: Sequence[IEInstance], max_tokens: int = 2048) -> list[IEInstance]:
+def filter_length(instances: Sequence[IEInstance], max_tokens: int) -> list[IEInstance]:
     """Drop instances whose text exceeds `max_tokens` whitespace tokens
     (inclusive boundary: exactly max_tokens is retained). The pipeline
     re-checks fully assembled examples later."""
@@ -194,9 +187,7 @@ def mix_proportional(
     return sampled, counts
 
 
-def mix_general(
-    ie_corpus: Sequence, general_corpus: Sequence, ie_rate: float = 0.2, seed: int = 0
-) -> list:
+def mix_general(ie_corpus: Sequence, general_corpus: Sequence, ie_rate: float, seed: int) -> list:
     """Mix IE records with general alignment records so the IE fraction equals
     `ie_rate` within one instance: the binding side is used in full and the
     other side is subsampled."""

@@ -4,17 +4,18 @@ All types are immutable values after construction. Instances round-trip
 through one JSON object per line (UTF-8) with fields exactly
 {id, dataset, task, text, schema, gold, is_na}; unknown fields are rejected.
 This module is also the one place that decides how a file is written
-(`atomic_open`) and how JSONL is read back (`load_jsonl`).
+(`atomic_open`; `write_json_atomic` for every JSON report) and how JSONL is
+read back: `read_records` is the one loop over the lines of a JSONL file.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
+import logging
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, TextIO, TypeVar
@@ -22,6 +23,8 @@ from typing import Any, Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 from .errors import DataError
 
 T = TypeVar("T")
+
+logger = logging.getLogger(__name__)
 
 
 class TaskKind(str, Enum):
@@ -39,7 +42,6 @@ class TaskKind(str, Enum):
 CLOSED_IE_TASKS = frozenset(
     {TaskKind.NER, TaskKind.RC, TaskKind.RE, TaskKind.ED, TaskKind.EAE, TaskKind.EE, TaskKind.ERE}
 )
-SCHEMA_FREE_TASKS = frozenset({TaskKind.OPENIE, TaskKind.ONDEMANDIE})
 # Closed-IE tasks whose items hold their one schema label at index 1 (all but EE).
 _PAIR_LABEL_TASKS = (TaskKind.NER, TaskKind.RC, TaskKind.RE, TaskKind.ED, TaskKind.EAE, TaskKind.ERE)
 
@@ -85,8 +87,8 @@ class SchemaDef:
         if len(set(names)) != len(names):
             problems.append("schema: duplicate label names")
         for l in self.labels:
-            if l.guideline is not None and not l.guideline.strip():
-                problems.append(f"schema: empty guideline for label {l.name!r}")
+            if l.guideline is not None and not (isinstance(l.guideline, str) and l.guideline.strip()):
+                problems.append(f"schema: guideline for label {l.name!r} is not a non-empty string")
         return problems
 
 
@@ -416,6 +418,12 @@ def atomic_open(path) -> Iterator[TextIO]:
         raise
 
 
+def write_json_atomic(data: Any, path) -> None:
+    """Write one indented JSON document with sorted keys, atomically."""
+    with atomic_open(path) as f:
+        f.write(json.dumps(data, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+
+
 def write_jsonl_atomic(records: Iterable[dict], path) -> None:
     """Write one JSON object per line, streaming `records`, atomically."""
     with atomic_open(path) as f:
@@ -423,42 +431,37 @@ def write_jsonl_atomic(records: Iterable[dict], path) -> None:
             f.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
 
 
-def decode_jsonl_line(line: bytes, lineno: int) -> Any:
-    """The value of one JSONL line read in binary mode; a line that is not
-    UTF-8 JSON raises DataError naming `lineno`. Decoding line by line
-    reports a bad byte at its own line."""
-    try:
-        return json.loads(line.decode("utf-8"))
-    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
-        raise DataError(f"invalid JSON: {e}", line=lineno) from None
+def load_jsonl(path) -> list[Any]:
+    """The value of each non-blank line, as `read_records` reads it."""
+    return read_records(path, lambda value, lineno: value, lenient=False)[0]
 
 
-def load_jsonl(path) -> Iterator[Any]:
-    """Yield the value of each non-blank line, as `decode_jsonl_line` reads it."""
+def read_records(path, convert: Callable[[Any, int], T], lenient: bool) -> tuple[list[T], int]:
+    """`convert(value, lineno)` of each non-blank line of a JSONL file, and the
+    number of lines skipped. The file is read in binary mode and decoded line
+    by line, so a bad byte is reported at its own line. A line that is not
+    UTF-8 JSON, or that `convert` rejects with DataError, ValueError, KeyError
+    or TypeError, raises DataError naming the line; when `lenient`, it is
+    logged and skipped instead."""
+    out: list[T] = []
+    skipped = 0
     with open(path, "rb") as f:
         for lineno, line in enumerate(f, 1):
-            if line.strip():
-                yield decode_jsonl_line(line, lineno)
-
-
-def read_records(path, convert: Callable[[Any], T]) -> list[T]:
-    """`convert` applied to each value of a JSONL file. A record it rejects
-    with ValueError, KeyError or TypeError raises DataError naming its line."""
-    out: list[T] = []
-    for value in load_jsonl(path):
-        try:
-            out.append(convert(value))
-        except (ValueError, KeyError, TypeError) as e:
-            raise DataError(f"bad record: {e!r}", line=_record_line(path, len(out) + 1)) from None
-    return out
-
-
-def _record_line(path, index: int) -> int:
-    """Line number of the index-th (1-based) non-blank line; only read on the
-    error path, so load_jsonl need not hand out line numbers."""
-    with open(path, "rb") as f:
-        nonblank = (n for n, line in enumerate(f, 1) if line.strip())
-        return next(itertools.islice(nonblank, index - 1, None))
+            if not line.strip():
+                continue
+            try:
+                try:
+                    value = json.loads(line.decode("utf-8"))
+                except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+                    raise DataError(f"invalid JSON: {e}", line=lineno) from None
+                out.append(convert(value, lineno))
+            except (DataError, ValueError, KeyError, TypeError) as e:
+                error = e if isinstance(e, DataError) else DataError(f"bad record: {e!r}", line=lineno)
+                if not lenient:
+                    raise error from None
+                logger.warning("skipping malformed line %s:%d: %s", path, lineno, error)
+                skipped += 1
+    return out, skipped
 
 
 def write_instances(instances: Iterable[IEInstance], path) -> None:
@@ -466,4 +469,26 @@ def write_instances(instances: Iterable[IEInstance], path) -> None:
 
 
 def read_instances(path) -> list[IEInstance]:
-    return read_records(path, instance_from_record)
+    """The canonical instances of a JSONL file. A record that is not a valid
+    instance (`validate_instance`), or whose id an earlier line holds, is a
+    DataError naming its line. Instances with equal schemas share one
+    SchemaDef, so a file's many copies of a few schemas are not all kept."""
+    seen: set[str] = set()
+    schemas: dict[SchemaDef, SchemaDef] = {}
+
+    def convert(record: Any, lineno: int) -> IEInstance:
+        inst = instance_from_record(record)
+        if not (isinstance(inst.id, str) and isinstance(inst.dataset, str) and isinstance(inst.text, str)
+                and isinstance(inst.is_na, bool)):
+            raise TypeError("instance id, dataset and text must be strings, and is_na a bool")
+        if inst.schema is not None:
+            inst = replace(inst, schema=schemas.setdefault(inst.schema, inst.schema))
+        problems = validate_instance(inst)
+        if problems:
+            raise ValueError("invalid instance: " + "; ".join(problems))
+        if inst.id in seen:
+            raise ValueError(f"duplicate instance id {inst.id!r}")
+        seen.add(inst.id)
+        return inst
+
+    return read_records(path, convert, lenient=False)[0]

@@ -32,9 +32,9 @@ from .model import (
     Extraction,
     IEInstance,
     TaskKind,
-    atomic_open,
     read_instances,
     read_records,
+    write_json_atomic,
     write_jsonl_atomic,
 )
 from .prefpairs import (
@@ -403,11 +403,9 @@ def stats(records: Sequence[dict]) -> dict:
                 n_guidelines += 1
             if rec["symbolized"]:
                 n_symbolized += 1
-            labels = tuple(rec["schema_view_labels"])
-            result = parse_answer_lenient(
-                rec["answer"], spec_from_json(rec["format"]), labels, rec.get("trigger")
-            )
-            if result.out_of_view:
+            spec = spec_from_json(rec["format"])
+            extraction = parse_answer_lenient(rec["answer"], spec, rec.get("trigger")).extraction
+            if not set(extraction.labels_used()) <= set(rec["schema_view_labels"]):
                 closure_violations += 1
                 violating_ids.append(rec["id"])
         if rec["cot"]:
@@ -508,9 +506,7 @@ def write_manifest(path, config: dict, counts: dict, outputs: dict[str, str], st
         "outputs": {name: file_digest(p) for name, p in outputs.items()},
         "wall_time_s": round(time.monotonic() - started, 3),
     }
-    with atomic_open(path) as f:
-        json.dump(manifest, f, ensure_ascii=False, sort_keys=True, indent=2)
-        f.write("\n")
+    write_json_atomic(manifest, path)
     return manifest
 
 
@@ -559,13 +555,13 @@ def load_predictions(path) -> dict[str, str]:
     """Prediction text by id; a repeated id is a DataError naming its line."""
     predictions: dict[str, str] = {}
 
-    def add(rec: dict) -> None:
+    def add(rec: dict, lineno: int) -> None:
         pred_id, text = _prediction(rec)
         if pred_id in predictions:
             raise ValueError(f"duplicate prediction id {pred_id!r}")
         predictions[pred_id] = text
 
-    read_records(path, add)
+    read_records(path, add, lenient=False)
     return predictions
 
 

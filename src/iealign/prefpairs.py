@@ -70,7 +70,7 @@ def score_samples(
     return ScoredSamples(instance_id, dataset, prompt, gold_text, samples)
 
 
-def build_online_pair(s: ScoredSamples, gap: float = 0.10) -> Optional[PreferencePair]:
+def build_online_pair(s: ScoredSamples, gap: float) -> Optional[PreferencePair]:
     """Pair the highest- and lowest-scoring samples when their BLEU gap
     exceeds the threshold; ties break toward the lowest sample index."""
     if len(s.samples) < 2:
@@ -92,7 +92,7 @@ def build_online_pair(s: ScoredSamples, gap: float = 0.10) -> Optional[Preferenc
     )
 
 
-def build_offline_pair(s: ScoredSamples, gap: float = 0.10) -> Optional[PreferencePair]:
+def build_offline_pair(s: ScoredSamples, gap: float) -> Optional[PreferencePair]:
     """Pair the ground truth (score 1.0 by convention) against the lowest
     sample; skip when the lowest sample already matches gold within the gap."""
     if not s.samples:

@@ -153,10 +153,10 @@ def render_demo_answer(
 def attach_demonstrations(
     example: AlignmentExample,
     demo_pool: Sequence[IEInstance],
-    view: Optional[SchemaView] = None,
-    demo_rate: float = 0.5,
-    k_range: tuple[int, int] = (1, 8),
-    seed: int = 0,
+    view: Optional[SchemaView],
+    demo_rate: float,
+    k_range: tuple[int, int],
+    seed: int,
 ) -> AlignmentExample:
     """With probability `demo_rate`, add k ~ Uniform[k_range] demonstrations
     rendered with the example's own format and schema view."""

@@ -231,14 +231,6 @@ def test_lenient_duplicate_items_dropped():
     assert parse_answer("[Answer]: Paris: location; Paris: location;", spec) == result.extraction
 
 
-def test_lenient_out_of_view_labels():
-    spec = EVAL_FORMATS[TaskKind.NER]
-    result = parse_answer_lenient(
-        "[Answer]: Paris: location;", spec, view_labels=("person",)
-    )
-    assert result.out_of_view == ("location",)
-
-
 def test_strict_parse_raises_on_garbage():
     spec = EVAL_FORMATS[TaskKind.NER]
     with pytest.raises(ParseError):

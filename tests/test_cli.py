@@ -107,6 +107,22 @@ def test_ingest_malformed_line_exits_1_strict_0_lenient(runner, tmp_path):
         out.unlink()
 
 
+def test_ingest_duplicate_instance_id_exits_1_strict_0_lenient(runner, tmp_path):
+    """Two raw lines with the same index and text would share one instance id."""
+    raw, schema, _ = _raw_dataset(tmp_path)
+    line = json.dumps({"index": 3, "text": "Paris is big.", "gold": [["Paris", "location"]]})
+    raw.write_text(line + "\n" + line + "\n", encoding="utf-8")
+    cfg = _write_yaml(tmp_path / "cfg.yaml", {"dataset": "d", "task": "NER", "path": str(raw), "schema": str(schema)})
+    out = tmp_path / "out.jsonl"
+    result = runner.invoke(main, ["ingest", "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert "duplicate instance id" in result.output and result.output.rstrip().endswith("| line 2")
+    assert not out.exists()
+    result = runner.invoke(main, ["ingest", "--config", cfg, "--out", str(out), "--lenient"])
+    assert result.exit_code == 0, result.output
+    assert len(read_instances(out)) == 1
+
+
 @pytest.mark.parametrize(
     "write",
     [
@@ -171,6 +187,33 @@ def test_ingest_and_mix_mistyped_config_exits_2(runner, tmp_path, command, value
         base = {"datasets": {"a": str(a)}, "general": str(general)}
     cfg = _write_yaml(tmp_path / "cfg.yaml", {**base, **values})
     out = tmp_path / "out.jsonl"
+    result = runner.invoke(main, [command, "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"configuration error: {message}" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,values,message", [
+    ("ingest", {"na_keep_rte": 1.0}, "unknown ingest config keys: ['na_keep_rte']"),
+    ("mix", {"ie_rte": 0.5, 7: 1}, "unknown mix config keys: [7, 'ie_rte']"),
+    ("build-sft", {"pool_dir": "pools"}, "unknown build-sft config keys: ['pool_dir']"),
+    ("build-dpo", {"options": {}}, "unknown build-dpo config keys: ['options']"),
+], ids=["ingest", "mix", "build-sft", "build-dpo"])
+def test_unknown_config_key_exits_2(runner, tmp_path, command, values, message):
+    """A top-level config key the command does not read is a configuration
+    error before any output is written, not a setting silently left at its
+    default."""
+    if command == "ingest":
+        raw, schema, _ = _raw_dataset(tmp_path)
+        base = {"dataset": "d", "task": "NER", "path": str(raw), "schema": str(schema)}
+    elif command == "mix":
+        a, _ = _canonical(tmp_path, name="a.jsonl")
+        base = {"datasets": {"a": str(a)}}
+    else:
+        inst, _ = _canonical(tmp_path)
+        base = {"instances": str(inst), "backend": {"kind": "mock", "policy": "fixed:x"}}
+    cfg = _write_yaml(tmp_path / "cfg.yaml", {**base, **values})
+    out = tmp_path / "out"
     result = runner.invoke(main, [command, "--config", cfg, "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert f"configuration error: {message}" in result.output
@@ -434,6 +477,32 @@ def _instance_missing_fields(tmp_path):
     return ["build-sft", "--config", cfg, "--out", str(tmp_path / "run")], 3
 
 
+def _edited_second_instance(tmp_path, edit):
+    """A build-sft run over three NER instances whose second record is
+    replaced by `edit(second, first)`."""
+    inst, _ = _canonical(tmp_path, n=3)
+    first, second = map(json.loads, inst.read_text(encoding="utf-8").splitlines()[:2])
+    _replace_line(inst, 2, json.dumps(edit(second, first)))
+    cfg = _write_yaml(tmp_path / "sft.yaml", {"instances": str(inst)})
+    return ["build-sft", "--config", cfg, "--out", str(tmp_path / "run")], 2
+
+
+def _instance_gold_one_slot_short(tmp_path):
+    return _edited_second_instance(tmp_path, lambda rec, first: {**rec, "gold": [["Paris"]]})
+
+
+def _instance_text_not_a_string(tmp_path):
+    return _edited_second_instance(tmp_path, lambda rec, first: {**rec, "text": 5})
+
+
+def _instance_label_not_in_schema(tmp_path):
+    return _edited_second_instance(tmp_path, lambda rec, first: {**rec, "gold": [["Paris", "no_such_label"]]})
+
+
+def _duplicate_instance_id(tmp_path):
+    return _edited_second_instance(tmp_path, lambda rec, first: first)
+
+
 def _prediction_without_output(tmp_path):
     inst, corpus = _canonical(tmp_path, n=3)
     pred = tmp_path / "pred.jsonl"
@@ -470,6 +539,10 @@ def _duplicate_prediction_id(tmp_path):
         _truncated_instances,
         _instances_cut_mid_character,
         _instance_missing_fields,
+        _instance_gold_one_slot_short,
+        _instance_text_not_a_string,
+        _instance_label_not_in_schema,
+        _duplicate_instance_id,
         _prediction_without_output,
         _prediction_output_not_a_string,
         _duplicate_prediction_id,

@@ -132,7 +132,7 @@ def test_filter_na_never_drops_non_na_property(keep_rate, seed):
 
 def test_filter_na_bad_rate():
     with pytest.raises(ConfigurationError):
-        filter_na([], keep_rate=1.5)
+        filter_na([], keep_rate=1.5, seed=0)
 
 
 def test_filter_length_inclusive_boundary():
@@ -196,6 +196,6 @@ def test_mix_general_binds_on_short_general_side():
 def test_mix_general_errors():
     ie = make_corpus(TaskKind.NER, 10, dataset="ie", seed=1)
     with pytest.raises(ConfigurationError):
-        mix_general(ie, [], ie_rate=0.2)
+        mix_general(ie, [], ie_rate=0.2, seed=0)
     with pytest.raises(ConfigurationError):
-        mix_general(ie, ["g"], ie_rate=0.0)
+        mix_general(ie, ["g"], ie_rate=0.0, seed=0)

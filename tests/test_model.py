@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import random
 
+from iealign.errors import DataError
 from iealign.model import (
     CLOSED_IE_TASKS,
     Extraction,
@@ -17,6 +18,7 @@ from iealign.model import (
     instance_from_record,
     instance_to_record,
     read_instances,
+    read_records,
     stable_id,
     validate_extraction,
     validate_instance,
@@ -62,8 +64,31 @@ def test_missing_record_field_rejected():
         instance_from_record(rec)
 
 
+def test_read_records_strict_and_lenient(tmp_path, caplog):
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(b'{"n": 1}\n\nnot json\n{"n": "two"}\n"caf\xe9"\n{"n": 3}\n')
+
+    def convert(value, lineno):
+        return lineno, value["n"] + 0
+
+    with pytest.raises(DataError, match=r"invalid JSON.*\| line 3$"):
+        read_records(path, convert, lenient=False)
+    with caplog.at_level("WARNING", logger="iealign.model"):
+        assert read_records(path, convert, lenient=True) == ([(1, 1), (6, 3)], 3)
+    assert [r.getMessage().split(": ")[0] for r in caplog.records] == [
+        f"skipping malformed line {path}:{n}" for n in (3, 4, 5)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Validation
+
+
+def test_schema_guideline_must_be_a_non_empty_string():
+    ok = LabelDef("person", "A human.", ("Ann",))
+    for bad in (LabelDef("x", guideline=5), LabelDef("x", guideline=" ")):
+        assert len(SchemaDef(TaskKind.NER, (ok, bad)).validate()) == 1, bad
+    assert SchemaDef(TaskKind.NER, (ok,)).validate() == []
 
 
 def test_validate_rc_single_item():

@@ -16,6 +16,8 @@ from iealign.prefpairs import (
     score_samples,
 )
 
+GAP = 0.10  # DpoPlan's default gap_threshold, which these cases are written for
+
 
 def _scored(scores, gold="the gold text here", texts=None):
     texts = texts or [f"sample {i}" for i in range(len(scores))]
@@ -68,7 +70,7 @@ def test_score_samples_cached_rerun_zero_calls(tmp_path):
 
 
 def test_online_pair_picks_extremes():
-    pair = build_online_pair(_scored([0.9, 0.5, 0.7, 0.6, 0.8]))
+    pair = build_online_pair(_scored([0.9, 0.5, 0.7, 0.6, 0.8]), GAP)
     assert pair is not None
     assert pair.preferred == "sample 0" and pair.dispreferred == "sample 1"
     assert pair.preferred_score == 0.9 and pair.dispreferred_score == 0.5
@@ -76,21 +78,21 @@ def test_online_pair_picks_extremes():
 
 
 def test_online_pair_all_equal_none():
-    assert build_online_pair(_scored([0.5] * 5)) is None
+    assert build_online_pair(_scored([0.5] * 5), GAP) is None
 
 
 def test_online_pair_below_threshold_none():
-    assert build_online_pair(_scored([0.55, 0.50])) is None
-    assert build_online_pair(_scored([0.60, 0.50])) is None  # gap must exceed, not equal
+    assert build_online_pair(_scored([0.55, 0.50]), GAP) is None
+    assert build_online_pair(_scored([0.60, 0.50]), GAP) is None  # gap must exceed, not equal
 
 
 def test_online_pair_tie_breaks_lowest_index():
-    pair = build_online_pair(_scored([0.9, 0.9, 0.3, 0.3]))
+    pair = build_online_pair(_scored([0.9, 0.9, 0.3, 0.3]), GAP)
     assert pair.preferred == "sample 0" and pair.dispreferred == "sample 2"
 
 
 def test_online_pair_needs_two_samples():
-    assert build_online_pair(_scored([0.9])) is None
+    assert build_online_pair(_scored([0.9]), GAP) is None
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +100,7 @@ def test_online_pair_needs_two_samples():
 
 
 def test_offline_pair_prefers_gold():
-    pair = build_offline_pair(_scored([0.8, 0.3, 0.6]))
+    pair = build_offline_pair(_scored([0.8, 0.3, 0.6]), GAP)
     assert pair.preferred == "the gold text here"
     assert pair.preferred_score == 1.0
     assert pair.dispreferred == "sample 1" and pair.dispreferred_score == 0.3
@@ -107,12 +109,12 @@ def test_offline_pair_prefers_gold():
 
 
 def test_offline_pair_skips_near_gold():
-    assert build_offline_pair(_scored([1.0, 1.0, 1.0])) is None
-    assert build_offline_pair(_scored([0.95, 0.97])) is None  # min >= 1 - gap
+    assert build_offline_pair(_scored([1.0, 1.0, 1.0]), GAP) is None
+    assert build_offline_pair(_scored([0.95, 0.97]), GAP) is None  # min >= 1 - gap
 
 
 def test_offline_pair_empty_samples():
-    assert build_offline_pair(_scored([])) is None
+    assert build_offline_pair(_scored([]), GAP) is None
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +172,6 @@ def test_plan_validation():
 def test_no_pair_has_equal_sides():
     for scores in ([0.9, 0.5], [0.2, 0.9, 0.4], [1.0, 0.1]):
         for builder in (build_online_pair, build_offline_pair):
-            pair = builder(_scored(scores))
+            pair = builder(_scored(scores), GAP)
             if pair is not None:
                 assert pair.preferred != pair.dispreferred

@@ -158,7 +158,7 @@ def test_demo_rate_and_k_range():
     spec = EVAL_FORMATS[TaskKind.NER]
     with_demos = 0
     for seed in range(400):
-        ex = attach_demonstrations(_bare_example(corpus[0], spec), corpus, seed=seed)
+        ex = attach_demonstrations(_bare_example(corpus[0], spec), corpus, None, demo_rate=0.5, k_range=(1, 8), seed=seed)
         if ex.demonstrations:
             with_demos += 1
             assert 1 <= len(ex.demonstrations) <= 8
@@ -170,7 +170,9 @@ def test_demos_exclude_self():
     spec = EVAL_FORMATS[TaskKind.NER]
     target = corpus[0]
     for seed in range(100):
-        ex = attach_demonstrations(_bare_example(target, spec), corpus, demo_rate=1.0, seed=seed)
+        ex = attach_demonstrations(
+            _bare_example(target, spec), corpus, None, demo_rate=1.0, k_range=(1, 8), seed=seed
+        )
         assert all(text != target.text for text, _ in ex.demonstrations)
 
 
@@ -178,7 +180,7 @@ def test_demo_pool_shortfall_clamps():
     corpus = make_corpus(TaskKind.NER, 3, seed=4)
     spec = EVAL_FORMATS[TaskKind.NER]
     ex = attach_demonstrations(
-        _bare_example(corpus[0], spec), corpus, demo_rate=1.0, k_range=(8, 8), seed=1
+        _bare_example(corpus[0], spec), corpus, None, demo_rate=1.0, k_range=(8, 8), seed=1
     )
     assert len(ex.demonstrations) == 2
 
@@ -186,7 +188,9 @@ def test_demo_pool_shortfall_clamps():
 def test_demo_answers_follow_example_format():
     corpus = make_corpus(TaskKind.NER, 10, seed=5)
     spec = EVAL_FORMATS[TaskKind.NER]
-    ex = attach_demonstrations(_bare_example(corpus[0], spec), corpus, demo_rate=1.0, seed=0)
+    ex = attach_demonstrations(
+        _bare_example(corpus[0], spec), corpus, None, demo_rate=1.0, k_range=(1, 8), seed=0
+    )
     from iealign.answers import parse_answer
 
     for _, answer in ex.demonstrations:
