@@ -108,9 +108,11 @@ def _json_item(task: TaskKind, item: tuple) -> dict:
     return out
 
 
-def serialize_answer(gold: Extraction, spec: FormatSpec, seed: Optional[int] = None) -> str:
-    """Render a gold extraction. Triplet items are shuffled under `seed`
-    (pass None for a fixed gold order); empty gold renders the fail output."""
+def serialize_answer(gold: Extraction, spec: FormatSpec, seed: int | random.Random | None = None) -> str:
+    """Render a gold extraction. Triplet items are shuffled by `seed`: an int
+    seeds a fresh stream, a `random.Random` is drawn from (only when there is
+    more than one item to order), and None keeps the gold order. Empty gold
+    renders the fail output."""
     if spec.task is not gold.task:
         raise SerializationError(f"format {spec.name!r} is for {spec.task.value}, gold is {gold.task.value}")
     if gold.task is TaskKind.ONDEMANDIE:
@@ -119,7 +121,7 @@ def serialize_answer(gold: Extraction, spec: FormatSpec, seed: Optional[int] = N
         return spec.fail_output
     items = list(gold.items)
     if spec.family == "Triplet" and seed is not None and len(items) > 1:
-        random.Random(seed).shuffle(items)
+        (seed if isinstance(seed, random.Random) else random.Random(seed)).shuffle(items)
     if spec.family == "Json":
         payload = {"task": gold.task.value, "items": [_json_item(gold.task, it) for it in items]}
         if gold.task is TaskKind.EAE:

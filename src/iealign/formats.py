@@ -20,7 +20,7 @@ from importlib import resources
 from .model import EE_ARG_SLOTS, TASK_SLOTS, FormatSpec, TaskKind
 
 _SLOT_RE = re.compile(r"\{([a-zA-Z_][a-zA-Z0-9_ ]*)\}")
-_QUOTE_TRIGGERS = set(';:()"\n,.|[]')
+_QUOTE_TRIGGERS = frozenset(';:()"\n,.|[]')
 
 
 def normalize_slot(name: str) -> str:
@@ -29,7 +29,7 @@ def normalize_slot(name: str) -> str:
 
 def quote_value(value: str) -> str:
     """Quote a slot value if it would break the grammar when rendered raw."""
-    if value and not any(ch in _QUOTE_TRIGGERS for ch in value) and value == value.strip():
+    if value and _QUOTE_TRIGGERS.isdisjoint(value) and value == value.strip():
         return value
     return force_quote(value)
 

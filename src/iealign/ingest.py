@@ -40,12 +40,27 @@ class ReaderSpec:
     null_labels: tuple[str, ...] = ()
 
 
-def load_schema(path) -> SchemaDef:
+def load_schema(path) -> Optional[SchemaDef]:
+    """The schema a JSON file holds (None for `null`). A file that is missing,
+    is not a JSON schema object or null, or holds a schema with problems
+    (`SchemaDef.validate`) is a ConfigurationError."""
     try:
         with open(path, encoding="utf-8") as f:
-            return schema_from_json(json.load(f))
+            data = json.load(f)
     except FileNotFoundError:
         raise ConfigurationError(f"schema file not found: {path}")
+    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+        raise ConfigurationError(f"schema file {path} is not JSON: {e}")
+    try:
+        if data is not None and not isinstance(data, dict):
+            raise TypeError(f"the file holds {type(data).__name__}, not an object")
+        schema = schema_from_json(data)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigurationError(f"schema file {path} is not a schema: {e!r}")
+    problems = schema.validate() if schema is not None else []
+    if problems:
+        raise ConfigurationError(f"schema file {path}: " + "; ".join(problems))
+    return schema
 
 
 def _apply_null_labels(task: TaskKind, gold: Extraction, null_labels: tuple[str, ...]) -> Extraction:

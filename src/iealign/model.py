@@ -13,12 +13,14 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import marshal
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional, TextIO, TypeVar
+from typing import AbstractSet, Any, Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
 from .errors import DataError
 
@@ -75,21 +77,39 @@ class LabelDef:
 
 @dataclass(frozen=True)
 class SchemaDef:
+    """A task's labels. Its label set and its problems are worked out once per
+    object, so instances that share one SchemaDef share that work."""
+
     task: TaskKind
     labels: tuple[LabelDef, ...]
 
     def label_names(self) -> tuple[str, ...]:
         return tuple(l.name for l in self.labels)
 
+    @cached_property
+    def label_set(self) -> frozenset[str]:
+        return frozenset(self.label_names())
+
     def validate(self) -> list[str]:
+        """Problems with the schema itself: a label name that is not a
+        non-empty string or that repeats, a guideline that is not a non-empty
+        string, an exemplar that is not a string."""
+        return list(self._problems)
+
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
         problems = []
-        names = self.label_names()
+        names = [l.name for l in self.labels if isinstance(l.name, str) and l.name]
+        if len(names) != len(self.labels):
+            problems.append("schema: a label name is not a non-empty string")
         if len(set(names)) != len(names):
             problems.append("schema: duplicate label names")
         for l in self.labels:
             if l.guideline is not None and not (isinstance(l.guideline, str) and l.guideline.strip()):
                 problems.append(f"schema: guideline for label {l.name!r} is not a non-empty string")
-        return problems
+            if not all(isinstance(e, str) for e in l.exemplars):
+                problems.append(f"schema: an exemplar of label {l.name!r} is not a string")
+        return tuple(problems)
 
 
 @dataclass(frozen=True)
@@ -150,9 +170,8 @@ class Extraction:
             items = self.items
         return Extraction(self.task, items, self.trigger, self.table)
 
-    def restrict(self, allowed: Iterable[str]) -> "Extraction":
+    def restrict(self, allowed: AbstractSet[str]) -> "Extraction":
         """Drop items whose label is outside `allowed` (closed IE only)."""
-        allowed = set(allowed)
         if self.task is TaskKind.EE:
             items = tuple(
                 (trig, etype, tuple((a, r) for a, r in args if r in allowed))
@@ -232,9 +251,9 @@ def stable_id(dataset: str, index: int, text: str) -> str:
 def gold_shape_problems(gold: Extraction) -> list[str]:
     """Problems with the shape of `gold`, as raw input can have them: every
     item must have the task's width (`TASK_SLOTS`; EE arguments
-    `EE_ARG_SLOTS`) and string slot values (an absent optional slot is None;
-    an OpenIE value must not be empty, as it would not parse back), and a
-    trigger or table must be a string or None."""
+    `EE_ARG_SLOTS`) and non-empty string slot values (an absent optional slot
+    is None; a template renders an empty value as nothing, so it would not
+    parse back), and a trigger or table must be a string or None."""
     problems = []
     for name, value in (("trigger", gold.trigger), ("table", gold.table)):
         if value is not None and not isinstance(value, str):
@@ -256,8 +275,8 @@ def gold_shape_problems(gold: Extraction) -> list[str]:
             values = [v for slot, v in zip(slots, it) if v is not None or slot not in optional]
         if not all(isinstance(v, str) for v in values):
             problems.append(f"gold: item {it!r} has a slot value that is not a string")
-        elif gold.task is TaskKind.OPENIE and "" in values:
-            problems.append(f"gold: OpenIE item {it!r} has an empty slot value")
+        elif "" in values:
+            problems.append(f"gold: {gold.task.value} item {it!r} has an empty slot value")
     return problems
 
 
@@ -278,7 +297,7 @@ def validate_extraction(gold: Extraction, schema: Optional[SchemaDef]) -> list[s
         if schema is None:
             problems.append("schema: missing for closed IE task")
         else:
-            known = set(schema.label_names())
+            known = schema.label_set
             for lab in gold.labels_used():
                 if lab not in known:
                     problems.append(f"gold: label {lab!r} not in schema")
@@ -286,13 +305,18 @@ def validate_extraction(gold: Extraction, schema: Optional[SchemaDef]) -> list[s
 
 
 def validate_instance(inst: IEInstance) -> list[str]:
+    """The problems of `inst`. When there are none, its gold serializes under
+    every packaged format of its task, and under its evaluation format, to
+    text that strict-parses back to the same items, up to order."""
     problems = []
     if inst.task is not inst.gold.task:
         problems.append(f"task: instance task {inst.task.value} != gold task {inst.gold.task.value}")
     if inst.schema is not None:
         if inst.schema.task is not inst.task:
             problems.append("schema: task mismatch")
-        problems.extend(inst.schema.validate())
+        schema_problems = inst.schema.validate()
+        if schema_problems:  # the checks below read the schema's label names
+            return problems + schema_problems
     problems.extend(validate_extraction(inst.gold, inst.schema))
     if inst.task is TaskKind.ONDEMANDIE:
         if inst.is_na:
@@ -308,6 +332,7 @@ def validate_instance(inst: IEInstance) -> list[str]:
 # Canonical JSONL record format
 
 RECORD_FIELDS = ("id", "dataset", "task", "text", "schema", "gold", "is_na")
+_RECORD_FIELD_SET = frozenset(RECORD_FIELDS)
 
 
 def gold_to_json(gold: Extraction) -> Any:
@@ -356,11 +381,15 @@ def schema_from_json(data: Any) -> Optional[SchemaDef]:
         return None
     return SchemaDef(
         task=TaskKind(data["task"]),
-        labels=tuple(
-            LabelDef(l["name"], l.get("guideline"), tuple(l.get("exemplars") or ()))
-            for l in data["labels"]
-        ),
+        labels=tuple(LabelDef(l["name"], l.get("guideline"), _exemplars(l)) for l in data["labels"]),
     )
+
+
+def _exemplars(label: dict) -> tuple:
+    exemplars = label.get("exemplars") or ()
+    if not isinstance(exemplars, (list, tuple)):
+        raise TypeError(f"exemplars of label {label['name']!r} are not a list")
+    return tuple(exemplars)
 
 
 def instance_to_record(inst: IEInstance) -> dict:
@@ -375,20 +404,30 @@ def instance_to_record(inst: IEInstance) -> dict:
     }
 
 
-def instance_from_record(record: dict) -> IEInstance:
-    unknown = set(record) - set(RECORD_FIELDS)
-    if unknown:
-        raise ValueError(f"unknown record fields: {sorted(unknown)}")
-    missing = set(RECORD_FIELDS) - set(record)
-    if missing:
-        raise ValueError(f"missing record fields: {sorted(missing)}")
+def instance_from_record(record: dict, schemas: dict[bytes, Optional[SchemaDef]]) -> IEInstance:
+    """The instance a canonical record holds. `schemas` maps each raw schema
+    value read so far, in its `marshal` form, to its SchemaDef: a schema
+    equal to an earlier one is not built again, and the instances share it.
+    Equal forms mean equal JSON values (marshal keeps 1 and true apart, which
+    `==` would not), and marshal is several times faster than `repr` or
+    `json.dumps` on a schema."""
+    if not isinstance(record, dict):
+        raise TypeError(f"record is {type(record).__name__}, not an object")
+    if record.keys() != _RECORD_FIELD_SET:
+        unknown = record.keys() - _RECORD_FIELD_SET
+        if unknown:
+            raise ValueError(f"unknown record fields: {sorted(unknown)}")
+        raise ValueError(f"missing record fields: {sorted(_RECORD_FIELD_SET - record.keys())}")
     task = TaskKind(record["task"])
+    key = marshal.dumps(record["schema"])
+    if key not in schemas:
+        schemas[key] = schema_from_json(record["schema"])
     return IEInstance(
         id=record["id"],
         dataset=record["dataset"],
         task=task,
         text=record["text"],
-        schema=schema_from_json(record["schema"]),
+        schema=schemas[key],
         gold=gold_from_json(task, record["gold"]),
         is_na=record["is_na"],
     )
@@ -471,18 +510,17 @@ def write_instances(instances: Iterable[IEInstance], path) -> None:
 def read_instances(path) -> list[IEInstance]:
     """The canonical instances of a JSONL file. A record that is not a valid
     instance (`validate_instance`), or whose id an earlier line holds, is a
-    DataError naming its line. Instances with equal schemas share one
-    SchemaDef, so a file's many copies of a few schemas are not all kept."""
+    DataError naming its line. Each distinct schema is built and validated
+    once, and the instances that hold it share one SchemaDef, so a file's
+    many copies of a few schemas are neither all kept nor all checked."""
     seen: set[str] = set()
-    schemas: dict[SchemaDef, SchemaDef] = {}
+    schemas: dict[bytes, Optional[SchemaDef]] = {}
 
     def convert(record: Any, lineno: int) -> IEInstance:
-        inst = instance_from_record(record)
+        inst = instance_from_record(record, schemas)
         if not (isinstance(inst.id, str) and isinstance(inst.dataset, str) and isinstance(inst.text, str)
                 and isinstance(inst.is_na, bool)):
             raise TypeError("instance id, dataset and text must be strings, and is_na a bool")
-        if inst.schema is not None:
-            inst = replace(inst, schema=schemas.setdefault(inst.schema, inst.schema))
         problems = validate_instance(inst)
         if problems:
             raise ValueError("invalid instance: " + "; ".join(problems))

@@ -1,10 +1,12 @@
 """End-to-end pipeline stages: SFT corpus construction, DPO corpus
 construction, corpus statistics, and evaluation.
 
-Every per-instance random decision derives its seed from (master seed, stage
-tag, instance id), so outputs are independent of processing order and worker
-count. Output files are JSON lines written atomically; every run emits a
-manifest with content digests so reruns can be verified byte-for-byte.
+Every per-instance random decision draws from a stream seeded by (master
+seed, tag, instance id): one "sft" stream serves all of an SFT example's
+choices, and CoT eligibility and DPO descriptions keep streams of their own.
+So outputs are independent of processing order and worker count. Output
+files are JSON lines written atomically; every run emits a manifest with
+content digests so reruns can be verified byte-for-byte.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -116,9 +119,16 @@ def build_sft(
 ) -> tuple[list[dict], dict]:
     """Assemble one training record per instance and return (records, stats).
 
-    Stages per instance: format choice, schema augmentation, task description,
+    Stages per instance: format choice, task description, schema augmentation,
     answer serialization, demonstrations, prompt layout, length re-check, and
     CoT attachment for the capped eligible subset (skipped without a client).
+
+    Each instance draws every choice from one stream seeded by its id. Draws
+    whose consumption no option changes come first (format, description, CoT
+    word limit), then the schema view and the answer order, and the
+    demonstrations last. So a change to `guideline_rate` or `symbol_rate`
+    changes only what guidelines and symbols govern, and a change to
+    `demo_rate` or `demo_k_range` only the demonstrations.
     """
     library = load_format_library()
     pools = {}
@@ -147,21 +157,18 @@ def build_sft(
         specs = library.get(task)
         if not specs:
             raise ConfigurationError(f"no format specs for task {task.value}")
-        fmt = derive_rng(opts.seed, "format", inst.id).choice(specs)
+        if task not in pools:
+            pools[task] = load_description_pool(task, opts.pool_dir)
+        rng = random.Random(derive_seed(opts.seed, "sft", inst.id))
+        fmt = rng.choice(specs)
+        task_desc = sample_task_description(pools[task], rng)
+        words = sample_words_limit(rng)
 
         view = None
         gold = inst.gold
         if task in CLOSED_IE_TASKS:
-            view, gold = augment_schema(
-                inst.schema, inst.gold, guideline_rate=opts.guideline_rate, symbol_rate=opts.symbol_rate,
-                seed=derive_seed(opts.seed, "schema", inst.id),
-            )
-
-        if task not in pools:
-            pools[task] = load_description_pool(task, opts.pool_dir)
-        task_desc = sample_task_description(pools[task], derive_seed(opts.seed, "desc", inst.id))
-
-        answer = serialize_answer(gold, fmt, seed=derive_seed(opts.seed, "order", inst.id))
+            view, gold = augment_schema(inst.schema, inst.gold, opts.guideline_rate, opts.symbol_rate, rng)
+        answer = serialize_answer(gold, fmt, seed=rng)
 
         example = AlignmentExample(
             instance_id=inst.id,
@@ -176,14 +183,7 @@ def build_sft(
             has_guidelines=view.guidelines_included if view else False,
             symbolized=bool(view and view.symbol_map),
         )
-        example = attach_demonstrations(
-            example,
-            demo_pools[task],
-            view,
-            demo_rate=opts.demo_rate,
-            k_range=opts.demo_k_range,
-            seed=derive_seed(opts.seed, "demo", inst.id),
-        )
+        example = attach_demonstrations(example, demo_pools[task], view, opts.demo_rate, opts.demo_k_range, rng)
         prompt = assemble_input(inst, view, task_desc, fmt, example.demonstrations)
         example = replace(example, prompt=prompt)
 
@@ -193,7 +193,6 @@ def build_sft(
             continue
 
         if inst.id in cot_ids:
-            words = sample_words_limit(derive_rng(opts.seed, "cotwords", inst.id))
             try:
                 explanation = generate_cot(prompt, example.answer, words, client)
             except (TransportError, DataError) as e:
@@ -253,7 +252,7 @@ def _dpo_prompt(inst: IEInstance, fmt, pool: DescriptionPool, seed: int) -> str:
     view = None
     if inst.task in CLOSED_IE_TASKS:
         view = SchemaView(inst.schema.labels)
-    desc = sample_task_description(pool, derive_seed(seed, "dpo-desc", inst.id))
+    desc = sample_task_description(pool, derive_rng(seed, "dpo-desc", inst.id))
     return assemble_input(inst, view, desc, fmt)
 
 

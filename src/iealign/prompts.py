@@ -3,7 +3,8 @@ demonstrations, and the fixed prompt layout.
 
 The prompt is laid out as: task description, schema description (closed IE
 only), output-format description (omitted for on-demand IE), demonstrations,
-input text. All sampling derives from explicit seeds.
+input text. Every sampling function draws from a `random.Random` its caller
+passes, so one seeded stream can serve all of an instance's choices.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .model import (
     TaskKind,
     CLOSED_IE_TASKS,
 )
-from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
 
@@ -67,10 +67,10 @@ def load_description_pool(task: TaskKind, pool_dir: Optional[str] = None) -> Des
     return DescriptionPool(task, tuple(descriptions))
 
 
-def sample_task_description(pool: DescriptionPool, seed: int) -> str:
+def sample_task_description(pool: DescriptionPool, rng: random.Random) -> str:
     if not pool.descriptions:
         raise ConfigurationError(f"empty description pool for task {pool.task.value}")
-    return random.Random(seed).choice(pool.descriptions)
+    return rng.choice(pool.descriptions)
 
 
 # ---------------------------------------------------------------------------
@@ -96,17 +96,17 @@ def augment_schema(
     gold: Extraction,
     guideline_rate: float,
     symbol_rate: float,
-    seed: int,
+    rng: random.Random,
 ) -> tuple[SchemaView, Extraction]:
     """Sample a shuffled label subset of size k in [1, |schema|], restrict the
     gold to it, then include guidelines with probability `guideline_rate` and
-    symbolize the labels with probability `symbol_rate`, independently."""
+    symbolize the labels with probability `symbol_rate`, independently. What
+    this draws from `rng` depends on the schema alone, never on the rates."""
     if not schema.labels:
         raise ConfigurationError("empty schema")
-    rng = random.Random(seed)
     k = rng.randint(1, len(schema.labels))
-    shown = rng.sample(list(schema.labels), k)
-    restricted = gold.restrict(l.name for l in shown)
+    shown = rng.sample(schema.labels, k)
+    restricted = gold.restrict({l.name for l in shown})
     include_guidelines = rng.random() < guideline_rate
     symbol_map = None
     if rng.random() < symbol_rate:
@@ -136,31 +136,17 @@ def render_schema_section(view: SchemaView) -> str:
 # Demonstrations
 
 
-def render_demo_answer(
-    demo: IEInstance, spec: FormatSpec, view: Optional[SchemaView], seed: int
-) -> str:
-    gold = demo.gold
-    if view is not None:
-        allowed = (
-            set(view.symbol_map.keys()) if view.symbol_map is not None else set(view.label_names())
-        )
-        gold = gold.restrict(allowed)
-        if view.symbol_map is not None:
-            gold = gold.relabel(view.symbol_map)
-    return serialize_answer(gold, spec, seed=seed)
-
-
 def attach_demonstrations(
     example: AlignmentExample,
     demo_pool: Sequence[IEInstance],
     view: Optional[SchemaView],
     demo_rate: float,
     k_range: tuple[int, int],
-    seed: int,
+    rng: random.Random,
 ) -> AlignmentExample:
     """With probability `demo_rate`, add k ~ Uniform[k_range] demonstrations
-    rendered with the example's own format and schema view."""
-    rng = random.Random(seed)
+    rendered with the example's own format and schema view; each demo's
+    answer order is drawn from `rng` too."""
     if rng.random() >= demo_rate:
         return example
     pool = [d for d in demo_pool if d.id != example.instance_id]
@@ -173,11 +159,18 @@ def attach_demonstrations(
     if k == 0:
         return example
     chosen = rng.sample(pool, k)
-    demos = tuple(
-        (d.text, render_demo_answer(d, example.format, view, derive_seed(seed, "demo", d.id)))
-        for d in chosen
-    )
-    return replace(example, demonstrations=demos)
+    allowed = None  # the view's labels by their original names, once per example
+    if view is not None:
+        allowed = set(view.symbol_map) if view.symbol_map is not None else set(view.label_names())
+    demos = []
+    for d in chosen:
+        gold = d.gold
+        if view is not None:
+            gold = gold.restrict(allowed)
+            if view.symbol_map is not None:
+                gold = gold.relabel(view.symbol_map)
+        demos.append((d.text, serialize_answer(gold, example.format, seed=rng)))
+    return replace(example, demonstrations=tuple(demos))
 
 
 # ---------------------------------------------------------------------------

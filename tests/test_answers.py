@@ -3,9 +3,10 @@ tasks and families, the fixed evaluation grammars, fail-output handling,
 lenient recovery, CoT composition, and markdown tables."""
 
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from iealign.answers import (
@@ -19,7 +20,17 @@ from iealign.answers import (
     serialize_answer,
 )
 from iealign.formats import EVAL_FORMATS, load_format_library
-from iealign.model import AlignmentExample, Extraction, TaskKind
+from iealign.model import (
+    CLOSED_IE_TASKS,
+    AlignmentExample,
+    Extraction,
+    IEInstance,
+    LabelDef,
+    SchemaDef,
+    TaskKind,
+    validate_instance,
+)
+from iealign.pipeline import eval_format_for
 from iealign.synth import make_extraction, make_schema
 
 LIBRARY = load_format_library()
@@ -67,6 +78,47 @@ def test_roundtrip_property(task, seed):
         s = serialize_answer(x, spec, seed=seed)
         y = parse_answer(s, spec, trigger=x.trigger)
         assert roundtrip_equal(x, y)
+
+
+# Any text, with the characters the item grammars treat specially drawn often.
+_TEXT = st.text(st.sampled_from('();:,."\\ |[]{}\n\taZ') | st.characters(), max_size=8)
+
+
+@st.composite
+def _instances(draw) -> IEInstance:
+    """An instance of any task but OnDemandIE with arbitrary slot values and
+    label names, valid or not."""
+    task = draw(st.sampled_from([t for t in TaskKind if t is not TaskKind.ONDEMANDIE]))
+    names = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    label = st.sampled_from(names)
+
+    def item() -> tuple:
+        if task is TaskKind.EE:
+            return draw(_TEXT), draw(label), tuple(draw(st.lists(st.tuples(_TEXT, label), max_size=2)))
+        if task is TaskKind.OPENIE:
+            return draw(_TEXT), draw(_TEXT), draw(_TEXT), draw(st.none() | _TEXT), draw(st.none() | _TEXT)
+        if task in (TaskKind.RC, TaskKind.RE, TaskKind.ERE):
+            return draw(_TEXT), draw(label), draw(_TEXT)
+        return draw(_TEXT), draw(label)
+
+    n = 1 if task is TaskKind.RC else draw(st.integers(1, 3))
+    items = tuple(dict.fromkeys(item() for _ in range(n)))
+    trigger = draw(_TEXT) if task is TaskKind.EAE else None
+    schema = SchemaDef(task, tuple(map(LabelDef, names))) if task in CLOSED_IE_TASKS else None
+    return IEInstance("i", "d", task, "text", schema, Extraction(task, items, trigger=trigger), False)
+
+
+@given(_instances())
+@settings(max_examples=150, deadline=None)
+def test_every_valid_gold_round_trips_under_every_spec(inst):
+    """Every gold that `validate_instance` accepts strict-parses back to the
+    same items, up to order, from its serialization under every packaged
+    spec of its task and under its evaluation spec."""
+    assume(not validate_instance(inst))
+    for spec in LIBRARY[inst.task] + [eval_format_for(inst.task, LIBRARY)]:
+        text = serialize_answer(inst.gold, spec)
+        back = parse_answer(text, spec, trigger=inst.gold.trigger)
+        assert Counter(back.items) == Counter(inst.gold.items), (spec.name, text)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,26 @@ def test_ingest_missing_input_exits_2_without_output(runner, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text,message", [
+    ("{not json", "is not JSON"),
+    ('{"task": "NER"}', "is not a schema: KeyError('labels')"),
+    ('["NER"]', "is not a schema"),
+    ('{"task": "NER", "labels": [{"name": "person", "exemplars": [5]}]}', "an exemplar of label 'person' is not a string"),
+], ids=["not_json", "no_labels", "not_an_object", "exemplar_not_a_string"])
+def test_ingest_bad_schema_file_exits_2(runner, tmp_path, text, message):
+    """A schema file that is not a valid schema is a configuration error
+    before any line is read, not a traceback or every line skipped."""
+    raw, schema, _ = _raw_dataset(tmp_path)
+    schema.write_text(text, encoding="utf-8")
+    cfg = _write_yaml(tmp_path / "cfg.yaml", {"dataset": "d", "task": "NER", "path": str(raw), "schema": str(schema)})
+    out = tmp_path / "out.jsonl"
+    for flags in ([], ["--lenient"]):
+        result = runner.invoke(main, ["ingest", "--config", cfg, "--out", str(out), *flags])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("configuration error: schema file") and message in result.output
+        assert not out.exists()
+
+
 def test_ingest_malformed_line_exits_1_strict_0_lenient(runner, tmp_path):
     raw = tmp_path / "raw.jsonl"
     out = tmp_path / "out.jsonl"
@@ -499,6 +519,27 @@ def _instance_label_not_in_schema(tmp_path):
     return _edited_second_instance(tmp_path, lambda rec, first: {**rec, "gold": [["Paris", "no_such_label"]]})
 
 
+def _with_label(rec: dict, label: dict) -> dict:
+    """`rec` with one more schema label, which its gold does not use."""
+    rec["schema"]["labels"].append(label)
+    return rec
+
+
+def _schema_exemplar_not_a_string(tmp_path):
+    label = {"name": "extra", "guideline": "An extra label.", "exemplars": [5]}
+    return _edited_second_instance(tmp_path, lambda rec, first: _with_label(rec, label))
+
+
+def _schema_label_name_not_a_string(tmp_path):
+    return _edited_second_instance(tmp_path, lambda rec, first: _with_label(rec, {"name": 5}))
+
+
+def _instance_empty_slot_value(tmp_path):
+    """An empty value renders as nothing in a template format, so it would
+    not parse back."""
+    return _edited_second_instance(tmp_path, lambda rec, first: {**rec, "gold": [["", "person"]]})
+
+
 def _duplicate_instance_id(tmp_path):
     return _edited_second_instance(tmp_path, lambda rec, first: first)
 
@@ -542,6 +583,9 @@ def _duplicate_prediction_id(tmp_path):
         _instance_gold_one_slot_short,
         _instance_text_not_a_string,
         _instance_label_not_in_schema,
+        _schema_exemplar_not_a_string,
+        _schema_label_name_not_a_string,
+        _instance_empty_slot_value,
         _duplicate_instance_id,
         _prediction_without_output,
         _prediction_output_not_a_string,

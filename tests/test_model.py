@@ -50,18 +50,32 @@ def test_record_roundtrip_every_task(task, tmp_path):
     assert back == instances
 
 
+def test_read_instances_builds_each_distinct_schema_once(tmp_path):
+    """Instances whose records hold equal schemas share one SchemaDef; a
+    schema without guidelines and exemplars gets its own."""
+    ner = make_corpus(TaskKind.NER, 4, dataset="a", seed=1)
+    other = make_schema(TaskKind.NER, with_guidelines=False)
+    plain = [IEInstance(i.id + "-plain", i.dataset, i.task, i.text, other, i.gold, i.is_na) for i in ner]
+    path = tmp_path / "in.jsonl"
+    write_instances(ner + plain + make_corpus(TaskKind.OPENIE, 2, seed=2), path)
+    back = read_instances(path)
+    assert back[:8] == ner + plain
+    assert len({id(i.schema) for i in back[:4]}) == len({id(i.schema) for i in back[4:8]}) == 1
+    assert back[0].schema is not back[4].schema and back[8].schema is None
+
+
 def test_unknown_record_field_rejected():
     rec = instance_to_record(make_instance(TaskKind.NER, "ds", 0, random.Random(0)))
     rec["extra"] = 1
     with pytest.raises(ValueError, match="unknown record fields"):
-        instance_from_record(rec)
+        instance_from_record(rec, {})
 
 
 def test_missing_record_field_rejected():
     rec = instance_to_record(make_instance(TaskKind.NER, "ds", 0, random.Random(0)))
     del rec["is_na"]
     with pytest.raises(ValueError, match="missing record fields"):
-        instance_from_record(rec)
+        instance_from_record(rec, {})
 
 
 def test_read_records_strict_and_lenient(tmp_path, caplog):
@@ -89,6 +103,27 @@ def test_schema_guideline_must_be_a_non_empty_string():
     for bad in (LabelDef("x", guideline=5), LabelDef("x", guideline=" ")):
         assert len(SchemaDef(TaskKind.NER, (ok, bad)).validate()) == 1, bad
     assert SchemaDef(TaskKind.NER, (ok,)).validate() == []
+
+
+@pytest.mark.parametrize("bad, problem", [
+    (LabelDef(5), "a label name is not a non-empty string"),
+    (LabelDef(""), "a label name is not a non-empty string"),
+    (LabelDef("x", exemplars=("ok", 5)), "an exemplar of label 'x' is not a string"),
+])
+def test_schema_label_names_and_exemplars_must_be_strings(bad, problem):
+    """A prompt renders every name and, with guidelines, every exemplar as text."""
+    assert SchemaDef(TaskKind.NER, (LabelDef("person"), bad)).validate() == [f"schema: {problem}"]
+
+
+@pytest.mark.parametrize("gold", [
+    Extraction(TaskKind.NER, (("", "person"),)),
+    Extraction(TaskKind.RE, (("a", "person", ""),)),
+    Extraction(TaskKind.EE, (("t", "person", (("", "person"),)),)),
+], ids=lambda gold: gold.task.value)
+def test_empty_slot_value_is_a_problem_for_every_task(gold):
+    """A template renders an empty value as nothing, so it would not parse back."""
+    problems = validate_extraction(gold, SchemaDef(gold.task, (LabelDef("person"),)))
+    assert problems == [f"gold: {gold.task.value} item {gold.items[0]!r} has an empty slot value"]
 
 
 def test_validate_rc_single_item():

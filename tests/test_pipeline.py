@@ -18,7 +18,7 @@ from iealign import pipeline
 from iealign.answers import serialize_answer
 from iealign.client import BaseClient, LiveClient, MockClient, ResponseCache
 from iealign.errors import ConfigurationError, DataError
-from iealign.formats import EVAL_FORMATS, MARKDOWN_SPEC
+from iealign.formats import EVAL_FORMATS, MARKDOWN_SPEC, spec_to_json
 from iealign.model import TaskKind, write_instances
 from iealign.pipeline import (
     SftOptions,
@@ -76,6 +76,59 @@ def test_build_sft_deterministic():
     assert r1 != r3
 
 
+# Every task with a packaged description pool, so each record's draws cover
+# the format, description, schema view, answer order and demonstrations.
+_STREAM_TASKS = tuple(t for t in TaskKind if t is not TaskKind.ONDEMANDIE)
+
+
+def _description(rec: dict) -> str:
+    """The task description: the first section of the prompt."""
+    return rec["prompt"].split("\n\n", 1)[0]
+
+
+def test_sft_guideline_and_symbol_rates_change_only_what_they_govern():
+    """The guideline and symbol draws take the same part of an instance's
+    stream at any rate, so raising the rates flips only those two flags, and
+    a record whose flags did not flip is unchanged."""
+    corpus = _mixed_corpus(30, seed=2, tasks=_STREAM_TASKS)
+    base = SftOptions(seed=5, max_tokens=100_000)
+    before, _ = build_sft(corpus, base)
+    after, _ = build_sft(corpus, replace(base, guideline_rate=0.9, symbol_rate=0.7))
+    flipped = 0
+    for a, b in zip(before, after, strict=True):
+        assert (a["id"], a["format"], _description(a)) == (b["id"], b["format"], _description(b))
+        assert [text for text, _ in a["demonstrations"]] == [text for text, _ in b["demonstrations"]]
+        assert len(a["schema_view_labels"]) == len(b["schema_view_labels"])
+        if a["symbolized"] == b["symbolized"]:
+            assert (a["schema_view_labels"], a["answer"], a["demonstrations"]) == \
+                (b["schema_view_labels"], b["answer"], b["demonstrations"])
+        if (a["has_guidelines"], a["symbolized"]) == (b["has_guidelines"], b["symbolized"]):
+            assert a == b
+        else:
+            flipped += 1
+    assert flipped > len(before) // 4
+
+
+def test_sft_demo_rate_and_k_range_change_only_the_demonstrations():
+    """Demonstrations draw last from an instance's stream, so changing how
+    many there are leaves every record's format, description, schema view
+    and answer as they were."""
+    corpus = _mixed_corpus(30, seed=2, tasks=_STREAM_TASKS)
+    base = SftOptions(seed=5, max_tokens=100_000)
+    before, _ = build_sft(corpus, base)
+    after, _ = build_sft(corpus, replace(base, demo_rate=0.9, demo_k_range=(2, 3)))
+    changed = 0
+    for a, b in zip(before, after, strict=True):
+        for field in ("id", "format", "schema_view_labels", "has_guidelines", "symbolized", "answer", "output"):
+            assert a[field] == b[field], field
+        assert _description(a) == _description(b)
+        if a["demonstrations"] == b["demonstrations"]:
+            assert a == b
+        else:
+            changed += 1
+    assert changed > len(before) // 4
+
+
 def test_build_sft_drops_overlength():
     corpus = make_corpus(TaskKind.NER, 30, seed=1)
     records, report = build_sft(corpus, SftOptions(seed=0, max_tokens=40))
@@ -126,7 +179,8 @@ def test_stats_flags_out_of_schema_answer():
     records, _ = build_sft(corpus, SftOptions(seed=0, max_tokens=100_000))
     target = next(r for r in records if r["schema_view_labels"])
     bad_label = "label_not_in_any_view"
-    tampered = dict(target, answer=f"[Answer]: something: {bad_label};")
+    tampered = dict(target, format=spec_to_json(EVAL_FORMATS[TaskKind.NER]),
+                    answer=f"[Answer]: something: {bad_label};")
     report = stats([tampered])
     assert report["closure_violations"] == 1
     assert report["closure_violating_ids"] == [tampered["id"]]

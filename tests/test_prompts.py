@@ -56,8 +56,8 @@ def test_pool_dir_manual_replaces_packaged_descriptions(tmp_path):
 
 def test_sample_description_deterministic():
     pool = load_description_pool(TaskKind.RE)
-    assert sample_task_description(pool, 3) == sample_task_description(pool, 3)
-    picks = {sample_task_description(pool, s) for s in range(40)}
+    assert sample_task_description(pool, random.Random(3)) == sample_task_description(pool, random.Random(3))
+    picks = {sample_task_description(pool, random.Random(s)) for s in range(40)}
     assert len(picks) > 1
 
 
@@ -70,7 +70,7 @@ def test_augment_subset_size_in_range():
     inst = make_instance(TaskKind.NER, "d", 0, random.Random(0), schema)
     sizes = set()
     for seed in range(200):
-        view, _ = augment_schema(schema, inst.gold, guideline_rate=0.2, symbol_rate=0.1, seed=seed)
+        view, _ = augment_schema(schema, inst.gold, guideline_rate=0.2, symbol_rate=0.1, rng=random.Random(seed))
         sizes.add(len(view.labels))
     assert sizes == set(range(1, len(schema.labels) + 1))
 
@@ -79,7 +79,7 @@ def test_augment_restricts_gold_to_view():
     schema = make_schema(TaskKind.NER)
     inst = make_instance(TaskKind.NER, "d", 1, random.Random(1), schema)
     for seed in range(50):
-        view, gold = augment_schema(schema, inst.gold, guideline_rate=0.2, symbol_rate=0.1, seed=seed)
+        view, gold = augment_schema(schema, inst.gold, guideline_rate=0.2, symbol_rate=0.1, rng=random.Random(seed))
         allowed = set(view.label_names())
         assert all(lab in allowed for lab in gold.labels_used())
 
@@ -87,7 +87,7 @@ def test_augment_restricts_gold_to_view():
 def test_symbolization_is_bijective_and_reversible():
     schema = make_schema(TaskKind.RE)
     inst = make_instance(TaskKind.RE, "d", 2, random.Random(2), schema)
-    view, gold = augment_schema(schema, inst.gold, guideline_rate=0.2, symbol_rate=1.0, seed=4)
+    view, gold = augment_schema(schema, inst.gold, guideline_rate=0.2, symbol_rate=1.0, rng=random.Random(4))
     assert view.symbol_map is not None
     # bijective: distinct symbols, inverse restores original labels
     assert len(set(view.symbol_map.values())) == len(view.symbol_map)
@@ -101,7 +101,7 @@ def test_symbolization_is_bijective_and_reversible():
 def test_symbol_map_bijection_property(seed):
     schema = make_schema(TaskKind.NER)
     inst = make_instance(TaskKind.NER, "d", 0, random.Random(seed), schema)
-    view, _ = augment_schema(schema, inst.gold, guideline_rate=0.2, symbol_rate=1.0, seed=seed)
+    view, _ = augment_schema(schema, inst.gold, guideline_rate=0.2, symbol_rate=1.0, rng=random.Random(seed))
     inv = {v: k for k, v in view.symbol_map.items()}
     assert {view.symbol_map[k] for k in view.symbol_map} == set(inv.keys())
     assert all(view.symbol_map[inv[s]] == s for s in inv)
@@ -111,7 +111,7 @@ def test_guideline_rate_flip():
     schema = make_schema(TaskKind.NER)
     inst = make_instance(TaskKind.NER, "d", 3, random.Random(3), schema)
     hits = sum(
-        augment_schema(schema, inst.gold, guideline_rate=0.2, symbol_rate=0.1, seed=s)[0].guidelines_included
+        augment_schema(schema, inst.gold, guideline_rate=0.2, symbol_rate=0.1, rng=random.Random(s))[0].guidelines_included
         for s in range(2000)
     )
     assert 0.15 < hits / 2000 < 0.25
@@ -122,7 +122,7 @@ def test_augment_empty_schema_rejected():
 
     inst = make_instance(TaskKind.NER, "d", 0, random.Random(0))
     with pytest.raises(ConfigurationError):
-        augment_schema(SchemaDef(TaskKind.NER, ()), inst.gold, guideline_rate=0.2, symbol_rate=0.1, seed=0)
+        augment_schema(SchemaDef(TaskKind.NER, ()), inst.gold, guideline_rate=0.2, symbol_rate=0.1, rng=random.Random(0))
 
 
 def test_render_schema_section_with_guidelines():
@@ -158,7 +158,7 @@ def test_demo_rate_and_k_range():
     spec = EVAL_FORMATS[TaskKind.NER]
     with_demos = 0
     for seed in range(400):
-        ex = attach_demonstrations(_bare_example(corpus[0], spec), corpus, None, demo_rate=0.5, k_range=(1, 8), seed=seed)
+        ex = attach_demonstrations(_bare_example(corpus[0], spec), corpus, None, demo_rate=0.5, k_range=(1, 8), rng=random.Random(seed))
         if ex.demonstrations:
             with_demos += 1
             assert 1 <= len(ex.demonstrations) <= 8
@@ -171,7 +171,7 @@ def test_demos_exclude_self():
     target = corpus[0]
     for seed in range(100):
         ex = attach_demonstrations(
-            _bare_example(target, spec), corpus, None, demo_rate=1.0, k_range=(1, 8), seed=seed
+            _bare_example(target, spec), corpus, None, demo_rate=1.0, k_range=(1, 8), rng=random.Random(seed)
         )
         assert all(text != target.text for text, _ in ex.demonstrations)
 
@@ -180,7 +180,7 @@ def test_demo_pool_shortfall_clamps():
     corpus = make_corpus(TaskKind.NER, 3, seed=4)
     spec = EVAL_FORMATS[TaskKind.NER]
     ex = attach_demonstrations(
-        _bare_example(corpus[0], spec), corpus, None, demo_rate=1.0, k_range=(8, 8), seed=1
+        _bare_example(corpus[0], spec), corpus, None, demo_rate=1.0, k_range=(8, 8), rng=random.Random(1)
     )
     assert len(ex.demonstrations) == 2
 
@@ -189,7 +189,7 @@ def test_demo_answers_follow_example_format():
     corpus = make_corpus(TaskKind.NER, 10, seed=5)
     spec = EVAL_FORMATS[TaskKind.NER]
     ex = attach_demonstrations(
-        _bare_example(corpus[0], spec), corpus, None, demo_rate=1.0, k_range=(1, 8), seed=0
+        _bare_example(corpus[0], spec), corpus, None, demo_rate=1.0, k_range=(1, 8), rng=random.Random(0)
     )
     from iealign.answers import parse_answer
 
