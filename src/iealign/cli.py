@@ -4,6 +4,11 @@ Subcommands: ingest, mix, build-sft, build-dpo, evaluate, stats.
 Configuration lives in one YAML file; --seed/--out/--backend flags override
 it. Exit codes: 0 success, 1 data errors, 2 configuration errors. Pre-flight
 validation runs before any output file is created.
+
+Each config mapping (a command's top level, `options:`, `plan:`, each kind of
+`backend:`) has one table of its keys and their types, and `_check` checks a
+mapping against its table. A key the file omits takes its dataclass's
+default; the objects the values build check their ranges.
 """
 
 from __future__ import annotations
@@ -57,9 +62,9 @@ def _guarded(fn):
     return wrapper
 
 
-def _load_config(path: Optional[str]) -> dict:
-    if path is None:
-        return {}
+def _load_config(path: str, label: str, types: dict, required: tuple, seed: Optional[int]) -> dict:
+    """The config at `path`, checked by `_check`, with --seed as its seed
+    when given."""
     p = Path(path)
     if not p.exists():
         raise ConfigurationError(f"config file not found: {path}")
@@ -67,12 +72,16 @@ def _load_config(path: Optional[str]) -> dict:
         data = yaml.safe_load(p.read_text(encoding="utf-8")) or {}
     except yaml.YAMLError as e:
         raise ConfigurationError(f"invalid config: {e}")
-    if not isinstance(data, dict):
-        raise ConfigurationError("config root must be a mapping")
-    return data
+    cfg = _check(data, label, types, required)
+    if seed is not None:
+        cfg["seed"] = seed
+    return cfg
 
 
-# The type of each key that `ingest` and `mix` read from their config.
+# The type of each key a config mapping may hold: the top level of each
+# command's config, then each kind of `backend:` with its client's keyword
+# arguments. `options:` and `plan:` take the fields of SftOptions and
+# DpoPlan, whose seed is set at the top level.
 INGEST_KEYS = {
     "dataset": str, "task": str, "path": str, "schema": Optional[str], "text_field": str,
     "gold_field": str, "null_labels": list[str], "na_keep_rate": float, "max_tokens": int, "seed": int,
@@ -81,25 +90,44 @@ MIX_KEYS = {
     "datasets": dict[str, str], "general": Optional[str], "cap": int, "quotas": dict[str, int],
     "ie_rate": float, "seed": int,
 }
-# The top-level keys that `build-sft` and `build-dpo` read.
-SFT_KEYS = ("instances", "seed", "options", "backend", "cache_dir")
-DPO_KEYS = ("instances", "seed", "plan", "backend", "cache_dir", "pool_dir")
+SFT_KEYS = {
+    "instances": str, "seed": int, "options": Optional[dict], "backend": Optional[dict],
+    "cache_dir": Optional[str],
+}
+DPO_KEYS = {
+    "instances": str, "seed": int, "plan": Optional[dict], "backend": Optional[dict],
+    "cache_dir": Optional[str], "pool_dir": Optional[str],
+}
+BACKEND_KEYS = {
+    "mock": {"kind": str, "policy": str, "seed": int, "fallback": str},
+    "live": {"kind": str, "endpoint": str, "model": str, "api_key_env": str, "qps": float},
+}
 
 
-def _check_keys(cfg: dict, label: str, known) -> None:
-    """A ConfigurationError naming the keys of `cfg` that `known` does not list."""
-    unknown = sorted(set(cfg) - set(known), key=str)
+def _check(section, label: str, types: dict, required: tuple) -> dict:
+    """`section`, once it is a mapping whose keys `types` lists, that holds
+    every key of `required` and whose values fit their types; otherwise a
+    ConfigurationError for the first fault, in that order."""
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{label} must be a mapping, got {section!r}")
+    unknown = sorted(set(section) - set(types), key=str)
     if unknown:
         raise ConfigurationError(f"unknown {label} keys: {unknown}")
-
-
-def _check_types(cfg: dict, label: str, types: dict) -> None:
-    """A ConfigurationError for the first key of `types` in `cfg` whose
-    value does not fit its type."""
+    missing = [key for key in required if key not in section]
+    if missing:
+        raise ConfigurationError(f"{label} missing {missing}")
     for key, hint in types.items():
-        if key in cfg and not _fits(cfg[key], hint):
+        if key in section and not _fits(section[key], hint):
             name = hint.__name__ if typing.get_origin(hint) is None else str(hint).replace("typing.", "")
-            raise ConfigurationError(f"{label} {key} must be {name}, got {cfg[key]!r}")
+            raise ConfigurationError(f"{label} {key} must be {name}, got {section[key]!r}")
+    return section
+
+
+def _build(cls, values: dict):
+    """`cls` from the entries of `values` that name its fields, YAML lists
+    as tuples; a field that `values` omits keeps its default."""
+    fields = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items() if k in fields})
 
 
 def _require_files(*paths) -> None:
@@ -133,34 +161,21 @@ def main(verbose: bool):
 @_guarded
 def ingest(config_path, out_path, seed, lenient):
     """Read a raw dataset into canonical instances, applying NA and length filters."""
-    cfg = _load_config(config_path)
-    _check_keys(cfg, "ingest config", INGEST_KEYS)
-    _check_types(cfg, "ingest config", INGEST_KEYS)
-    for key in ("dataset", "task", "path"):
-        if key not in cfg:
-            raise ConfigurationError(f"ingest config missing {key!r}")
+    cfg = _load_config(config_path, "ingest config", INGEST_KEYS, ("dataset", "task", "path"), seed)
     try:
         task = TaskKind(cfg["task"])
     except ValueError:
         raise ConfigurationError(f"unknown task {cfg['task']!r}")
+    max_tokens = cfg.get("max_tokens", 2048)
+    if max_tokens < 1:
+        raise ConfigurationError(f"max_tokens must be >= 1, got {max_tokens}")
     _require_files(cfg["path"], cfg.get("schema"))
-    spec = ReaderSpec(
-        dataset=cfg["dataset"],
-        task=task,
-        text_field=cfg.get("text_field", "text"),
-        gold_field=cfg.get("gold_field", "gold"),
-        schema_path=cfg.get("schema"),
-        null_labels=tuple(cfg.get("null_labels", ())),
-    )
+    spec = _build(ReaderSpec, {**cfg, "task": task, "schema_path": cfg.get("schema")})
     instances = load_dataset(spec, cfg["path"], lenient=lenient)
     n_loaded = len(instances)
-    instances = filter_na(
-        instances,
-        keep_rate=cfg.get("na_keep_rate", 0.2),
-        seed=seed if seed is not None else cfg.get("seed", 0),
-    )
+    instances = filter_na(instances, keep_rate=cfg.get("na_keep_rate", 0.2), seed=cfg.get("seed", 0))
     n_after_na = len(instances)
-    instances = filter_length(instances, max_tokens=cfg.get("max_tokens", 2048))
+    instances = filter_length(instances, max_tokens=max_tokens)
     write_instances(instances, out_path)
     click.echo(
         f"loaded {n_loaded}, after NA filter {n_after_na}, "
@@ -176,19 +191,10 @@ def ingest(config_path, out_path, seed, lenient):
 def mix(config_path, out_path, seed):
     """Combine canonical datasets with the proportional cap, optionally mixing
     in a general-purpose corpus at a fixed IE rate."""
-    cfg = _load_config(config_path)
-    _check_keys(cfg, "mix config", MIX_KEYS)
-    _check_types(cfg, "mix config", MIX_KEYS)
-    datasets_cfg = cfg.get("datasets")
-    if not datasets_cfg:
-        raise ConfigurationError("mix config missing 'datasets'")
-    _require_files(*datasets_cfg.values(), cfg.get("general"))
-    datasets = {name: read_instances(path) for name, path in datasets_cfg.items()}
-    plan = MixturePlan(
-        cap=cfg.get("cap", 5000),
-        quotas=cfg.get("quotas", {}),
-        seed=seed if seed is not None else cfg.get("seed", 0),
-    )
+    cfg = _load_config(config_path, "mix config", MIX_KEYS, ("datasets",), seed)
+    plan = _build(MixturePlan, cfg)
+    _require_files(*cfg["datasets"].values(), cfg.get("general"))
+    datasets = {name: read_instances(path) for name, path in cfg["datasets"].items()}
     mixed, counts = mix_proportional(datasets, plan)
     if cfg.get("general"):
         general = read_instances(cfg["general"])
@@ -197,19 +203,15 @@ def mix(config_path, out_path, seed):
     click.echo(f"contributions {counts}, total {len(mixed)} -> {out_path}")
 
 
-def _options(cls, label: str, cfg: dict, key: str, seed: Optional[int]):
-    """`cls` built from the mapping `cfg[key]`, whose keys must be fields of
-    `cls` other than seed and whose values must fit the field types (YAML
-    lists become tuples); the seed is --seed or the config's top-level seed."""
-    given = cfg.get(key) or {}
-    if not isinstance(given, dict):
-        raise ConfigurationError(f"{label} options must be a mapping")
-    unknown = set(given) - ({f.name for f in dataclasses.fields(cls)} - {"seed"})
-    if unknown:
-        raise ConfigurationError(f"unknown {label} options: {sorted(unknown)}")
-    values = {**given, "seed": seed if seed is not None else cfg.get("seed", 0)}
-    _check_types(values, f"{label} option", typing.get_type_hints(cls))
-    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
+def _options(cls, label: str, cfg: dict, key: str):
+    """`cls` built from the mapping `cfg[key]`, checked against the field
+    types of `cls` but seed, and from the config's top-level seed."""
+    types = typing.get_type_hints(cls)
+    del types["seed"]
+    values = dict(_check(cfg.get(key) or {}, label, types, ()))
+    if "seed" in cfg:
+        values["seed"] = cfg["seed"]
+    return _build(cls, values)
 
 
 def _fits(value, hint) -> bool:
@@ -235,11 +237,7 @@ def _make_backend(cfg: dict, backend_override: Optional[str]):
     or None when neither names one. An override of the config's kind updates
     its settings; one of the other kind replaces them, so a live config's
     endpoint never reaches a mock as an unknown key."""
-    backend_cfg = cfg.get("backend")
-    if backend_cfg is None:
-        backend_cfg = {}
-    if not isinstance(backend_cfg, dict):
-        raise ConfigurationError(f"backend must be a mapping, got {backend_cfg!r}")
+    backend_cfg = cfg.get("backend") or {}
     if backend_override:
         if backend_override in ("mock", "live"):
             override = {"kind": backend_override}
@@ -251,6 +249,10 @@ def _make_backend(cfg: dict, backend_override: Optional[str]):
         backend_cfg = {**(backend_cfg if same_kind else {}), **override}
     if not backend_cfg:
         return None
+    kind = backend_cfg.get("kind", "mock")
+    if kind not in list(BACKEND_KEYS):  # a list, so an unhashable kind is unknown
+        raise ConfigurationError(f"unknown backend kind {kind!r}")
+    _check(backend_cfg, f"{kind} backend", BACKEND_KEYS[kind], ("endpoint", "model") if kind == "live" else ())
     return make_client(backend_cfg, cache_dir=cfg.get("cache_dir"))
 
 
@@ -262,14 +264,9 @@ def _make_backend(cfg: dict, backend_override: Optional[str]):
 @_guarded
 def build_sft_cmd(config_path, out_dir, seed, backend):
     """Build the instruction-tuning corpus from canonical instances."""
-    cfg = _load_config(config_path)
-    _check_keys(cfg, "build-sft config", SFT_KEYS)
-    if "instances" not in cfg:
-        raise ConfigurationError("build-sft config missing 'instances'")
-    _require_files(cfg["instances"])
-    opts = _options(SftOptions, "SFT", cfg, "options", seed)
-    if opts.pool_dir:
-        _require_files(opts.pool_dir)
+    cfg = _load_config(config_path, "build-sft config", SFT_KEYS, ("instances",), seed)
+    opts = _options(SftOptions, "SFT option", cfg, "options")
+    _require_files(cfg["instances"], opts.pool_dir)
     client = _make_backend(cfg, backend)
     instances = read_instances(cfg["instances"])
     manifest = run_build_sft(instances, opts, out_dir, client=client, config=cfg)
@@ -285,12 +282,9 @@ def build_sft_cmd(config_path, out_dir, seed, backend):
 @_guarded
 def build_dpo_cmd(config_path, out_dir, seed, backend):
     """Build the preference-pair corpus with a model backend (mock allowed)."""
-    cfg = _load_config(config_path)
-    _check_keys(cfg, "build-dpo config", DPO_KEYS)
-    if "instances" not in cfg:
-        raise ConfigurationError("build-dpo config missing 'instances'")
-    _require_files(cfg["instances"])
-    plan = _options(DpoPlan, "DPO plan", cfg, "plan", seed)
+    cfg = _load_config(config_path, "build-dpo config", DPO_KEYS, ("instances",), seed)
+    plan = _options(DpoPlan, "DPO plan option", cfg, "plan")
+    _require_files(cfg["instances"], cfg.get("pool_dir"))
     client = _make_backend(cfg, backend)
     if client is None:
         raise ConfigurationError("build-dpo requires a backend (config 'backend' or --backend)")

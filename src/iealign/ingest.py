@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 from .errors import ConfigurationError, DataError
 from .model import (
-    Extraction,
     IEInstance,
     SchemaDef,
     TaskKind,
@@ -36,7 +35,9 @@ class ReaderSpec:
     text_field: str = "text"
     gold_field: str = "gold"
     schema_path: Optional[str] = None
-    # labels that mean "nothing to extract" (RC null relation, ERE NONE, ...)
+    # labels that mean "nothing to extract" (RC null relation, NER O, EE
+    # NONE, ...): an item that holds one is dropped, and so is an EE event
+    # of a null type or an argument of a null role
     null_labels: tuple[str, ...] = ()
 
 
@@ -61,16 +62,6 @@ def load_schema(path) -> Optional[SchemaDef]:
     if problems:
         raise ConfigurationError(f"schema file {path}: " + "; ".join(problems))
     return schema
-
-
-def _apply_null_labels(task: TaskKind, gold: Extraction, null_labels: tuple[str, ...]) -> Extraction:
-    if not null_labels:
-        return gold
-    nulls = set(null_labels)
-    if task in (TaskKind.RC, TaskKind.RE, TaskKind.ERE):
-        items = tuple(it for it in gold.items if it[1] not in nulls)
-        return Extraction(task, items, gold.trigger, gold.table)
-    return gold
 
 
 def load_dataset(spec: ReaderSpec, path, lenient: bool = False) -> list[IEInstance]:
@@ -115,7 +106,7 @@ def _read_record(spec: ReaderSpec, schema: Optional[SchemaDef], raw, lineno: int
     problems = gold_shape_problems(gold)  # before the null labels are read off the items
     if problems:
         raise DataError("invalid instance: " + "; ".join(problems), line=lineno)
-    gold = _apply_null_labels(spec.task, gold, spec.null_labels)
+    gold = gold.restrict(set(gold.labels_used()) - set(spec.null_labels))
     index = raw.get("index", lineno - 1)
     inst = IEInstance(
         id=stable_id(spec.dataset, index, text),
@@ -172,6 +163,9 @@ class MixturePlan:
     def __post_init__(self):
         if self.cap < 1:
             raise ConfigurationError(f"cap must be >= 1, got {self.cap}")
+        negative = {name: quota for name, quota in self.quotas.items() if quota < 0}
+        if negative:
+            raise ConfigurationError(f"quotas must be >= 0, got {negative}")
 
 
 def mix_proportional(
@@ -180,6 +174,11 @@ def mix_proportional(
     """Examples-proportional mixture: each dataset contributes
     min(|D|, cap) instances, or its explicit quota. Returns the deterministic
     shuffled corpus and the per-dataset contribution counts."""
+    if not datasets:
+        raise ConfigurationError("no datasets to mix")
+    unknown = sorted(set(plan.quotas) - set(datasets))
+    if unknown:
+        raise ConfigurationError(f"quotas name datasets not in the mixture: {unknown}")
     sampled: list[IEInstance] = []
     counts: dict[str, int] = {}
     for name in sorted(datasets):

@@ -181,6 +181,21 @@ def test_mix_caps_and_writes(runner, tmp_path):
     assert len(read_instances(out)) == 80  # 50 capped + 30 whole
 
 
+def _base_config(tmp_path, command):
+    """A config that `command` accepts: the raw file and its schema for
+    ingest, one dataset and a general corpus for mix, and the instances and
+    a mock backend for the builds."""
+    if command == "ingest":
+        raw, schema, _ = _raw_dataset(tmp_path)
+        return {"dataset": "d", "task": "NER", "path": str(raw), "schema": str(schema)}
+    if command == "mix":
+        a, _ = _canonical(tmp_path, name="a.jsonl")
+        general, _ = _canonical(tmp_path, TaskKind.RE, name="general.jsonl")
+        return {"datasets": {"a": str(a)}, "general": str(general)}
+    inst, _ = _canonical(tmp_path)
+    return {"instances": str(inst), "backend": {"kind": "mock", "policy": "fixed:x"}}
+
+
 def test_mix_missing_datasets_key_exits_2(runner, tmp_path):
     cfg = _write_yaml(tmp_path / "mix.yaml", {"cap": 50})
     assert runner.invoke(main, ["mix", "--config", cfg, "--out", str(tmp_path / "o.jsonl")]).exit_code == 2
@@ -198,14 +213,24 @@ def test_mix_missing_datasets_key_exits_2(runner, tmp_path):
 def test_ingest_and_mix_mistyped_config_exits_2(runner, tmp_path, command, values, message):
     """A config value of the wrong type is a configuration error before any
     input is read or output written, not a traceback or a silent seed."""
-    if command == "ingest":
-        raw, schema, _ = _raw_dataset(tmp_path)
-        base = {"dataset": "d", "task": "NER", "path": str(raw), "schema": str(schema)}
-    else:
-        a, _ = _canonical(tmp_path, name="a.jsonl")
-        general, _ = _canonical(tmp_path, TaskKind.RE, name="general.jsonl")
-        base = {"datasets": {"a": str(a)}, "general": str(general)}
-    cfg = _write_yaml(tmp_path / "cfg.yaml", {**base, **values})
+    cfg = _write_yaml(tmp_path / "cfg.yaml", {**_base_config(tmp_path, command), **values})
+    out = tmp_path / "out.jsonl"
+    result = runner.invoke(main, [command, "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"configuration error: {message}" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,values,message", [
+    ("ingest", {"max_tokens": 0}, "max_tokens must be >= 1, got 0"),
+    ("mix", {"quotas": {"a": -1}}, "quotas must be >= 0, got {'a': -1}"),
+    ("mix", {"quotas": {"b": 3}}, "quotas name datasets not in the mixture: ['b']"),
+    ("mix", {"datasets": {}}, "no datasets to mix"),
+], ids=["max_tokens", "negative_quota", "unknown_quota", "no_datasets"])
+def test_ingest_and_mix_out_of_range_config_exits_2(runner, tmp_path, command, values, message):
+    """An out-of-range value is a configuration error before any output is
+    written, not a traceback, an empty output or a quota silently ignored."""
+    cfg = _write_yaml(tmp_path / "cfg.yaml", {**_base_config(tmp_path, command), **values})
     out = tmp_path / "out.jsonl"
     result = runner.invoke(main, [command, "--config", cfg, "--out", str(out)])
     assert result.exit_code == 2, result.output
@@ -223,16 +248,7 @@ def test_unknown_config_key_exits_2(runner, tmp_path, command, values, message):
     """A top-level config key the command does not read is a configuration
     error before any output is written, not a setting silently left at its
     default."""
-    if command == "ingest":
-        raw, schema, _ = _raw_dataset(tmp_path)
-        base = {"dataset": "d", "task": "NER", "path": str(raw), "schema": str(schema)}
-    elif command == "mix":
-        a, _ = _canonical(tmp_path, name="a.jsonl")
-        base = {"datasets": {"a": str(a)}}
-    else:
-        inst, _ = _canonical(tmp_path)
-        base = {"instances": str(inst), "backend": {"kind": "mock", "policy": "fixed:x"}}
-    cfg = _write_yaml(tmp_path / "cfg.yaml", {**base, **values})
+    cfg = _write_yaml(tmp_path / "cfg.yaml", {**_base_config(tmp_path, command), **values})
     out = tmp_path / "out"
     result = runner.invoke(main, [command, "--config", cfg, "--out", str(out)])
     assert result.exit_code == 2, result.output
@@ -265,7 +281,7 @@ def test_build_sft_unknown_option_exits_2(runner, tmp_path):
         cfg = _write_yaml(tmp_path / "sft.yaml", {"instances": str(inst), "options": options})
         result = runner.invoke(main, ["build-sft", "--config", cfg, "--out", str(tmp_path / "run")])
         assert result.exit_code == 2
-        assert f"unknown SFT options: {sorted(options)}" in result.output
+        assert f"unknown SFT option keys: {sorted(options)}" in result.output
 
 
 def test_build_dpo_unknown_plan_key_exits_2(runner, tmp_path):
@@ -274,7 +290,7 @@ def test_build_dpo_unknown_plan_key_exits_2(runner, tmp_path):
     out = tmp_path / "run"
     result = runner.invoke(main, ["build-dpo", "--config", cfg, "--out", str(out), "--backend", "fixed:x"])
     assert result.exit_code == 2
-    assert "unknown DPO plan options: ['target_sise']" in result.output
+    assert "unknown DPO plan option keys: ['target_sise']" in result.output
     assert not out.exists()
 
 
@@ -308,7 +324,11 @@ def test_build_out_of_range_option_exits_2(runner, tmp_path, command, key, value
     ("build-sft", "options", {"demo_rate": False}, "SFT option demo_rate must be float, got False"),
     ("build-sft", "options", {"pool_dir": ["a"]}, "SFT option pool_dir must be Optional[str], got ['a']"),
     ("build-dpo", "plan", {"gap_threshold": "0.1"}, "DPO plan option gap_threshold must be float, got '0.1'"),
-    ("build-dpo", "seed", "seven", "DPO plan option seed must be int, got 'seven'"),
+    ("build-dpo", "seed", "seven", "build-dpo config seed must be int, got 'seven'"),
+    ("build-dpo", "instances", 5, "build-dpo config instances must be str, got 5"),
+    ("build-dpo", "pool_dir", 5, "build-dpo config pool_dir must be Optional[str], got 5"),
+    ("build-dpo", "cache_dir", 5, "build-dpo config cache_dir must be Optional[str], got 5"),
+    ("build-sft", "options", [1], "build-sft config options must be Optional[dict], got [1]"),
 ])
 def test_build_option_of_wrong_type_exits_2(runner, tmp_path, command, key, values, message):
     """A value that does not fit its option's type is a configuration error
@@ -327,7 +347,7 @@ _LIVE = {"kind": "live", "endpoint": "http://localhost:9/v1", "model": "m"}
 
 @pytest.mark.parametrize("backend,override,message", [
     ({**_LIVE, "qps": -1}, None, "qps must be a number >= 0, got -1"),
-    ([1, 2], None, "backend must be a mapping, got [1, 2]"),
+    ([1, 2], None, "build-dpo config backend must be Optional[dict], got [1, 2]"),
     ({"kind": "live", "endpoint": "http://localhost:9/v1"}, None, "live backend missing ['model']"),
     ({"kind": "live", "model": "m"}, None, "live backend missing ['endpoint']"),
     (None, "https://localhost:9/v1", "live backend missing ['model']"),
@@ -335,12 +355,16 @@ _LIVE = {"kind": "live", "endpoint": "http://localhost:9/v1", "model": "m"}
      "noisy_gold rate must be a number in [0, 1], got 'noisy_gold:abc'"),
     (None, "noisy_gold:1.5", "noisy_gold rate must be a number in [0, 1], got 'noisy_gold:1.5'"),
     (None, "bogus", "unknown mock policy 'bogus'"),
-    ({"kind": "mock", "seed": "x"}, None, "mock seed must be an int, got 'x'"),
+    ({"kind": "mock", "seed": "x"}, None, "mock backend seed must be int, got 'x'"),
     ({**_LIVE, "workers": 8}, None, "unknown live backend keys: ['workers']"),
     ({**_LIVE, "qsp": 3}, None, "unknown live backend keys: ['qsp']"),
-    ({**_LIVE, "endpoint": 5}, None, "live backend endpoint must be a string, got 5"),
+    ({**_LIVE, "endpoint": 5}, None, "live backend endpoint must be str, got 5"),
+    ({"kind": "telepathy"}, None, "unknown backend kind 'telepathy'"),
+    ({"kind": ["live"]}, None, "unknown backend kind ['live']"),
+    ({"kind": "mock", "policy": 5}, None, "mock backend policy must be str, got 5"),
 ], ids=["qps", "not_mapping", "no_model", "no_endpoint", "url_override_no_model", "policy_not_number",
-        "policy_rate_range", "policy_unknown", "mock_seed", "workers_key", "typo_key", "endpoint_type"])
+        "policy_rate_range", "policy_unknown", "mock_seed", "workers_key", "typo_key", "endpoint_type",
+        "unknown_kind", "unhashable_kind", "policy_type"])
 def test_build_dpo_bad_live_setting_exits_2(runner, tmp_path, monkeypatch, backend, override, message):
     """A bad backend config exits 2 before any output is written, not with a
     traceback or a setting silently ignored; the qps values are checked in
@@ -357,6 +381,50 @@ def test_build_dpo_bad_live_setting_exits_2(runner, tmp_path, monkeypatch, backe
     assert result.exit_code == 2, result.output
     assert f"configuration error: {message}" in result.output
     assert not out.exists() and not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("command,section,label,mistyped,message", [
+    ("ingest", None, "ingest config", {"max_tokens": "9"}, "ingest config max_tokens must be int, got '9'"),
+    ("mix", None, "mix config", {"general": 5}, "mix config general must be Optional[str], got 5"),
+    ("build-sft", None, "build-sft config", {"seed": 1.5}, "build-sft config seed must be int, got 1.5"),
+    ("build-sft", "options", "SFT option", {"symbol_rate": "high"}, "SFT option symbol_rate must be float, got 'high'"),
+    ("build-dpo", None, "build-dpo config", {"instances": ["a"]}, "build-dpo config instances must be str, got ['a']"),
+    ("build-dpo", "plan", "DPO plan option", {"offline_rate": None}, "DPO plan option offline_rate must be float, got None"),
+    ("build-dpo", "backend", "mock backend", {"fallback": 5}, "mock backend fallback must be str, got 5"),
+    ("build-dpo", "backend", "live backend", {"model": 5}, "live backend model must be str, got 5"),
+], ids=["ingest", "mix", "build-sft", "build-sft-options", "build-dpo", "build-dpo-plan", "mock-backend",
+        "live-backend"])
+def test_every_config_mapping_rejects_unknown_key_and_wrong_type(
+    runner, tmp_path, command, section, label, mistyped, message
+):
+    """Each config mapping is checked against its own table of keys and
+    types: an unknown key or a value of the wrong type exits 2 before any
+    file is written."""
+    base = _base_config(tmp_path, command)
+    if label == "live backend":
+        base["backend"] = dict(_LIVE)
+    for values, expected in (({"bogus": 1}, f"unknown {label} keys: ['bogus']"), (mistyped, message)):
+        cfg = {**base, **values} if section is None else {**base, section: {**base.get(section, {}), **values}}
+        path = _write_yaml(tmp_path / "cfg.yaml", cfg)
+        result = runner.invoke(main, [command, "--config", path, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert f"configuration error: {expected}" in result.output
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,values", [
+    ("build-sft", {"options": {"pool_dir": "no-such-dir"}}),
+    ("build-dpo", {"pool_dir": "no-such-dir"}),
+], ids=["build-sft", "build-dpo"])
+def test_build_missing_pool_dir_exits_2(runner, tmp_path, monkeypatch, command, values):
+    """A description pool directory that does not exist is a configuration
+    error, not a silent fall-back to the packaged descriptions."""
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_yaml(tmp_path / "cfg.yaml", {**_base_config(tmp_path, command), **values})
+    result = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "configuration error: input file not found: no-such-dir" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_build_int_for_float_option_is_accepted(runner, tmp_path):

@@ -81,6 +81,24 @@ def test_null_labels_removed(tmp_path):
     assert loaded[0].is_na
 
 
+@pytest.mark.parametrize("task,gold,kept", [
+    (TaskKind.NER, [["big", "O"], ["Paris", "location"]], (("Paris", "location"),)),
+    (TaskKind.ED, [["went", "NONE"], ["hit", "attack"]], (("hit", "attack"),)),
+    (TaskKind.EAE, {"trigger": "hit", "args": [["Bob", "agent"], ["today", "NONE"]]}, (("Bob", "agent"),)),
+    (TaskKind.EE, [
+        {"trigger": "went", "type": "NONE", "arguments": [["Bob", "agent"]]},
+        {"trigger": "hit", "type": "attack", "arguments": [["Bob", "agent"], ["today", "NONE"]]},
+    ], (("hit", "attack", (("Bob", "agent"),)),)),
+], ids=["NER", "ED", "EAE", "EE"])
+def test_null_labels_removed_for_every_closed_ie_task(tmp_path, task, gold, kept):
+    """A null label, which the schema does not hold, drops its item: an EE
+    event by its type, an argument by its role."""
+    path = tmp_path / "raw.jsonl"
+    path.write_text(json.dumps({"text": "Bob hit big Paris today and went", "gold": gold}) + "\n", encoding="utf-8")
+    spec = ReaderSpec("d", task, schema_path=str(write_schema(tmp_path, task)), null_labels=("O", "NONE"))
+    assert load_dataset(spec, path)[0].gold.items == kept
+
+
 def test_schema_task_mismatch(tmp_path):
     raw = write_raw(tmp_path, make_corpus(TaskKind.NER, 2, seed=0))
     schema = write_schema(tmp_path, TaskKind.ED)

@@ -1,8 +1,11 @@
-"""Print the size of iealign's source: its line total and its settable values.
+"""Print the size of iealign's source: its line total, its settable values
+and its config keys.
 
 A settable value is a parameter with a default (keyword-only ones included)
-of any function or method, or a field with a default of a dataclass. Both
-numbers are meant to fall as the code gets simpler.
+of any function or method, or a field with a default of a dataclass. The
+config keys are the keys the CLI's config tables accept plus the fields of
+SftOptions and DpoPlan, which `options:` and `plan:` set. All three numbers
+are meant to fall as the code gets simpler.
 
 Usage, from any directory: python tools/surface.py
 """
@@ -10,6 +13,8 @@ Usage, from any directory: python tools/surface.py
 from __future__ import annotations
 
 import ast
+import dataclasses
+import sys
 from pathlib import Path
 
 
@@ -32,12 +37,22 @@ def settable_values(tree: ast.AST) -> int:
     return count
 
 
+def config_keys() -> int:
+    from iealign import cli
+
+    tables = [cli.INGEST_KEYS, cli.MIX_KEYS, cli.SFT_KEYS, cli.DPO_KEYS, *cli.BACKEND_KEYS.values()]
+    fields = [dataclasses.fields(cls) for cls in (cli.SftOptions, cli.DpoPlan)]
+    return sum(map(len, tables + fields))
+
+
 def main() -> None:
-    source = Path(__file__).resolve().parent.parent / "src" / "iealign"
-    texts = [f.read_text(encoding="utf-8") for f in sorted(source.glob("*.py"))]
+    source = Path(__file__).resolve().parent.parent / "src"
+    texts = [f.read_text(encoding="utf-8") for f in sorted((source / "iealign").glob("*.py"))]
     lines = sum(t.count("\n") for t in texts)
     print(f"source lines: {lines:,}")
     print(f"settable values: {sum(settable_values(ast.parse(t)) for t in texts)}")
+    sys.path.insert(0, str(source))
+    print(f"config keys: {config_keys()}")
 
 
 if __name__ == "__main__":
