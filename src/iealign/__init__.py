@@ -4,7 +4,6 @@ information extraction, and for evaluating extraction outputs."""
 __version__ = "0.1.0"
 
 from .model import (  # noqa: F401
-    AlignmentExample,
     Extraction,
     FormatSpec,
     IEInstance,

@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .formats import CompiledTemplate, compile_template, compile_truncations, unquote_value
-from .model import OPTIONAL_SLOTS, TASK_SLOTS, AlignmentExample, Extraction, FormatSpec, TaskKind
+from .model import OPTIONAL_SLOTS, TASK_SLOTS, Extraction, FormatSpec, TaskKind
 
 
 class SerializationError(ValueError):
@@ -318,27 +318,6 @@ def parse_answer(text: str, spec: FormatSpec, trigger: Optional[str] = None) -> 
         if d.kind.fatal:
             raise ParseError(d.message, d.offset)
     return result.extraction
-
-
-# ---------------------------------------------------------------------------
-# Chain-of-thought composition
-
-COT_SEPARATOR = "\n\n"
-
-
-def attach_cot(example: AlignmentExample, explanation: str) -> AlignmentExample:
-    """Prepend an explanation to the example's answer, keeping the answer
-    machine-findable after a blank line."""
-    if example.cot is not None:
-        raise ValueError("example already carries a CoT explanation")
-    if not explanation.strip():
-        raise ValueError("empty explanation")
-    explanation = explanation.strip()
-    return replace(
-        example,
-        cot=explanation,
-        output=explanation + COT_SEPARATOR + example.answer,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -169,11 +169,14 @@ def ingest(config_path, out_path, seed, lenient):
     max_tokens = cfg.get("max_tokens", 2048)
     if max_tokens < 1:
         raise ConfigurationError(f"max_tokens must be >= 1, got {max_tokens}")
+    keep_rate = cfg.get("na_keep_rate", 0.2)
+    if not 0 <= keep_rate <= 1:
+        raise ConfigurationError(f"na_keep_rate must be in [0, 1], got {keep_rate}")
     _require_files(cfg["path"], cfg.get("schema"))
     spec = _build(ReaderSpec, {**cfg, "task": task, "schema_path": cfg.get("schema")})
     instances = load_dataset(spec, cfg["path"], lenient=lenient)
     n_loaded = len(instances)
-    instances = filter_na(instances, keep_rate=cfg.get("na_keep_rate", 0.2), seed=cfg.get("seed", 0))
+    instances = filter_na(instances, keep_rate=keep_rate, seed=cfg.get("seed", 0))
     n_after_na = len(instances)
     instances = filter_length(instances, max_tokens=max_tokens)
     write_instances(instances, out_path)
@@ -193,12 +196,15 @@ def mix(config_path, out_path, seed):
     in a general-purpose corpus at a fixed IE rate."""
     cfg = _load_config(config_path, "mix config", MIX_KEYS, ("datasets",), seed)
     plan = _build(MixturePlan, cfg)
+    ie_rate = cfg.get("ie_rate", 0.2)
+    if not 0 < ie_rate < 1:
+        raise ConfigurationError(f"ie_rate must be in (0, 1), got {ie_rate}")
     _require_files(*cfg["datasets"].values(), cfg.get("general"))
     datasets = {name: read_instances(path) for name, path in cfg["datasets"].items()}
     mixed, counts = mix_proportional(datasets, plan)
     if cfg.get("general"):
         general = read_instances(cfg["general"])
-        mixed = mix_general(mixed, general, ie_rate=cfg.get("ie_rate", 0.2), seed=plan.seed)
+        mixed = mix_general(mixed, general, ie_rate=ie_rate, seed=plan.seed)
     write_instances(mixed, out_path)
     click.echo(f"contributions {counts}, total {len(mixed)} -> {out_path}")
 

@@ -213,21 +213,6 @@ class FormatSpec:
 
 
 @dataclass(frozen=True)
-class AlignmentExample:
-    instance_id: str
-    task: TaskKind
-    prompt: str
-    demonstrations: tuple[tuple[str, str], ...]
-    output: str
-    answer: str  # output minus the CoT preamble (equal to output when cot is None)
-    cot: Optional[str]
-    format: FormatSpec
-    schema_view_labels: tuple[str, ...]  # labels as shown in the prompt ([] for open/on-demand)
-    has_guidelines: bool = False
-    symbolized: bool = False
-
-
-@dataclass(frozen=True)
 class PreferencePair:
     instance_id: str
     prompt: str

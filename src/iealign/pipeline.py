@@ -18,11 +18,11 @@ import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .answers import attach_cot, parse_answer, parse_answer_lenient, serialize_answer, ParseError
+from .answers import parse_answer, parse_answer_lenient, serialize_answer, ParseError
 from .augment import generate_cot, sample_words_limit
 from .client import BaseClient, TransportError
 from .errors import ConfigurationError, DataError
@@ -31,7 +31,6 @@ from .ingest import whitespace_token_count
 from .metrics import PRF, exact_match_f1, micro_prf
 from .model import (
     CLOSED_IE_TASKS,
-    AlignmentExample,
     Extraction,
     IEInstance,
     TaskKind,
@@ -64,6 +63,8 @@ logger = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------------
 # SFT construction
+
+COT_SEPARATOR = "\n\n"  # between a CoT explanation and the answer, in a record's output
 
 
 @dataclass(frozen=True)
@@ -117,11 +118,15 @@ def build_sft(
     opts: SftOptions,
     client: Optional[BaseClient] = None,
 ) -> tuple[list[dict], dict]:
-    """Assemble one training record per instance and return (records, stats).
+    """Assemble one training record per instance and return (records, its
+    `Composition` report, with the length drops and the input count).
 
     Stages per instance: format choice, task description, schema augmentation,
     answer serialization, demonstrations, prompt layout, length re-check, and
-    CoT attachment for the capped eligible subset (skipped without a client).
+    CoT for the capped eligible subset (skipped without a client). Each record
+    is written once from these parts. The closure audit reads the restricted
+    gold the answer was serialized from, which parses back to itself, and the
+    report counts the tokens the length check counted plus the CoT's.
 
     Each instance draws every choice from one stream seeded by its id. Draws
     whose consumption no option changes come first (format, description, CoT
@@ -151,6 +156,7 @@ def build_sft(
     cot_ids = select_cot_ids(eligible_by_task, opts)
 
     records: list[dict] = []
+    composition = Composition()
     dropped_length = 0
     for inst in instances:
         task = inst.task
@@ -168,62 +174,49 @@ def build_sft(
         gold = inst.gold
         if task in CLOSED_IE_TASKS:
             view, gold = augment_schema(inst.schema, inst.gold, opts.guideline_rate, opts.symbol_rate, rng)
-        answer = serialize_answer(gold, fmt, seed=rng)
-
-        example = AlignmentExample(
-            instance_id=inst.id,
-            task=task,
-            prompt="",
-            demonstrations=(),
-            output=answer,
-            answer=answer,
-            cot=None,
-            format=fmt,
-            schema_view_labels=view.label_names() if view else (),
-            has_guidelines=view.guidelines_included if view else False,
-            symbolized=bool(view and view.symbol_map),
+        example = attach_demonstrations(
+            inst.id, fmt, view, serialize_answer(gold, fmt, seed=rng),
+            demo_pools[task], opts.demo_rate, opts.demo_k_range, rng,
         )
-        example = attach_demonstrations(example, demo_pools[task], view, opts.demo_rate, opts.demo_k_range, rng)
         prompt = assemble_input(inst, view, task_desc, fmt, example.demonstrations)
-        example = replace(example, prompt=prompt)
 
-        if whitespace_token_count(prompt) + whitespace_token_count(example.output) > opts.max_tokens:
+        tokens = whitespace_token_count(prompt) + whitespace_token_count(example.answer)
+        if tokens > opts.max_tokens:
             dropped_length += 1
             logger.info("dropping over-length example %s", inst.id)
             continue
 
+        cot = None
         if inst.id in cot_ids:
             try:
-                explanation = generate_cot(prompt, example.answer, words, client)
+                cot = generate_cot(prompt, example.answer, words, client)
             except (TransportError, DataError) as e:
                 logger.warning("CoT generation skipped for %s: %s", inst.id, e)
             else:
-                example = attach_cot(example, explanation)
+                tokens += whitespace_token_count(cot)
 
-        records.append(_example_record(example, inst))
+        record = {
+            "id": inst.id,
+            "dataset": inst.dataset,
+            "task": task.value,
+            "prompt": prompt,
+            "demonstrations": [list(d) for d in example.demonstrations],
+            "output": example.answer if cot is None else cot + COT_SEPARATOR + example.answer,
+            "answer": example.answer,
+            "cot": cot,
+            "format": spec_to_json(fmt),
+            "schema_view_labels": list(view.label_names()) if view else [],
+            "has_guidelines": view.guidelines_included if view else False,
+            "symbolized": bool(view and view.symbol_map),
+            "trigger": inst.gold.trigger,
+        }
+        composition.add(record, gold.labels_used(), tokens)
+        records.append(record)
 
-    stats_report = stats(records)
-    stats_report["dropped_length"] = dropped_length
-    stats_report["input_instances"] = len(instances)
-    return records, stats_report
-
-
-def _example_record(ex: AlignmentExample, inst: IEInstance) -> dict:
-    return {
-        "id": ex.instance_id,
-        "dataset": inst.dataset,
-        "task": ex.task.value,
-        "prompt": ex.prompt,
-        "demonstrations": [list(d) for d in ex.demonstrations],
-        "output": ex.output,
-        "answer": ex.answer,
-        "cot": ex.cot,
-        "format": spec_to_json(ex.format),
-        "schema_view_labels": list(ex.schema_view_labels),
-        "has_guidelines": ex.has_guidelines,
-        "symbolized": ex.symbolized,
-        "trigger": inst.gold.trigger,
-    }
+    report = composition.report()
+    report["dropped_length"] = dropped_length
+    report["input_instances"] = len(instances)
+    return records, report
 
 
 # ---------------------------------------------------------------------------
@@ -376,57 +369,74 @@ def check_sft_record(rec) -> dict:
     return rec
 
 
-def stats(records: Sequence[dict]) -> dict:
-    """Composition report over SFT records: per-task/per-dataset counts,
-    demo/guideline/CoT/symbol rates, a length histogram, and the audit that
-    no answer uses a label outside its prompt's schema section."""
-    per_task: dict[str, int] = {}
-    per_dataset: dict[str, int] = {}
-    demo_hist: dict[int, int] = {}
-    n_with_demos = n_guidelines = n_closed = n_cot = n_symbolized = 0
-    length_hist: dict[str, int] = {}
-    closure_violations = 0
-    violating_ids: list[str] = []
-    for rec in records:
-        per_task[rec["task"]] = per_task.get(rec["task"], 0) + 1
+class Composition:
+    """The composition report of SFT records, counted one record at a time:
+    per-task/per-dataset counts, demo/guideline/CoT/symbol rates, a length
+    histogram, and the audit that no closed-IE answer uses a label outside
+    its prompt's schema section."""
+
+    def __init__(self):
+        self.per_task: dict[str, int] = {}
+        self.per_dataset: dict[str, int] = {}
+        self.demo_hist: dict[int, int] = {}
+        self.length_hist: dict[int, int] = {}  # by the bucket's first token count
+        self.n = self.n_with_demos = self.n_closed = self.n_guidelines = self.n_symbolized = self.n_cot = 0
+        self.violating_ids: list[str] = []
+
+    def add(self, rec: dict, labels_used: Sequence[str], tokens: int) -> None:
+        """Count the SFT record `rec`, whose answer uses the schema labels
+        `labels_used` and whose prompt and output hold `tokens` whitespace
+        tokens."""
+        self.n += 1
+        self.per_task[rec["task"]] = self.per_task.get(rec["task"], 0) + 1
         if rec.get("dataset"):
-            per_dataset[rec["dataset"]] = per_dataset.get(rec["dataset"], 0) + 1
+            self.per_dataset[rec["dataset"]] = self.per_dataset.get(rec["dataset"], 0) + 1
         k = len(rec["demonstrations"])
         if k:
-            n_with_demos += 1
-            demo_hist[k] = demo_hist.get(k, 0) + 1
-        task = TaskKind(rec["task"])
-        if task in CLOSED_IE_TASKS:
-            n_closed += 1
-            if rec["has_guidelines"]:
-                n_guidelines += 1
-            if rec["symbolized"]:
-                n_symbolized += 1
-            spec = spec_from_json(rec["format"])
-            extraction = parse_answer_lenient(rec["answer"], spec, rec.get("trigger")).extraction
-            if not set(extraction.labels_used()) <= set(rec["schema_view_labels"]):
-                closure_violations += 1
-                violating_ids.append(rec["id"])
+            self.n_with_demos += 1
+            self.demo_hist[k] = self.demo_hist.get(k, 0) + 1
+        if TaskKind(rec["task"]) in CLOSED_IE_TASKS:
+            self.n_closed += 1
+            self.n_guidelines += rec["has_guidelines"]
+            self.n_symbolized += rec["symbolized"]
+            if not set(labels_used) <= set(rec["schema_view_labels"]):
+                self.violating_ids.append(rec["id"])
         if rec["cot"]:
-            n_cot += 1
+            self.n_cot += 1
+        bucket = (tokens // 256) * 256
+        self.length_hist[bucket] = self.length_hist.get(bucket, 0) + 1
+
+    def report(self) -> dict:
+        n, n_closed = self.n, self.n_closed
+        return {
+            "total": n,
+            "per_task": self.per_task,
+            "per_dataset": self.per_dataset,
+            "demo_rate": self.n_with_demos / n if n else 0.0,
+            "demo_histogram": {str(k): v for k, v in sorted(self.demo_hist.items())},
+            "guideline_rate": self.n_guidelines / n_closed if n_closed else 0.0,
+            "symbol_rate": self.n_symbolized / n_closed if n_closed else 0.0,
+            "cot_count": self.n_cot,
+            "cot_rate": self.n_cot / n if n else 0.0,
+            "length_histogram": {f"{b}-{b + 255}": v for b, v in sorted(self.length_hist.items())},
+            "closure_violations": len(self.violating_ids),
+            "closure_violating_ids": self.violating_ids[:20],
+        }
+
+
+def stats(records: Iterable[dict]) -> dict:
+    """The `Composition` report of SFT records read back from a corpus: each
+    closed-IE answer is parsed leniently under its record's format for the
+    labels it uses, and each prompt and output is counted."""
+    composition = Composition()
+    for rec in records:
+        labels_used = ()
+        if TaskKind(rec["task"]) in CLOSED_IE_TASKS:
+            spec = spec_from_json(rec["format"])
+            labels_used = parse_answer_lenient(rec["answer"], spec, rec.get("trigger")).extraction.labels_used()
         tokens = whitespace_token_count(rec["prompt"]) + whitespace_token_count(rec["output"])
-        bucket = f"{(tokens // 256) * 256}-{(tokens // 256) * 256 + 255}"
-        length_hist[bucket] = length_hist.get(bucket, 0) + 1
-    n = len(records)
-    return {
-        "total": n,
-        "per_task": per_task,
-        "per_dataset": per_dataset,
-        "demo_rate": n_with_demos / n if n else 0.0,
-        "demo_histogram": {str(k): v for k, v in sorted(demo_hist.items())},
-        "guideline_rate": n_guidelines / n_closed if n_closed else 0.0,
-        "symbol_rate": n_symbolized / n_closed if n_closed else 0.0,
-        "cot_count": n_cot,
-        "cot_rate": n_cot / n if n else 0.0,
-        "length_histogram": dict(sorted(length_hist.items(), key=lambda kv: int(kv[0].split("-")[0]))),
-        "closure_violations": closure_violations,
-        "closure_violating_ids": violating_ids[:20],
-    }
+        composition.add(rec, labels_used, tokens)
+    return composition.report()
 
 
 # ---------------------------------------------------------------------------

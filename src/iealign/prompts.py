@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 from .answers import serialize_answer
 from .errors import ConfigurationError
 from .model import (
-    AlignmentExample,
     Extraction,
     FormatSpec,
     IEInstance,
@@ -136,28 +135,35 @@ def render_schema_section(view: SchemaView) -> str:
 # Demonstrations
 
 
+@dataclass(frozen=True)
+class AlignmentExample:
+    """An SFT example's answer and the demonstrations its prompt shows."""
+
+    answer: str
+    demonstrations: tuple[tuple[str, str], ...]  # (text, answer) pairs
+
+
 def attach_demonstrations(
-    example: AlignmentExample,
-    demo_pool: Sequence[IEInstance],
+    instance_id: str,
+    format_spec: FormatSpec,
     view: Optional[SchemaView],
+    answer: str,
+    demo_pool: Sequence[IEInstance],
     demo_rate: float,
     k_range: tuple[int, int],
     rng: random.Random,
 ) -> AlignmentExample:
-    """With probability `demo_rate`, add k ~ Uniform[k_range] demonstrations
-    rendered with the example's own format and schema view; each demo's
+    """The example of `answer`, with probability `demo_rate` with
+    k ~ Uniform[k_range] demonstrations from `demo_pool` but the instance
+    itself, rendered under `format_spec` and the schema view; each demo's
     answer order is drawn from `rng` too."""
     if rng.random() >= demo_rate:
-        return example
-    pool = [d for d in demo_pool if d.id != example.instance_id]
+        return AlignmentExample(answer, ())
+    pool = [d for d in demo_pool if d.id != instance_id]
     k = rng.randint(*k_range)
     if k > len(pool):
-        logger.info(
-            "demo pool shortfall for %s: wanted %d, have %d", example.instance_id, k, len(pool)
-        )
+        logger.info("demo pool shortfall for %s: wanted %d, have %d", instance_id, k, len(pool))
         k = len(pool)
-    if k == 0:
-        return example
     chosen = rng.sample(pool, k)
     allowed = None  # the view's labels by their original names, once per example
     if view is not None:
@@ -169,8 +175,8 @@ def attach_demonstrations(
             gold = gold.restrict(allowed)
             if view.symbol_map is not None:
                 gold = gold.relabel(view.symbol_map)
-        demos.append((d.text, serialize_answer(gold, example.format, seed=rng)))
-    return replace(example, demonstrations=tuple(demos))
+        demos.append((d.text, serialize_answer(gold, format_spec, seed=rng)))
+    return AlignmentExample(answer, tuple(demos))
 
 
 # ---------------------------------------------------------------------------

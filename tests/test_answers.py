@@ -13,7 +13,6 @@ from iealign.answers import (
     DiagnosticKind,
     ParseError,
     SerializationError,
-    attach_cot,
     parse_answer,
     parse_answer_lenient,
     parse_markdown_table,
@@ -22,7 +21,6 @@ from iealign.answers import (
 from iealign.formats import EVAL_FORMATS, load_format_library
 from iealign.model import (
     CLOSED_IE_TASKS,
-    AlignmentExample,
     Extraction,
     IEInstance,
     LabelDef,
@@ -309,41 +307,6 @@ def test_strict_parse_error_offset_is_the_parser_offset():
     with pytest.raises(ParseError) as e:
         parse_answer('{"task": "NER", "items": [{"entity": "see offset 41"}]}', json_spec)
     assert e.value.offset == 0
-
-
-# ---------------------------------------------------------------------------
-# Chain-of-thought composition
-
-
-def _example(answer="[Answer]: x: person;"):
-    return AlignmentExample(
-        instance_id="i1",
-        task=TaskKind.NER,
-        prompt="p",
-        demonstrations=(),
-        output=answer,
-        answer=answer,
-        cot=None,
-        format=EVAL_FORMATS[TaskKind.NER],
-        schema_view_labels=("person",),
-    )
-
-
-def test_attach_and_split_cot():
-    ex = attach_cot(_example(), "Step one. Step two.")
-    assert ex.cot == "Step one. Step two."
-    assert ex.output == "Step one. Step two.\n\n[Answer]: x: person;"
-
-
-def test_attach_cot_twice_raises():
-    ex = attach_cot(_example(), "why")
-    with pytest.raises(ValueError):
-        attach_cot(ex, "again")
-
-
-def test_attach_cot_empty_raises():
-    with pytest.raises(ValueError):
-        attach_cot(_example(), "   ")
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,27 @@ def test_ingest_and_mix_out_of_range_config_exits_2(runner, tmp_path, command, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,key,message,flags", [
+    ("ingest", "na_keep_rate", "na_keep_rate must be in [0, 1], got 1.5", []),
+    ("ingest", "na_keep_rate", "na_keep_rate must be in [0, 1], got 1.5", ["--lenient"]),
+    ("mix", "ie_rate", "ie_rate must be in (0, 1), got 1.5", []),
+], ids=["na_keep_rate", "na_keep_rate_lenient", "ie_rate"])
+def test_out_of_range_rate_over_a_bad_input_exits_2(runner, tmp_path, command, key, message, flags):
+    """An out-of-range rate is a configuration error naming its config key,
+    found before the input is read: over an input whose first line is not
+    JSON it is not reported as that line's data error."""
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("not json\n", encoding="utf-8")
+    base = _base_config(tmp_path, command)
+    inputs = {"path": str(bad)} if command == "ingest" else {"datasets": {"a": str(bad)}, "general": str(bad)}
+    cfg = _write_yaml(tmp_path / "cfg.yaml", {**base, **inputs, key: 1.5})
+    out = tmp_path / "out.jsonl"
+    result = runner.invoke(main, [command, "--config", cfg, "--out", str(out), *flags])
+    assert result.exit_code == 2, result.output
+    assert f"configuration error: {message}" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,values,message", [
     ("ingest", {"na_keep_rte": 1.0}, "unknown ingest config keys: ['na_keep_rte']"),
     ("mix", {"ie_rte": 0.5, 7: 1}, "unknown mix config keys: [7, 'ie_rte']"),

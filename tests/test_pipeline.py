@@ -19,7 +19,7 @@ from iealign.answers import serialize_answer
 from iealign.client import BaseClient, LiveClient, MockClient, ResponseCache
 from iealign.errors import ConfigurationError, DataError
 from iealign.formats import EVAL_FORMATS, MARKDOWN_SPEC, spec_to_json
-from iealign.model import TaskKind, write_instances
+from iealign.model import CLOSED_IE_TASKS, Extraction, TaskKind, write_instances
 from iealign.pipeline import (
     SftOptions,
     build_dpo,
@@ -170,6 +170,23 @@ def test_select_cot_ids_caps_per_task():
     assert {"r1", "r2"} <= chosen
 
 
+def test_sft_cot_record_output_is_explanation_then_answer():
+    corpus = make_corpus(TaskKind.NER, 60, seed=2)
+    opts = SftOptions(seed=5, cot_rate=1.0, max_tokens=100_000)
+    records, report = build_sft(corpus, opts, client=MockClient(policy="fixed:  Step one. Step two.\n"))
+    assert report["cot_count"] > 0
+    for rec in records:
+        if rec["cot"] is None:
+            assert rec["output"] == rec["answer"]
+        else:
+            assert rec["cot"] == "Step one. Step two."
+            assert rec["output"] == "Step one. Step two.\n\n" + rec["answer"]
+    # an empty explanation is skipped, and its record keeps the bare answer
+    records, report = build_sft(corpus, opts, client=MockClient(policy="fixed:  "))
+    assert report["cot_count"] == 0
+    assert all(rec["cot"] is None and rec["output"] == rec["answer"] for rec in records)
+
+
 # ---------------------------------------------------------------------------
 # Stats / closure audit
 
@@ -194,6 +211,41 @@ def test_stats_counts_and_histograms():
     assert sum(report["per_task"].values()) == len(records)
     assert sum(report["per_dataset"].values()) == len(records)
     assert sum(report["length_histogram"].values()) == len(records)
+
+
+def test_sft_build_report_equals_stats_over_its_records():
+    # every closed-IE task plus OpenIE, NA instances and EAE triggers
+    tasks = (*sorted(CLOSED_IE_TASKS, key=lambda t: t.value), TaskKind.OPENIE)
+    corpus = [i for t in tasks for i in make_corpus(t, 40, dataset=f"ds-{t.value}", seed=3, na_rate=0.2)]
+    # a long explanation moves its record's length bucket
+    client = MockClient(policy="fixed:" + " ".join(["step"] * 300))
+    opts = SftOptions(seed=4, guideline_rate=0.5, symbol_rate=0.3, cot_rate=0.3, max_tokens=100_000)
+    records, report = build_sft(corpus, opts, client=client)
+    assert report.pop("dropped_length") == 0
+    assert report.pop("input_instances") == len(corpus)
+    assert report == stats(records)
+    assert set(report["per_task"]) == {t.value for t in tasks}
+    assert any(i.is_na for i in corpus)
+    assert any(r["trigger"] for r in records if r["task"] == TaskKind.EAE.value)
+    assert min(report["demo_rate"], report["guideline_rate"], report["symbol_rate"], report["cot_count"]) > 0
+
+
+def test_sft_build_audits_closure_on_the_restricted_gold(monkeypatch):
+    corpus = make_corpus(TaskKind.NER, 20, seed=4)
+    target = corpus[3]
+    real_augment = pipeline.augment_schema
+
+    def leaky_augment(schema, gold, *args):
+        view, restricted = real_augment(schema, gold, *args)
+        if gold is target.gold:
+            leak = ("leaked mention", "label_not_in_any_view")
+            restricted = Extraction(restricted.task, restricted.items + (leak,), restricted.trigger)
+        return view, restricted
+
+    monkeypatch.setattr(pipeline, "augment_schema", leaky_augment)
+    _, report = build_sft(corpus, SftOptions(seed=0, max_tokens=100_000))
+    assert report["closure_violations"] == 1
+    assert report["closure_violating_ids"] == [target.id]
 
 
 def test_build_sft_records_pass_the_record_check(tmp_path):

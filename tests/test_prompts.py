@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from iealign.errors import ConfigurationError
 from iealign.formats import EVAL_FORMATS, load_format_library
-from iealign.model import AlignmentExample, TaskKind
+from iealign.model import TaskKind
 from iealign.prompts import (
     AssemblyError,
     SchemaView,
@@ -139,26 +139,12 @@ def test_render_schema_section_with_guidelines():
 # Demonstrations
 
 
-def _bare_example(inst, spec):
-    return AlignmentExample(
-        instance_id=inst.id,
-        task=inst.task,
-        prompt="",
-        demonstrations=(),
-        output="NA",
-        answer="NA",
-        cot=None,
-        format=spec,
-        schema_view_labels=(),
-    )
-
-
 def test_demo_rate_and_k_range():
     corpus = make_corpus(TaskKind.NER, 40, seed=4)
     spec = EVAL_FORMATS[TaskKind.NER]
     with_demos = 0
     for seed in range(400):
-        ex = attach_demonstrations(_bare_example(corpus[0], spec), corpus, None, demo_rate=0.5, k_range=(1, 8), rng=random.Random(seed))
+        ex = attach_demonstrations(corpus[0].id, spec, None, "NA", corpus, demo_rate=0.5, k_range=(1, 8), rng=random.Random(seed))
         if ex.demonstrations:
             with_demos += 1
             assert 1 <= len(ex.demonstrations) <= 8
@@ -171,7 +157,7 @@ def test_demos_exclude_self():
     target = corpus[0]
     for seed in range(100):
         ex = attach_demonstrations(
-            _bare_example(target, spec), corpus, None, demo_rate=1.0, k_range=(1, 8), rng=random.Random(seed)
+            target.id, spec, None, "NA", corpus, demo_rate=1.0, k_range=(1, 8), rng=random.Random(seed)
         )
         assert all(text != target.text for text, _ in ex.demonstrations)
 
@@ -180,7 +166,7 @@ def test_demo_pool_shortfall_clamps():
     corpus = make_corpus(TaskKind.NER, 3, seed=4)
     spec = EVAL_FORMATS[TaskKind.NER]
     ex = attach_demonstrations(
-        _bare_example(corpus[0], spec), corpus, None, demo_rate=1.0, k_range=(8, 8), rng=random.Random(1)
+        corpus[0].id, spec, None, "NA", corpus, demo_rate=1.0, k_range=(8, 8), rng=random.Random(1)
     )
     assert len(ex.demonstrations) == 2
 
@@ -189,7 +175,7 @@ def test_demo_answers_follow_example_format():
     corpus = make_corpus(TaskKind.NER, 10, seed=5)
     spec = EVAL_FORMATS[TaskKind.NER]
     ex = attach_demonstrations(
-        _bare_example(corpus[0], spec), corpus, None, demo_rate=1.0, k_range=(1, 8), rng=random.Random(0)
+        corpus[0].id, spec, None, "NA", corpus, demo_rate=1.0, k_range=(1, 8), rng=random.Random(0)
     )
     from iealign.answers import parse_answer
 

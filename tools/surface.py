@@ -1,11 +1,12 @@
 """Print the size of iealign's source: its line total, its settable values
-and its config keys.
+and its config keys, then the top-level functions and classes that no
+reached code in it names.
 
 A settable value is a parameter with a default (keyword-only ones included)
 of any function or method, or a field with a default of a dataclass. The
 config keys are the keys the CLI's config tables accept plus the fields of
 SftOptions and DpoPlan, which `options:` and `plan:` set. All three numbers
-are meant to fall as the code gets simpler.
+are meant to fall as the code gets simpler, and the unreached list to empty.
 
 Usage, from any directory: python tools/surface.py
 """
@@ -45,14 +46,58 @@ def config_keys() -> int:
     return sum(map(len, tables + fields))
 
 
+def _names(node: ast.AST) -> set[str]:
+    """The names code under `node` looks up: bare names, attributes, and the
+    original names of imports it renames."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias) and n.asname:
+            names.add(n.name)
+    return names
+
+
+def _registered(node: ast.AST) -> bool:
+    """Whether a decorator registers `node`: a click command or group."""
+    decorators = getattr(node, "decorator_list", [])
+    return any(isinstance(d, ast.Call) and getattr(d.func, "attr", None) in ("command", "group") for d in decorators)
+
+
+def unreached(trees: list[ast.AST]) -> list[str]:
+    """The top-level functions and classes of the trees that no reached code
+    names. Code is reached when it is outside every top-level function and
+    class, is a click command or group, or is a function or class that
+    reached code names."""
+    defined: dict[str, list[set[str]]] = {}
+    reached: set[str] = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _registered(node):
+                defined.setdefault(node.name, []).append(_names(node) - {node.name})
+            else:
+                reached |= _names(node)
+    pending = list(reached & set(defined))
+    while pending:
+        for names in defined[pending.pop()]:
+            new = names & set(defined) - reached
+            reached |= new
+            pending.extend(new)
+    return sorted(set(defined) - reached)
+
+
 def main() -> None:
     source = Path(__file__).resolve().parent.parent / "src"
     texts = [f.read_text(encoding="utf-8") for f in sorted((source / "iealign").glob("*.py"))]
     lines = sum(t.count("\n") for t in texts)
     print(f"source lines: {lines:,}")
-    print(f"settable values: {sum(settable_values(ast.parse(t)) for t in texts)}")
+    trees = [ast.parse(t) for t in texts]
+    print(f"settable values: {sum(map(settable_values, trees))}")
     sys.path.insert(0, str(source))
     print(f"config keys: {config_keys()}")
+    print(f"unreached: {', '.join(unreached(trees)) or '-'}")
 
 
 if __name__ == "__main__":
