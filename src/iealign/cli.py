@@ -5,16 +5,17 @@ Configuration lives in one YAML file; --seed/--out/--backend flags override
 it. Exit codes: 0 success, 1 data errors, 2 configuration errors. Pre-flight
 validation runs before any output file is created.
 
-Each config mapping (a command's top level, `options:`, `plan:`, each kind of
-`backend:`) has one table of its keys and their types, and `_check` checks a
-mapping against its table. A key the file omits takes its dataclass's
-default; the objects the values build check their ranges.
+A config mapping's keys are the parameters of the class that takes it
+(ReaderSpec, MixturePlan, SftOptions, DpoPlan, a backend's client), checked
+by `_check` against their types; the class holds the defaults and checks the
+ranges. Only a build's top level, which no class takes, has a table.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import enum
 import functools
+import inspect
 import json
 import logging
 import sys
@@ -25,7 +26,7 @@ from typing import Optional
 import click
 import yaml
 
-from .client import make_client
+from .client import BACKENDS, make_client
 from .errors import ConfigurationError, DataError
 from .ingest import MixturePlan, ReaderSpec, filter_length, filter_na, load_dataset, mix_general, mix_proportional
 from .model import TaskKind, read_instances, read_records, write_instances, write_json_atomic
@@ -65,31 +66,21 @@ def _guarded(fn):
 def _load_config(path: str, label: str, types: dict, required: tuple, seed: Optional[int]) -> dict:
     """The config at `path`, checked by `_check`, with --seed as its seed
     when given."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigurationError(f"config file not found: {path}")
     try:
-        data = yaml.safe_load(p.read_text(encoding="utf-8")) or {}
-    except yaml.YAMLError as e:
-        raise ConfigurationError(f"invalid config: {e}")
+        data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+    except FileNotFoundError:
+        raise ConfigurationError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as e:  # a directory, say, or not UTF-8
+        raise ConfigurationError(f"invalid config {path}: {e}")
     cfg = _check(data, label, types, required)
     if seed is not None:
         cfg["seed"] = seed
     return cfg
 
 
-# The type of each key a config mapping may hold: the top level of each
-# command's config, then each kind of `backend:` with its client's keyword
-# arguments. `options:` and `plan:` take the fields of SftOptions and
-# DpoPlan, whose seed is set at the top level.
-INGEST_KEYS = {
-    "dataset": str, "task": str, "path": str, "schema": Optional[str], "text_field": str,
-    "gold_field": str, "null_labels": list[str], "na_keep_rate": float, "max_tokens": int, "seed": int,
-}
-MIX_KEYS = {
-    "datasets": dict[str, str], "general": Optional[str], "cap": int, "quotas": dict[str, int],
-    "ie_rate": float, "seed": int,
-}
+# The type of each key the top level of a build's config may hold. `options:`
+# and `plan:` take the fields of SftOptions and DpoPlan, whose seed is set at
+# the top level.
 SFT_KEYS = {
     "instances": str, "seed": int, "options": Optional[dict], "backend": Optional[dict],
     "cache_dir": Optional[str],
@@ -98,10 +89,14 @@ DPO_KEYS = {
     "instances": str, "seed": int, "plan": Optional[dict], "backend": Optional[dict],
     "cache_dir": Optional[str], "pool_dir": Optional[str],
 }
-BACKEND_KEYS = {
-    "mock": {"kind": str, "policy": str, "seed": int, "fallback": str},
-    "live": {"kind": str, "endpoint": str, "model": str, "api_key_env": str, "qps": float},
-}
+
+
+def _params(cls, *skip) -> tuple[dict, tuple]:
+    """A config mapping's keys and its required keys: the types of the
+    annotated parameters of `cls` but `skip`, and those without a default."""
+    hints = typing.get_type_hints(cls.__init__)
+    params = [p for p in inspect.signature(cls).parameters.values() if p.name in hints and p.name not in skip]
+    return {p.name: hints[p.name] for p in params}, tuple(p.name for p in params if p.default is p.empty)
 
 
 def _check(section, label: str, types: dict, required: tuple) -> dict:
@@ -119,21 +114,26 @@ def _check(section, label: str, types: dict, required: tuple) -> dict:
     for key, hint in types.items():
         if key in section and not _fits(section[key], hint):
             name = hint.__name__ if typing.get_origin(hint) is None else str(hint).replace("typing.", "")
+            name = f"one of {[member.value for member in hint]}" if isinstance(hint, enum.EnumMeta) else name
             raise ConfigurationError(f"{label} {key} must be {name}, got {section[key]!r}")
     return section
 
 
 def _build(cls, values: dict):
-    """`cls` from the entries of `values` that name its fields, YAML lists
-    as tuples; a field that `values` omits keeps its default."""
-    fields = {f.name for f in dataclasses.fields(cls)}
-    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items() if k in fields})
+    """`cls` from `values`, which fit its field types: YAML lists as tuples,
+    enum values as members; a field that `values` omits keeps its default."""
+    hints, _ = _params(cls)
+    values = {k: tuple(v) if isinstance(v, list) else v for k, v in values.items()}
+    return cls(**{k: hints[k](v) if isinstance(hints[k], enum.EnumMeta) else v for k, v in values.items()})
 
 
-def _require_files(*paths) -> None:
-    for p in paths:
-        if p is not None and not Path(p).exists():
+def _require(kind: str, *paths) -> None:
+    """Check that each of `paths` but None names an existing `kind`: a "regular file" or a "directory"."""
+    for p in [p for p in paths if p is not None]:
+        if not Path(p).exists():
             raise ConfigurationError(f"input file not found: {p}")
+        if not (Path(p).is_dir() if kind == "directory" else Path(p).is_file()):
+            raise ConfigurationError(f"input {p} is not a {kind}")
 
 
 def _write_json(data: dict, out: Optional[str]) -> None:
@@ -161,24 +161,13 @@ def main(verbose: bool):
 @_guarded
 def ingest(config_path, out_path, seed, lenient):
     """Read a raw dataset into canonical instances, applying NA and length filters."""
-    cfg = _load_config(config_path, "ingest config", INGEST_KEYS, ("dataset", "task", "path"), seed)
-    try:
-        task = TaskKind(cfg["task"])
-    except ValueError:
-        raise ConfigurationError(f"unknown task {cfg['task']!r}")
-    max_tokens = cfg.get("max_tokens", 2048)
-    if max_tokens < 1:
-        raise ConfigurationError(f"max_tokens must be >= 1, got {max_tokens}")
-    keep_rate = cfg.get("na_keep_rate", 0.2)
-    if not 0 <= keep_rate <= 1:
-        raise ConfigurationError(f"na_keep_rate must be in [0, 1], got {keep_rate}")
-    _require_files(cfg["path"], cfg.get("schema"))
-    spec = _build(ReaderSpec, {**cfg, "task": task, "schema_path": cfg.get("schema")})
-    instances = load_dataset(spec, cfg["path"], lenient=lenient)
+    spec = _build(ReaderSpec, _load_config(config_path, "ingest config", *_params(ReaderSpec), seed))
+    _require("regular file", spec.path, spec.schema)
+    instances = load_dataset(spec, lenient)
     n_loaded = len(instances)
-    instances = filter_na(instances, keep_rate=keep_rate, seed=cfg.get("seed", 0))
+    instances = filter_na(instances, spec)
     n_after_na = len(instances)
-    instances = filter_length(instances, max_tokens=max_tokens)
+    instances = filter_length(instances, max_tokens=spec.max_tokens)
     write_instances(instances, out_path)
     click.echo(
         f"loaded {n_loaded}, after NA filter {n_after_na}, "
@@ -194,17 +183,18 @@ def ingest(config_path, out_path, seed, lenient):
 def mix(config_path, out_path, seed):
     """Combine canonical datasets with the proportional cap, optionally mixing
     in a general-purpose corpus at a fixed IE rate."""
-    cfg = _load_config(config_path, "mix config", MIX_KEYS, ("datasets",), seed)
-    plan = _build(MixturePlan, cfg)
-    ie_rate = cfg.get("ie_rate", 0.2)
-    if not 0 < ie_rate < 1:
-        raise ConfigurationError(f"ie_rate must be in (0, 1), got {ie_rate}")
-    _require_files(*cfg["datasets"].values(), cfg.get("general"))
-    datasets = {name: read_instances(path) for name, path in cfg["datasets"].items()}
+    plan = _build(MixturePlan, _load_config(config_path, "mix config", *_params(MixturePlan), seed))
+    _require("regular file", *plan.datasets.values(), plan.general)
+    datasets = {name: read_instances(path) for name, path in plan.datasets.items()}
+    general = read_instances(plan.general) if plan.general else []
+    owner: dict[str, str] = {}  # instance id -> the input that holds it: the mix must not hold one twice
+    for key, inputs in [*((f"datasets.{name}", i) for name, i in datasets.items()), ("general", general)]:
+        for inst in inputs:
+            if owner.setdefault(inst.id, key) != key:
+                raise DataError(f"duplicate instance id {inst.id!r} in {owner[inst.id]} and {key}")
     mixed, counts = mix_proportional(datasets, plan)
-    if cfg.get("general"):
-        general = read_instances(cfg["general"])
-        mixed = mix_general(mixed, general, ie_rate=ie_rate, seed=plan.seed)
+    if general:
+        mixed = mix_general(mixed, general, plan)
     write_instances(mixed, out_path)
     click.echo(f"contributions {counts}, total {len(mixed)} -> {out_path}")
 
@@ -212,9 +202,7 @@ def mix(config_path, out_path, seed):
 def _options(cls, label: str, cfg: dict, key: str):
     """`cls` built from the mapping `cfg[key]`, checked against the field
     types of `cls` but seed, and from the config's top-level seed."""
-    types = typing.get_type_hints(cls)
-    del types["seed"]
-    values = dict(_check(cfg.get(key) or {}, label, types, ()))
+    values = dict(_check(cfg.get(key) or {}, label, *_params(cls, "seed")))
     if "seed" in cfg:
         values["seed"] = cfg["seed"]
     return _build(cls, values)
@@ -222,15 +210,18 @@ def _options(cls, label: str, cfg: dict, key: str):
 
 def _fits(value, hint) -> bool:
     """Whether a YAML value fits a field type: an int fits a float field, a
-    bool fits no number field, a list fits a tuple field item by item, and
-    a list or a mapping fits a list or dict type when every item does."""
+    bool fits no number field, an enum field takes one of its values, a
+    list fits a tuple field item by item (a `tuple[T, ...]` at any length),
+    and a mapping fits a dict type when every item does."""
     if hint in (int, float):
         return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    if isinstance(hint, enum.EnumMeta):
+        return value in [member.value for member in hint]
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is tuple:
+        if args[1:] == (...,) and isinstance(value, list):
+            args = args[:1] * len(value)
         return isinstance(value, list) and len(value) == len(args) and all(map(_fits, value, args))
-    if origin is list:
-        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
     if origin is dict:
         return isinstance(value, dict) and all(_fits(k, args[0]) and _fits(v, args[1]) for k, v in value.items())
     if origin is typing.Union:
@@ -242,24 +233,25 @@ def _make_backend(cfg: dict, backend_override: Optional[str]):
     """The client for the config's `backend` mapping with --backend applied,
     or None when neither names one. An override of the config's kind updates
     its settings; one of the other kind replaces them, so a live config's
-    endpoint never reaches a mock as an unknown key."""
-    backend_cfg = cfg.get("backend") or {}
+    endpoint never reaches a mock. A mapping without a `kind` is a mock's."""
+    backend_cfg = {"kind": "mock", **cfg["backend"]} if cfg.get("backend") else {}
     if backend_override:
-        if backend_override in ("mock", "live"):
+        if backend_override in BACKENDS:
             override = {"kind": backend_override}
         elif backend_override.startswith(("http://", "https://")):
             override = {"kind": "live", "endpoint": backend_override}
         else:
             override = {"kind": "mock", "policy": backend_override}
-        same_kind = backend_cfg.get("kind", "mock") == override["kind"]
+        same_kind = backend_cfg.get("kind") == override["kind"]
         backend_cfg = {**(backend_cfg if same_kind else {}), **override}
     if not backend_cfg:
         return None
-    kind = backend_cfg.get("kind", "mock")
-    if kind not in list(BACKEND_KEYS):  # a list, so an unhashable kind is unknown
+    kind = backend_cfg["kind"]
+    if kind not in list(BACKENDS):  # a list, so an unhashable kind is unknown
         raise ConfigurationError(f"unknown backend kind {kind!r}")
-    _check(backend_cfg, f"{kind} backend", BACKEND_KEYS[kind], ("endpoint", "model") if kind == "live" else ())
-    return make_client(backend_cfg, cache_dir=cfg.get("cache_dir"))
+    types, required = _params(BACKENDS[kind], "cache")
+    _check(backend_cfg, f"{kind} backend", {"kind": str, **types}, required)
+    return make_client(backend_cfg, cfg.get("cache_dir"))
 
 
 @main.command("build-sft")
@@ -272,7 +264,8 @@ def build_sft_cmd(config_path, out_dir, seed, backend):
     """Build the instruction-tuning corpus from canonical instances."""
     cfg = _load_config(config_path, "build-sft config", SFT_KEYS, ("instances",), seed)
     opts = _options(SftOptions, "SFT option", cfg, "options")
-    _require_files(cfg["instances"], opts.pool_dir)
+    _require("regular file", cfg["instances"])
+    _require("directory", opts.pool_dir)
     client = _make_backend(cfg, backend)
     instances = read_instances(cfg["instances"])
     manifest = run_build_sft(instances, opts, out_dir, client=client, config=cfg)
@@ -290,7 +283,8 @@ def build_dpo_cmd(config_path, out_dir, seed, backend):
     """Build the preference-pair corpus with a model backend (mock allowed)."""
     cfg = _load_config(config_path, "build-dpo config", DPO_KEYS, ("instances",), seed)
     plan = _options(DpoPlan, "DPO plan option", cfg, "plan")
-    _require_files(cfg["instances"], cfg.get("pool_dir"))
+    _require("regular file", cfg["instances"])
+    _require("directory", cfg.get("pool_dir"))
     client = _make_backend(cfg, backend)
     if client is None:
         raise ConfigurationError("build-dpo requires a backend (config 'backend' or --backend)")
@@ -310,14 +304,10 @@ def build_dpo_cmd(config_path, out_dir, seed, backend):
 @_guarded
 def evaluate(pred_path, gold_path, task, out_path):
     """Score predictions against gold with exact-match micro F1."""
-    _require_files(pred_path, gold_path)
-    task_kind = None
-    if task is not None:
-        try:
-            task_kind = TaskKind(task)
-        except ValueError:
-            raise ConfigurationError(f"unknown task {task!r}")
-    report = evaluate_files(pred_path, gold_path, task=task_kind)
+    _require("regular file", pred_path, gold_path)
+    if not _fits(task, Optional[TaskKind]):
+        raise ConfigurationError(f"unknown task {task!r}")
+    report = evaluate_files(pred_path, gold_path, task=TaskKind(task) if task else None)
     _write_json(report, out_path)
 
 
@@ -327,7 +317,7 @@ def evaluate(pred_path, gold_path, task, out_path):
 @_guarded
 def stats(corpus_path, out_path):
     """Composition report and schema-closure audit over an SFT corpus."""
-    _require_files(corpus_path)
+    _require("regular file", corpus_path)
     records, skipped = read_records(corpus_path, lambda rec, lineno: check_sft_record(rec), lenient=True)
     report = corpus_stats(records)
     report["malformed_lines"] = skipped

@@ -163,8 +163,6 @@ class MockClient(BaseClient):
         cache: Optional[ResponseCache] = None,
     ):
         super().__init__(cache)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigurationError(f"mock seed must be an int, got {seed!r}")
         self.policy = policy
         self.noise = _noise_rate(policy)
         self.seed = seed
@@ -327,10 +325,13 @@ def _transient(error: OSError) -> bool:
     return isinstance(error, (requests.ConnectionError, requests.Timeout))
 
 
-def make_client(config: dict, cache_dir: Optional[str] = None) -> BaseClient:
+# The kinds of `backend:`; a kind's keys are `kind` and its client's parameters.
+BACKENDS = {"mock": MockClient, "live": LiveClient}
+
+
+def make_client(config: dict, cache_dir: Optional[str]) -> BaseClient:
     """Build a client from a backend config, {kind: mock|live, ...}, whose
     keys and their types the caller has checked; each client checks the
     ranges of its own settings."""
     settings = {k: v for k, v in config.items() if k != "kind"}
-    client_cls = LiveClient if config.get("kind") == "live" else MockClient
-    return client_cls(**settings, cache=ResponseCache(cache_dir) if cache_dir else None)
+    return BACKENDS[config["kind"]](**settings, cache=ResponseCache(cache_dir) if cache_dir else None)

@@ -92,12 +92,7 @@ class CompiledTemplate:
 _FORCED_SLOT_PATTERN = r'(?P<%s>"(?:[^"\\]|\\[\s\S])*?")'
 
 
-def compile_template(
-    template: str,
-    optional: set[str] | None = None,
-    loose: set[str] | None = None,
-) -> CompiledTemplate:
-    optional = optional or set()
+def compile_template(template: str, optional: set[str], loose: set[str] | None = None) -> CompiledTemplate:
     loose = loose or set()
     slots: list[str] = []
     parts: list[str] = []

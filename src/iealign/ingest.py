@@ -1,9 +1,9 @@
 """Raw dataset readers, NA / length filtering, and corpus mixing.
 
 Raw files are JSON lines whose gold encoding matches the canonical record
-format (see model.py); a ReaderSpec renames the top-level fields and declares
-the dataset's null labels. All operations are deterministic under a fixed
-seed: per-instance decisions derive their randomness from the instance id, so
+format (see model.py). The `ingest` config is a ReaderSpec, and the `mix`
+config a MixturePlan. All operations are deterministic under a fixed seed:
+per-instance decisions derive their randomness from the instance id, so
 results do not depend on processing order or worker count.
 """
 
@@ -32,13 +32,23 @@ from .seeds import derive_rng
 class ReaderSpec:
     dataset: str
     task: TaskKind
+    path: str
+    schema: Optional[str] = None
     text_field: str = "text"
     gold_field: str = "gold"
-    schema_path: Optional[str] = None
     # labels that mean "nothing to extract" (RC null relation, NER O, EE
     # NONE, ...): an item that holds one is dropped, and so is an EE event
     # of a null type or an argument of a null role
     null_labels: tuple[str, ...] = ()
+    na_keep_rate: float = 0.2
+    max_tokens: int = 2048
+    seed: int = 0
+
+    def __post_init__(self):
+        if not 0 <= self.na_keep_rate <= 1:
+            raise ConfigurationError(f"na_keep_rate must be in [0, 1], got {self.na_keep_rate}")
+        if self.max_tokens < 1:
+            raise ConfigurationError(f"max_tokens must be >= 1, got {self.max_tokens}")
 
 
 def load_schema(path) -> Optional[SchemaDef]:
@@ -64,11 +74,11 @@ def load_schema(path) -> Optional[SchemaDef]:
     return schema
 
 
-def load_dataset(spec: ReaderSpec, path, lenient: bool = False) -> list[IEInstance]:
-    """Read a raw JSONL file into validated canonical instances, in source
+def load_dataset(spec: ReaderSpec, lenient: bool) -> list[IEInstance]:
+    """Read the spec's raw file into validated canonical instances, in source
     order. A malformed line, or one whose instance id an earlier line holds,
     is a DataError naming it; in lenient mode it is logged and skipped."""
-    schema = load_schema(spec.schema_path) if spec.schema_path else None
+    schema = load_schema(spec.schema) if spec.schema else None
     if schema is not None and schema.task is not spec.task:
         raise ConfigurationError(
             f"schema task {schema.task.value} does not match reader task {spec.task.value}"
@@ -82,7 +92,7 @@ def load_dataset(spec: ReaderSpec, path, lenient: bool = False) -> list[IEInstan
         seen.add(inst.id)
         return inst
 
-    return read_records(path, convert, lenient)[0]
+    return read_records(spec.path, convert, lenient)[0]
 
 
 def _read_record(spec: ReaderSpec, schema: Optional[SchemaDef], raw, lineno: int) -> IEInstance:
@@ -131,14 +141,12 @@ def whitespace_token_count(text: str) -> int:
     return len(text.split())
 
 
-def filter_na(instances: Sequence[IEInstance], keep_rate: float, seed: int) -> list[IEInstance]:
+def filter_na(instances: Sequence[IEInstance], spec: ReaderSpec) -> list[IEInstance]:
     """Keep all non-NA instances; keep each NA instance independently with
-    probability `keep_rate`. Relative order is preserved."""
-    if not 0 <= keep_rate <= 1:
-        raise ConfigurationError(f"keep_rate must be in [0, 1], got {keep_rate}")
+    probability `spec.na_keep_rate`. Relative order is preserved."""
     kept = []
     for inst in instances:
-        if not inst.is_na or derive_rng(seed, "filter_na", inst.id).random() < keep_rate:
+        if not inst.is_na or derive_rng(spec.seed, "filter_na", inst.id).random() < spec.na_keep_rate:
             kept.append(inst)
     return kept
 
@@ -156,16 +164,26 @@ def filter_length(instances: Sequence[IEInstance], max_tokens: int) -> list[IEIn
 
 @dataclass(frozen=True)
 class MixturePlan:
+    datasets: dict[str, str]  # name -> canonical instances file
+    general: Optional[str] = None  # a corpus mixed in at ie_rate
     cap: int = 5000
-    quotas: dict = field(default_factory=dict)
+    quotas: dict[str, int] = field(default_factory=dict)
+    ie_rate: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
+        if not self.datasets:
+            raise ConfigurationError("no datasets to mix")
+        unknown = sorted(set(self.quotas) - set(self.datasets))
+        if unknown:
+            raise ConfigurationError(f"quotas name datasets not in the mixture: {unknown}")
         if self.cap < 1:
             raise ConfigurationError(f"cap must be >= 1, got {self.cap}")
         negative = {name: quota for name, quota in self.quotas.items() if quota < 0}
         if negative:
             raise ConfigurationError(f"quotas must be >= 0, got {negative}")
+        if not 0 < self.ie_rate < 1:
+            raise ConfigurationError(f"ie_rate must be in (0, 1), got {self.ie_rate}")
 
 
 def mix_proportional(
@@ -174,11 +192,6 @@ def mix_proportional(
     """Examples-proportional mixture: each dataset contributes
     min(|D|, cap) instances, or its explicit quota. Returns the deterministic
     shuffled corpus and the per-dataset contribution counts."""
-    if not datasets:
-        raise ConfigurationError("no datasets to mix")
-    unknown = sorted(set(plan.quotas) - set(datasets))
-    if unknown:
-        raise ConfigurationError(f"quotas name datasets not in the mixture: {unknown}")
     sampled: list[IEInstance] = []
     counts: dict[str, int] = {}
     for name in sorted(datasets):
@@ -201,12 +214,11 @@ def mix_proportional(
     return sampled, counts
 
 
-def mix_general(ie_corpus: Sequence, general_corpus: Sequence, ie_rate: float, seed: int) -> list:
+def mix_general(ie_corpus: Sequence, general_corpus: Sequence, plan: MixturePlan) -> list:
     """Mix IE records with general alignment records so the IE fraction equals
-    `ie_rate` within one instance: the binding side is used in full and the
-    other side is subsampled."""
-    if not 0 < ie_rate < 1:
-        raise ConfigurationError(f"ie_rate must be in (0, 1), got {ie_rate}")
+    the plan's `ie_rate` within one instance: the binding side is used in full
+    and the other side is subsampled."""
+    ie_rate, seed = plan.ie_rate, plan.seed
     if not ie_corpus or not general_corpus:
         raise ConfigurationError("both corpora must be non-empty")
     n_ie_all = len(ie_corpus)

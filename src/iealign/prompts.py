@@ -54,7 +54,7 @@ def _read_lines(path) -> list[str]:
     return [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
 
 
-def load_description_pool(task: TaskKind, pool_dir: Optional[str] = None) -> DescriptionPool:
+def load_description_pool(task: TaskKind, pool_dir: Optional[str]) -> DescriptionPool:
     """The packaged descriptions of `task`, then the lines of
     `pool_dir/<task>/generated.txt` in file order. A non-empty
     `pool_dir/<task>/manual.txt` replaces the packaged descriptions."""

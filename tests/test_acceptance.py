@@ -22,7 +22,7 @@ from test_metrics import BLEU_FIXTURE, bleu_oracle, rouge_oracle
 from iealign.answers import parse_answer, serialize_answer
 from iealign.client import MockClient
 from iealign.formats import EVAL_FORMATS, load_format_library
-from iealign.ingest import MixturePlan, filter_na, mix_general, mix_proportional
+from iealign.ingest import MixturePlan, ReaderSpec, filter_na, mix_general, mix_proportional
 from iealign.metrics import (
     header_soft_f1,
     openie_tuple_f1,
@@ -160,7 +160,7 @@ def test_criterion_2_na_filter():
     assert len(non_na) == 10_000
     assert all(i.is_na for i in na) and len(na) == 10_000
 
-    kept = filter_na(non_na + na, keep_rate=0.2, seed=7)
+    kept = filter_na(non_na + na, ReaderSpec("p", TaskKind.NER, "raw.jsonl", na_keep_rate=0.2, seed=7))
     kept_non_na = [i for i in kept if not i.is_na]
     kept_na = [i for i in kept if i.is_na]
     assert {i.id for i in kept_non_na} == {i.id for i in non_na}
@@ -174,12 +174,12 @@ def test_criterion_3_mixture():
         "small": make_corpus(TaskKind.RE, 1200, dataset="small", seed=32),
         "mid": make_corpus(TaskKind.ED, 5000, dataset="mid", seed=33),
     }
-    mixed, counts = mix_proportional(datasets, MixturePlan(cap=5000, seed=3))
+    mixed, counts = mix_proportional(datasets, MixturePlan(dict.fromkeys(datasets, ""), cap=5000, seed=3))
     assert counts == {"big": 5000, "small": 1200, "mid": 5000}
     assert len(mixed) == 11_200
 
     general = [f"general-{i}" for i in range(60_000)]
-    combined = mix_general(mixed, general, ie_rate=0.2, seed=3)
+    combined = mix_general(mixed, general, MixturePlan(dict.fromkeys(datasets, ""), ie_rate=0.2, seed=3))
     n_ie = sum(1 for x in combined if not isinstance(x, str))
     assert abs(n_ie / len(combined) - 0.2) <= 1.0 / len(combined)
 

@@ -196,6 +196,49 @@ def _base_config(tmp_path, command):
     return {"instances": str(inst), "backend": {"kind": "mock", "policy": "fixed:x"}}
 
 
+@pytest.mark.parametrize("inputs", ["one_file_twice", "general_overlaps_a_dataset"])
+def test_mix_rejects_an_instance_id_two_inputs_hold(runner, tmp_path, inputs):
+    """An instance that two inputs hold would be in the mixed corpus twice,
+    which build-sft rejects: a data error naming the id and both inputs,
+    before any output is written."""
+    a, corpus = _canonical(tmp_path, name="a.jsonl")
+    b, _ = _canonical(tmp_path, TaskKind.RE, seed=2, name="b.jsonl")
+    if inputs == "one_file_twice":
+        config, where = {"datasets": {"a": str(a), "again": str(a)}}, "datasets.a and datasets.again"
+    else:
+        config, where = {"datasets": {"a": str(a), "b": str(b)}, "general": str(a)}, "datasets.a and general"
+    cfg = _write_yaml(tmp_path / "mix.yaml", config)
+    out = tmp_path / "mixed.jsonl"
+    result = runner.invoke(main, ["mix", "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert f"data error: duplicate instance id {corpus[0].id!r} in {where}" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,defaults", [
+    ("ingest", {"na_keep_rate": 0.2, "max_tokens": 2048, "seed": 0}),
+    ("mix", {"cap": 5000, "ie_rate": 0.2, "seed": 0}),
+])
+def test_omitted_config_keys_take_their_defaults(runner, tmp_path, command, defaults):
+    """A config that omits every optional key writes the same bytes as one
+    that spells out the documented defaults."""
+    if command == "ingest":
+        raw, schema, _ = _raw_dataset(tmp_path, n=200, na_rate=0.5)
+        base = {"dataset": "d", "task": "NER", "path": str(raw), "schema": str(schema)}
+    else:
+        a, _ = _canonical(tmp_path, n=60, name="a.jsonl")
+        general, _ = _canonical(tmp_path, TaskKind.RE, n=100, seed=2, name="general.jsonl")
+        base = {"datasets": {"a": str(a)}, "general": str(general)}
+    written = []
+    for config in (base, {**base, **defaults}):
+        out = tmp_path / f"out{len(written)}.jsonl"
+        path = _write_yaml(tmp_path / "cfg.yaml", config)
+        result = runner.invoke(main, [command, "--config", path, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_mix_missing_datasets_key_exits_2(runner, tmp_path):
     cfg = _write_yaml(tmp_path / "mix.yaml", {"cap": 50})
     assert runner.invoke(main, ["mix", "--config", cfg, "--out", str(tmp_path / "o.jsonl")]).exit_code == 2
@@ -204,7 +247,7 @@ def test_mix_missing_datasets_key_exits_2(runner, tmp_path):
 @pytest.mark.parametrize("command,values,message", [
     ("ingest", {"na_keep_rate": "0.5"}, "ingest config na_keep_rate must be float, got '0.5'"),
     ("ingest", {"seed": "x"}, "ingest config seed must be int, got 'x'"),
-    ("ingest", {"null_labels": "NONE"}, "ingest config null_labels must be list[str], got 'NONE'"),
+    ("ingest", {"null_labels": "NONE"}, "ingest config null_labels must be tuple[str, ...], got 'NONE'"),
     ("mix", {"cap": "5"}, "mix config cap must be int, got '5'"),
     ("mix", {"quotas": {"a": "1"}}, "mix config quotas must be dict[str, int], got {'a': '1'}"),
     ("mix", {"ie_rate": "0.2"}, "mix config ie_rate must be float, got '0.2'"),
@@ -446,6 +489,56 @@ def test_build_missing_pool_dir_exits_2(runner, tmp_path, monkeypatch, command, 
     assert result.exit_code == 2, result.output
     assert "configuration error: input file not found: no-such-dir" in result.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,values,kind", [
+    ("ingest", {"path": "a-dir"}, "regular file"),
+    ("ingest", {"schema": "a-dir"}, "regular file"),
+    ("mix", {"datasets": {"a": "a-dir"}}, "regular file"),
+    ("mix", {"general": "a-dir"}, "regular file"),
+    ("build-sft", {"instances": "a-dir"}, "regular file"),
+    ("build-sft", {"options": {"pool_dir": "a-file"}}, "directory"),
+    ("build-dpo", {"pool_dir": "a-file"}, "directory"),
+    ("stats", ["--corpus", "a-dir"], "regular file"),
+    ("evaluate", ["--pred", "a-dir", "--gold", "a-file"], "regular file"),
+    ("evaluate", ["--pred", "a-file", "--gold", "a-dir"], "regular file"),
+], ids=["ingest-path", "ingest-schema", "mix-dataset", "mix-general", "build-sft-instances",
+        "build-sft-pool_dir", "build-dpo-pool_dir", "stats-corpus", "evaluate-pred", "evaluate-gold"])
+def test_input_path_of_the_wrong_kind_exits_2(runner, tmp_path, monkeypatch, command, values, kind):
+    """A file key or flag that names a directory, or a pool_dir that names a
+    regular file, is a configuration error before anything is written, not
+    an IsADirectoryError traceback or a silent fall-back to the packaged
+    descriptions."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a-dir").mkdir()
+    (tmp_path / "a-file").write_text("{}\n", encoding="utf-8")
+    if isinstance(values, dict):
+        args = [command, "--config", _write_yaml(tmp_path / "cfg.yaml", {**_base_config(tmp_path, command), **values})]
+    else:
+        args = [command, *values]
+    before = sorted(tmp_path.rglob("*"))
+    result = runner.invoke(main, [*args, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    named = "a-file" if kind == "directory" else "a-dir"
+    assert f"configuration error: input {named} is not a {kind}" in result.output
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["ingest", "mix", "build-sft", "build-dpo"])
+@pytest.mark.parametrize("write", [
+    lambda path: path.write_bytes(b"seed: caf\xe9\n"),
+    lambda path: path.mkdir(),
+], ids=["not_utf8", "directory"])
+def test_unreadable_config_file_exits_2(runner, tmp_path, command, write):
+    """A config file that is not UTF-8, or a --config that names a
+    directory, is a configuration error, not a traceback."""
+    cfg = tmp_path / "cfg.yaml"
+    write(cfg)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith(f"configuration error: invalid config {cfg}: ")
+    assert not out.exists()
 
 
 def test_build_int_for_float_option_is_accepted(runner, tmp_path):

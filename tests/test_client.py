@@ -320,7 +320,7 @@ def test_make_client_rejects_bad_qps(monkeypatch, qps, message):
     monkeypatch.setenv("IEALIGN_API_KEY", "k")
     config = {"kind": "live", "endpoint": "http://a/v1", "model": "m", "qps": qps}
     with pytest.raises(ConfigurationError, match=re.escape(message)):
-        make_client(config)
+        make_client(config, None)
 
 
 def test_make_client_live_qps_not_in_cache_key(monkeypatch):
@@ -328,7 +328,7 @@ def test_make_client_live_qps_not_in_cache_key(monkeypatch):
     client samples on 32 workers, the mock on the caller's thread."""
     monkeypatch.setenv("IEALIGN_API_KEY", "k")
     base = {"kind": "live", "endpoint": "http://a/v1", "model": "m"}
-    clients = [make_client(base), make_client({**base, "qps": 0}), make_client({**base, "qps": 2.5})]
+    clients = [make_client(base, None), make_client({**base, "qps": 0}, None), make_client({**base, "qps": 2.5}, None)]
     assert len({c._cache_key("p", 0.7, 0) for c in clients}) == 1
     assert clients[0].workers == 32
     assert MockClient().workers == 1

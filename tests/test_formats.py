@@ -65,7 +65,7 @@ def test_quote_roundtrip_property(value):
 
 
 def test_compile_template_parts_and_slots():
-    tpl = compile_template("({subject}; {relation}; {object});")
+    tpl = compile_template("({subject}; {relation}; {object});", set())
     assert tpl.slots == ("subject", "relation", "object")
     assert tpl.parts == ("(", "; ", "; ", ");")
     assert not tpl.forced
@@ -73,12 +73,12 @@ def test_compile_template_parts_and_slots():
 
 def test_normalize_slot_spaces():
     assert normalize_slot("first event") == "first_event"
-    tpl = compile_template("({first event}; {second event})")
+    tpl = compile_template("({first event}; {second event})", set())
     assert tpl.slots == ("first_event", "second_event")
 
 
 def test_render_parse_inverse():
-    tpl = compile_template("{entity}: {type};")
+    tpl = compile_template("{entity}: {type};", set())
     text = tpl.render({"entity": "New York, NY", "type": "location"})
     assert text == '"New York, NY": location;'
     m = tpl.pattern.match(text)
@@ -87,7 +87,7 @@ def test_render_parse_inverse():
 
 
 def test_forced_slots_absorb_template_quotes():
-    tpl = compile_template('The event "{event}" is a "{class}".')
+    tpl = compile_template('The event "{event}" is a "{class}".', set())
     assert tpl.forced == {"event", "class"}
     text = tpl.render({"event": "semi;colon", "class": "attack"})
     # exactly one layer of quotes even for structural values
@@ -97,7 +97,7 @@ def test_forced_slots_absorb_template_quotes():
 
 
 def test_forced_slot_with_inner_quotes():
-    tpl = compile_template('x "{a}" y')
+    tpl = compile_template('x "{a}" y', set())
     value = 'has "inner" quotes'
     text = tpl.render({"a": value})
     m = tpl.pattern.match(text)
@@ -106,7 +106,7 @@ def test_forced_slot_with_inner_quotes():
 
 
 def test_template_ends_with_slot():
-    tpl = compile_template("{word}: {role}")
+    tpl = compile_template("{word}: {role}", set())
     assert tpl.parts[-1] == ""
     text = tpl.render({"word": "w", "role": "agent"})
     assert text == "w: agent"

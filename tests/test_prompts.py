@@ -31,7 +31,7 @@ LIBRARY = load_format_library()
 
 @pytest.mark.parametrize("task", [t for t in TaskKind if t is not TaskKind.ONDEMANDIE])
 def test_packaged_pools_have_ten_manual_descriptions(task):
-    pool = load_description_pool(task)
+    pool = load_description_pool(task, None)
     assert len(pool.descriptions) == 10
     assert all(d.strip() for d in pool.descriptions)
 
@@ -41,7 +41,7 @@ def test_pool_dir_generated_extends_pool(tmp_path):
     d.mkdir()
     (d / "generated.txt").write_text("extra one\nextra two\n", encoding="utf-8")
     pool = load_description_pool(TaskKind.NER, str(tmp_path))
-    assert pool.descriptions == load_description_pool(TaskKind.NER).descriptions + ("extra one", "extra two")
+    assert pool.descriptions == load_description_pool(TaskKind.NER, None).descriptions + ("extra one", "extra two")
     assert len(pool.descriptions) == 12
 
 
@@ -55,7 +55,7 @@ def test_pool_dir_manual_replaces_packaged_descriptions(tmp_path):
 
 
 def test_sample_description_deterministic():
-    pool = load_description_pool(TaskKind.RE)
+    pool = load_description_pool(TaskKind.RE, None)
     assert sample_task_description(pool, random.Random(3)) == sample_task_description(pool, random.Random(3))
     picks = {sample_task_description(pool, random.Random(s)) for s in range(40)}
     assert len(picks) > 1

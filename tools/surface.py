@@ -4,9 +4,11 @@ reached code in it names.
 
 A settable value is a parameter with a default (keyword-only ones included)
 of any function or method, or a field with a default of a dataclass. The
-config keys are the keys the CLI's config tables accept plus the fields of
-SftOptions and DpoPlan, which `options:` and `plan:` set. All three numbers
-are meant to fall as the code gets simpler, and the unreached list to empty.
+config keys are the constructor parameters of the classes a config mapping
+builds (ReaderSpec, MixturePlan, SftOptions, DpoPlan, and each backend's
+client with its `kind`) plus the keys of the builds' top-level tables. All
+three numbers are meant to fall as the code gets simpler, and the unreached
+list to empty.
 
 Usage, from any directory: python tools/surface.py
 """
@@ -14,7 +16,6 @@ Usage, from any directory: python tools/surface.py
 from __future__ import annotations
 
 import ast
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -41,9 +42,10 @@ def settable_values(tree: ast.AST) -> int:
 def config_keys() -> int:
     from iealign import cli
 
-    tables = [cli.INGEST_KEYS, cli.MIX_KEYS, cli.SFT_KEYS, cli.DPO_KEYS, *cli.BACKEND_KEYS.values()]
-    fields = [dataclasses.fields(cls) for cls in (cli.SftOptions, cli.DpoPlan)]
-    return sum(map(len, tables + fields))
+    classes = [cli.ReaderSpec, cli.MixturePlan, cli.SftOptions, cli.DpoPlan]
+    backends = [{"kind": str, **cli._params(cls, "cache")[0]} for cls in cli.BACKENDS.values()]
+    tables = [cli.SFT_KEYS, cli.DPO_KEYS, *backends, *(cli._params(cls)[0] for cls in classes)]
+    return sum(map(len, tables))
 
 
 def _names(node: ast.AST) -> set[str]:
