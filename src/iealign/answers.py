@@ -226,10 +226,9 @@ def parse_answer_lenient(
     body = text.strip()
     if task is TaskKind.ONDEMANDIE:
         return ParseResult(Extraction(task, table=text))
-    if body == spec.fail_output.strip() or body == spec.fail_output.strip().rstrip("."):
-        return ParseResult(Extraction(task, trigger=trigger if task is TaskKind.EAE else None))
-    body = _strip_prefix(body, spec, diagnostics).strip()
-    if body == spec.fail_output.strip() or body == spec.fail_output.strip().rstrip("."):
+    fails = (spec.fail_output.strip(), spec.fail_output.strip().rstrip("."))
+    body = body if body in fails else _strip_prefix(body, spec, diagnostics).strip()
+    if body in fails:
         return ParseResult(Extraction(task, trigger=trigger if task is TaskKind.EAE else None))
 
     if spec.family == "Json":

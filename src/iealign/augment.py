@@ -33,9 +33,12 @@ def sample_words_limit(rng: random.Random) -> int:
     return rng.randint(*COT_WORDS_RANGE)
 
 
+def cot_prompt(question: str, answer: str, words_limit: int) -> str:
+    return COT_PROMPT_TEMPLATE.format(words_number=words_limit, input=question, output=answer)
+
+
 def generate_cot(question: str, answer: str, words_limit: int, client: BaseClient) -> str:
-    prompt = COT_PROMPT_TEMPLATE.format(words_number=words_limit, input=question, output=answer)
-    text = client.complete(prompt, GENERATION_TEMPERATURE).strip()
+    text = client.complete(cot_prompt(question, answer, words_limit), GENERATION_TEMPERATURE).strip()
     if not text:
         raise DataError("empty CoT explanation from client")
     n_words = len(text.split())

@@ -9,8 +9,8 @@ Completions are cached on disk keyed by (backend identity digest, prompt
 digest, params digest, sample index); cache writes are atomic so concurrent
 workers cannot corrupt entries.
 
-A client's `workers` is how many prompts a stage may sample at once. It is 1
-for CPU-bound backends such as the mock, whose calls run on the caller's
+Both builds call through `BaseClient.map_prompts`, which runs `workers`
+prompts at once: 1 for CPU-bound backends such as the mock, on the caller's
 thread, and 32 for `LiveClient`, which waits on the network and keeps one
 pooled connection per worker.
 """
@@ -25,8 +25,9 @@ import os
 import random
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from .errors import ConfigurationError
 from .model import atomic_open
@@ -65,6 +66,8 @@ class ResponseCache:
 
     def __init__(self, directory: str):
         self.directory = Path(directory)
+        if self.directory.exists() and not self.directory.is_dir():
+            raise ConfigurationError(f"cache_dir {directory} is not a directory")
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
@@ -129,6 +132,35 @@ class BaseClient:
 
     def _generate(self, prompt: str, temperature: float, index: int, reference: Optional[str]) -> str:
         raise NotImplementedError
+
+    def map_prompts(self, fn: Callable, jobs: Sequence, prompt_of: Callable):
+        """Yield `fn(job)` for each job, in input order. Up to `workers`
+        prompts (`prompt_of(job)`) run at once, on the caller's thread at 1;
+        the jobs that share one run in input order on one worker, as on one
+        thread. The first exception stops the jobs not started and is raised."""
+        groups = {}  # prompt digest -> positions of its jobs, in input order
+        for pos, job in enumerate(jobs):
+            groups.setdefault(prompt_digest(prompt_of(job)), []).append(pos)
+        failed = threading.Event()
+
+        def run(positions):
+            try:
+                return [(pos, fn(jobs[pos])) for pos in positions if not failed.is_set()]
+            except BaseException:
+                failed.set()
+                raise
+
+        done, next_pos = {}, 0
+        executor = ThreadPoolExecutor(self.workers) if self.workers > 1 else None
+        try:
+            for results in (executor.map if executor else map)(run, groups.values()):  # by first position
+                done.update(results)
+                while next_pos in done:  # so every earlier position has come
+                    yield done.pop(next_pos)
+                    next_pos += 1
+        finally:
+            if executor:
+                executor.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +250,7 @@ class LiveClient(BaseClient):
 
     backend_id = "live"
     # Live throughput is min(qps, workers / latency) calls/s; at 4 workers a
-    # 2 s model latency held a 35k-call build to 2 calls/s. The session's
-    # pool keeps one connection per worker.
+    # 2 s model latency held a 35k-call build to 2 calls/s.
     workers = 32
 
     def __init__(

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 from .errors import ConfigurationError, DataError
 from .model import (
+    CLOSED_IE_TASKS,
     IEInstance,
     SchemaDef,
     TaskKind,
@@ -79,6 +80,8 @@ def load_dataset(spec: ReaderSpec, lenient: bool) -> list[IEInstance]:
     order. A malformed line, or one whose instance id an earlier line holds,
     is a DataError naming it; in lenient mode it is logged and skipped."""
     schema = load_schema(spec.schema) if spec.schema else None
+    if schema is None and spec.task in CLOSED_IE_TASKS:
+        raise ConfigurationError(f"a {spec.task.value} reader needs a schema: closed IE checks each label against one")
     if schema is not None and schema.task is not spec.task:
         raise ConfigurationError(
             f"schema task {schema.task.value} does not match reader task {spec.task.value}"
@@ -125,7 +128,7 @@ def _read_record(spec: ReaderSpec, schema: Optional[SchemaDef], raw, lineno: int
         text=text,
         schema=schema,
         gold=gold,
-        is_na=gold.is_empty() if spec.task is not TaskKind.ONDEMANDIE else False,
+        is_na=gold.is_empty(),
     )
     problems = validate_instance(inst)
     if problems:

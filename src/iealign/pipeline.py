@@ -15,15 +15,13 @@ import hashlib
 import json
 import logging
 import random
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .answers import parse_answer, parse_answer_lenient, serialize_answer, ParseError
-from .augment import generate_cot, sample_words_limit
+from .augment import cot_prompt, generate_cot, sample_words_limit
 from .client import BaseClient, TransportError
 from .errors import ConfigurationError, DataError
 from .formats import EVAL_FORMATS, MARKDOWN_SPEC, load_format_library, spec_from_json, spec_to_json
@@ -119,14 +117,14 @@ def build_sft(
     client: Optional[BaseClient] = None,
 ) -> tuple[list[dict], dict]:
     """Assemble one training record per instance and return (records, its
-    `Composition` report, with the length drops and the input count).
+    `Composition` report, with the length drops, CoT skipped, input count).
 
     Stages per instance: format choice, task description, schema augmentation,
     answer serialization, demonstrations, prompt layout, length re-check, and
-    CoT for the capped eligible subset (skipped without a client). Each record
-    is written once from these parts. The closure audit reads the restricted
-    gold the answer was serialized from, which parses back to itself, and the
-    report counts the tokens the length check counted plus the CoT's.
+    CoT for the capped eligible subset (none without a client), through
+    `client.map_prompts` once all records are built. The closure audit reads
+    the restricted gold the answer was serialized from, which parses back to
+    itself; the report counts the length check's tokens plus the CoT's.
 
     Each instance draws every choice from one stream seeded by its id. Draws
     whose consumption no option changes come first (format, description, CoT
@@ -155,8 +153,8 @@ def build_sft(
                 eligible_by_task.setdefault(inst.task, []).append(inst.id)
     cot_ids = select_cot_ids(eligible_by_task, opts)
 
-    records: list[dict] = []
-    composition = Composition()
+    kept = []  # (record, labels its answer uses, its tokens), in input order
+    cot_jobs = []  # (record, prompt, answer, CoT word limit)
     dropped_length = 0
     for inst in instances:
         task = inst.task
@@ -186,37 +184,46 @@ def build_sft(
             logger.info("dropping over-length example %s", inst.id)
             continue
 
-        cot = None
-        if inst.id in cot_ids:
-            try:
-                cot = generate_cot(prompt, example.answer, words, client)
-            except (TransportError, DataError) as e:
-                logger.warning("CoT generation skipped for %s: %s", inst.id, e)
-            else:
-                tokens += whitespace_token_count(cot)
-
         record = {
             "id": inst.id,
             "dataset": inst.dataset,
             "task": task.value,
             "prompt": prompt,
             "demonstrations": [list(d) for d in example.demonstrations],
-            "output": example.answer if cot is None else cot + COT_SEPARATOR + example.answer,
+            "output": example.answer,
             "answer": example.answer,
-            "cot": cot,
+            "cot": None,
             "format": spec_to_json(fmt),
             "schema_view_labels": list(view.label_names()) if view else [],
             "has_guidelines": view.guidelines_included if view else False,
             "symbolized": bool(view and view.symbol_map),
             "trigger": inst.gold.trigger,
         }
-        composition.add(record, gold.labels_used(), tokens)
-        records.append(record)
+        kept.append((record, gold.labels_used(), tokens))
+        if inst.id in cot_ids:
+            cot_jobs.append((record, prompt, example.answer, words))
 
+    def cot_of(job):
+        record, *request = job
+        try:
+            return generate_cot(*request, client)
+        except (TransportError, DataError) as e:
+            logger.warning("CoT generation skipped for %s: %s", record["id"], e)
+            return None
+
+    cots = client.map_prompts(cot_of, cot_jobs, lambda job: cot_prompt(*job[1:])) if cot_jobs else iter(())
+    composition = Composition()
+    for record, labels_used, tokens in kept:  # each CoT is attached before its record is counted
+        cot = next(cots) if record["id"] in cot_ids else None
+        if cot is not None:
+            record["cot"], record["output"] = cot, cot + COT_SEPARATOR + record["answer"]
+            tokens += whitespace_token_count(cot)
+        composition.add(record, labels_used, tokens)
     report = composition.report()
     report["dropped_length"] = dropped_length
+    report["cot_skipped"] = len(cot_jobs) - report["cot_count"]
     report["input_instances"] = len(instances)
-    return records, report
+    return [record for record, _, _ in kept], report
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +266,10 @@ def build_dpo(
     final corpus. Gold answers use the fixed evaluation format with an
     unshuffled item order so BLEU scores have a stable reference.
 
-    Up to `client.workers` prompts are sampled at once. The instances that
-    share a prompt are sampled in input order by one worker, so each sees
-    the cache hits and backend answers it would see on one thread, and the
-    results are taken in input order: the corpus does not depend on the
-    worker count. An instance whose sampling fails with a TransportError is
-    skipped; any other error stops the instances not yet started and is
-    raised."""
+    Instances are sampled through `client.map_prompts` and paired in input
+    order, so the corpus does not depend on the worker count. An instance
+    whose sampling fails with a TransportError is skipped; any other error
+    stops the instances not yet started and is raised."""
     library = load_format_library()
     pools = {}
     jobs = []
@@ -276,13 +280,9 @@ def build_dpo(
             pools[inst.task] = load_description_pool(inst.task, pool_dir)
         jobs.append((inst, gold_text, _dpo_prompt(inst, fmt, pools[inst.task], plan.seed)))
 
-    failed = threading.Event()
-
     def sample(job):
         """The instance's scored samples, or None when it is skipped."""
         inst, gold_text, prompt = job
-        if failed.is_set():  # another instance failed: build_dpo raises, and no result is used
-            return None
         try:
             return score_samples(
                 inst.id, inst.dataset, prompt, gold_text, client,
@@ -291,35 +291,19 @@ def build_dpo(
         except TransportError as e:
             logger.warning("skipping instance %s: %s", inst.id, e)
             return None
-        except BaseException:
-            failed.set()
-            raise
-
-    def sample_unit(positions):
-        return [(pos, sample(jobs[pos])) for pos in positions]
-
-    units = {}  # prompt -> positions of its instances, in input order
-    for pos, (_, _, prompt) in enumerate(jobs):
-        units.setdefault(prompt, []).append(pos)
 
     candidates = []
     skipped = 0
-    executor = ThreadPoolExecutor(client.workers) if client.workers > 1 else None
-    try:
-        results = executor.map(sample_unit, units.values()) if executor else map(sample_unit, units.values())
-        for scored in _in_input_order(results):
-            if scored is None:
-                skipped += 1
-                continue
-            online = build_online_pair(scored, plan.gap_threshold)
-            offline = build_offline_pair(scored, plan.gap_threshold)
-            if online is not None:
-                candidates.append(online)
-            if offline is not None:
-                candidates.append(offline)
-    finally:
-        if executor:
-            executor.shutdown(cancel_futures=True)
+    for scored in client.map_prompts(sample, jobs, lambda job: job[2]):
+        if scored is None:
+            skipped += 1
+            continue
+        online = build_online_pair(scored, plan.gap_threshold)
+        offline = build_offline_pair(scored, plan.gap_threshold)
+        if online is not None:
+            candidates.append(online)
+        if offline is not None:
+            candidates.append(offline)
     corpus, summary = assemble_dpo_corpus(candidates, plan)
     summary["skipped_instances"] = skipped
     summary["candidate_online"] = sum(1 for p in candidates if p.origin == "online")
@@ -328,19 +312,6 @@ def build_dpo(
         logger.warning("no qualifying pairs")
         summary["note"] = "no qualifying pairs"
     return corpus, summary
-
-
-def _in_input_order(units):
-    """The results of units of (position, result) pairs, by position. Units
-    come in the order of their first position, so when one arrives every
-    earlier position has arrived too."""
-    done = {}
-    next_pos = 0
-    for unit in units:
-        done.update(unit)
-        while next_pos in done:
-            yield done.pop(next_pos)
-            next_pos += 1
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,7 @@ def make_instance(
         text=text,
         schema=schema,
         gold=gold,
-        is_na=gold.is_empty() if task is not TaskKind.ONDEMANDIE else False,
+        is_na=gold.is_empty(),
     )
     problems = validate_instance(inst)
     if problems:

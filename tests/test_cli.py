@@ -97,6 +97,25 @@ def test_ingest_bad_schema_file_exits_2(runner, tmp_path, text, message):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("schema_text", [None, "null"], ids=["no_schema_key", "schema_file_null"])
+def test_ingest_closed_ie_without_schema_exits_2(runner, tmp_path, schema_text):
+    """A closed-IE reader without a schema is a configuration error before
+    any line is read, not every line failing, or under --lenient every line
+    skipped into an empty file."""
+    raw, _, _ = _raw_dataset(tmp_path)
+    config = {"dataset": "d", "task": "NER", "path": str(raw)}
+    if schema_text is not None:
+        (tmp_path / "none.json").write_text(schema_text, encoding="utf-8")
+        config["schema"] = str(tmp_path / "none.json")
+    cfg = _write_yaml(tmp_path / "cfg.yaml", config)
+    out = tmp_path / "out.jsonl"
+    for flags in ([], ["--lenient"]):
+        result = runner.invoke(main, ["ingest", "--config", cfg, "--out", str(out), *flags])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("configuration error: a NER reader needs a schema")
+        assert not out.exists()
+
+
 def test_ingest_malformed_line_exits_1_strict_0_lenient(runner, tmp_path):
     raw = tmp_path / "raw.jsonl"
     out = tmp_path / "out.jsonl"
@@ -489,6 +508,27 @@ def test_build_missing_pool_dir_exits_2(runner, tmp_path, monkeypatch, command, 
     assert result.exit_code == 2, result.output
     assert "configuration error: input file not found: no-such-dir" in result.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["build-sft", "build-dpo"])
+def test_build_cache_dir_that_is_a_file_exits_2(runner, tmp_path, command):
+    """A cache_dir that names a regular file is a configuration error before
+    anything is written, not a FileExistsError from the first cache entry
+    put; a cache_dir that does not exist yet is made."""
+    base = _base_config(tmp_path, command)
+    if command == "build-sft":
+        base["options"] = {"cot_rate": 1.0}  # CoT requests put cache entries
+    (tmp_path / "a-file").write_text("", encoding="utf-8")
+    cfg = _write_yaml(tmp_path / "cfg.yaml", {**base, "cache_dir": str(tmp_path / "a-file")})
+    before = sorted(tmp_path.rglob("*"))
+    result = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"configuration error: cache_dir {tmp_path / 'a-file'} is not a directory" in result.output
+    assert sorted(tmp_path.rglob("*")) == before
+    cfg = _write_yaml(tmp_path / "cfg.yaml", {**base, "cache_dir": str(tmp_path / "new-dir")})
+    result = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    assert list((tmp_path / "new-dir").glob("*.json"))
 
 
 @pytest.mark.parametrize("command,values,kind", [

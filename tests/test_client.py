@@ -6,6 +6,7 @@ import os
 import re
 import sys
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -299,6 +300,69 @@ def test_live_client_counts_every_generation_across_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert client.call_count == 8 * 200
+
+
+# ---------------------------------------------------------------------------
+# The worker pool
+
+
+def _pool_client(workers):
+    client = MockClient()
+    client.workers = workers
+    return client
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_map_prompts_keeps_input_order_and_runs_a_prompt_on_one_thread(workers):
+    """Results come back in input order, though jobs of uneven length finish
+    out of order; the jobs that share a prompt run in input order on one
+    thread; at 1 worker every job runs on the caller's thread."""
+    jobs = [(f"p{k % 5}", k) for k in range(40)]  # 5 prompts, 8 jobs each
+    ran = []  # (prompt, job number, thread), in the order the jobs ran
+    lock = threading.Lock()
+
+    def fn(job):
+        time.sleep(0.001 * (job[1] % 3))
+        with lock:
+            ran.append((job[0], job[1], threading.get_ident()))
+        return job[1] * 10
+
+    results = list(_pool_client(workers).map_prompts(fn, jobs, lambda job: job[0]))
+    assert results == [k * 10 for k in range(40)]
+    for prompt in {p for p, _ in jobs}:
+        assert [k for p, k, _ in ran if p == prompt] == [k for p, k in jobs if p == prompt]
+        assert len({ident for p, _, ident in ran if p == prompt}) == 1
+    threads = {ident for _, _, ident in ran}
+    if workers == 1:
+        assert threads == {threading.get_ident()}
+    else:
+        assert threading.get_ident() not in threads and len(threads) <= workers
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_map_prompts_first_exception_stops_queued_jobs(workers):
+    """The first exception is raised once the jobs already started finish:
+    the queued jobs never start, the results before it come in input order,
+    and no worker thread outlives the call."""
+    started = []
+    lock = threading.Lock()
+
+    def fn(k):
+        with lock:
+            started.append(k)
+        if k == 5:
+            raise ValueError("job 5 failed")
+        time.sleep(0.002)
+        return k
+
+    before = threading.active_count()
+    results = []
+    with pytest.raises(ValueError, match="job 5 failed"):
+        for result in _pool_client(workers).map_prompts(fn, range(100), str):
+            results.append(result)
+    assert results == list(range(len(results))) and len(results) <= 5
+    assert 5 in started and len(started) <= 6 + workers
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,7 @@ def test_sft_build_report_equals_stats_over_its_records():
     opts = SftOptions(seed=4, guideline_rate=0.5, symbol_rate=0.3, cot_rate=0.3, max_tokens=100_000)
     records, report = build_sft(corpus, opts, client=client)
     assert report.pop("dropped_length") == 0
+    assert report.pop("cot_skipped") == 0
     assert report.pop("input_instances") == len(corpus)
     assert report == stats(records)
     assert set(report["per_task"]) == {t.value for t in tasks}
@@ -503,6 +504,67 @@ def test_live_dpo_unexpected_error_stops_queued_instances(tmp_path, monkeypatch,
     with pytest.raises(RuntimeError, match="injected failure"):
         run_build_dpo(corpus, plan, client, tmp_path / "run")
     assert 3 <= session.posts <= 3 + workers < len(corpus)
+    assert not (tmp_path / "run").exists()
+    assert threading.active_count() == before
+
+
+def _live_sft_setup(monkeypatch, opts):
+    """A mixed corpus and every CoT prompt `build_sft` sends for it, in input
+    order, recorded through a client without a cache."""
+    monkeypatch.setenv("IEALIGN_API_KEY", "k")
+    corpus = _mixed_corpus(30)
+    recorder = _RecordingClient()
+    build_sft(corpus, opts, client=recorder)
+    return corpus, recorder.prompts
+
+
+@pytest.mark.parametrize("refuse_one", [False, True])
+def test_live_sft_bytes_independent_of_worker_count(tmp_path, monkeypatch, refuse_one):
+    """sft.jsonl and the manifest counts are the same for 1, 2, 4 and the
+    live client's own count of workers; a CoT prompt that always gets a 401
+    leaves its record in the corpus without CoT; the CoT posts come from no
+    more than `workers` threads, and from none but the caller's at 1."""
+    opts = SftOptions(seed=3, cot_rate=0.5, max_tokens=100_000)
+    corpus, cot_prompts = _live_sft_setup(monkeypatch, opts)
+    assert len(set(cot_prompts)) == len(cot_prompts) > 20
+    refused = cot_prompts[7:8] if refuse_one else []
+    answers = {prompt: "The text names each item, so each one is extracted." for prompt in cot_prompts}
+    runs = {}
+    for workers in (1, 2, 4, LiveClient.workers):
+        session = _KeyedSession(answers, refused=refused)
+        before = threading.active_count()
+        manifest = run_build_sft(corpus, opts, tmp_path / f"w{workers}", client=_live_client(session, workers))
+        assert threading.active_count() == before
+        runs[workers] = ((tmp_path / f"w{workers}" / "sft.jsonl").read_bytes(), manifest["counts"])
+        assert session.posts == len(cot_prompts)  # a 401 is not retried
+        threads = {ident for _, ident in session.starts}
+        if workers == 1:
+            assert threads == {threading.get_ident()}
+        else:
+            assert threading.get_ident() not in threads and len(threads) <= workers
+    assert runs[1] == runs[2] == runs[4] == runs[LiveClient.workers]
+    counts = runs[1][1]
+    assert counts["cot_skipped"] == len(refused)
+    assert counts["cot_count"] == len(cot_prompts) - len(refused)
+    records = [json.loads(line) for line in runs[1][0].decode("utf-8").splitlines()]
+    assert len(records) == len(corpus)
+    for prompt in refused:
+        rec = next(r for r in records if r["prompt"] in prompt)
+        assert rec["cot"] is None and rec["output"] == rec["answer"]
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_live_sft_unexpected_cot_error_writes_no_corpus(tmp_path, monkeypatch, workers):
+    """An error during CoT that is not a TransportError or DataError is
+    raised once the requests already started finish, and no sft.jsonl is
+    written."""
+    opts = SftOptions(seed=3, cot_rate=0.5, max_tokens=100_000)
+    corpus, cot_prompts = _live_sft_setup(monkeypatch, opts)
+    session = _KeyedSession(dict.fromkeys(cot_prompts, "Because."), fail_on=3, latency_s=0.0)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="injected failure"):
+        run_build_sft(corpus, opts, tmp_path / "run", client=_live_client(session, workers))
+    assert 3 <= session.posts <= 3 + workers < len(cot_prompts)
     assert not (tmp_path / "run").exists()
     assert threading.active_count() == before
 
