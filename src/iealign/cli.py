@@ -87,7 +87,7 @@ SFT_KEYS = {
 }
 DPO_KEYS = {
     "instances": str, "seed": int, "plan": Optional[dict], "backend": Optional[dict],
-    "cache_dir": Optional[str], "pool_dir": Optional[str],
+    "cache_dir": Optional[str],
 }
 
 
@@ -127,13 +127,26 @@ def _build(cls, values: dict):
     return cls(**{k: hints[k](v) if isinstance(hints[k], enum.EnumMeta) else v for k, v in values.items()})
 
 
+def _is(kind: str, path) -> bool:
+    """Whether `path` names an existing `kind`: a "regular file" or a "directory"."""
+    return Path(path).is_dir() if kind == "directory" else Path(path).is_file()
+
+
 def _require(kind: str, *paths) -> None:
-    """Check that each of `paths` but None names an existing `kind`: a "regular file" or a "directory"."""
+    """Check that each of `paths` but None names an existing `kind`."""
     for p in [p for p in paths if p is not None]:
         if not Path(p).exists():
             raise ConfigurationError(f"input file not found: {p}")
-        if not (Path(p).is_dir() if kind == "directory" else Path(p).is_file()):
+        if not _is(kind, p):
             raise ConfigurationError(f"input {p} is not a {kind}")
+
+
+def _require_out(kind: str, path) -> None:
+    """Check that the output `path`, when given, names nothing yet or an
+    existing `kind`, so that a run does not end in a write onto the wrong
+    kind of file."""
+    if path is not None and Path(path).exists() and not _is(kind, path):
+        raise ConfigurationError(f"output {path} is not a {kind}")
 
 
 def _write_json(data: dict, out: Optional[str]) -> None:
@@ -163,6 +176,7 @@ def ingest(config_path, out_path, seed, lenient):
     """Read a raw dataset into canonical instances, applying NA and length filters."""
     spec = _build(ReaderSpec, _load_config(config_path, "ingest config", *_params(ReaderSpec), seed))
     _require("regular file", spec.path, spec.schema)
+    _require_out("regular file", out_path)
     instances = load_dataset(spec, lenient)
     n_loaded = len(instances)
     instances = filter_na(instances, spec)
@@ -185,6 +199,7 @@ def mix(config_path, out_path, seed):
     in a general-purpose corpus at a fixed IE rate."""
     plan = _build(MixturePlan, _load_config(config_path, "mix config", *_params(MixturePlan), seed))
     _require("regular file", *plan.datasets.values(), plan.general)
+    _require_out("regular file", out_path)
     datasets = {name: read_instances(path) for name, path in plan.datasets.items()}
     general = read_instances(plan.general) if plan.general else []
     owner: dict[str, str] = {}  # instance id -> the input that holds it: the mix must not hold one twice
@@ -266,6 +281,7 @@ def build_sft_cmd(config_path, out_dir, seed, backend):
     opts = _options(SftOptions, "SFT option", cfg, "options")
     _require("regular file", cfg["instances"])
     _require("directory", opts.pool_dir)
+    _require_out("directory", out_dir)
     client = _make_backend(cfg, backend)
     instances = read_instances(cfg["instances"])
     manifest = run_build_sft(instances, opts, out_dir, client=client, config=cfg)
@@ -284,14 +300,13 @@ def build_dpo_cmd(config_path, out_dir, seed, backend):
     cfg = _load_config(config_path, "build-dpo config", DPO_KEYS, ("instances",), seed)
     plan = _options(DpoPlan, "DPO plan option", cfg, "plan")
     _require("regular file", cfg["instances"])
-    _require("directory", cfg.get("pool_dir"))
+    _require("directory", plan.pool_dir)
+    _require_out("directory", out_dir)
     client = _make_backend(cfg, backend)
     if client is None:
         raise ConfigurationError("build-dpo requires a backend (config 'backend' or --backend)")
     instances = read_instances(cfg["instances"])
-    manifest = run_build_dpo(
-        instances, plan, client, out_dir, pool_dir=cfg.get("pool_dir"), config=cfg
-    )
+    manifest = run_build_dpo(instances, plan, client, out_dir, config=cfg)
     click.echo(json.dumps(manifest["counts"], sort_keys=True))
     click.echo(f"wrote {out_dir}/dpo.jsonl and manifest.json")
 
@@ -305,6 +320,7 @@ def build_dpo_cmd(config_path, out_dir, seed, backend):
 def evaluate(pred_path, gold_path, task, out_path):
     """Score predictions against gold with exact-match micro F1."""
     _require("regular file", pred_path, gold_path)
+    _require_out("regular file", out_path)
     if not _fits(task, Optional[TaskKind]):
         raise ConfigurationError(f"unknown task {task!r}")
     report = evaluate_files(pred_path, gold_path, task=TaskKind(task) if task else None)
@@ -318,6 +334,7 @@ def evaluate(pred_path, gold_path, task, out_path):
 def stats(corpus_path, out_path):
     """Composition report and schema-closure audit over an SFT corpus."""
     _require("regular file", corpus_path)
+    _require_out("regular file", out_path)
     records, skipped = read_records(corpus_path, lambda rec, lineno: check_sft_record(rec), lenient=True)
     report = corpus_stats(records)
     report["malformed_lines"] = skipped

@@ -121,6 +121,8 @@ def _read_record(spec: ReaderSpec, schema: Optional[SchemaDef], raw, lineno: int
         raise DataError("invalid instance: " + "; ".join(problems), line=lineno)
     gold = gold.restrict(set(gold.labels_used()) - set(spec.null_labels))
     index = raw.get("index", lineno - 1)
+    if not isinstance(index, int) or isinstance(index, bool):  # 1, 1.0 and true would name three ids
+        raise DataError("index is not an int", line=lineno, field="index")
     inst = IEInstance(
         id=stable_id(spec.dataset, index, text),
         dataset=spec.dataset,

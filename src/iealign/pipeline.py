@@ -37,23 +37,8 @@ from .model import (
     write_json_atomic,
     write_jsonl_atomic,
 )
-from .prefpairs import (
-    DpoPlan,
-    assemble_dpo_corpus,
-    build_offline_pair,
-    build_online_pair,
-    pair_to_record,
-    score_samples,
-)
-from .prompts import (
-    DescriptionPool,
-    SchemaView,
-    assemble_input,
-    attach_demonstrations,
-    augment_schema,
-    load_description_pool,
-    sample_task_description,
-)
+from .prefpairs import DpoPlan, assemble_dpo_corpus, build_pairs, pair_to_record, score_samples
+from .prompts import SchemaView, assemble_input, attach_demonstrations, augment_schema, load_description_pool
 from .seeds import derive_rng, derive_seed
 
 logger = logging.getLogger(__name__)
@@ -165,7 +150,7 @@ def build_sft(
             pools[task] = load_description_pool(task, opts.pool_dir)
         rng = random.Random(derive_seed(opts.seed, "sft", inst.id))
         fmt = rng.choice(specs)
-        task_desc = sample_task_description(pools[task], rng)
+        task_desc = rng.choice(pools[task])
         words = sample_words_limit(rng)
 
         view = None
@@ -248,20 +233,15 @@ def dpo_prompt(inst: IEInstance, fmt, pool_dir: Optional[str], seed: int) -> str
     return _dpo_prompt(inst, fmt, load_description_pool(inst.task, pool_dir), seed)
 
 
-def _dpo_prompt(inst: IEInstance, fmt, pool: DescriptionPool, seed: int) -> str:
+def _dpo_prompt(inst: IEInstance, fmt, pool: tuple[str, ...], seed: int) -> str:
     view = None
     if inst.task in CLOSED_IE_TASKS:
         view = SchemaView(inst.schema.labels)
-    desc = sample_task_description(pool, derive_rng(seed, "dpo-desc", inst.id))
+    desc = derive_rng(seed, "dpo-desc", inst.id).choice(pool)
     return assemble_input(inst, view, desc, fmt)
 
 
-def build_dpo(
-    instances: Sequence[IEInstance],
-    plan: DpoPlan,
-    client: BaseClient,
-    pool_dir: Optional[str] = None,
-) -> tuple[list, dict]:
+def build_dpo(instances: Sequence[IEInstance], plan: DpoPlan, client: BaseClient) -> tuple[list, dict]:
     """Score samples per instance, form pair candidates, and assemble the
     final corpus. Gold answers use the fixed evaluation format with an
     unshuffled item order so BLEU scores have a stable reference.
@@ -277,37 +257,28 @@ def build_dpo(
         fmt = eval_format_for(inst.task, library)
         gold_text = serialize_answer(inst.gold, fmt, seed=None)
         if inst.task not in pools:
-            pools[inst.task] = load_description_pool(inst.task, pool_dir)
+            pools[inst.task] = load_description_pool(inst.task, plan.pool_dir)
         jobs.append((inst, gold_text, _dpo_prompt(inst, fmt, pools[inst.task], plan.seed)))
 
     def sample(job):
         """The instance's scored samples, or None when it is skipped."""
         inst, gold_text, prompt = job
         try:
-            return score_samples(
-                inst.id, inst.dataset, prompt, gold_text, client,
-                n=plan.samples_per_instance, temperature=plan.sample_temperature,
-            )
+            return score_samples(prompt, gold_text, client, plan.samples_per_instance, plan.sample_temperature)
         except TransportError as e:
             logger.warning("skipping instance %s: %s", inst.id, e)
             return None
 
     candidates = []
     skipped = 0
-    for scored in client.map_prompts(sample, jobs, lambda job: job[2]):
-        if scored is None:
+    results = client.map_prompts(sample, jobs, lambda job: job[2])
+    for (inst, gold_text, prompt), samples in zip(jobs, results, strict=True):
+        if samples is None:
             skipped += 1
-            continue
-        online = build_online_pair(scored, plan.gap_threshold)
-        offline = build_offline_pair(scored, plan.gap_threshold)
-        if online is not None:
-            candidates.append(online)
-        if offline is not None:
-            candidates.append(offline)
+        else:
+            candidates += build_pairs(inst.id, inst.dataset, prompt, gold_text, samples, plan.gap_threshold)
     corpus, summary = assemble_dpo_corpus(candidates, plan)
     summary["skipped_instances"] = skipped
-    summary["candidate_online"] = sum(1 for p in candidates if p.origin == "online")
-    summary["candidate_offline"] = sum(1 for p in candidates if p.origin == "offline")
     if not corpus:
         logger.warning("no qualifying pairs")
         summary["note"] = "no qualifying pairs"
@@ -515,12 +486,11 @@ def run_build_dpo(
     plan: DpoPlan,
     client: BaseClient,
     out_dir,
-    pool_dir: Optional[str] = None,
     config: Optional[dict] = None,
 ) -> dict:
     out_dir = Path(out_dir)
     started = time.monotonic()
-    corpus, summary = build_dpo(instances, plan, client, pool_dir=pool_dir)
+    corpus, summary = build_dpo(instances, plan, client)
     write_jsonl_atomic((pair_to_record(p) for p in corpus), out_dir / "dpo.jsonl")
     return write_manifest(
         out_dir / "manifest.json",

@@ -25,15 +25,6 @@ ORIGIN_OFFLINE = "offline"
 
 
 @dataclass(frozen=True)
-class ScoredSamples:
-    instance_id: str
-    dataset: str
-    prompt: str
-    gold_text: str
-    samples: tuple[tuple[str, float], ...]  # (text, bleu vs gold)
-
-
-@dataclass(frozen=True)
 class DpoPlan:
     gap_threshold: float = 0.10
     offline_rate: float = 0.7
@@ -41,6 +32,7 @@ class DpoPlan:
     sample_temperature: float = 1.0
     samples_per_instance: int = 5
     seed: int = 0
+    pool_dir: Optional[str] = None
 
     def __post_init__(self):
         if not 0 < self.gap_threshold < 1:
@@ -53,64 +45,43 @@ class DpoPlan:
 
 
 def score_samples(
+    prompt: str, gold_text: str, client: BaseClient, n: int, temperature: float
+) -> tuple[tuple[str, float], ...]:
+    """Draw n samples for the prompt, each with the gold text as its
+    reference, and return each with its BLEU against the gold text, whose
+    n-grams are counted once."""
+    texts = [client.complete(prompt, temperature, i, reference=gold_text) for i in range(n)]
+    reference = BleuReference.of(gold_text)
+    return tuple((t, reference.score(t)) for t in texts)
+
+
+def build_pairs(
     instance_id: str,
     dataset: str,
     prompt: str,
     gold_text: str,
-    client: BaseClient,
-    n: int,
-    temperature: float,
-) -> ScoredSamples:
-    """Draw n samples for the prompt, each with the gold text as its
-    reference, and score each against the gold text, whose n-grams are
-    counted once."""
-    texts = [client.complete(prompt, temperature, i, reference=gold_text) for i in range(n)]
-    reference = BleuReference.of(gold_text)
-    samples = tuple((t, reference.score(t)) for t in texts)
-    return ScoredSamples(instance_id, dataset, prompt, gold_text, samples)
-
-
-def build_online_pair(s: ScoredSamples, gap: float) -> Optional[PreferencePair]:
-    """Pair the highest- and lowest-scoring samples when their BLEU gap
-    exceeds the threshold; ties break toward the lowest sample index."""
-    if len(s.samples) < 2:
-        return None
-    scores = [score for _, score in s.samples]
-    best = min(range(len(scores)), key=lambda i: (-scores[i], i))
-    worst = min(range(len(scores)), key=lambda i: (scores[i], i))
-    if scores[best] - scores[worst] <= gap:
-        return None
-    return PreferencePair(
-        instance_id=s.instance_id,
-        prompt=s.prompt,
-        preferred=s.samples[best][0],
-        dispreferred=s.samples[worst][0],
-        preferred_score=scores[best],
-        dispreferred_score=scores[worst],
-        origin=ORIGIN_ONLINE,
-        dataset=s.dataset,
-    )
-
-
-def build_offline_pair(s: ScoredSamples, gap: float) -> Optional[PreferencePair]:
-    """Pair the ground truth (score 1.0 by convention) against the lowest
-    sample; skip when the lowest sample already matches gold within the gap."""
-    if not s.samples:
-        return None
-    scores = [score for _, score in s.samples]
-    worst = min(range(len(scores)), key=lambda i: (scores[i], i))
-    if scores[worst] >= 1.0 - gap:
-        return None
-    return PreferencePair(
-        instance_id=s.instance_id,
-        prompt=s.prompt,
-        preferred=s.gold_text,
-        dispreferred=s.samples[worst][0],
-        preferred_score=1.0,
-        dispreferred_score=scores[worst],
-        origin=ORIGIN_OFFLINE,
-        dataset=s.dataset,
-    )
+    samples: Sequence[tuple[str, float]],
+    gap: float,
+) -> list[PreferencePair]:
+    """The pair candidates of one instance's scored samples: the online pair
+    (highest- vs lowest-scoring sample) when their BLEU gap exceeds `gap`,
+    then the offline pair (the gold text, score 1.0 by convention, vs the
+    lowest sample) unless that sample is already within `gap` of gold. Ties
+    break toward the lowest sample index."""
+    if not samples:
+        return []
+    chosen, chosen_score = max(samples, key=lambda sample: sample[1])  # the first of equal ones, as min's
+    rejected, rejected_score = min(samples, key=lambda sample: sample[1])
+    pairs = []
+    if chosen_score - rejected_score > gap:
+        pairs.append(PreferencePair(
+            instance_id, prompt, chosen, rejected, chosen_score, rejected_score, ORIGIN_ONLINE, dataset
+        ))
+    if rejected_score < 1.0 - gap:
+        pairs.append(PreferencePair(
+            instance_id, prompt, gold_text, rejected, 1.0, rejected_score, ORIGIN_OFFLINE, dataset
+        ))
+    return pairs
 
 
 def assemble_dpo_corpus(
@@ -147,6 +118,8 @@ def assemble_dpo_corpus(
     on_ids = {p.instance_id for p in chosen_on}
     off_ids = {p.instance_id for p in chosen_off}
     summary = {
+        "candidate_online": len(online),
+        "candidate_offline": len(offline),
         "total": len(corpus),
         "online": len(chosen_on),
         "offline": len(chosen_off),

@@ -40,12 +40,6 @@ class AssemblyError(ValueError):
 # Task description pools
 
 
-@dataclass(frozen=True)
-class DescriptionPool:
-    task: TaskKind
-    descriptions: tuple[str, ...]
-
-
 def _read_lines(path) -> list[str]:
     """The stripped non-blank lines of a file (a Path or a packaged
     resource), or none when it is missing."""
@@ -54,22 +48,19 @@ def _read_lines(path) -> list[str]:
     return [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
 
 
-def load_description_pool(task: TaskKind, pool_dir: Optional[str]) -> DescriptionPool:
+def load_description_pool(task: TaskKind, pool_dir: Optional[str]) -> tuple[str, ...]:
     """The packaged descriptions of `task`, then the lines of
     `pool_dir/<task>/generated.txt` in file order. A non-empty
-    `pool_dir/<task>/manual.txt` replaces the packaged descriptions."""
+    `pool_dir/<task>/manual.txt` replaces the packaged descriptions. A pool
+    without descriptions is a ConfigurationError."""
     packaged = resources.files("iealign").joinpath(f"data/pools/{task.value}/manual.txt")
     descriptions = _read_lines(packaged)
     if pool_dir is not None:
         base = Path(pool_dir) / task.value
         descriptions = (_read_lines(base / "manual.txt") or descriptions) + _read_lines(base / "generated.txt")
-    return DescriptionPool(task, tuple(descriptions))
-
-
-def sample_task_description(pool: DescriptionPool, rng: random.Random) -> str:
-    if not pool.descriptions:
-        raise ConfigurationError(f"empty description pool for task {pool.task.value}")
-    return rng.choice(pool.descriptions)
+    if not descriptions:
+        raise ConfigurationError(f"empty description pool for task {task.value}")
+    return tuple(descriptions)
 
 
 # ---------------------------------------------------------------------------

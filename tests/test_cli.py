@@ -2,13 +2,17 @@
 mapping, and pre-flight validation before any output is written."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
 from conftest import assert_kept, fail_on_second
 
-from iealign.cli import _write_json, main
+from iealign.cli import DPO_KEYS, SFT_KEYS, _load_config, _make_backend, _options, _write_json, main
+from iealign.pipeline import SftOptions
+from iealign.prefpairs import DpoPlan
 from iealign.errors import DataError
 from iealign.model import TaskKind, gold_to_json, read_instances, schema_to_json, write_instances
 from iealign.synth import make_corpus, make_schema
@@ -209,7 +213,7 @@ def _base_config(tmp_path, command):
         return {"dataset": "d", "task": "NER", "path": str(raw), "schema": str(schema)}
     if command == "mix":
         a, _ = _canonical(tmp_path, name="a.jsonl")
-        general, _ = _canonical(tmp_path, TaskKind.RE, name="general.jsonl")
+        general, _ = _canonical(tmp_path, TaskKind.RE, seed=2, name="general.jsonl")
         return {"datasets": {"a": str(a)}, "general": str(general)}
     inst, _ = _canonical(tmp_path)
     return {"instances": str(inst), "backend": {"kind": "mock", "policy": "fixed:x"}}
@@ -326,7 +330,8 @@ def test_out_of_range_rate_over_a_bad_input_exits_2(runner, tmp_path, command, k
     ("mix", {"ie_rte": 0.5, 7: 1}, "unknown mix config keys: [7, 'ie_rte']"),
     ("build-sft", {"pool_dir": "pools"}, "unknown build-sft config keys: ['pool_dir']"),
     ("build-dpo", {"options": {}}, "unknown build-dpo config keys: ['options']"),
-], ids=["ingest", "mix", "build-sft", "build-dpo"])
+    ("build-dpo", {"pool_dir": "pools"}, "unknown build-dpo config keys: ['pool_dir']"),
+], ids=["ingest", "mix", "build-sft", "build-dpo", "build-dpo-pool_dir"])
 def test_unknown_config_key_exits_2(runner, tmp_path, command, values, message):
     """A top-level config key the command does not read is a configuration
     error before any output is written, not a setting silently left at its
@@ -409,7 +414,7 @@ def test_build_out_of_range_option_exits_2(runner, tmp_path, command, key, value
     ("build-dpo", "plan", {"gap_threshold": "0.1"}, "DPO plan option gap_threshold must be float, got '0.1'"),
     ("build-dpo", "seed", "seven", "build-dpo config seed must be int, got 'seven'"),
     ("build-dpo", "instances", 5, "build-dpo config instances must be str, got 5"),
-    ("build-dpo", "pool_dir", 5, "build-dpo config pool_dir must be Optional[str], got 5"),
+    ("build-dpo", "plan", {"pool_dir": 5}, "DPO plan option pool_dir must be Optional[str], got 5"),
     ("build-dpo", "cache_dir", 5, "build-dpo config cache_dir must be Optional[str], got 5"),
     ("build-sft", "options", [1], "build-sft config options must be Optional[dict], got [1]"),
 ])
@@ -497,7 +502,7 @@ def test_every_config_mapping_rejects_unknown_key_and_wrong_type(
 
 @pytest.mark.parametrize("command,values", [
     ("build-sft", {"options": {"pool_dir": "no-such-dir"}}),
-    ("build-dpo", {"pool_dir": "no-such-dir"}),
+    ("build-dpo", {"plan": {"pool_dir": "no-such-dir"}}),
 ], ids=["build-sft", "build-dpo"])
 def test_build_missing_pool_dir_exits_2(runner, tmp_path, monkeypatch, command, values):
     """A description pool directory that does not exist is a configuration
@@ -508,6 +513,24 @@ def test_build_missing_pool_dir_exits_2(runner, tmp_path, monkeypatch, command, 
     assert result.exit_code == 2, result.output
     assert "configuration error: input file not found: no-such-dir" in result.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,section,output", [
+    ("build-sft", "options", "sft.jsonl"),
+    ("build-dpo", "plan", "dpo.jsonl"),
+])
+def test_build_reads_pool_dir_from_its_section(runner, tmp_path, command, section, output):
+    """Both builds take `pool_dir` in the section their options class reads
+    (`options:` or `plan:`), and every prompt then starts with a description
+    from its files."""
+    (tmp_path / "pools" / "NER").mkdir(parents=True)
+    (tmp_path / "pools" / "NER" / "manual.txt").write_text("Own description.\n", encoding="utf-8")
+    config = {**_base_config(tmp_path, command), section: {"pool_dir": str(tmp_path / "pools")}}
+    cfg = _write_yaml(tmp_path / "cfg.yaml", config)
+    result = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    prompts = [json.loads(line)["prompt"] for line in (tmp_path / "out" / output).read_text().splitlines()]
+    assert prompts and all(prompt.startswith("Own description.") for prompt in prompts)
 
 
 @pytest.mark.parametrize("command", ["build-sft", "build-dpo"])
@@ -538,7 +561,7 @@ def test_build_cache_dir_that_is_a_file_exits_2(runner, tmp_path, command):
     ("mix", {"general": "a-dir"}, "regular file"),
     ("build-sft", {"instances": "a-dir"}, "regular file"),
     ("build-sft", {"options": {"pool_dir": "a-file"}}, "directory"),
-    ("build-dpo", {"pool_dir": "a-file"}, "directory"),
+    ("build-dpo", {"plan": {"pool_dir": "a-file"}}, "directory"),
     ("stats", ["--corpus", "a-dir"], "regular file"),
     ("evaluate", ["--pred", "a-dir", "--gold", "a-file"], "regular file"),
     ("evaluate", ["--pred", "a-file", "--gold", "a-dir"], "regular file"),
@@ -564,6 +587,37 @@ def test_input_path_of_the_wrong_kind_exits_2(runner, tmp_path, monkeypatch, com
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("command,kind", [
+    ("ingest", "regular file"),
+    ("mix", "regular file"),
+    ("build-sft", "directory"),
+    ("build-dpo", "directory"),
+    ("evaluate", "regular file"),
+    ("stats", "regular file"),
+])
+def test_out_of_the_wrong_kind_exits_2(runner, tmp_path, command, kind):
+    """An --out file that names a directory, or a build's --out directory
+    that names a file, is a configuration error before any input is read
+    (for build-dpo, before any model call), not a traceback once the job is
+    done. An --out that does not exist yet is valid."""
+    if command in ("evaluate", "stats"):
+        inst, _ = _canonical(tmp_path)
+        (tmp_path / "pred.jsonl").write_text("", encoding="utf-8")
+        args = ["--pred", str(tmp_path / "pred.jsonl"), "--gold", str(inst)] if command == "evaluate" else ["--corpus", str(inst)]
+    else:
+        args = ["--config", _write_yaml(tmp_path / "cfg.yaml", _base_config(tmp_path, command))]
+    out = tmp_path / "out"
+    out.mkdir() if kind == "regular file" else out.write_text("kept\n", encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    result = runner.invoke(main, [command, *args, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"configuration error: output {out} is not a {kind}" in result.output
+    assert sorted(tmp_path.rglob("*")) == before
+    out.rmdir() if kind == "regular file" else out.unlink()
+    assert runner.invoke(main, [command, *args, "--out", str(out)]).exit_code == 0
+    assert out.is_dir() if kind == "directory" else out.is_file()
+
+
 @pytest.mark.parametrize("command", ["ingest", "mix", "build-sft", "build-dpo"])
 @pytest.mark.parametrize("write", [
     lambda path: path.write_bytes(b"seed: caf\xe9\n"),
@@ -579,6 +633,25 @@ def test_unreadable_config_file_exits_2(runner, tmp_path, command, write):
     assert result.exit_code == 2, result.output
     assert result.output.startswith(f"configuration error: invalid config {cfg}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name,keys,cls,label,section", [
+    ("sft", SFT_KEYS, SftOptions, "SFT option", "options"),
+    ("dpo", DPO_KEYS, DpoPlan, "DPO plan option", "plan"),
+])
+def test_readme_build_config_examples_pass_the_config_checks(tmp_path, name, keys, cls, label, section):
+    """The README's example `sft.yaml` and `dpo.yaml` pass the checks their
+    build makes, and every option they set reaches the options class: a key
+    that moves cannot leave the docs behind."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = dict(re.findall(r"Example `(\w+)\.yaml`:\n\n```yaml\n(.*?)```", readme, re.S))
+    (tmp_path / f"{name}.yaml").write_text(examples[name], encoding="utf-8")
+    cfg = _load_config(str(tmp_path / f"{name}.yaml"), f"build-{name} config", keys, ("instances",), None)
+    options = _options(cls, label, cfg, section)
+    assert {key: getattr(options, key) for key in cfg[section]} == {
+        key: tuple(value) if isinstance(value, list) else value for key, value in cfg[section].items()
+    }
+    assert _make_backend(cfg, None) is not None
 
 
 def test_build_int_for_float_option_is_accepted(runner, tmp_path):

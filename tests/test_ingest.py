@@ -18,7 +18,7 @@ from iealign.ingest import (
     mix_proportional,
     whitespace_token_count,
 )
-from iealign.model import TaskKind, gold_to_json, schema_to_json
+from iealign.model import TaskKind, gold_to_json, schema_to_json, stable_id
 from iealign.synth import make_corpus, make_schema
 
 
@@ -67,6 +67,21 @@ def test_load_dataset_missing_fields(tmp_path):
     spec = ReaderSpec("d", TaskKind.OPENIE, str(path))
     with pytest.raises(DataError, match="missing text"):
         load_dataset(spec, lenient=False)
+
+
+@pytest.mark.parametrize("index", [[1, 2], 1.0, True, "1", None])
+def test_load_dataset_index_must_be_an_int(tmp_path, index):
+    """A raw `index` that is not an int (a bool is not one) is a line data
+    error naming the field, skipped under lenient: 1, 1.0, true and "1"
+    would each give the same text a different instance id, and so slip
+    past the duplicate-id check."""
+    path = tmp_path / "raw.jsonl"
+    lines = [{"index": 1, "text": "ok", "gold": []}, {"index": index, "text": "ok", "gold": []}]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    spec = ReaderSpec("d", TaskKind.OPENIE, str(path))
+    with pytest.raises(DataError, match=r"index is not an int \| line 2 \| field 'index'"):
+        load_dataset(spec, lenient=False)
+    assert [inst.id for inst in load_dataset(spec, lenient=True)] == [stable_id("d", 1, "ok")]
 
 
 def test_null_labels_removed(tmp_path):

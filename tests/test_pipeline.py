@@ -341,7 +341,7 @@ def test_build_dpo_prompts_are_dpo_prompt(tmp_path, with_pool_dir):
             (tmp_path / task / "generated.txt").write_text(f"Generated {task} text.\n")
     corpus = _mixed_corpus(15, tasks=(TaskKind.NER, TaskKind.RE))
     client = _RecordingClient()
-    build_dpo(corpus, DpoPlan(target_size=10, seed=4, samples_per_instance=1), client, pool_dir=pool_dir)
+    build_dpo(corpus, DpoPlan(target_size=10, seed=4, samples_per_instance=1, pool_dir=pool_dir), client)
     expected = [dpo_prompt(i, eval_format_for(i.task), pool_dir, 4) for i in corpus]
     assert client.prompts == expected
     if with_pool_dir:
@@ -449,8 +449,8 @@ def test_live_dpo_instances_sharing_a_prompt(tmp_path, monkeypatch, cached):
     so at 4 workers as at 1 a later one hits the earlier one's cache
     entries, or without a cache asks the backend after it: the same
     dpo.jsonl, counts and calls."""
-    plan = DpoPlan(target_size=100, seed=2)
     pool_dir = tmp_path / "pools"
+    plan = DpoPlan(target_size=100, seed=2, pool_dir=str(pool_dir))
     (pool_dir / TaskKind.NER.value).mkdir(parents=True)
     (pool_dir / TaskKind.NER.value / "manual.txt").write_text("Find the entities.\n")
     base, _ = _live_setup(monkeypatch, 16, plan.seed)
@@ -462,17 +462,17 @@ def test_live_dpo_instances_sharing_a_prompt(tmp_path, monkeypatch, cached):
     corpus.append(replace(base[1], id=f"{base[1].id}-late"))
     gold = _live_gold(corpus, plan.seed, str(pool_dir))
     assert len(gold) == len(base) < len(corpus)
-    scored = _count_calls(monkeypatch, "build_online_pair")
+    paired = _count_calls(monkeypatch, "build_pairs")
     runs = {}
     for workers in (1, 4):
         session = _KeyedSession(gold)
         client = _live_client(session, workers, str(tmp_path / f"cache{workers}") if cached else None)
-        manifest = run_build_dpo(corpus, plan, client, tmp_path / f"w{workers}", pool_dir=str(pool_dir))
+        manifest = run_build_dpo(corpus, plan, client, tmp_path / f"w{workers}")
         runs[workers] = ((tmp_path / f"w{workers}" / "dpo.jsonl").read_bytes(), manifest["counts"])
         assert session.posts == client.call_count == 5 * len(base if cached else corpus)
     assert runs[1] == runs[4]
     assert runs[1][1]["total"] > 0
-    assert [args[0].instance_id for args in scored] == 2 * [inst.id for inst in corpus]
+    assert [args[0] for args in paired] == 2 * [inst.id for inst in corpus]  # once per instance per run
 
 
 def test_live_dpo_workers_share_one_qps(monkeypatch):

@@ -1,33 +1,21 @@
-"""Preference-pair tests: scoring, the BLEU-gap rule, offline construction,
-and corpus assembly ratios/determinism."""
+"""Preference-pair tests: scoring, the online and offline pair rules, and
+corpus assembly ratios/determinism."""
 
 import pytest
 
 from iealign.client import BaseClient, MockClient
 from iealign.errors import ConfigurationError
 from iealign.model import PreferencePair
-from iealign.prefpairs import (
-    DpoPlan,
-    ScoredSamples,
-    assemble_dpo_corpus,
-    build_offline_pair,
-    build_online_pair,
-    pair_to_record,
-    score_samples,
-)
+from iealign.prefpairs import DpoPlan, assemble_dpo_corpus, build_pairs, score_samples
 
 GAP = 0.10  # DpoPlan's default gap_threshold, which these cases are written for
+GOLD = "the gold text here"
 
 
-def _scored(scores, gold="the gold text here", texts=None):
-    texts = texts or [f"sample {i}" for i in range(len(scores))]
-    return ScoredSamples(
-        instance_id="inst-1",
-        dataset="ds",
-        prompt="p",
-        gold_text=gold,
-        samples=tuple(zip(texts, scores)),
-    )
+def _pairs(scores, gap=GAP):
+    """`build_pairs` over samples named "sample <index>" with `scores`."""
+    samples = tuple((f"sample {i}", score) for i, score in enumerate(scores))
+    return build_pairs("inst-1", "ds", "p", GOLD, samples, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -36,9 +24,9 @@ def _scored(scores, gold="the gold text here", texts=None):
 
 def test_score_samples_echo_gold_all_ones():
     client = MockClient(policy="echo_gold")
-    s = score_samples("i", "d", "prompt", "alpha beta gamma delta", client, n=5, temperature=1.0)
-    assert len(s.samples) == 5
-    assert all(score == pytest.approx(1.0) for _, score in s.samples)
+    samples = score_samples("prompt", "alpha beta gamma delta", client, n=5, temperature=1.0)
+    assert len(samples) == 5
+    assert all(score == pytest.approx(1.0) for _, score in samples)
 
 
 def test_score_samples_mixed_gold_and_noise():
@@ -48,9 +36,9 @@ def test_score_samples_mixed_gold_and_noise():
         def _generate(self, prompt, temperature, index, reference):
             return gold if index == 0 else "zzz yyy"
 
-    s = score_samples("i", "d", "prompt", gold, _GoldThenNoise(), n=5, temperature=1.0)
-    scores = [score for _, score in s.samples]
-    assert scores[0] == pytest.approx(1.0)
+    samples = score_samples("prompt", gold, _GoldThenNoise(), n=5, temperature=1.0)
+    scores = [score for _, score in samples]
+    assert samples[0] == (gold, pytest.approx(1.0))
     assert all(sc < 0.01 for sc in scores[1:])
 
 
@@ -58,63 +46,49 @@ def test_score_samples_cached_rerun_zero_calls(tmp_path):
     from iealign.client import ResponseCache
 
     client = MockClient(policy="echo_gold", cache=ResponseCache(str(tmp_path)))
-    score_samples("i", "d", "prompt", "alpha beta", client, n=5, temperature=1.0)
+    score_samples("prompt", "alpha beta", client, n=5, temperature=1.0)
     first = client.call_count
     assert first == 5
-    score_samples("i", "d", "prompt", "alpha beta", client, n=5, temperature=1.0)
+    score_samples("prompt", "alpha beta", client, n=5, temperature=1.0)
     assert client.call_count == first  # all served from cache
 
 
 # ---------------------------------------------------------------------------
-# Online pairs
+# Pairs: the online pair (best vs worst sample) when the gap exceeds GAP,
+# then the offline pair (gold vs worst sample) unless the worst is within
+# GAP of gold
 
 
-def test_online_pair_picks_extremes():
-    pair = build_online_pair(_scored([0.9, 0.5, 0.7, 0.6, 0.8]), GAP)
-    assert pair is not None
-    assert pair.preferred == "sample 0" and pair.dispreferred == "sample 1"
-    assert pair.preferred_score == 0.9 and pair.dispreferred_score == 0.5
-    assert pair.origin == "online"
+@pytest.mark.parametrize("scores,gap,expected", [
+    ([0.9, 0.5, 0.7, 0.6, 0.8], GAP, [("online", "sample 0", "sample 1"), ("offline", GOLD, "sample 1")]),
+    ([0.8, 0.3, 0.6], GAP, [("online", "sample 0", "sample 1"), ("offline", GOLD, "sample 1")]),
+    ([0.5] * 5, GAP, [("offline", GOLD, "sample 0")]),
+    ([0.55, 0.50], GAP, [("offline", GOLD, "sample 1")]),
+    ([0.9, 0.9, 0.3, 0.3], GAP, [("online", "sample 0", "sample 2"), ("offline", GOLD, "sample 2")]),
+    ([0.8], GAP, [("offline", GOLD, "sample 0")]),
+    ([0.95], GAP, []),
+    ([1.0, 1.0, 1.0], GAP, []),
+    ([0.95, 0.97], GAP, []),
+    ([1.0, 0.5], GAP, [("online", "sample 0", "sample 1"), ("offline", GOLD, "sample 1")]),
+    ([], GAP, []),
+    # gaps exactly equal to the threshold, in binary fractions so no rounding
+    # decides them: the online gap must exceed it, and the worst sample must
+    # be further than it from gold
+    ([0.75, 0.5], 0.25, [("offline", GOLD, "sample 1")]),
+    ([0.9, 0.75], 0.125, [("online", "sample 0", "sample 1"), ("offline", GOLD, "sample 1")]),
+    ([0.9, 0.75], 0.25, []),
+], ids=["extremes", "extremes_of_three", "all_equal", "gap_below", "ties_lowest_index", "single_sample",
+        "single_sample_near_gold", "all_gold", "worst_near_gold", "best_is_gold", "no_samples",
+        "online_gap_equal", "online_gap_above", "offline_gap_equal"])
+def test_build_pairs(scores, gap, expected):
+    assert [(p.origin, p.preferred, p.dispreferred) for p in _pairs(scores, gap)] == expected
 
 
-def test_online_pair_all_equal_none():
-    assert build_online_pair(_scored([0.5] * 5), GAP) is None
-
-
-def test_online_pair_below_threshold_none():
-    assert build_online_pair(_scored([0.55, 0.50]), GAP) is None
-    assert build_online_pair(_scored([0.60, 0.50]), GAP) is None  # gap must exceed, not equal
-
-
-def test_online_pair_tie_breaks_lowest_index():
-    pair = build_online_pair(_scored([0.9, 0.9, 0.3, 0.3]), GAP)
-    assert pair.preferred == "sample 0" and pair.dispreferred == "sample 2"
-
-
-def test_online_pair_needs_two_samples():
-    assert build_online_pair(_scored([0.9]), GAP) is None
-
-
-# ---------------------------------------------------------------------------
-# Offline pairs
-
-
-def test_offline_pair_prefers_gold():
-    pair = build_offline_pair(_scored([0.8, 0.3, 0.6]), GAP)
-    assert pair.preferred == "the gold text here"
-    assert pair.preferred_score == 1.0
-    assert pair.dispreferred == "sample 1" and pair.dispreferred_score == 0.3
-    assert pair.origin == "offline"
-    assert pair.preferred_score - pair.dispreferred_score == pytest.approx(0.7)
-
-
-def test_offline_pair_skips_near_gold():
-    assert build_offline_pair(_scored([1.0, 1.0, 1.0]), GAP) is None
-    assert build_offline_pair(_scored([0.95, 0.97]), GAP) is None  # min >= 1 - gap
-
-
-def test_offline_pair_empty_samples():
-    assert build_offline_pair(_scored([]), GAP) is None
+def test_build_pairs_scores_and_fields():
+    online, offline = _pairs([0.8, 0.3, 0.6])
+    assert online == PreferencePair("inst-1", "p", "sample 0", "sample 1", 0.8, 0.3, "online", "ds")
+    assert offline == PreferencePair("inst-1", "p", GOLD, "sample 1", 1.0, 0.3, "offline", "ds")
+    assert offline.preferred_score - offline.dispreferred_score == pytest.approx(0.7)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +113,7 @@ def test_assemble_hits_target_ratio():
     assert summary["total"] == 100
     assert summary["offline"] == 70 and summary["online"] == 30
     assert summary["offline_rate"] == pytest.approx(0.7)
+    assert summary["candidate_offline"] == 300 and summary["candidate_online"] == 200
 
 
 def test_assemble_insufficient_supply_emits_all():
@@ -171,7 +146,5 @@ def test_plan_validation():
 
 def test_no_pair_has_equal_sides():
     for scores in ([0.9, 0.5], [0.2, 0.9, 0.4], [1.0, 0.1]):
-        for builder in (build_online_pair, build_offline_pair):
-            pair = builder(_scored(scores), GAP)
-            if pair is not None:
-                assert pair.preferred != pair.dispreferred
+        for pair in _pairs(scores):
+            assert pair.preferred != pair.dispreferred

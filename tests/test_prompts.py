@@ -18,7 +18,6 @@ from iealign.prompts import (
     augment_schema,
     load_description_pool,
     render_schema_section,
-    sample_task_description,
 )
 from iealign.synth import make_corpus, make_instance, make_schema
 
@@ -32,8 +31,8 @@ LIBRARY = load_format_library()
 @pytest.mark.parametrize("task", [t for t in TaskKind if t is not TaskKind.ONDEMANDIE])
 def test_packaged_pools_have_ten_manual_descriptions(task):
     pool = load_description_pool(task, None)
-    assert len(pool.descriptions) == 10
-    assert all(d.strip() for d in pool.descriptions)
+    assert len(pool) == 10
+    assert all(d.strip() for d in pool)
 
 
 def test_pool_dir_generated_extends_pool(tmp_path):
@@ -41,8 +40,8 @@ def test_pool_dir_generated_extends_pool(tmp_path):
     d.mkdir()
     (d / "generated.txt").write_text("extra one\nextra two\n", encoding="utf-8")
     pool = load_description_pool(TaskKind.NER, str(tmp_path))
-    assert pool.descriptions == load_description_pool(TaskKind.NER, None).descriptions + ("extra one", "extra two")
-    assert len(pool.descriptions) == 12
+    assert pool == load_description_pool(TaskKind.NER, None) + ("extra one", "extra two")
+    assert len(pool) == 12
 
 
 def test_pool_dir_manual_replaces_packaged_descriptions(tmp_path):
@@ -51,14 +50,17 @@ def test_pool_dir_manual_replaces_packaged_descriptions(tmp_path):
     (d / "manual.txt").write_text("mine one\n\n  mine two  \n", encoding="utf-8")
     (d / "generated.txt").write_text("extra one\n", encoding="utf-8")
     pool = load_description_pool(TaskKind.NER, str(tmp_path))
-    assert pool.descriptions == ("mine one", "mine two", "extra one")
+    assert pool == ("mine one", "mine two", "extra one")
 
 
-def test_sample_description_deterministic():
-    pool = load_description_pool(TaskKind.RE, None)
-    assert sample_task_description(pool, random.Random(3)) == sample_task_description(pool, random.Random(3))
-    picks = {sample_task_description(pool, random.Random(s)) for s in range(40)}
-    assert len(picks) > 1
+def test_empty_pool_is_a_configuration_error(tmp_path):
+    """OnDemandIE has no packaged descriptions: its pool is empty unless
+    pool_dir gives some, and an empty pool names its task."""
+    with pytest.raises(ConfigurationError, match="empty description pool for task OnDemandIE"):
+        load_description_pool(TaskKind.ONDEMANDIE, None)
+    (tmp_path / "OnDemandIE").mkdir()
+    (tmp_path / "OnDemandIE" / "generated.txt").write_text("Answer with a table.\n", encoding="utf-8")
+    assert load_description_pool(TaskKind.ONDEMANDIE, str(tmp_path)) == ("Answer with a table.",)
 
 
 # ---------------------------------------------------------------------------
