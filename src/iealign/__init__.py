@@ -8,7 +8,6 @@ from .model import (  # noqa: F401
     FormatSpec,
     IEInstance,
     LabelDef,
-    PreferencePair,
     SchemaDef,
     TaskKind,
 )

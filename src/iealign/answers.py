@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .formats import CompiledTemplate, compile_template, compile_truncations, unquote_value
-from .model import OPTIONAL_SLOTS, TASK_SLOTS, Extraction, FormatSpec, TaskKind
+from .model import EE_ARG_SLOTS, OPTIONAL_SLOTS, TASK_SLOTS, Extraction, FormatSpec, TaskKind
 
 
 class SerializationError(ValueError):
@@ -60,16 +60,6 @@ class ParseResult:
 # Serialization
 
 
-def _item_values(task: TaskKind, item: tuple, spec: FormatSpec) -> dict[str, Optional[str]]:
-    slots = TASK_SLOTS[task]
-    if task is TaskKind.EE:
-        trig, etype, args = item
-        arg_tpl = _compiled(spec.arg_template)
-        rendered_args = spec.arg_separator.join(arg_tpl.render({"word": w, "role": r}) for w, r in args)
-        return {"trigger": trig, "type": etype, "arguments": rendered_args}
-    return {slot: item[i] if i < len(item) else None for i, slot in enumerate(slots)}
-
-
 @lru_cache(maxsize=256)
 def _compiled(template: str) -> CompiledTemplate:
     # EE arguments blobs may legitimately be empty (an event with no
@@ -90,24 +80,6 @@ def _openie_accept(groups: dict[str, str]) -> bool:
     return all(unquote_value(groups.get(slot) or "") for slot in ("predicate", "subject"))
 
 
-def _json_item(task: TaskKind, item: tuple) -> dict:
-    if task is TaskKind.EE:
-        trig, etype, args = item
-        return {
-            "trigger": trig,
-            "type": etype,
-            "arguments": [{"word": w, "role": r} for w, r in args],
-        }
-    slots = TASK_SLOTS[task]
-    out = {}
-    for i, slot in enumerate(slots):
-        value = item[i] if i < len(item) else None
-        if value is None and slot in OPTIONAL_SLOTS.get(task, ()):
-            continue
-        out[slot] = value
-    return out
-
-
 def serialize_answer(gold: Extraction, spec: FormatSpec, seed: int | random.Random | None = None) -> str:
     """Render a gold extraction. Triplet items are shuffled by `seed`: an int
     seeds a fresh stream, a `random.Random` is drawn from (only when there is
@@ -122,26 +94,34 @@ def serialize_answer(gold: Extraction, spec: FormatSpec, seed: int | random.Rand
     items = list(gold.items)
     if spec.family == "Triplet" and seed is not None and len(items) > 1:
         (seed if isinstance(seed, random.Random) else random.Random(seed)).shuffle(items)
+    values = [dict(zip(TASK_SLOTS[gold.task], item)) for item in items]
+    if gold.task is TaskKind.EE:  # arguments: a JSON list of {word, role}, or the rendered sub-template
+        render = None if spec.family == "Json" else _compiled(spec.arg_template).render
+        for v in values:
+            args = [{"word": w, "role": r} for w, r in v["arguments"]]
+            v["arguments"] = args if render is None else spec.arg_separator.join(map(render, args))
     if spec.family == "Json":
-        payload = {"task": gold.task.value, "items": [_json_item(gold.task, it) for it in items]}
+        optional = OPTIONAL_SLOTS.get(gold.task, ())
+        if optional:  # an absent optional slot is left out
+            values = [{slot: x for slot, x in v.items() if x is not None or slot not in optional} for v in values]
+        payload = {"task": gold.task.value, "items": values}
         if gold.task is TaskKind.EAE:
-            payload = {"task": gold.task.value, "trigger": gold.trigger, "items": payload["items"]}
+            payload = {"task": gold.task.value, "trigger": gold.trigger, "items": values}
         return json.dumps(payload, ensure_ascii=False)
     rendered = []
-    for item in items:
-        values = _item_values(gold.task, item, spec)
+    for item, v in zip(items, values):
         if gold.task is TaskKind.OPENIE:
             # drop the absent trailing slots, in the template's slot order
             variants = _compiled_openie(spec.answer_template)
             slots = variants[0].slots
             dropped = 0
-            while len(slots) - dropped > 3 and values.get(slots[-1 - dropped]) is None:
+            while len(slots) - dropped > 3 and v.get(slots[-1 - dropped]) is None:
                 dropped += 1
-            rendered.append(variants[dropped].render(values))
-        elif any(v is None for v in values.values()):
+            rendered.append(variants[dropped].render(v))
+        elif None in map(v.get, TASK_SLOTS[gold.task]):
             raise SerializationError(f"missing slot value in item {item!r}")
         else:
-            rendered.append(_compiled(spec.answer_template).render(values))
+            rendered.append(_compiled(spec.answer_template).render(v))
     return spec.answer_prefix + spec.item_separator.join(rendered)
 
 
@@ -149,17 +129,23 @@ def serialize_answer(gold: Extraction, spec: FormatSpec, seed: int | random.Rand
 # Parsing
 
 
-def _item_from_groups(task: TaskKind, groups: dict[str, str], spec: FormatSpec,
-                      diagnostics: list[Diagnostic]) -> tuple:
-    slots = TASK_SLOTS[task]
-    if task is TaskKind.EE:
-        args = _parse_items_loop(groups.get("arguments", ""), (_compiled(spec.arg_template),),
+def _unquoted(groups: dict[str, Optional[str]], slots: tuple[str, ...]) -> tuple:
+    """The values of `slots` in a template match, unquoted; a slot the
+    template lacks is None."""
+    return tuple([None if (text := groups.get(slot)) is None else unquote_value(text) for slot in slots])
+
+
+def _parsed_item(task: TaskKind, groups: dict[str, Optional[str]], spec: FormatSpec,
+                 diagnostics: list[Diagnostic]) -> tuple:
+    """The item a template match's `groups` hold."""
+    if task is TaskKind.EE:  # the last slot, arguments, holds the rendered sub-template
+        args = _parse_items_loop(groups.get("arguments") or "", (_compiled(spec.arg_template),),
                                  spec.arg_separator, diagnostics, label="argument")
-        arg_items = tuple((unquote_value(g["word"]), unquote_value(g["role"])) for g in args)
-        return (unquote_value(groups["trigger"]), unquote_value(groups["type"]), arg_items)
+        return _unquoted(groups, TASK_SLOTS[task][:-1]) + (tuple([_unquoted(g, EE_ARG_SLOTS) for g in args]),)
+    item = _unquoted(groups, TASK_SLOTS[task])
     if task is TaskKind.OPENIE:  # an empty slot, quoted or not, is absent
-        return tuple(unquote_value(groups.get(slot) or "") or None for slot in slots)
-    return tuple(None if groups.get(slot) is None else unquote_value(groups[slot]) for slot in slots)
+        return tuple([v or None for v in item])
+    return item
 
 
 def _parse_items_loop(text: str, templates: tuple[CompiledTemplate, ...], separator: str,
@@ -241,7 +227,7 @@ def parse_answer_lenient(
                                        accept=_openie_accept)
         else:
             groups = _parse_items_loop(body, (_compiled(spec.answer_template),), spec.item_separator, diagnostics)
-        items = [_item_from_groups(task, g, spec, diagnostics) for g in groups]
+        items = [_parsed_item(task, g, spec, diagnostics) for g in groups]
 
     deduped: list[tuple] = []
     seen = set()
@@ -282,28 +268,20 @@ def _parse_json_body(body: str, task: TaskKind, diagnostics: list[Diagnostic]):
     if task is TaskKind.EAE:
         extra = payload.get("trigger")
     items = []
-    slots = TASK_SLOTS[task]
+    optional = OPTIONAL_SLOTS.get(task, ())
     for obj in payload["items"]:
         if not isinstance(obj, dict):
             diagnostics.append(Diagnostic(DiagnosticKind.BAD_ITEM, 0, f"non-object item: {obj!r}"))
             continue
-        if task is TaskKind.EE:
+        if task is TaskKind.EE:  # arguments: a list of {word, role}, which may be left out
             try:
                 args = tuple((a["word"], a["role"]) for a in obj.get("arguments", []))
                 items.append((obj["trigger"], obj["type"], args))
             except (KeyError, TypeError):
                 diagnostics.append(Diagnostic(DiagnosticKind.BAD_ITEM, 0, f"bad EE item: {obj!r}"))
             continue
-        try:
-            values = []
-            for slot in slots:
-                if slot in obj:
-                    values.append(obj[slot])
-                elif slot in OPTIONAL_SLOTS.get(task, ()):
-                    values.append(None)
-                else:
-                    raise KeyError(slot)
-            items.append(tuple(values))
+        try:  # a KeyError for the first slot the item lacks and may not leave out
+            items.append(tuple([obj.get(slot) if slot in optional else obj[slot] for slot in TASK_SLOTS[task]]))
         except KeyError as e:
             diagnostics.append(Diagnostic(DiagnosticKind.BAD_ITEM, 0, f"item missing slot {e}: {obj!r}"))
     return items, extra

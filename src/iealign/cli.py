@@ -29,7 +29,7 @@ import yaml
 from .client import BACKENDS, make_client
 from .errors import ConfigurationError, DataError
 from .ingest import MixturePlan, ReaderSpec, filter_length, filter_na, load_dataset, mix_general, mix_proportional
-from .model import TaskKind, read_instances, read_records, write_instances, write_json_atomic
+from .model import TaskKind, read_instances, read_records, writable_as, write_instances, write_json_atomic
 from .pipeline import (
     DpoPlan,
     SftOptions,
@@ -127,25 +127,20 @@ def _build(cls, values: dict):
     return cls(**{k: hints[k](v) if isinstance(hints[k], enum.EnumMeta) else v for k, v in values.items()})
 
 
-def _is(kind: str, path) -> bool:
-    """Whether `path` names an existing `kind`: a "regular file" or a "directory"."""
-    return Path(path).is_dir() if kind == "directory" else Path(path).is_file()
-
-
 def _require(kind: str, *paths) -> None:
     """Check that each of `paths` but None names an existing `kind`."""
     for p in [p for p in paths if p is not None]:
         if not Path(p).exists():
             raise ConfigurationError(f"input file not found: {p}")
-        if not _is(kind, p):
+        if not (Path(p).is_dir() if kind == "directory" else Path(p).is_file()):
             raise ConfigurationError(f"input {p} is not a {kind}")
 
 
 def _require_out(kind: str, path) -> None:
-    """Check that the output `path`, when given, names nothing yet or an
-    existing `kind`, so that a run does not end in a write onto the wrong
-    kind of file."""
-    if path is not None and Path(path).exists() and not _is(kind, path):
+    """Check that the output `path`, when given, can be written as a `kind`
+    (`writable_as`), so that a run does not end in a write onto the wrong
+    kind of file or under a regular file."""
+    if path is not None and not writable_as(kind, path):
         raise ConfigurationError(f"output {path} is not a {kind}")
 
 

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .errors import ConfigurationError
-from .model import atomic_open
+from .model import atomic_open, writable_as
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -66,7 +66,7 @@ class ResponseCache:
 
     def __init__(self, directory: str):
         self.directory = Path(directory)
-        if self.directory.exists() and not self.directory.is_dir():
+        if not writable_as("directory", self.directory):
             raise ConfigurationError(f"cache_dir {directory} is not a directory")
 
     def _path(self, key: str) -> Path:

@@ -277,12 +277,3 @@ EVAL_FORMATS: dict[TaskKind, FormatSpec] = {
         answer_prefix="[Answer]: ",
     ),
 }
-
-MARKDOWN_SPEC = FormatSpec(
-    family="Markdown",
-    name="ondemand-markdown",
-    task=TaskKind.ONDEMANDIE,
-    input_template="Organize the extracted information into a Markdown table.",
-    answer_template="",
-    fail_output="NA",
-)

@@ -119,7 +119,7 @@ def _read_record(spec: ReaderSpec, schema: Optional[SchemaDef], raw, lineno: int
     problems = gold_shape_problems(gold)  # before the null labels are read off the items
     if problems:
         raise DataError("invalid instance: " + "; ".join(problems), line=lineno)
-    gold = gold.restrict(set(gold.labels_used()) - set(spec.null_labels))
+    gold = gold.project(set(gold.labels_used()) - set(spec.null_labels), None)
     index = raw.get("index", lineno - 1)
     if not isinstance(index, int) or isinstance(index, bool):  # 1, 1.0 and true would name three ids
         raise DataError("index is not an int", line=lineno, field="index")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import AbstractSet, Any, Callable, Iterable, Iterator, Optional, TextIO, TypeVar
+from typing import AbstractSet, Any, Callable, Iterable, Iterator, Mapping, Optional, TextIO, TypeVar
 
 from .errors import DataError
 
@@ -138,7 +138,7 @@ class Extraction:
             return False
         return len(self.items) == 0
 
-    # Label-slot dispatch, the same in the three methods below: EE nests roles
+    # Label-slot dispatch, the same in the two methods below: EE nests roles
     # under each event type, every other closed-IE task keeps its label at
     # index 1, and schema-free tasks carry no schema labels.
 
@@ -154,32 +154,21 @@ class Extraction:
             return tuple(it[1] for it in self.items)
         return ()
 
-    def relabel(self, mapping: dict[str, str]) -> "Extraction":
-        """Return a copy with every schema label renamed through `mapping`."""
-
-        def m(x: str) -> str:
-            return mapping.get(x, x)
-
+    def project(self, allowed: AbstractSet[str], rename: Optional[Mapping[str, str]]) -> "Extraction":
+        """A copy under a schema view: the items whose label is in `allowed`
+        (an EE event keeps the arguments whose role is), each label then
+        renamed through `rename` when it is a mapping. Schema-free tasks are
+        kept as they are."""
+        rename = rename or {}
         if self.task is TaskKind.EE:
             items = tuple(
-                (trig, m(etype), tuple((a, m(r)) for a, r in args)) for trig, etype, args in self.items
-            )
-        elif self.task in _PAIR_LABEL_TASKS:
-            items = tuple((it[0], m(it[1])) + tuple(it[2:]) for it in self.items)
-        else:
-            items = self.items
-        return Extraction(self.task, items, self.trigger, self.table)
-
-    def restrict(self, allowed: AbstractSet[str]) -> "Extraction":
-        """Drop items whose label is outside `allowed` (closed IE only)."""
-        if self.task is TaskKind.EE:
-            items = tuple(
-                (trig, etype, tuple((a, r) for a, r in args if r in allowed))
+                (trig, rename.get(etype, etype), tuple((a, rename.get(r, r)) for a, r in args if r in allowed))
                 for trig, etype, args in self.items
                 if etype in allowed
             )
         elif self.task in _PAIR_LABEL_TASKS:
-            items = tuple(it for it in self.items if it[1] in allowed)
+            items = tuple((it[0], rename.get(it[1], it[1])) + it[2:] if rename else it
+                          for it in self.items if it[1] in allowed)
         else:
             items = self.items
         return Extraction(self.task, items, self.trigger, self.table)
@@ -210,18 +199,6 @@ class FormatSpec:
     answer_prefix: str = ""  # literal text before the first item, e.g. "[Answer]: "
     arg_template: str = ""  # EE only: per-argument sub-template
     arg_separator: str = ", "  # EE only
-
-
-@dataclass(frozen=True)
-class PreferencePair:
-    instance_id: str
-    prompt: str
-    preferred: str
-    dispreferred: str
-    preferred_score: float
-    dispreferred_score: float
-    origin: str  # "online" | "offline"
-    dataset: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +393,17 @@ def instance_from_record(record: dict, schemas: dict[bytes, Optional[SchemaDef]]
         gold=gold_from_json(task, record["gold"]),
         is_na=record["is_na"],
     )
+
+
+def writable_as(kind: str, path) -> bool:
+    """Whether `path` can be written as a `kind`, a "regular file" or a
+    "directory": it names that kind or nothing, and its nearest existing
+    ancestor is a directory, in which `atomic_open` makes the rest."""
+    path = Path(path).absolute()
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if existing != path:
+        return existing.is_dir()
+    return path.is_dir() if kind == "directory" else path.is_file()
 
 
 @contextmanager

@@ -24,7 +24,7 @@ from .answers import parse_answer, parse_answer_lenient, serialize_answer, Parse
 from .augment import cot_prompt, generate_cot, sample_words_limit
 from .client import BaseClient, TransportError
 from .errors import ConfigurationError, DataError
-from .formats import EVAL_FORMATS, MARKDOWN_SPEC, load_format_library, spec_from_json, spec_to_json
+from .formats import EVAL_FORMATS, load_format_library, spec_from_json, spec_to_json
 from .ingest import whitespace_token_count
 from .metrics import PRF, exact_match_f1, micro_prf
 from .model import (
@@ -37,7 +37,7 @@ from .model import (
     write_json_atomic,
     write_jsonl_atomic,
 )
-from .prefpairs import DpoPlan, assemble_dpo_corpus, build_pairs, pair_to_record, score_samples
+from .prefpairs import DpoPlan, assemble_dpo_corpus, build_pairs, score_samples
 from .prompts import SchemaView, assemble_input, attach_demonstrations, augment_schema, load_description_pool
 from .seeds import derive_rng, derive_seed
 
@@ -108,7 +108,7 @@ def build_sft(
     answer serialization, demonstrations, prompt layout, length re-check, and
     CoT for the capped eligible subset (none without a client), through
     `client.map_prompts` once all records are built. The closure audit reads
-    the restricted gold the answer was serialized from, which parses back to
+    the projected gold the answer was serialized from, which parses back to
     itself; the report counts the length check's tokens plus the CoT's.
 
     Each instance draws every choice from one stream seeded by its id. Draws
@@ -216,10 +216,10 @@ def build_sft(
 
 
 def eval_format_for(task: TaskKind, library: Optional[dict] = None):
+    """The held-out evaluation format of `task`, else its first packaged
+    format (OnDemandIE, RE and EE)."""
     if task in EVAL_FORMATS:
         return EVAL_FORMATS[task]
-    if task is TaskKind.ONDEMANDIE:
-        return MARKDOWN_SPEC
     library = library or load_format_library()
     specs = library.get(task)
     if not specs:
@@ -241,10 +241,11 @@ def _dpo_prompt(inst: IEInstance, fmt, pool: tuple[str, ...], seed: int) -> str:
     return assemble_input(inst, view, desc, fmt)
 
 
-def build_dpo(instances: Sequence[IEInstance], plan: DpoPlan, client: BaseClient) -> tuple[list, dict]:
+def build_dpo(instances: Sequence[IEInstance], plan: DpoPlan, client: BaseClient) -> tuple[list[dict], dict]:
     """Score samples per instance, form pair candidates, and assemble the
-    final corpus. Gold answers use the fixed evaluation format with an
-    unshuffled item order so BLEU scores have a stable reference.
+    final corpus of `dpo.jsonl` records (`build_pairs`). Gold answers use
+    the fixed evaluation format with an unshuffled item order so BLEU scores
+    have a stable reference.
 
     Instances are sampled through `client.map_prompts` and paired in input
     order, so the corpus does not depend on the worker count. An instance
@@ -491,7 +492,7 @@ def run_build_dpo(
     out_dir = Path(out_dir)
     started = time.monotonic()
     corpus, summary = build_dpo(instances, plan, client)
-    write_jsonl_atomic((pair_to_record(p) for p in corpus), out_dir / "dpo.jsonl")
+    write_jsonl_atomic(corpus, out_dir / "dpo.jsonl")
     return write_manifest(
         out_dir / "manifest.json",
         config or {"seed": plan.seed},

@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 from .client import BaseClient
 from .errors import ConfigurationError
 from .metrics import BleuReference
-from .model import PreferencePair
 from .seeds import derive_rng
 
 logger = logging.getLogger(__name__)
@@ -62,35 +61,33 @@ def build_pairs(
     gold_text: str,
     samples: Sequence[tuple[str, float]],
     gap: float,
-) -> list[PreferencePair]:
-    """The pair candidates of one instance's scored samples: the online pair
-    (highest- vs lowest-scoring sample) when their BLEU gap exceeds `gap`,
-    then the offline pair (the gold text, score 1.0 by convention, vs the
-    lowest sample) unless that sample is already within `gap` of gold. Ties
-    break toward the lowest sample index."""
+) -> list[dict]:
+    """The pair candidates of one instance's scored samples, each the record
+    `dpo.jsonl` holds: `id`, `dataset`, `prompt`, `chosen`, `rejected`,
+    `chosen_score`, `rejected_score` and `origin`. The online pair
+    (highest- vs lowest-scoring sample) comes when their BLEU gap exceeds
+    `gap`, then the offline pair (the gold text, score 1.0 by convention, vs
+    the lowest sample) unless that sample is already within `gap` of gold.
+    Ties break toward the lowest sample index."""
     if not samples:
         return []
     chosen, chosen_score = max(samples, key=lambda sample: sample[1])  # the first of equal ones, as min's
     rejected, rejected_score = min(samples, key=lambda sample: sample[1])
+    rejected_side = {"id": instance_id, "dataset": dataset, "prompt": prompt,
+                     "rejected": rejected, "rejected_score": rejected_score}
     pairs = []
     if chosen_score - rejected_score > gap:
-        pairs.append(PreferencePair(
-            instance_id, prompt, chosen, rejected, chosen_score, rejected_score, ORIGIN_ONLINE, dataset
-        ))
+        pairs.append({**rejected_side, "chosen": chosen, "chosen_score": chosen_score, "origin": ORIGIN_ONLINE})
     if rejected_score < 1.0 - gap:
-        pairs.append(PreferencePair(
-            instance_id, prompt, gold_text, rejected, 1.0, rejected_score, ORIGIN_OFFLINE, dataset
-        ))
+        pairs.append({**rejected_side, "chosen": gold_text, "chosen_score": 1.0, "origin": ORIGIN_OFFLINE})
     return pairs
 
 
-def assemble_dpo_corpus(
-    pairs: Sequence[PreferencePair], plan: DpoPlan
-) -> tuple[list[PreferencePair], dict]:
+def assemble_dpo_corpus(pairs: Sequence[dict], plan: DpoPlan) -> tuple[list[dict], dict]:
     """Sample candidates without replacement to the target size at the
     configured offline fraction (within one pair); deterministic shuffle."""
-    online = [p for p in pairs if p.origin == ORIGIN_ONLINE]
-    offline = [p for p in pairs if p.origin == ORIGIN_OFFLINE]
+    online = [p for p in pairs if p["origin"] == ORIGIN_ONLINE]
+    offline = [p for p in pairs if p["origin"] == ORIGIN_OFFLINE]
     n_offline = round(plan.target_size * plan.offline_rate)
     n_online = plan.target_size - n_offline
     if len(offline) < n_offline:
@@ -107,16 +104,16 @@ def assemble_dpo_corpus(
     per_dataset: dict[str, dict] = {}
     for p in corpus:
         stats = per_dataset.setdefault(
-            p.dataset, {"count": 0, "online": 0, "offline": 0, "delta_sum": 0.0}
+            p["dataset"], {"count": 0, "online": 0, "offline": 0, "delta_sum": 0.0}
         )
         stats["count"] += 1
-        stats[p.origin] += 1
-        stats["delta_sum"] += p.preferred_score - p.dispreferred_score
+        stats[p["origin"]] += 1
+        stats["delta_sum"] += p["chosen_score"] - p["rejected_score"]
     for stats in per_dataset.values():
-        stats["mean_delta"] = stats.pop("delta_sum") / stats["count"] if stats["count"] else 0.0
+        stats["mean_delta"] = stats.pop("delta_sum") / stats["count"]
 
-    on_ids = {p.instance_id for p in chosen_on}
-    off_ids = {p.instance_id for p in chosen_off}
+    on_ids = {p["id"] for p in chosen_on}
+    off_ids = {p["id"] for p in chosen_off}
     summary = {
         "candidate_online": len(online),
         "candidate_offline": len(offline),
@@ -125,7 +122,7 @@ def assemble_dpo_corpus(
         "offline": len(chosen_off),
         "offline_rate": len(chosen_off) / len(corpus) if corpus else 0.0,
         "mean_delta": (
-            sum(p.preferred_score - p.dispreferred_score for p in corpus) / len(corpus)
+            sum(p["chosen_score"] - p["rejected_score"] for p in corpus) / len(corpus)
             if corpus
             else 0.0
         ),
@@ -135,26 +132,8 @@ def assemble_dpo_corpus(
     return corpus, summary
 
 
-def _sample(pool: list[PreferencePair], n: int, seed: int, tag: str) -> list[PreferencePair]:
+def _sample(pool: list[dict], n: int, seed: int, tag: str) -> list[dict]:
     if n >= len(pool):
         return list(pool)
-    ordered = sorted(pool, key=lambda p: p.instance_id)
+    ordered = sorted(pool, key=lambda p: p["id"])
     return derive_rng(seed, "dpo", tag).sample(ordered, n)
-
-
-# ---------------------------------------------------------------------------
-# JSONL record format
-
-
-def pair_to_record(pair: PreferencePair) -> dict:
-    return {
-        "id": pair.instance_id,
-        "prompt": pair.prompt,
-        "chosen": pair.preferred,
-        "rejected": pair.dispreferred,
-        "chosen_score": pair.preferred_score,
-        "rejected_score": pair.dispreferred_score,
-        "origin": pair.origin,
-        "dataset": pair.dataset,
-    }
-

@@ -88,25 +88,25 @@ def augment_schema(
     symbol_rate: float,
     rng: random.Random,
 ) -> tuple[SchemaView, Extraction]:
-    """Sample a shuffled label subset of size k in [1, |schema|], restrict the
-    gold to it, then include guidelines with probability `guideline_rate` and
-    symbolize the labels with probability `symbol_rate`, independently. What
-    this draws from `rng` depends on the schema alone, never on the rates."""
+    """Sample a shuffled label subset of size k in [1, |schema|], then
+    include guidelines with probability `guideline_rate` and symbolize the
+    labels with probability `symbol_rate`, independently, and project the
+    gold onto the view. What this draws from `rng` depends on the schema
+    alone, never on the rates."""
     if not schema.labels:
         raise ConfigurationError("empty schema")
     k = rng.randint(1, len(schema.labels))
     shown = rng.sample(schema.labels, k)
-    restricted = gold.restrict({l.name for l in shown})
     include_guidelines = rng.random() < guideline_rate
     symbol_map = None
     if rng.random() < symbol_rate:
         symbol_map = {l.name: f"{SYMBOL_PREFIX}{i}" for i, l in enumerate(shown, 1)}
-        restricted = restricted.relabel(symbol_map)
+    projected = gold.project({l.name for l in shown}, symbol_map)
     labels = tuple(
         LabelDef(symbol_map[l.name] if symbol_map else l.name, l.guideline, l.exemplars[:MAX_EXEMPLARS])
         for l in shown
     )
-    return SchemaView(labels, symbol_map, include_guidelines), restricted
+    return SchemaView(labels, symbol_map, include_guidelines), projected
 
 
 def render_schema_section(view: SchemaView) -> str:
@@ -161,11 +161,7 @@ def attach_demonstrations(
         allowed = set(view.symbol_map) if view.symbol_map is not None else set(view.label_names())
     demos = []
     for d in chosen:
-        gold = d.gold
-        if view is not None:
-            gold = gold.restrict(allowed)
-            if view.symbol_map is not None:
-                gold = gold.relabel(view.symbol_map)
+        gold = d.gold if view is None else d.gold.project(allowed, view.symbol_map)
         demos.append((d.text, serialize_answer(gold, format_spec, seed=rng)))
     return AlignmentExample(answer, tuple(demos))
 

@@ -311,13 +311,13 @@ def test_criterion_6_dpo_properties():
     plan = DpoPlan(target_size=1000, seed=6)
     pairs, summary = build_dpo(corpus, plan, client)
     assert summary["total"] == 1000
-    n_offline = sum(1 for p in pairs if p.origin == "offline")
+    n_offline = sum(1 for p in pairs if p["origin"] == "offline")
     assert abs(n_offline - 700) <= 1  # 0.70 +/- one pair
     for p in pairs:
-        if p.origin == "online":
-            assert p.preferred_score - p.dispreferred_score > 0.10
+        if p["origin"] == "online":
+            assert p["chosen_score"] - p["rejected_score"] > 0.10
         else:
-            assert p.preferred == gold_texts[p.instance_id]
+            assert p["chosen"] == gold_texts[p["id"]]
 
     # a perfect sampler produces no pairs at all
     perfect = MockClient(policy="noisy_gold:0", seed=6)

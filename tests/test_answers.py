@@ -22,6 +22,7 @@ from iealign.formats import EVAL_FORMATS, load_format_library
 from iealign.model import (
     CLOSED_IE_TASKS,
     Extraction,
+    FormatSpec,
     IEInstance,
     LabelDef,
     SchemaDef,
@@ -239,11 +240,10 @@ def test_serialize_task_mismatch_raises():
 
 
 def test_ondemand_table_passthrough():
-    from iealign.formats import MARKDOWN_SPEC
-
+    spec = LIBRARY[TaskKind.ONDEMANDIE][0]
     gold = Extraction(TaskKind.ONDEMANDIE, table="| a |\n| --- |\n| 1 |")
-    assert serialize_answer(gold, MARKDOWN_SPEC) == gold.table
-    parsed = parse_answer_lenient(gold.table, MARKDOWN_SPEC)
+    assert serialize_answer(gold, spec) == gold.table
+    parsed = parse_answer_lenient(gold.table, spec)
     assert parsed.extraction.table == gold.table
 
 
@@ -271,6 +271,16 @@ def test_lenient_recovers_prefix_and_reports_garbage():
     result = parse_answer_lenient("[Answer]: Paris: location; and some trailing prose", spec)
     assert ("Paris", "location") in result.extraction.items
     assert result.diagnostics
+
+
+def test_lenient_template_without_a_task_slot_reads_it_as_none():
+    """A format read from a record may lack a slot of its task; lenient
+    parsing reads that slot as None and never raises."""
+    spec = FormatSpec(family="Triplet", name="entity-only", task=TaskKind.NER, input_template="",
+                      answer_template="{entity};")
+    result = parse_answer_lenient("Paris;", spec)
+    assert result.extraction.items == (("Paris", None),)
+    assert result.diagnostics == []
 
 
 def test_lenient_duplicate_items_dropped():

@@ -618,6 +618,47 @@ def test_out_of_the_wrong_kind_exits_2(runner, tmp_path, command, kind):
     assert out.is_dir() if kind == "directory" else out.is_file()
 
 
+@pytest.mark.parametrize("command,where", [
+    ("ingest", "--out"),
+    ("mix", "--out"),
+    ("build-sft", "--out"),
+    ("build-dpo", "--out"),
+    ("evaluate", "--out"),
+    ("stats", "--out"),
+    ("build-sft", "cache_dir"),
+    ("build-dpo", "cache_dir"),
+])
+def test_output_under_a_regular_file_exits_2(runner, tmp_path, command, where):
+    """An --out or a cache_dir whose nearest existing ancestor is a regular
+    file cannot be made: a configuration error before anything is written,
+    not a NotADirectoryError or FileExistsError once the job is done."""
+    (tmp_path / "a-file").write_text("kept\n", encoding="utf-8")
+    under = tmp_path / "a-file" / "deeper" / "out"
+    out = tmp_path / "out"
+    if command in ("evaluate", "stats"):
+        inst, _ = _canonical(tmp_path)
+        (tmp_path / "pred.jsonl").write_text("", encoding="utf-8")
+        args = ["--pred", str(tmp_path / "pred.jsonl"), "--gold", str(inst)] if command == "evaluate" else ["--corpus", str(inst)]
+    else:
+        config = _base_config(tmp_path, command)
+        if where == "cache_dir":
+            config["cache_dir"] = str(under)
+            if command == "build-sft":
+                config["options"] = {"cot_rate": 1.0}  # CoT requests put cache entries
+        args = ["--config", _write_yaml(tmp_path / "cfg.yaml", config)]
+    if where == "--out":
+        out = under
+        kind = "directory" if command.startswith("build") else "regular file"
+        expected = f"configuration error: output {under} is not a {kind}"
+    else:
+        expected = f"configuration error: cache_dir {under} is not a directory"
+    before = sorted(tmp_path.rglob("*"))
+    result = runner.invoke(main, [command, *args, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert expected in result.output
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("command", ["ingest", "mix", "build-sft", "build-dpo"])
 @pytest.mark.parametrize("write", [
     lambda path: path.write_bytes(b"seed: caf\xe9\n"),
@@ -760,6 +801,29 @@ def test_stats_cli_counts_malformed(runner, tmp_path):
     assert report["malformed_lines"] == 5
     assert report["total"] == 15
     assert report["closure_violations"] == 0
+
+
+def test_stats_cli_counts_a_record_whose_template_lacks_its_label_slot(runner, tmp_path):
+    """A record whose format's template has no label slot parses leniently
+    to items labelled None: stats exits 0 and counts the record as a closure
+    violation."""
+    inst, _ = _canonical(tmp_path, n=15)
+    run = tmp_path / "run"
+    cfg = _write_yaml(tmp_path / "sft.yaml", {"instances": str(inst), "options": {"max_tokens": 100000}})
+    assert runner.invoke(main, ["build-sft", "--config", cfg, "--out", str(run)]).exit_code == 0
+    corpus_path = run / "sft.jsonl"
+    records = [json.loads(line) for line in corpus_path.read_text(encoding="utf-8").splitlines()]
+    records[0] = {**records[0], "answer": "Paris;", "format": {
+        "family": "Triplet", "name": "entity-only", "task": "NER", "input_template": "",
+        "answer_template": "{entity};",
+    }}
+    corpus_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    result = runner.invoke(main, ["stats", "--corpus", str(corpus_path)])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert report["total"] == 15 and report["malformed_lines"] == 0
+    assert report["closure_violations"] == 1
+    assert report["closure_violating_ids"] == [records[0]["id"]]
 
 
 def _replace_line(path, lineno, text):

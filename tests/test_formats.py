@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from iealign.formats import (
     EVAL_FORMATS,
-    MARKDOWN_SPEC,
     compile_template,
     compile_truncations,
     force_quote,
@@ -145,7 +144,8 @@ def test_load_format_library_all_tasks_covered():
 def test_spec_json_roundtrip():
     for spec in EVAL_FORMATS.values():
         assert spec_from_json(spec_to_json(spec)) == spec
-    assert spec_from_json(spec_to_json(MARKDOWN_SPEC)) == MARKDOWN_SPEC
+    ondemand = load_format_library()[TaskKind.ONDEMANDIE][0]
+    assert spec_from_json(spec_to_json(ondemand)) == ondemand
 
 
 def test_eval_formats_cover_fixed_grammar_tasks():

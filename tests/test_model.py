@@ -1,5 +1,5 @@
 """Data model tests: record round-trips, validation, identity, and the
-extraction algebra (restrict/relabel)."""
+extraction algebra (project)."""
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +22,7 @@ from iealign.model import (
     stable_id,
     validate_extraction,
     validate_instance,
+    writable_as,
     write_instances,
 )
 from iealign.synth import make_corpus, make_instance, make_schema
@@ -194,25 +195,46 @@ def test_openie_empty_slot_value_is_a_problem(item):
 # Extraction algebra
 
 
-def test_restrict_drops_out_of_subset_items():
-    gold = Extraction(TaskKind.NER, (("a", "person"), ("b", "place")))
-    assert gold.restrict({"person"}).items == (("a", "person"),)
+_EVENTS = (("t1", "attack", (("x", "agent"), ("y", "victim"))), ("t2", "meeting", ()))
 
 
-def test_restrict_ee_drops_events_and_roles():
-    gold = Extraction(
-        TaskKind.EE,
-        (("t1", "attack", (("x", "agent"), ("y", "victim"))), ("t2", "meeting", ())),
-    )
-    out = gold.restrict({"attack", "agent"})
-    assert out.items == (("t1", "attack", (("x", "agent"),)),)
+@pytest.mark.parametrize("gold,allowed,rename,expected", [
+    (Extraction(TaskKind.NER, (("a", "person"), ("b", "place"))), {"person"}, None, (("a", "person"),)),
+    (Extraction(TaskKind.NER, (("a", "person"), ("b", "place"))), {"person", "place"}, {"person": "LABEL_1"},
+     (("a", "LABEL_1"), ("b", "place"))),
+    (Extraction(TaskKind.RE, (("a", "r1", "b"), ("c", "r2", "d"), ("e", "r3", "f"))), {"r1", "r2"},
+     {"r1": "LABEL_1", "r2": "LABEL_2"}, (("a", "LABEL_1", "b"), ("c", "LABEL_2", "d"))),
+    (Extraction(TaskKind.EAE, (("x", "agent"), ("y", "victim")), trigger="t"), {"victim"}, None, (("y", "victim"),)),
+    (Extraction(TaskKind.EE, _EVENTS), {"attack", "meeting", "agent"}, {"attack": "LABEL_1", "agent": "LABEL_2"},
+     (("t1", "LABEL_1", (("x", "LABEL_2"),)), ("t2", "meeting", ()))),
+    (Extraction(TaskKind.EE, _EVENTS), {"attack", "agent"}, None, (("t1", "attack", (("x", "agent"),)),)),
+    (Extraction(TaskKind.OPENIE, (("met", "Alice", "Bob", None, None),)), set(), {"met": "LABEL_1"},
+     (("met", "Alice", "Bob", None, None),)),
+    (Extraction(TaskKind.ONDEMANDIE, table="| a |"), set(), None, ()),
+], ids=["ner", "ner-renamed", "re-renamed", "eae", "ee-role-dropped", "ee-event-dropped", "openie", "ondemandie"])
+def test_project(gold, allowed, rename, expected):
+    """`project` keeps the items whose labels `allowed` holds (an EE event
+    its allowed roles) and renames their labels through `rename`; a
+    schema-free task, its trigger and its table are kept as they are."""
+    assert gold.project(allowed, rename) == Extraction(gold.task, expected, gold.trigger, gold.table)
 
 
-def test_relabel_bijection_roundtrip():
-    gold = Extraction(TaskKind.RE, (("a", "r1", "b"), ("c", "r2", "d")))
-    mapping = {"r1": "LABEL_1", "r2": "LABEL_2"}
-    inverse = {v: k for k, v in mapping.items()}
-    assert gold.relabel(mapping).relabel(inverse) == gold
+@pytest.mark.parametrize("path,kind,expected", [
+    ("a-file", "regular file", True),
+    ("a-file", "directory", False),
+    ("a-dir", "directory", True),
+    ("a-dir", "regular file", False),
+    ("a-dir/new/deeper", "directory", True),
+    ("new", "regular file", True),
+    ("a-file/new", "directory", False),
+    ("a-file/new/deeper", "regular file", False),
+])
+def test_writable_as(tmp_path, path, kind, expected):
+    """A path can be written as a kind when it names that kind or nothing
+    and its nearest existing ancestor is a directory."""
+    (tmp_path / "a-file").write_text("", encoding="utf-8")
+    (tmp_path / "a-dir").mkdir()
+    assert writable_as(kind, tmp_path / path) is expected
 
 
 def test_labels_used_ee_includes_roles():

@@ -18,7 +18,7 @@ from iealign import pipeline
 from iealign.answers import serialize_answer
 from iealign.client import BaseClient, LiveClient, MockClient, ResponseCache
 from iealign.errors import ConfigurationError, DataError
-from iealign.formats import EVAL_FORMATS, MARKDOWN_SPEC, spec_to_json
+from iealign.formats import EVAL_FORMATS, load_format_library, spec_to_json
 from iealign.model import CLOSED_IE_TASKS, Extraction, TaskKind, write_instances
 from iealign.pipeline import (
     SftOptions,
@@ -278,10 +278,10 @@ def test_build_dpo_with_noisy_client_hits_ratio():
     assert summary["offline"] == 70 and summary["online"] == 30
     assert summary["skipped_instances"] == 0
     for p in corpus_pairs:
-        if p.origin == "online":
-            assert p.preferred_score - p.dispreferred_score > 0.10
+        if p["origin"] == "online":
+            assert p["chosen_score"] - p["rejected_score"] > 0.10
         else:
-            assert p.preferred_score == 1.0
+            assert p["chosen_score"] == 1.0
 
 
 def test_build_dpo_perfect_client_yields_no_pairs():
@@ -290,6 +290,17 @@ def test_build_dpo_perfect_client_yields_no_pairs():
     pairs, summary = build_dpo(corpus, DpoPlan(target_size=100, seed=1), client)
     assert pairs == [] and summary["total"] == 0
     assert summary["note"] == "no qualifying pairs"
+
+
+def test_build_dpo_corpus_is_the_dpo_jsonl_records(tmp_path):
+    """The corpus `build_dpo` returns is what `dpo.jsonl` holds, record for
+    record and in order."""
+    corpus = [i for i in make_corpus(TaskKind.NER, 100, dataset="d", seed=6) if not i.is_na]
+    plan = DpoPlan(target_size=40, seed=1)
+    pairs, _ = build_dpo(corpus, plan, MockClient(policy="noisy_gold:0.6", seed=0))
+    run_build_dpo(corpus, plan, MockClient(policy="noisy_gold:0.6", seed=0), tmp_path / "run")
+    lines = (tmp_path / "run" / "dpo.jsonl").read_text(encoding="utf-8").splitlines()
+    assert pairs and [json.loads(line) for line in lines] == pairs
 
 
 def _count_calls(monkeypatch, name):
@@ -573,7 +584,7 @@ def test_eval_format_for_all_tasks():
     for task in TaskKind:
         fmt = eval_format_for(task)
         assert fmt.task is task
-    assert eval_format_for(TaskKind.ONDEMANDIE) is MARKDOWN_SPEC
+    assert eval_format_for(TaskKind.ONDEMANDIE) == load_format_library()[TaskKind.ONDEMANDIE][0]
     assert eval_format_for(TaskKind.NER) is EVAL_FORMATS[TaskKind.NER]
 
 

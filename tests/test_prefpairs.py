@@ -5,7 +5,6 @@ import pytest
 
 from iealign.client import BaseClient, MockClient
 from iealign.errors import ConfigurationError
-from iealign.model import PreferencePair
 from iealign.prefpairs import DpoPlan, assemble_dpo_corpus, build_pairs, score_samples
 
 GAP = 0.10  # DpoPlan's default gap_threshold, which these cases are written for
@@ -81,14 +80,16 @@ def test_score_samples_cached_rerun_zero_calls(tmp_path):
         "single_sample_near_gold", "all_gold", "worst_near_gold", "best_is_gold", "no_samples",
         "online_gap_equal", "online_gap_above", "offline_gap_equal"])
 def test_build_pairs(scores, gap, expected):
-    assert [(p.origin, p.preferred, p.dispreferred) for p in _pairs(scores, gap)] == expected
+    assert [(p["origin"], p["chosen"], p["rejected"]) for p in _pairs(scores, gap)] == expected
 
 
 def test_build_pairs_scores_and_fields():
     online, offline = _pairs([0.8, 0.3, 0.6])
-    assert online == PreferencePair("inst-1", "p", "sample 0", "sample 1", 0.8, 0.3, "online", "ds")
-    assert offline == PreferencePair("inst-1", "p", GOLD, "sample 1", 1.0, 0.3, "offline", "ds")
-    assert offline.preferred_score - offline.dispreferred_score == pytest.approx(0.7)
+    assert online == {"id": "inst-1", "dataset": "ds", "prompt": "p", "chosen": "sample 0", "rejected": "sample 1",
+                      "chosen_score": 0.8, "rejected_score": 0.3, "origin": "online"}
+    assert offline == {"id": "inst-1", "dataset": "ds", "prompt": "p", "chosen": GOLD, "rejected": "sample 1",
+                       "chosen_score": 1.0, "rejected_score": 0.3, "origin": "offline"}
+    assert offline["chosen_score"] - offline["rejected_score"] == pytest.approx(0.7)
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +99,11 @@ def test_build_pairs_scores_and_fields():
 def _candidates(n_online, n_offline):
     pairs = []
     for i in range(n_online):
-        pairs.append(
-            PreferencePair(f"on-{i}", "p", "good", "bad", 0.9, 0.2, "online", dataset="dA")
-        )
+        pairs.append({"id": f"on-{i}", "dataset": "dA", "prompt": "p", "chosen": "good", "rejected": "bad",
+                      "chosen_score": 0.9, "rejected_score": 0.2, "origin": "online"})
     for i in range(n_offline):
-        pairs.append(
-            PreferencePair(f"off-{i}", "p", "gold", "bad", 1.0, 0.3, "offline", dataset="dB")
-        )
+        pairs.append({"id": f"off-{i}", "dataset": "dB", "prompt": "p", "chosen": "gold", "rejected": "bad",
+                      "chosen_score": 1.0, "rejected_score": 0.3, "origin": "offline"})
     return pairs
 
 
@@ -147,4 +146,4 @@ def test_plan_validation():
 def test_no_pair_has_equal_sides():
     for scores in ([0.9, 0.5], [0.2, 0.9, 0.4], [1.0, 0.1]):
         for pair in _pairs(scores):
-            assert pair.preferred != pair.dispreferred
+            assert pair["chosen"] != pair["rejected"]

@@ -94,7 +94,7 @@ def test_symbolization_is_bijective_and_reversible():
     # bijective: distinct symbols, inverse restores original labels
     assert len(set(view.symbol_map.values())) == len(view.symbol_map)
     assert all(s.startswith("LABEL_") for s in view.symbol_map.values())
-    restored = gold.relabel({v: k for k, v in view.symbol_map.items()})
+    restored = gold.project(set(gold.labels_used()), {v: k for k, v in view.symbol_map.items()})
     assert set(restored.labels_used()) <= set(view.symbol_map.keys())
 
 
@@ -226,8 +226,7 @@ def test_assemble_eae_includes_trigger():
 
 
 def test_assemble_ondemand_skips_format_section():
-    from iealign.formats import MARKDOWN_SPEC
-
+    spec = LIBRARY[TaskKind.ONDEMANDIE][0]
     inst = make_instance(TaskKind.ONDEMANDIE, "d", 0, random.Random(0))
-    prompt = assemble_input(inst, None, "Build the table.", MARKDOWN_SPEC)
-    assert MARKDOWN_SPEC.input_template not in prompt
+    prompt = assemble_input(inst, None, "Build the table.", spec)
+    assert spec.input_template not in prompt
