@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple, Optional
 
 from .formats import CompiledTemplate, compile_template, compile_truncations, unquote_value
@@ -265,9 +266,13 @@ def _parse_json_body(body: str, task: TaskKind, diagnostics: list[Diagnostic]):
     if not isinstance(payload, dict) or "items" not in payload:
         diagnostics.append(Diagnostic(DiagnosticKind.BAD_JSON, 0, "JSON payload missing 'items'"))
         return [], extra
-    if task is TaskKind.EAE:
-        extra = payload.get("trigger")
+    if task is TaskKind.EAE and isinstance(payload.get("trigger"), str):  # any other trigger is absent
+        extra = payload["trigger"]
+    if not isinstance(payload["items"], list):
+        diagnostics.append(Diagnostic(DiagnosticKind.BAD_JSON, 0, f"JSON 'items' is not a list: {payload['items']!r}"))
+        return [], extra
     items = []
+    slots = TASK_SLOTS[task]
     optional = OPTIONAL_SLOTS.get(task, ())
     for obj in payload["items"]:
         if not isinstance(obj, dict):
@@ -276,14 +281,22 @@ def _parse_json_body(body: str, task: TaskKind, diagnostics: list[Diagnostic]):
         if task is TaskKind.EE:  # arguments: a list of {word, role}, which may be left out
             try:
                 args = tuple((a["word"], a["role"]) for a in obj.get("arguments", []))
-                items.append((obj["trigger"], obj["type"], args))
+                item = (obj["trigger"], obj["type"], args)
             except (KeyError, TypeError):
                 diagnostics.append(Diagnostic(DiagnosticKind.BAD_ITEM, 0, f"bad EE item: {obj!r}"))
-            continue
-        try:  # a KeyError for the first slot the item lacks and may not leave out
-            items.append(tuple([obj.get(slot) if slot in optional else obj[slot] for slot in TASK_SLOTS[task]]))
-        except KeyError as e:
-            diagnostics.append(Diagnostic(DiagnosticKind.BAD_ITEM, 0, f"item missing slot {e}: {obj!r}"))
+                continue
+            values = [*item[:2], *chain.from_iterable(args)]
+        else:
+            try:  # a KeyError for the first slot the item lacks and may not leave out
+                item = tuple([obj.get(slot) if slot in optional else obj[slot] for slot in slots])
+            except KeyError as e:
+                diagnostics.append(Diagnostic(DiagnosticKind.BAD_ITEM, 0, f"item missing slot {e}: {obj!r}"))
+                continue
+            values = [v for slot, v in zip(slots, item) if v is not None or slot not in optional]
+        if all(isinstance(v, str) for v in values):
+            items.append(item)
+        else:
+            diagnostics.append(Diagnostic(DiagnosticKind.BAD_ITEM, 0, f"item slot value is not a string: {obj!r}"))
     return items, extra
 
 

@@ -101,20 +101,19 @@ def rouge_l_f1(pred: str, ref: str) -> float:
 BLEU_MAX_N = 4
 
 
-def _all_ngrams(tokens: Sequence[str]) -> Counter:
-    """Every 1..BLEU_MAX_N-gram of `tokens` in one count; a gram's order is
-    its tuple length."""
-    shifted = [tokens[i:] for i in range(BLEU_MAX_N)]
-    return Counter(chain.from_iterable(zip(*shifted[:n]) for n in range(1, BLEU_MAX_N + 1)))
-
-
 @dataclass(frozen=True)
 class BleuReference:
     """A reference text's token count and one count of all its
-    1..BLEU_MAX_N-grams, keyed by tuple, made once so that many candidates
-    can be scored against it. `score` clips every order in one pass over the
-    candidate's distinct grams; its integer numerators, and so its floats,
-    are bit-identical to counting each order on its own."""
+    1..BLEU_MAX_N-grams, keyed by tuple (a gram's order is its length), made
+    once so that many candidates can be scored against it.
+
+    `score` clips one order at a time: it keeps the candidate's n-grams that
+    the reference holds (a C-level membership filter), and their count is the
+    clipped count unless one of them repeats, when each is clipped against
+    the reference count. It stops at the first order with no hit: a gram the
+    reference holds has its (n-1)-gram prefix there too, so every higher
+    order's clipped count is 0 as well. The integer numerators, and so the
+    floats, are bit-identical to counting each order on its own."""
 
     length: int
     ngrams: Counter
@@ -122,7 +121,9 @@ class BleuReference:
     @classmethod
     def of(cls, text: str) -> "BleuReference":
         tokens = tokenize(text)
-        return cls(len(tokens), _all_ngrams(tokens))
+        shifted = [tokens[i:] for i in range(BLEU_MAX_N)]
+        grams = (zip(*shifted[:n]) for n in range(1, BLEU_MAX_N + 1))
+        return cls(len(tokens), Counter(chain.from_iterable(grams)))
 
     def score(self, candidate: str) -> float:
         """Sentence-level BLEU with brevity penalty and NIST geometric smoothing:
@@ -130,10 +131,18 @@ class BleuReference:
         cand = tokenize(candidate)
         if not cand:
             return 0.0
-        numerators = [0] * (BLEU_MAX_N + 1)  # indexed by order; slot 0 unused
         ref_ngrams = self.ngrams
-        for gram, count in _all_ngrams(cand).items():
-            numerators[len(gram)] += min(count, ref_ngrams.get(gram, 0))
+        shifted = [cand[i:] for i in range(BLEU_MAX_N)]
+        numerators = [0] * (BLEU_MAX_N + 1)  # indexed by order; slot 0 unused
+        for n in range(1, BLEU_MAX_N + 1):
+            hits = list(filter(ref_ngrams.__contains__, zip(*shifted[:n])))
+            if not hits:
+                break
+            if len(set(hits)) == len(hits):
+                numerators[n] = len(hits)
+            else:
+                counts = Counter(hits)
+                numerators[n] = sum(map(min, counts.values(), map(ref_ngrams.__getitem__, counts)))
         if numerators[1] == 0:
             return 0.0
         precisions: list[float] = []

@@ -2,6 +2,7 @@
 tasks and families, the fixed evaluation grammars, fail-output handling,
 lenient recovery, CoT composition, and markdown tables."""
 
+import json
 import random
 from collections import Counter
 
@@ -21,6 +22,8 @@ from iealign.answers import (
 from iealign.formats import EVAL_FORMATS, load_format_library
 from iealign.model import (
     CLOSED_IE_TASKS,
+    EE_ARG_SLOTS,
+    TASK_SLOTS,
     Extraction,
     FormatSpec,
     IEInstance,
@@ -317,6 +320,101 @@ def test_strict_parse_error_offset_is_the_parser_offset():
     with pytest.raises(ParseError) as e:
         parse_answer('{"task": "NER", "items": [{"entity": "see offset 41"}]}', json_spec)
     assert e.value.offset == 0
+
+
+_NER_JSON = next(s for s in LIBRARY[TaskKind.NER] if s.family == "Json")
+_EE_JSON = next(s for s in LIBRARY[TaskKind.EE] if s.family == "Json")
+_EAE_JSON = next(s for s in LIBRARY[TaskKind.EAE] if s.family == "Json")
+
+
+@pytest.mark.parametrize("spec,payload,items,trigger,kinds", [
+    (_NER_JSON, {"items": 5}, (), None, [DiagnosticKind.BAD_JSON]),
+    (_NER_JSON, {"items": None}, (), None, [DiagnosticKind.BAD_JSON]),
+    (_NER_JSON, {"items": {"entity": "a", "type": "x"}}, (), None, [DiagnosticKind.BAD_JSON]),
+    (_NER_JSON, {"items": [{"entity": ["a"], "type": "x"}, {"entity": "b", "type": "y"}]}, (("b", "y"),), None,
+     [DiagnosticKind.BAD_ITEM]),
+    (_NER_JSON, {"items": [{"entity": "a", "type": {"k": "v"}}]}, (), None, [DiagnosticKind.BAD_ITEM]),
+    (_NER_JSON, {"items": [{"entity": 3, "type": "x"}, {"entity": "a", "type": True}]}, (), None,
+     [DiagnosticKind.BAD_ITEM] * 2),
+    (_NER_JSON, {"items": [{"entity": None, "type": "x"}]}, (), None, [DiagnosticKind.BAD_ITEM]),
+    (_EE_JSON, {"items": [{"trigger": "t", "type": "e", "arguments": [{"word": 1, "role": "r"}]}]}, (), None,
+     [DiagnosticKind.BAD_ITEM]),
+    (_EE_JSON, {"items": [{"trigger": "t", "type": "e", "arguments": [{"word": "w", "role": ["r"]}]}]}, (), None,
+     [DiagnosticKind.BAD_ITEM]),
+    (_EE_JSON, {"items": [{"trigger": ["t"], "type": "e"}]}, (), None, [DiagnosticKind.BAD_ITEM]),
+    (_EE_JSON, {"items": [{"trigger": "t", "type": "e", "arguments": [{"word": "w", "role": "r"}]}]},
+     (("t", "e", (("w", "r"),)),), None, []),
+    (_EAE_JSON, {"trigger": ["a"], "items": [{"word": "w", "role": "r"}]}, (("w", "r"),), None, []),
+    (_EAE_JSON, {"trigger": 3, "items": []}, (), None, []),
+    (_EAE_JSON, {"trigger": "fired", "items": 5}, (), "fired", [DiagnosticKind.BAD_JSON]),
+], ids=["items-int", "items-null", "items-object", "slot-list", "slot-object", "slot-number-and-bool",
+        "slot-null", "ee-word-int", "ee-role-list", "ee-trigger-list", "ee-valid", "eae-trigger-list",
+        "eae-trigger-int", "eae-trigger-kept-items-bad"])
+def test_lenient_json_value_that_is_not_a_string_is_a_diagnostic(spec, payload, items, trigger, kinds):
+    """A Json answer whose `items` is not a list, or whose slot value is not
+    a string, parses with a diagnostic; an EAE trigger that is not a string
+    is absent."""
+    text = json.dumps({"task": spec.task.value, **payload})
+    result = parse_answer_lenient(text, spec)
+    assert result.extraction.items == items
+    assert result.extraction.trigger == trigger
+    assert [d.kind for d in result.diagnostics] == kinds
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=3,
+)
+
+
+_SLOT_VALUES = st.text(max_size=6) | _JSON_VALUES
+
+
+def _json_object(slots):
+    """A JSON object on `slots`, with every slot or with any of them left
+    out. A slot holds a string or any other JSON value; EE `arguments` holds
+    a list of such argument objects or any other JSON value."""
+    values = {slot: _ARGUMENTS if slot == "arguments" else _SLOT_VALUES for slot in slots}
+    return st.fixed_dictionaries(values) | st.fixed_dictionaries({}, optional=values)
+
+
+_ARGUMENTS = st.lists(_json_object(EE_ARG_SLOTS) | _JSON_VALUES, max_size=3) | _JSON_VALUES
+
+
+@st.composite
+def _answer_texts(draw, spec):
+    """Text in the shape of a Json answer of `spec`'s task, with any JSON
+    value at every slot and as `items`, bare or inside arbitrary text, or
+    arbitrary text; either one bare or after the answer prefix."""
+    item = _json_object(TASK_SLOTS.get(spec.task, ()))
+    items = st.lists(item | _JSON_VALUES, max_size=4) | _JSON_VALUES
+    payload = draw(st.fixed_dictionaries({"task": st.just(spec.task.value), "items": items},
+                                         optional={"trigger": _SLOT_VALUES}))
+    body = json.dumps(payload)
+    around = st.text(max_size=12)
+    text = draw(st.one_of(st.just(body), st.tuples(around, st.just(body), around).map("".join), st.text(max_size=40)))
+    return draw(st.sampled_from(["", spec.answer_prefix])) + text
+
+
+@pytest.mark.parametrize("spec", [s for specs in LIBRARY.values() for s in specs], ids=lambda s: s.name)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_parsing_any_answer_text_never_raises_but_strict_parse_errors(spec, data):
+    """Lenient parsing returns string items (an absent optional slot is
+    None) and a string or absent trigger for any text; strict parsing raises
+    nothing but ParseError."""
+    text = data.draw(_answer_texts(spec), label="text")
+    trigger = data.draw(st.none() | st.text(max_size=6), label="trigger")
+    extraction = parse_answer_lenient(text, spec, trigger=trigger).extraction
+    for item in extraction.items:
+        values = [*item[:2], *(v for arg in item[2] for v in arg)] if spec.task is TaskKind.EE else item
+        assert all(v is None or isinstance(v, str) for v in values), item
+    assert extraction.trigger is None or isinstance(extraction.trigger, str)
+    try:
+        parse_answer(text, spec, trigger=trigger)
+    except ParseError:
+        pass
 
 
 # ---------------------------------------------------------------------------

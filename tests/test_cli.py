@@ -14,6 +14,7 @@ from iealign.cli import DPO_KEYS, SFT_KEYS, _load_config, _make_backend, _option
 from iealign.pipeline import SftOptions
 from iealign.prefpairs import DpoPlan
 from iealign.errors import DataError
+from iealign.formats import load_format_library, spec_to_json
 from iealign.model import TaskKind, gold_to_json, read_instances, schema_to_json, write_instances
 from iealign.synth import make_corpus, make_schema
 
@@ -824,6 +825,28 @@ def test_stats_cli_counts_a_record_whose_template_lacks_its_label_slot(runner, t
     assert report["total"] == 15 and report["malformed_lines"] == 0
     assert report["closure_violations"] == 1
     assert report["closure_violating_ids"] == [records[0]["id"]]
+
+
+def test_stats_cli_counts_a_json_answer_whose_slot_value_is_a_list(runner, tmp_path):
+    """A Json-format answer whose item holds a list slot value parses
+    leniently with that item dropped as a bad item: stats exits 0, counts
+    the record, and reads no label from the dropped item."""
+    inst, _ = _canonical(tmp_path, n=5)
+    run = tmp_path / "run"
+    cfg = _write_yaml(tmp_path / "sft.yaml", {"instances": str(inst), "options": {"max_tokens": 100000}})
+    assert runner.invoke(main, ["build-sft", "--config", cfg, "--out", str(run)]).exit_code == 0
+    corpus_path = run / "sft.jsonl"
+    records = [json.loads(line) for line in corpus_path.read_text(encoding="utf-8").splitlines()]
+    json_spec = next(s for s in load_format_library()[TaskKind.NER] if s.family == "Json")
+    answer = json.dumps({"task": "NER", "items": [{"entity": ["a"], "type": "x"}]})
+    records[0] = {**records[0], "answer": answer, "format": spec_to_json(json_spec)}
+    corpus_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    result = runner.invoke(main, ["stats", "--corpus", str(corpus_path)])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert report["total"] == 5 and report["malformed_lines"] == 0
+    assert report["per_task"] == {"NER": 5}
+    assert report["closure_violations"] == 0  # "x", outside the schema, came only from the dropped item
 
 
 def _replace_line(path, lineno, text):

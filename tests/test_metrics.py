@@ -278,6 +278,47 @@ def test_bleu_reference_equals_per_order_definition(cand, ref):
     assert BleuReference.of(ref).score(cand) == per_order_bleu(cand, ref)
 
 
+_NEAR_WORDS = st.sampled_from(["the", "red", "dot", "Dot", "line", "of", ",", ";", "(", ")"])
+
+
+@st.composite
+def _reference_and_near_candidate(draw):
+    """A reference of 15-40 tokens from few distinct words, so that grams of
+    every order repeat, and a candidate made from it by a few edits: a word
+    substituted, deleted or inserted, or a span repeated after itself."""
+    ref = draw(st.lists(_NEAR_WORDS, min_size=15, max_size=40))
+    cand = list(ref)
+    for edit in draw(st.lists(st.sampled_from(["substitute", "delete", "insert", "repeat"]), max_size=4)):
+        i = draw(st.integers(0, len(cand) - 1))
+        if edit == "substitute":
+            cand[i] = draw(_NEAR_WORDS | st.just("zebra"))
+        elif edit == "delete":
+            del cand[i]
+        elif edit == "insert":
+            cand.insert(i, draw(_NEAR_WORDS | st.just("zebra")))
+        else:
+            cand[i:i] = cand[i : i + draw(st.integers(1, 4))]
+    return " ".join(ref), " ".join(cand)
+
+
+_THIRTY_TOKENS = " ".join(f"w{i % 11} of w{i % 7}" for i in range(10))
+
+
+@given(_reference_and_near_candidate())
+@example((_THIRTY_TOKENS, _THIRTY_TOKENS))
+@example(("a b c d e f g h i j k l m n o p", "p n l j h f d b"))  # unigram hits, no bigram: the early stop
+# The candidate holds "the red dot" and "a b c" three times, the reference
+# once: the Counter clip at orders 2 and 3.
+@example(("the red dot , the blue dot ; the red line of the dot", "the red dot the red dot the red dot , the blue"))
+@example(("a b c a b d a b e x y z x y w q r s", "a b c a b c a b c x y z x y z x y z"))
+@settings(max_examples=300, deadline=None)
+def test_bleu_near_reference_equals_per_order_definition(texts):
+    """Long, high-overlap candidates reach every order's clip: grams that
+    the candidate repeats more often than the reference holds them."""
+    ref, cand = texts
+    assert BleuReference.of(ref).score(cand) == per_order_bleu(cand, ref)
+
+
 @given(st.text(alphabet="ab cd", min_size=0, max_size=30), st.text(alphabet="ab cd", min_size=0, max_size=30))
 @settings(max_examples=100, deadline=None)
 def test_bleu_bounded(cand, ref):
