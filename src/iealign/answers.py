@@ -280,7 +280,10 @@ def _parse_json_body(body: str, task: TaskKind, diagnostics: list[Diagnostic]):
             continue
         if task is TaskKind.EE:  # arguments: a list of {word, role}, which may be left out
             try:
-                args = tuple((a["word"], a["role"]) for a in obj.get("arguments", []))
+                arguments = obj.get("arguments", [])
+                if not isinstance(arguments, list):
+                    raise TypeError  # a bad EE item, as below
+                args = tuple((a["word"], a["role"]) for a in arguments)
                 item = (obj["trigger"], obj["type"], args)
             except (KeyError, TypeError):
                 diagnostics.append(Diagnostic(DiagnosticKind.BAD_ITEM, 0, f"bad EE item: {obj!r}"))

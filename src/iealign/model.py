@@ -19,6 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 from typing import AbstractSet, Any, Callable, Iterable, Iterator, Mapping, Optional, TextIO, TypeVar
 
@@ -436,11 +437,22 @@ def write_json_atomic(data: Any, path) -> None:
         f.write(json.dumps(data, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
 
 
+# `write_jsonl_atomic` takes this many records before it encodes any of them.
+# Encoding each record as soon as a generator such as `build_sft`'s had built
+# it made the sft_5k benchmark about 8% slower than building first; 512 of
+# its records hold about 1.5 MB.
+JSONL_CHUNK = 512
+
+
 def write_jsonl_atomic(records: Iterable[dict], path) -> None:
-    """Write one JSON object per line, streaming `records`, atomically."""
+    """Write one JSON object per line, streaming `records` in chunks of
+    JSONL_CHUNK, atomically."""
+    records = iter(records)
     with atomic_open(path) as f:
-        for rec in records:
-            f.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+        while chunk := list(islice(records, JSONL_CHUNK)):
+            for rec in chunk:
+                f.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+            del chunk  # so the next chunk is not built beside this one
 
 
 def load_jsonl(path) -> list[Any]:

@@ -4,9 +4,12 @@ construction, corpus statistics, and evaluation.
 Every per-instance random decision draws from a stream seeded by (master
 seed, tag, instance id): one "sft" stream serves all of an SFT example's
 choices, and CoT eligibility and DPO descriptions keep streams of their own.
-So outputs are independent of processing order and worker count. Output
-files are JSON lines written atomically; every run emits a manifest with
-content digests so reruns can be verified byte-for-byte.
+So outputs are independent of processing order and worker count: `build_sft`
+builds its CoT subset's records first, and then streams every record into
+`sft.jsonl` as it is built, so the corpus is never held whole. Output files are
+JSON lines written atomically, so a failure mid-write keeps the previous
+file; every run emits a manifest with content digests so reruns can be
+verified byte-for-byte.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .answers import parse_answer, parse_answer_lenient, serialize_answer, ParseError
 from .augment import cot_prompt, generate_cot, sample_words_limit
@@ -100,26 +103,36 @@ def build_sft(
     instances: Sequence[IEInstance],
     opts: SftOptions,
     client: Optional[BaseClient] = None,
-) -> tuple[list[dict], dict]:
-    """Assemble one training record per instance and return (records, its
-    `Composition` report, with the length drops, CoT skipped, input count).
+) -> tuple[Iterator[dict], dict]:
+    """Assemble one training record per instance, as a stream: return
+    (records, report), where `records` builds and yields each record in input
+    order, and `report` is filled once it is exhausted with the records'
+    `Composition` report, the length drops, CoT skipped and input count.
 
     Stages per instance: format choice, task description, schema augmentation,
     answer serialization, demonstrations, prompt layout, length re-check, and
-    CoT for the capped eligible subset (none without a client), through
-    `client.map_prompts` once all records are built. The closure audit reads
-    the projected gold the answer was serialized from, which parses back to
+    CoT for the capped eligible subset (none without a client). Before this
+    returns, each task's formats and descriptions are looked up and the CoT
+    subset's records are built and sent through `client.map_prompts`, so a
+    ConfigurationError or a CoT error comes before the first record; of the
+    rest, only the record being built is held. The closure audit reads the
+    projected gold the answer was serialized from, which parses back to
     itself; the report counts the length check's tokens plus the CoT's.
 
-    Each instance draws every choice from one stream seeded by its id. Draws
-    whose consumption no option changes come first (format, description, CoT
-    word limit), then the schema view and the answer order, and the
-    demonstrations last. So a change to `guideline_rate` or `symbol_rate`
-    changes only what guidelines and symbols govern, and a change to
-    `demo_rate` or `demo_k_range` only the demonstrations.
+    Each instance draws every choice from one stream seeded by its id, so
+    building the CoT subset first changes no byte. Draws whose consumption no
+    option changes come first (format, description, CoT word limit), then the
+    schema view and the answer order, and the demonstrations last. So a change
+    to `guideline_rate` or `symbol_rate` changes only what guidelines and
+    symbols govern, and a change to `demo_rate` or `demo_k_range` only the
+    demonstrations.
     """
     library = load_format_library()
     pools = {}
+    for task in dict.fromkeys(inst.task for inst in instances):
+        if not library.get(task):
+            raise ConfigurationError(f"no format specs for task {task.value}")
+        pools[task] = load_description_pool(task, opts.pool_dir)
 
     # small per-task demonstration pools keep demo sampling O(1) per instance
     by_task: dict[TaskKind, list[IEInstance]] = {}
@@ -138,18 +151,12 @@ def build_sft(
                 eligible_by_task.setdefault(inst.task, []).append(inst.id)
     cot_ids = select_cot_ids(eligible_by_task, opts)
 
-    kept = []  # (record, labels its answer uses, its tokens), in input order
-    cot_jobs = []  # (record, prompt, answer, CoT word limit)
-    dropped_length = 0
-    for inst in instances:
+    def build(inst: IEInstance):
+        """(record, labels its answer uses, its tokens, its CoT word limit),
+        or None when it is over length."""
         task = inst.task
-        specs = library.get(task)
-        if not specs:
-            raise ConfigurationError(f"no format specs for task {task.value}")
-        if task not in pools:
-            pools[task] = load_description_pool(task, opts.pool_dir)
         rng = random.Random(derive_seed(opts.seed, "sft", inst.id))
-        fmt = rng.choice(specs)
+        fmt = rng.choice(library[task])
         task_desc = rng.choice(pools[task])
         words = sample_words_limit(rng)
 
@@ -165,9 +172,8 @@ def build_sft(
 
         tokens = whitespace_token_count(prompt) + whitespace_token_count(example.answer)
         if tokens > opts.max_tokens:
-            dropped_length += 1
             logger.info("dropping over-length example %s", inst.id)
-            continue
+            return None
 
         record = {
             "id": inst.id,
@@ -184,31 +190,50 @@ def build_sft(
             "symbolized": bool(view and view.symbol_map),
             "trigger": inst.gold.trigger,
         }
-        kept.append((record, gold.labels_used(), tokens))
-        if inst.id in cot_ids:
-            cot_jobs.append((record, prompt, example.answer, words))
+        return record, gold.labels_used(), tokens, words
 
-    def cot_of(job):
-        record, *request = job
+    def cot_of(built):
+        record, _, _, words = built
         try:
-            return generate_cot(*request, client)
+            return generate_cot(record["prompt"], record["answer"], words, client)
         except (TransportError, DataError) as e:
             logger.warning("CoT generation skipped for %s: %s", record["id"], e)
             return None
 
-    cots = client.map_prompts(cot_of, cot_jobs, lambda job: cot_prompt(*job[1:])) if cot_jobs else iter(())
-    composition = Composition()
-    for record, labels_used, tokens in kept:  # each CoT is attached before its record is counted
-        cot = next(cots) if record["id"] in cot_ids else None
-        if cot is not None:
-            record["cot"], record["output"] = cot, cot + COT_SEPARATOR + record["answer"]
-            tokens += whitespace_token_count(cot)
-        composition.add(record, labels_used, tokens)
-    report = composition.report()
-    report["dropped_length"] = dropped_length
-    report["cot_skipped"] = len(cot_jobs) - report["cot_count"]
-    report["input_instances"] = len(instances)
-    return [record for record, _, _ in kept], report
+    # The CoT subset first, keyed by input position: its records are built and
+    # every explanation fetched before the stream below yields a record.
+    cot_built = {pos: build(inst) for pos, inst in enumerate(instances) if inst.id in cot_ids}
+    jobs = {pos: built for pos, built in cot_built.items() if built is not None}
+    cots = {}  # input position -> explanation, or None when it was skipped
+    if jobs:
+        requests = client.map_prompts(
+            cot_of, list(jobs.values()), lambda job: cot_prompt(job[0]["prompt"], job[0]["answer"], job[3])
+        )
+        cots = dict(zip(jobs, requests, strict=True))
+
+    report: dict = {}
+
+    def records() -> Iterator[dict]:
+        composition = Composition()
+        dropped_length = 0
+        for pos, inst in enumerate(instances):
+            built = cot_built.pop(pos) if pos in cot_built else build(inst)
+            if built is None:
+                dropped_length += 1
+                continue
+            record, labels_used, tokens, _ = built
+            cot = cots.get(pos)
+            if cot is not None:  # attached before its record is counted
+                record["cot"], record["output"] = cot, cot + COT_SEPARATOR + record["answer"]
+                tokens += whitespace_token_count(cot)
+            composition.add(record, labels_used, tokens)
+            yield record
+        report.update(composition.report())
+        report["dropped_length"] = dropped_length
+        report["cot_skipped"] = len(cots) - report["cot_count"]
+        report["input_instances"] = len(instances)
+
+    return records(), report
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,7 @@ def big_sft():
 
     started = time.monotonic()
     records, report = build_sft(corpus, SFT_OPTS, client=client)
+    records = list(records)
     elapsed = time.monotonic() - started
     return corpus, records, report, elapsed
 

@@ -342,13 +342,17 @@ _EAE_JSON = next(s for s in LIBRARY[TaskKind.EAE] if s.family == "Json")
     (_EE_JSON, {"items": [{"trigger": "t", "type": "e", "arguments": [{"word": "w", "role": ["r"]}]}]}, (), None,
      [DiagnosticKind.BAD_ITEM]),
     (_EE_JSON, {"items": [{"trigger": ["t"], "type": "e"}]}, (), None, [DiagnosticKind.BAD_ITEM]),
+    (_EE_JSON, {"items": [{"trigger": "t", "type": "e", "arguments": ""}]}, (), None, [DiagnosticKind.BAD_ITEM]),
+    (_EE_JSON, {"items": [{"trigger": "t", "type": "e", "arguments": {}}]}, (), None, [DiagnosticKind.BAD_ITEM]),
+    (_EE_JSON, {"items": [{"trigger": "t", "type": "e", "arguments": None}]}, (), None, [DiagnosticKind.BAD_ITEM]),
     (_EE_JSON, {"items": [{"trigger": "t", "type": "e", "arguments": [{"word": "w", "role": "r"}]}]},
      (("t", "e", (("w", "r"),)),), None, []),
     (_EAE_JSON, {"trigger": ["a"], "items": [{"word": "w", "role": "r"}]}, (("w", "r"),), None, []),
     (_EAE_JSON, {"trigger": 3, "items": []}, (), None, []),
     (_EAE_JSON, {"trigger": "fired", "items": 5}, (), "fired", [DiagnosticKind.BAD_JSON]),
 ], ids=["items-int", "items-null", "items-object", "slot-list", "slot-object", "slot-number-and-bool",
-        "slot-null", "ee-word-int", "ee-role-list", "ee-trigger-list", "ee-valid", "eae-trigger-list",
+        "slot-null", "ee-word-int", "ee-role-list", "ee-trigger-list", "ee-arguments-empty-string",
+        "ee-arguments-object", "ee-arguments-null", "ee-valid", "eae-trigger-list",
         "eae-trigger-int", "eae-trigger-kept-items-bad"])
 def test_lenient_json_value_that_is_not_a_string_is_a_diagnostic(spec, payload, items, trigger, kinds):
     """A Json answer whose `items` is not a list, or whose slot value is not

@@ -14,7 +14,7 @@ import pytest
 import requests
 from conftest import assert_kept, fail_on_second
 
-from iealign import pipeline
+from iealign import model, pipeline
 from iealign.answers import serialize_answer
 from iealign.client import BaseClient, LiveClient, MockClient, ResponseCache
 from iealign.errors import ConfigurationError, DataError
@@ -50,13 +50,19 @@ def _mixed_corpus(n_per_task=120, seed=0, tasks=(TaskKind.NER, TaskKind.RE, Task
     return corpus
 
 
+def _build_sft(corpus, opts, client=None):
+    """`build_sft`'s records, taken from its stream, and its report."""
+    records, report = build_sft(corpus, opts, client=client)
+    return list(records), report
+
+
 # ---------------------------------------------------------------------------
 # SFT assembly
 
 
 def test_build_sft_one_record_per_instance_and_rates():
     corpus = _mixed_corpus(400)
-    records, report = build_sft(corpus, SftOptions(seed=7, max_tokens=100_000))
+    records, report = _build_sft(corpus, SftOptions(seed=7, max_tokens=100_000))
     assert len(records) == len(corpus)
     assert report["dropped_length"] == 0
     assert 0.45 < report["demo_rate"] < 0.55
@@ -69,10 +75,10 @@ def test_build_sft_one_record_per_instance_and_rates():
 
 def test_build_sft_deterministic():
     corpus = _mixed_corpus(50)
-    r1, _ = build_sft(corpus, SftOptions(seed=3, max_tokens=100_000))
-    r2, _ = build_sft(corpus, SftOptions(seed=3, max_tokens=100_000))
+    r1, _ = _build_sft(corpus, SftOptions(seed=3, max_tokens=100_000))
+    r2, _ = _build_sft(corpus, SftOptions(seed=3, max_tokens=100_000))
     assert r1 == r2
-    r3, _ = build_sft(corpus, SftOptions(seed=4, max_tokens=100_000))
+    r3, _ = _build_sft(corpus, SftOptions(seed=4, max_tokens=100_000))
     assert r1 != r3
 
 
@@ -92,8 +98,8 @@ def test_sft_guideline_and_symbol_rates_change_only_what_they_govern():
     a record whose flags did not flip is unchanged."""
     corpus = _mixed_corpus(30, seed=2, tasks=_STREAM_TASKS)
     base = SftOptions(seed=5, max_tokens=100_000)
-    before, _ = build_sft(corpus, base)
-    after, _ = build_sft(corpus, replace(base, guideline_rate=0.9, symbol_rate=0.7))
+    before, _ = _build_sft(corpus, base)
+    after, _ = _build_sft(corpus, replace(base, guideline_rate=0.9, symbol_rate=0.7))
     flipped = 0
     for a, b in zip(before, after, strict=True):
         assert (a["id"], a["format"], _description(a)) == (b["id"], b["format"], _description(b))
@@ -115,8 +121,8 @@ def test_sft_demo_rate_and_k_range_change_only_the_demonstrations():
     and answer as they were."""
     corpus = _mixed_corpus(30, seed=2, tasks=_STREAM_TASKS)
     base = SftOptions(seed=5, max_tokens=100_000)
-    before, _ = build_sft(corpus, base)
-    after, _ = build_sft(corpus, replace(base, demo_rate=0.9, demo_k_range=(2, 3)))
+    before, _ = _build_sft(corpus, base)
+    after, _ = _build_sft(corpus, replace(base, demo_rate=0.9, demo_k_range=(2, 3)))
     changed = 0
     for a, b in zip(before, after, strict=True):
         for field in ("id", "format", "schema_view_labels", "has_guidelines", "symbolized", "answer", "output"):
@@ -131,7 +137,7 @@ def test_sft_demo_rate_and_k_range_change_only_the_demonstrations():
 
 def test_build_sft_drops_overlength():
     corpus = make_corpus(TaskKind.NER, 30, seed=1)
-    records, report = build_sft(corpus, SftOptions(seed=0, max_tokens=40))
+    records, report = _build_sft(corpus, SftOptions(seed=0, max_tokens=40))
     assert report["dropped_length"] == len(corpus) - len(records)
     assert report["dropped_length"] > 0
 
@@ -140,20 +146,20 @@ def test_cot_count_is_min_of_cap_and_eligible():
     corpus = make_corpus(TaskKind.NER, 300, dataset="d", seed=2)
     client = MockClient(policy="fixed:Because the text names each entity explicitly.")
     opts = SftOptions(seed=5, cot_rate=0.1, cot_per_task=10, max_tokens=100_000)
-    records, report = build_sft(corpus, opts, client=client)
+    records, report = _build_sft(corpus, opts, client=client)
     eligible = [i.id for i in corpus if cot_eligible(i.id, i.is_na, opts)]
     assert report["cot_count"] == min(10, len(eligible))
     assert report["cot_count"] == 10
 
     opts_hi = SftOptions(seed=5, cot_rate=0.1, cot_per_task=1000, max_tokens=100_000)
-    _, report_hi = build_sft(corpus, opts_hi, client=client)
+    _, report_hi = _build_sft(corpus, opts_hi, client=client)
     eligible_hi = [i.id for i in corpus if cot_eligible(i.id, i.is_na, opts_hi)]
     assert report_hi["cot_count"] == len(eligible_hi)
 
 
 def test_cot_skipped_without_client():
     corpus = make_corpus(TaskKind.NER, 50, seed=2)
-    _, report = build_sft(corpus, SftOptions(seed=5, max_tokens=100_000))
+    _, report = _build_sft(corpus, SftOptions(seed=5, max_tokens=100_000))
     assert report["cot_count"] == 0
 
 
@@ -173,7 +179,7 @@ def test_select_cot_ids_caps_per_task():
 def test_sft_cot_record_output_is_explanation_then_answer():
     corpus = make_corpus(TaskKind.NER, 60, seed=2)
     opts = SftOptions(seed=5, cot_rate=1.0, max_tokens=100_000)
-    records, report = build_sft(corpus, opts, client=MockClient(policy="fixed:  Step one. Step two.\n"))
+    records, report = _build_sft(corpus, opts, client=MockClient(policy="fixed:  Step one. Step two.\n"))
     assert report["cot_count"] > 0
     for rec in records:
         if rec["cot"] is None:
@@ -182,9 +188,48 @@ def test_sft_cot_record_output_is_explanation_then_answer():
             assert rec["cot"] == "Step one. Step two."
             assert rec["output"] == "Step one. Step two.\n\n" + rec["answer"]
     # an empty explanation is skipped, and its record keeps the bare answer
-    records, report = build_sft(corpus, opts, client=MockClient(policy="fixed:  "))
+    records, report = _build_sft(corpus, opts, client=MockClient(policy="fixed:  "))
     assert report["cot_count"] == 0
     assert all(rec["cot"] is None and rec["output"] == rec["answer"] for rec in records)
+
+
+def test_build_sft_builds_a_record_only_when_it_is_taken(monkeypatch):
+    """Before the first record comes out, only the CoT subset and that first
+    instance have been built; every instance is built once in all."""
+    corpus = _mixed_corpus(10, seed=1, tasks=(TaskKind.NER, TaskKind.RE, TaskKind.ED, TaskKind.EE))
+    built = []
+    real_assemble = pipeline.assemble_input
+
+    def counting_assemble(inst, *args):
+        built.append(inst.id)
+        return real_assemble(inst, *args)
+
+    monkeypatch.setattr(pipeline, "assemble_input", counting_assemble)
+    opts = SftOptions(seed=0, cot_rate=0.5, max_tokens=100_000)
+    records, report = build_sft(corpus, opts, client=MockClient(policy="fixed:Because the text says so."))
+    first = next(records)
+    built_at_first = list(built)
+    rest = list(records)
+    cot_ids = [r["id"] for r in [first, *rest] if r["cot"]]
+    assert len(corpus) == 40 and 0 < len(cot_ids) < len(corpus) - 1
+    assert first["id"] == corpus[0].id and first["cot"] is None
+    assert built_at_first == cot_ids + [first["id"]]
+    assert sorted(built) == sorted(i.id for i in corpus)
+    assert report["total"] == len(corpus) and report["cot_count"] == len(cot_ids)
+
+
+def test_build_sft_missing_formats_fail_before_any_call_or_file(tmp_path, monkeypatch):
+    """A task with no formats is a ConfigurationError before any CoT request
+    or output file, even when its instances are the last and never take CoT."""
+    corpus = _mixed_corpus(20) + make_corpus(TaskKind.EE, 5, dataset="ds-EE", seed=0, na_rate=1.0)
+    without_ee = {task: specs for task, specs in load_format_library().items() if task is not TaskKind.EE}
+    monkeypatch.setattr(pipeline, "load_format_library", lambda: without_ee)
+    client = MockClient(policy="fixed:Because the text says so.")
+    opts = SftOptions(seed=3, cot_rate=0.5, max_tokens=100_000)
+    with pytest.raises(ConfigurationError, match="no format specs for task EE"):
+        run_build_sft(corpus, opts, tmp_path / "run", client=client)
+    assert client.call_count == 0
+    assert not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +238,7 @@ def test_sft_cot_record_output_is_explanation_then_answer():
 
 def test_stats_flags_out_of_schema_answer():
     corpus = make_corpus(TaskKind.NER, 5, seed=4)
-    records, _ = build_sft(corpus, SftOptions(seed=0, max_tokens=100_000))
+    records, _ = _build_sft(corpus, SftOptions(seed=0, max_tokens=100_000))
     target = next(r for r in records if r["schema_view_labels"])
     bad_label = "label_not_in_any_view"
     tampered = dict(target, format=spec_to_json(EVAL_FORMATS[TaskKind.NER]),
@@ -205,7 +250,7 @@ def test_stats_flags_out_of_schema_answer():
 
 def test_stats_counts_and_histograms():
     corpus = _mixed_corpus(60)
-    records, _ = build_sft(corpus, SftOptions(seed=1, max_tokens=100_000))
+    records, _ = _build_sft(corpus, SftOptions(seed=1, max_tokens=100_000))
     report = stats(records)
     assert report["total"] == len(records)
     assert sum(report["per_task"].values()) == len(records)
@@ -220,7 +265,7 @@ def test_sft_build_report_equals_stats_over_its_records():
     # a long explanation moves its record's length bucket
     client = MockClient(policy="fixed:" + " ".join(["step"] * 300))
     opts = SftOptions(seed=4, guideline_rate=0.5, symbol_rate=0.3, cot_rate=0.3, max_tokens=100_000)
-    records, report = build_sft(corpus, opts, client=client)
+    records, report = _build_sft(corpus, opts, client=client)
     assert report.pop("dropped_length") == 0
     assert report.pop("cot_skipped") == 0
     assert report.pop("input_instances") == len(corpus)
@@ -244,7 +289,7 @@ def test_sft_build_audits_closure_on_the_restricted_gold(monkeypatch):
         return view, restricted
 
     monkeypatch.setattr(pipeline, "augment_schema", leaky_augment)
-    _, report = build_sft(corpus, SftOptions(seed=0, max_tokens=100_000))
+    _, report = _build_sft(corpus, SftOptions(seed=0, max_tokens=100_000))
     assert report["closure_violations"] == 1
     assert report["closure_violating_ids"] == [target.id]
 
@@ -256,7 +301,7 @@ def test_build_sft_records_pass_the_record_check(tmp_path):
     corpus = _mixed_corpus(20, tasks=tuple(TaskKind))
     client = MockClient(policy="fixed:Because the text says so.")
     opts = SftOptions(seed=2, cot_rate=0.5, cot_per_task=1000, max_tokens=100_000, pool_dir=str(tmp_path))
-    records, report = build_sft(corpus, opts, client=client)
+    records, report = _build_sft(corpus, opts, client=client)
     assert report["cot_count"] > 0 and len(report["per_task"]) == len(TaskKind)
     assert all(check_sft_record(r) is r for r in records)
     for bad in ({"id": "a"}, dict(records[0], task="XX"), dict(records[0], format=5),
@@ -680,6 +725,13 @@ def test_write_jsonl_atomic_sorted_keys(tmp_path):
     write_jsonl_atomic([{"b": 1, "a": 2}], p)
     assert p.read_text() == '{"a": 2, "b": 1}\n'
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_write_jsonl_atomic_streams_across_chunks(tmp_path):
+    p = tmp_path / "x.jsonl"
+    n = 2 * model.JSONL_CHUNK + 1
+    write_jsonl_atomic(({"i": i} for i in range(n)), p)
+    assert p.read_text().splitlines() == [f'{{"i": {i}}}' for i in range(n)]
 
 
 @pytest.mark.parametrize(
