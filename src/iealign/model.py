@@ -4,8 +4,9 @@ All types are immutable values after construction. Instances round-trip
 through one JSON object per line (UTF-8) with fields exactly
 {id, dataset, task, text, schema, gold, is_na}; unknown fields are rejected.
 This module is also the one place that decides how a file is written
-(`atomic_open`; `write_json_atomic` for every JSON report) and how JSONL is
-read back: `read_records` is the one loop over the lines of a JSONL file.
+(`atomic_open`; `write_json_atomic` for every JSON report, `jsonl_line` for
+every JSONL line) and how JSONL is read back: `read_records` is the one loop
+over the lines of a JSONL file.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import islice
 from pathlib import Path
 from typing import AbstractSet, Any, Callable, Iterable, Iterator, Mapping, Optional, TextIO, TypeVar
 
@@ -437,22 +437,17 @@ def write_json_atomic(data: Any, path) -> None:
         f.write(json.dumps(data, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
 
 
-# `write_jsonl_atomic` takes this many records before it encodes any of them.
-# Encoding each record as soon as a generator such as `build_sft`'s had built
-# it made the sft_5k benchmark about 8% slower than building first; 512 of
-# its records hold about 1.5 MB.
-JSONL_CHUNK = 512
+def jsonl_line(record: Any) -> str:
+    """`record` as one line of a JSONL file: compact JSON with sorted keys,
+    non-ASCII text kept as is. Every JSONL file is written in these lines."""
+    return json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
 
 
-def write_jsonl_atomic(records: Iterable[dict], path) -> None:
-    """Write one JSON object per line, streaming `records` in chunks of
-    JSONL_CHUNK, atomically."""
-    records = iter(records)
+def write_jsonl_atomic(lines: Iterable[str], path) -> None:
+    """Write JSONL text atomically, one piece at a time: each piece holds
+    whole `jsonl_line`s, so a stream of pieces is never held together."""
     with atomic_open(path) as f:
-        while chunk := list(islice(records, JSONL_CHUNK)):
-            for rec in chunk:
-                f.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
-            del chunk  # so the next chunk is not built beside this one
+        f.writelines(lines)
 
 
 def load_jsonl(path) -> list[Any]:
@@ -489,7 +484,7 @@ def read_records(path, convert: Callable[[Any, int], T], lenient: bool) -> tuple
 
 
 def write_instances(instances: Iterable[IEInstance], path) -> None:
-    write_jsonl_atomic((instance_to_record(i) for i in instances), path)
+    write_jsonl_atomic((jsonl_line(instance_to_record(i)) for i in instances), path)
 
 
 def read_instances(path) -> list[IEInstance]:

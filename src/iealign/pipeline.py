@@ -5,11 +5,13 @@ Every per-instance random decision draws from a stream seeded by (master
 seed, tag, instance id): one "sft" stream serves all of an SFT example's
 choices, and CoT eligibility and DPO descriptions keep streams of their own.
 So outputs are independent of processing order and worker count: `build_sft`
-builds its CoT subset's records first, and then streams every record into
-`sft.jsonl` as it is built, so the corpus is never held whole. Output files are
-JSON lines written atomically, so a failure mid-write keeps the previous
-file; every run emits a manifest with content digests so reruns can be
-verified byte-for-byte.
+builds its CoT subset's records first, and then builds the rest in blocks of
+SFT_BLOCK consecutive instances, on the CPUs this process may run on (in
+forked workers; in this process alone where fork is not available). The
+blocks' text is written to `sft.jsonl` in input order, and the writing
+process holds one block of it, never the corpus. Output files are JSON lines
+written atomically, so a failure mid-write keeps the previous file; every run
+emits a manifest with content digests so reruns can be verified byte-for-byte.
 """
 
 from __future__ import annotations
@@ -17,11 +19,16 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import random
+import signal
+import threading
 import time
+import traceback
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .answers import parse_answer, parse_answer_lenient, serialize_answer, ParseError
 from .augment import cot_prompt, generate_cot, sample_words_limit
@@ -35,6 +42,7 @@ from .model import (
     Extraction,
     IEInstance,
     TaskKind,
+    jsonl_line,
     read_instances,
     read_records,
     write_json_atomic,
@@ -44,6 +52,8 @@ from .prefpairs import DpoPlan, assemble_dpo_corpus, build_pairs, score_samples
 from .prompts import SchemaView, assemble_input, attach_demonstrations, augment_schema, load_description_pool
 from .seeds import derive_rng, derive_seed
 
+T = TypeVar("T")
+
 logger = logging.getLogger(__name__)
 
 
@@ -51,6 +61,11 @@ logger = logging.getLogger(__name__)
 # SFT construction
 
 COT_SEPARATOR = "\n\n"  # between a CoT explanation and the answer, in a record's output
+
+# Records are built in blocks of this many consecutive instances, one block
+# per process at a time: at sft_5k's sizes a block's text is about 0.35 MB,
+# and it is all of the corpus the writing process holds.
+SFT_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -103,9 +118,10 @@ def build_sft(
     instances: Sequence[IEInstance],
     opts: SftOptions,
     client: Optional[BaseClient] = None,
-) -> tuple[Iterator[dict], dict]:
+) -> tuple[Iterator[str], dict]:
     """Assemble one training record per instance, as a stream: return
-    (records, report), where `records` builds and yields each record in input
+    (blocks, report), where `blocks` yields the JSONL text (`jsonl_line`s) of
+    the records of each block of SFT_BLOCK consecutive instances in input
     order, and `report` is filled once it is exhausted with the records'
     `Composition` report, the length drops, CoT skipped and input count.
 
@@ -114,18 +130,21 @@ def build_sft(
     CoT for the capped eligible subset (none without a client). Before this
     returns, each task's formats and descriptions are looked up and the CoT
     subset's records are built and sent through `client.map_prompts`, so a
-    ConfigurationError or a CoT error comes before the first record; of the
-    rest, only the record being built is held. The closure audit reads the
+    ConfigurationError or a CoT error comes before the first block. The
+    blocks are built once `blocks` is read, by `sft_workers` processes
+    (`map_forked`), each at most about one block ahead of the reader, which
+    holds one block of text. An error in a record is raised when its block is
+    due, so it is the first one in input order. The closure audit reads the
     projected gold the answer was serialized from, which parses back to
     itself; the report counts the length check's tokens plus the CoT's.
 
     Each instance draws every choice from one stream seeded by its id, so
-    building the CoT subset first changes no byte. Draws whose consumption no
-    option changes come first (format, description, CoT word limit), then the
-    schema view and the answer order, and the demonstrations last. So a change
-    to `guideline_rate` or `symbol_rate` changes only what guidelines and
-    symbols govern, and a change to `demo_rate` or `demo_k_range` only the
-    demonstrations.
+    building the CoT subset first, and the blocks in any process, changes no
+    byte. Draws whose consumption no option changes come first (format,
+    description, CoT word limit), then the schema view and the answer order,
+    and the demonstrations last. So a change to `guideline_rate` or
+    `symbol_rate` changes only what guidelines and symbols govern, and a
+    change to `demo_rate` or `demo_k_range` only the demonstrations.
     """
     library = load_format_library()
     pools = {}
@@ -211,15 +230,15 @@ def build_sft(
         )
         cots = dict(zip(jobs, requests, strict=True))
 
-    report: dict = {}
-
-    def records() -> Iterator[dict]:
+    def build_block(b: int) -> tuple[str, Composition, int]:
+        """The JSONL text of the records of block `b`, their Composition, and
+        the number of its instances dropped for length."""
+        positions = range(b * SFT_BLOCK, min((b + 1) * SFT_BLOCK, len(instances)))
         composition = Composition()
-        dropped_length = 0
-        for pos, inst in enumerate(instances):
-            built = cot_built.pop(pos) if pos in cot_built else build(inst)
+        records = []
+        for pos in positions:
+            built = cot_built.pop(pos) if pos in cot_built else build(instances[pos])
             if built is None:
-                dropped_length += 1
                 continue
             record, labels_used, tokens, _ = built
             cot = cots.get(pos)
@@ -227,13 +246,113 @@ def build_sft(
                 record["cot"], record["output"] = cot, cot + COT_SEPARATOR + record["answer"]
                 tokens += whitespace_token_count(cot)
             composition.add(record, labels_used, tokens)
-            yield record
+            records.append(record)
+        return "".join(map(jsonl_line, records)), composition, len(positions) - len(records)
+
+    report: dict = {}
+
+    def blocks() -> Iterator[str]:
+        n_blocks = -(-len(instances) // SFT_BLOCK)
+        composition = Composition()
+        dropped_length = 0
+        with closing(map_forked(build_block, n_blocks, sft_workers(n_blocks))) as built:
+            for text, counts, dropped in built:
+                composition.merge(counts)
+                dropped_length += dropped
+                yield text
         report.update(composition.report())
         report["dropped_length"] = dropped_length
         report["cot_skipped"] = len(cots) - report["cot_count"]
         report["input_instances"] = len(instances)
 
-    return records(), report
+    return blocks(), report
+
+
+def sft_workers(n_blocks: int) -> int:
+    """The processes that build `n_blocks` blocks of SFT records: one per CPU
+    this process may run on, but no more than there are blocks, and only
+    this process where fork is not available or another thread is running
+    (a forked worker would inherit any lock that thread holds, held)."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_blocks))
+
+
+def map_forked(fn: Callable[[int], T], n: int, workers: int) -> Iterator[T]:
+    """fn(0), ..., fn(n - 1), in order. With one worker they run here, in
+    `map`. Otherwise `workers` forked processes run them, worker w taking w,
+    w + workers, ..., and each sends its results as length-prefixed pickles
+    down a pipe of its own, which it fills at most about one result ahead of
+    the reader. An exception in fn(i) is raised here when result i is due.
+
+    Fork only once what `fn` reads is fixed and no other thread is running:
+    the workers see this process as it was at the fork. They end with
+    `os._exit`, so no inherited buffer or `finally` of this process runs
+    twice, and every worker is killed and reaped when the stream ends, fails
+    or is closed."""
+    if workers == 1:
+        yield from map(fn, range(n))
+        return
+    pids: list[int] = []
+    pipes: list[BinaryIO] = []
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(read_fd)
+                    for pipe in pipes:
+                        pipe.close()
+                    _send_results(fn, range(w, n, workers), write_fd)
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+            os.close(write_fd)
+            pipes.append(open(read_fd, "rb"))
+        for i in range(n):
+            ok, value = _receive_result(pipes[i % workers], i)
+            if not ok:
+                error, trace = value
+                raise error from RuntimeError(f"raised in a worker process:\n{trace}")
+            yield value
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _send_results(fn: Callable[[int], T], indices: Iterable[int], fd: int) -> None:
+    """In a worker: send (True, fn(i)) for each of `indices`, or (False, (the
+    exception fn(i) raised, its traceback)) and stop. A reader that is gone
+    makes the next write raise BrokenPipeError."""
+    import pickle  # only where workers run: the module adds about 0.5 MB to a process
+
+    with open(fd, "wb") as out:
+        for i in indices:
+            try:
+                frame = (True, fn(i))
+            except Exception as e:
+                frame = (False, (e, traceback.format_exc()))
+            data = pickle.dumps(frame, pickle.HIGHEST_PROTOCOL)
+            out.write(len(data).to_bytes(8, "little"))
+            out.write(data)
+            out.flush()
+            if not frame[0]:
+                return
+
+
+def _receive_result(pipe: BinaryIO, i: int) -> tuple[bool, Any]:
+    import pickle
+
+    header = pipe.read(8)
+    size = int.from_bytes(header, "little")
+    data = pipe.read(size)
+    if len(header) < 8 or len(data) < size:
+        raise RuntimeError(f"a worker process ended before sending result {i}")
+    return pickle.loads(data)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +493,21 @@ class Composition:
         bucket = (tokens // 256) * 256
         self.length_hist[bucket] = self.length_hist.get(bucket, 0) + 1
 
+    def merge(self, other: Composition) -> None:
+        """Count the records `other` counted, which follow the ones counted
+        here in input order."""
+        for mine, theirs in ((self.per_task, other.per_task), (self.per_dataset, other.per_dataset),
+                             (self.demo_hist, other.demo_hist), (self.length_hist, other.length_hist)):
+            for key, n in theirs.items():
+                mine[key] = mine.get(key, 0) + n
+        self.n += other.n
+        self.n_with_demos += other.n_with_demos
+        self.n_closed += other.n_closed
+        self.n_guidelines += other.n_guidelines
+        self.n_symbolized += other.n_symbolized
+        self.n_cot += other.n_cot
+        self.violating_ids += other.violating_ids
+
     def report(self) -> dict:
         n, n_closed = self.n, self.n_closed
         return {
@@ -496,8 +630,8 @@ def run_build_sft(
 ) -> dict:
     out_dir = Path(out_dir)
     started = time.monotonic()
-    records, report = build_sft(instances, opts, client=client)
-    write_jsonl_atomic(records, out_dir / "sft.jsonl")
+    blocks, report = build_sft(instances, opts, client=client)
+    write_jsonl_atomic(blocks, out_dir / "sft.jsonl")
     return write_manifest(
         out_dir / "manifest.json",
         config or {"seed": opts.seed},
@@ -517,7 +651,7 @@ def run_build_dpo(
     out_dir = Path(out_dir)
     started = time.monotonic()
     corpus, summary = build_dpo(instances, plan, client)
-    write_jsonl_atomic(corpus, out_dir / "dpo.jsonl")
+    write_jsonl_atomic(map(jsonl_line, corpus), out_dir / "dpo.jsonl")
     return write_manifest(
         out_dir / "manifest.json",
         config or {"seed": plan.seed},

@@ -2,6 +2,7 @@
 criterion here, and the terminal summary prints them uncaptured. Also the
 helpers the file-writing tests share."""
 
+import json
 import os
 
 import pytest
@@ -31,6 +32,12 @@ def fail_on_second(items):
     """Yield the first of `items`, then raise: a failure in the middle of a write."""
     yield next(iter(items))
     raise RuntimeError("injected failure")
+
+
+def sft_records(blocks) -> list[dict]:
+    """The records of `build_sft`'s stream of JSONL blocks, parsed line by
+    line."""
+    return [json.loads(line) for block in blocks for line in block.split("\n")[:-1]]
 
 
 def assert_kept(path, previous: bytes) -> None:

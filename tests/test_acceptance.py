@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import record_criterion
+from conftest import record_criterion, sft_records
 from test_metrics import BLEU_FIXTURE, bleu_oracle, rouge_oracle
 
 from iealign.answers import parse_answer, serialize_answer
@@ -120,8 +120,8 @@ def big_sft():
     from iealign.pipeline import build_sft
 
     started = time.monotonic()
-    records, report = build_sft(corpus, SFT_OPTS, client=client)
-    records = list(records)
+    blocks, report = build_sft(corpus, SFT_OPTS, client=client)
+    records = sft_records(blocks)
     elapsed = time.monotonic() - started
     return corpus, records, report, elapsed
 

@@ -401,7 +401,8 @@ def _answer_texts(draw, spec):
     return draw(st.sampled_from(["", spec.answer_prefix])) + text
 
 
-@pytest.mark.parametrize("spec", [s for specs in LIBRARY.values() for s in specs], ids=lambda s: s.name)
+@pytest.mark.parametrize("spec", [s for specs in LIBRARY.values() for s in specs] + list(EVAL_FORMATS.values()),
+                         ids=lambda s: s.name)
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_parsing_any_answer_text_never_raises_but_strict_parse_errors(spec, data):

@@ -12,14 +12,14 @@ from dataclasses import replace
 
 import pytest
 import requests
-from conftest import assert_kept, fail_on_second
+from conftest import assert_kept, fail_on_second, sft_records
 
-from iealign import model, pipeline
+from iealign import pipeline
 from iealign.answers import serialize_answer
 from iealign.client import BaseClient, LiveClient, MockClient, ResponseCache
 from iealign.errors import ConfigurationError, DataError
 from iealign.formats import EVAL_FORMATS, load_format_library, spec_to_json
-from iealign.model import CLOSED_IE_TASKS, Extraction, TaskKind, write_instances
+from iealign.model import CLOSED_IE_TASKS, Extraction, TaskKind, jsonl_line, write_instances
 from iealign.pipeline import (
     SftOptions,
     build_dpo,
@@ -51,9 +51,9 @@ def _mixed_corpus(n_per_task=120, seed=0, tasks=(TaskKind.NER, TaskKind.RE, Task
 
 
 def _build_sft(corpus, opts, client=None):
-    """`build_sft`'s records, taken from its stream, and its report."""
-    records, report = build_sft(corpus, opts, client=client)
-    return list(records), report
+    """`build_sft`'s records, parsed from its stream of blocks, and its report."""
+    blocks, report = build_sft(corpus, opts, client=client)
+    return sft_records(blocks), report
 
 
 # ---------------------------------------------------------------------------
@@ -193,29 +193,153 @@ def test_sft_cot_record_output_is_explanation_then_answer():
     assert all(rec["cot"] is None and rec["output"] == rec["answer"] for rec in records)
 
 
-def test_build_sft_builds_a_record_only_when_it_is_taken(monkeypatch):
-    """Before the first record comes out, only the CoT subset and that first
-    instance have been built; every instance is built once in all."""
-    corpus = _mixed_corpus(10, seed=1, tasks=(TaskKind.NER, TaskKind.RE, TaskKind.ED, TaskKind.EE))
-    built = []
+def _log_builds(monkeypatch, path):
+    """Append the id of each instance whose prompt is assembled to `path`,
+    from this process and from any block worker forked after this."""
     real_assemble = pipeline.assemble_input
 
-    def counting_assemble(inst, *args):
-        built.append(inst.id)
+    def logging_assemble(inst, *args):
+        with open(path, "a", encoding="utf-8") as log:
+            log.write(f"{inst.id}\n")
         return real_assemble(inst, *args)
 
-    monkeypatch.setattr(pipeline, "assemble_input", counting_assemble)
-    opts = SftOptions(seed=0, cot_rate=0.5, max_tokens=100_000)
-    records, report = build_sft(corpus, opts, client=MockClient(policy="fixed:Because the text says so."))
-    first = next(records)
-    built_at_first = list(built)
-    rest = list(records)
-    cot_ids = [r["id"] for r in [first, *rest] if r["cot"]]
-    assert len(corpus) == 40 and 0 < len(cot_ids) < len(corpus) - 1
-    assert first["id"] == corpus[0].id and first["cot"] is None
-    assert built_at_first == cot_ids + [first["id"]]
-    assert sorted(built) == sorted(i.id for i in corpus)
-    assert report["total"] == len(corpus) and report["cot_count"] == len(cot_ids)
+    monkeypatch.setattr(pipeline, "assemble_input", logging_assemble)
+    return lambda: path.read_text(encoding="utf-8").split()
+
+
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(pipeline, "sft_workers", lambda n_blocks: min(workers, n_blocks))
+
+
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_build_sft_builds_a_record_only_when_it_is_taken(tmp_path, monkeypatch):
+    """Until the first block is taken, only the CoT subset has been built.
+    When it is taken, at one worker exactly the first block has been built
+    besides, and at two at most the workers' first blocks and the block
+    worker 0 takes next; every instance is built once in all. Each block's
+    text is larger than a 64 KiB pipe buffer, so a worker cannot run further
+    ahead of the reader."""
+    corpus = _mixed_corpus(100, seed=1, tasks=(TaskKind.NER, TaskKind.RE, TaskKind.ED, TaskKind.EE))
+    opts = SftOptions(seed=0, cot_rate=0.2, max_tokens=100_000)
+    for workers in (1, 2):
+        built = _log_builds(monkeypatch, tmp_path / f"built{workers}")
+        _force_workers(monkeypatch, workers)
+        blocks, report = build_sft(corpus, opts, client=MockClient(policy="fixed:Because the text says so."))
+        cot_ids = built()
+        first = next(blocks)
+        at_first = built()[len(cot_ids):]
+        rest = list(blocks)
+        records = sft_records([first, *rest])
+        assert [r["id"] for r in records if r["cot"]] == cot_ids and 0 < len(cot_ids) < pipeline.SFT_BLOCK
+        assert len(rest) == 3 and min(map(len, [first, *rest[:-1]])) > 1 << 16
+        block_ids = [{i.id for i in corpus[b * pipeline.SFT_BLOCK:(b + 1) * pipeline.SFT_BLOCK]} - set(cot_ids)
+                     for b in range(4)]
+        if workers == 1:
+            assert at_first == [i.id for i in corpus[:pipeline.SFT_BLOCK] if i.id not in cot_ids]
+        else:
+            assert block_ids[0] <= set(at_first) <= block_ids[0] | block_ids[1] | block_ids[2]
+        assert sorted(built()) == sorted(i.id for i in corpus)
+        assert report["total"] == len(corpus) and report["cot_count"] == len(cot_ids)
+
+
+def test_sft_block_workers_write_the_same_bytes_and_counts(tmp_path, monkeypatch):
+    """sft.jsonl and the manifest counts are the same at 1, 2 and 3 block
+    workers, over several blocks with CoT, length drops, demonstrations and
+    closure violations in more than one block, whose ids keep input order."""
+    corpus = _mixed_corpus(150, seed=2)
+    random.Random(0).shuffle(corpus)
+    targets = [inst for inst in corpus if inst.task is TaskKind.NER][::12]
+    real_augment = pipeline.augment_schema
+
+    def leaky_augment(schema, gold, *args):
+        view, restricted = real_augment(schema, gold, *args)
+        if any(gold is t.gold for t in targets):
+            leak = ("leaked mention", "label_not_in_any_view")
+            restricted = Extraction(restricted.task, restricted.items + (leak,), restricted.trigger)
+        return view, restricted
+
+    monkeypatch.setattr(pipeline, "augment_schema", leaky_augment)
+    opts = SftOptions(seed=6, cot_rate=0.3, max_tokens=400)
+    client = MockClient(policy="fixed:Because the text says so.")
+    runs = []
+    for workers in (1, 2, 3):
+        _force_workers(monkeypatch, workers)
+        manifest = run_build_sft(corpus, opts, tmp_path / f"w{workers}", client=client)
+        runs.append(((tmp_path / f"w{workers}" / "sft.jsonl").read_bytes(), manifest["counts"]))
+        _assert_no_child_process()
+    assert runs[0] == runs[1] == runs[2]
+    counts = runs[0][1]
+    assert len(corpus) > 3 * pipeline.SFT_BLOCK
+    assert counts["dropped_length"] > 0 and counts["cot_count"] > 0 and counts["demo_rate"] > 0
+    written = {rec["id"] for rec in sft_records([runs[0][0].decode("utf-8")])}
+    positions = [corpus.index(t) for t in targets if t.id in written]
+    assert counts["closure_violating_ids"] == [corpus[pos].id for pos in positions]
+    assert len({pos // pipeline.SFT_BLOCK for pos in positions}) > 1
+
+
+def test_sft_block_workers_raise_a_block_error_as_one_process_does(tmp_path, monkeypatch):
+    """A record that raises in a middle block fails the build with the same
+    exception and message at any worker count, keeps the previous outputs,
+    and leaves no child process."""
+    corpus = _mixed_corpus(150, seed=2)
+    out = tmp_path / "run"
+    run_build_sft(corpus, SftOptions(seed=0, max_tokens=100_000), out)
+    previous = {name: (out / name).read_bytes() for name in ("sft.jsonl", "manifest.json")}
+    bad = corpus[2 * pipeline.SFT_BLOCK + 5]
+    real_assemble = pipeline.assemble_input
+
+    def failing_assemble(inst, *args):
+        if inst is bad:
+            raise DataError(f"cannot assemble {inst.id}", field="text")
+        return real_assemble(inst, *args)
+
+    monkeypatch.setattr(pipeline, "assemble_input", failing_assemble)
+    errors = []
+    for workers in (1, 2, 3):
+        _force_workers(monkeypatch, workers)
+        with pytest.raises(DataError) as caught:
+            run_build_sft(corpus, SftOptions(seed=0, max_tokens=100_000), out)
+        errors.append((type(caught.value), str(caught.value), caught.value.field))
+        if workers > 1:  # the worker's traceback comes along as the cause
+            assert "in failing_assemble" in str(caught.value.__cause__)
+        for name, data in previous.items():
+            assert_kept(out / name, data)
+        _assert_no_child_process()
+    assert errors == [(DataError, f"cannot assemble {bad.id} | field 'text'", "text")] * 3
+
+
+def test_sft_block_workers_that_die_fail_the_build(tmp_path, monkeypatch):
+    """A worker that ends without sending its block, here in the middle of
+    it, fails the build, writes no corpus and is reaped."""
+    corpus = _mixed_corpus(150, seed=2)
+    bad = corpus[2 * pipeline.SFT_BLOCK + 5]
+    real_assemble = pipeline.assemble_input
+
+    def dying_assemble(inst, *args):
+        if inst is bad:
+            os._exit(3)
+        return real_assemble(inst, *args)
+
+    monkeypatch.setattr(pipeline, "assemble_input", dying_assemble)
+    _force_workers(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="a worker process ended before sending result 2"):
+        run_build_sft(corpus, SftOptions(seed=0, max_tokens=100_000), tmp_path / "run")
+    assert not (tmp_path / "run" / "sft.jsonl").exists()
+    _assert_no_child_process()
+
+
+def test_sft_block_workers_are_reaped_when_the_stream_is_closed(monkeypatch):
+    """Closing the stream after its first block kills and reaps every worker."""
+    _force_workers(monkeypatch, 2)
+    blocks, _ = build_sft(_mixed_corpus(150, seed=2), SftOptions(seed=0, max_tokens=100_000))
+    next(blocks)
+    assert os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None  # running, not reaped
+    blocks.close()
+    _assert_no_child_process()
 
 
 def test_build_sft_missing_formats_fail_before_any_call_or_file(tmp_path, monkeypatch):
@@ -722,22 +846,32 @@ def test_failure_preserves_partials(tmp_path):
 
 def test_write_jsonl_atomic_sorted_keys(tmp_path):
     p = tmp_path / "x.jsonl"
-    write_jsonl_atomic([{"b": 1, "a": 2}], p)
-    assert p.read_text() == '{"a": 2, "b": 1}\n'
+    write_jsonl_atomic([jsonl_line({"b": 1, "a": "é"})], p)
+    assert p.read_text(encoding="utf-8") == '{"a": "é", "b": 1}\n'
     assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_write_jsonl_atomic_streams_across_chunks(tmp_path):
+    """Each piece of text, a block of lines, reaches the temp file before the
+    next piece is taken, so the pieces are never held together."""
     p = tmp_path / "x.jsonl"
-    n = 2 * model.JSONL_CHUNK + 1
-    write_jsonl_atomic(({"i": i} for i in range(n)), p)
-    assert p.read_text().splitlines() == [f'{{"i": {i}}}' for i in range(n)]
+    piece = "".join(jsonl_line({"i": i}) for i in range(10_000))
+    on_disk = []
+
+    def pieces():
+        for _ in range(3):
+            yield piece
+            on_disk.append(sum(tmp.stat().st_size for tmp in tmp_path.glob("*.tmp")))
+
+    write_jsonl_atomic(pieces(), p)
+    assert 0 < on_disk[0] < on_disk[1] < on_disk[2] and len(piece) > 1 << 16
+    assert p.read_text() == piece * 3
 
 
 @pytest.mark.parametrize(
     "write",
     [
-        lambda p: write_jsonl_atomic(fail_on_second([{"a": 1}, {"b": 2}]), p),
+        lambda p: write_jsonl_atomic(fail_on_second([jsonl_line({"a": 1}), jsonl_line({"b": 2})]), p),
         lambda p: write_manifest(p, {}, {"a": 1, "z": object()}, {}, 0.0),  # not JSON-serializable
     ],
     ids=["jsonl", "manifest"],
