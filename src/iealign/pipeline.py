@@ -4,14 +4,17 @@ construction, corpus statistics, and evaluation.
 Every per-instance random decision draws from a stream seeded by (master
 seed, tag, instance id): one "sft" stream serves all of an SFT example's
 choices, and CoT eligibility and DPO descriptions keep streams of their own.
-So outputs are independent of processing order and worker count: `build_sft`
-builds its CoT subset's records first, and then builds the rest in blocks of
-SFT_BLOCK consecutive instances, on the CPUs this process may run on (in
-forked workers; in this process alone where fork is not available). The
-blocks' text is written to `sft.jsonl` in input order, and the writing
-process holds one block of it, never the corpus. Output files are JSON lines
-written atomically, so a failure mid-write keeps the previous file; every run
-emits a manifest with content digests so reruns can be verified byte-for-byte.
+So outputs are independent of processing order and worker count. Both builds
+do their per-instance CPU work in blocks of BLOCK consecutive instances, on
+the CPUs this process may run on (in forked workers; in this process alone
+where fork is not available). `build_sft` builds its CoT subset's records
+first and then the rest in blocks, whose text is written to `sft.jsonl` in
+input order, so the writing process holds one block of it, never the corpus.
+`build_dpo` draws every sample through the client first, then scores the
+samples with BLEU in blocks and pairs them in input order. Output files are
+JSON lines written atomically, so a failure mid-write keeps the previous
+file; every run emits a manifest with content digests so reruns can be
+verified byte-for-byte.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .model import (
     write_json_atomic,
     write_jsonl_atomic,
 )
-from .prefpairs import DpoPlan, assemble_dpo_corpus, build_pairs, score_samples
+from .prefpairs import DpoPlan, assemble_dpo_corpus, build_pairs, draw_samples, score_samples
 from .prompts import SchemaView, assemble_input, attach_demonstrations, augment_schema, load_description_pool
 from .seeds import derive_rng, derive_seed
 
@@ -62,10 +65,10 @@ logger = logging.getLogger(__name__)
 
 COT_SEPARATOR = "\n\n"  # between a CoT explanation and the answer, in a record's output
 
-# Records are built in blocks of this many consecutive instances, one block
-# per process at a time: at sft_5k's sizes a block's text is about 0.35 MB,
-# and it is all of the corpus the writing process holds.
-SFT_BLOCK = 128
+# Both builds work in blocks of this many consecutive instances, one block
+# per process at a time: at sft_5k's sizes a block of SFT text is about
+# 0.35 MB, and it is all of the corpus the writing process holds.
+BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,7 @@ def build_sft(
 ) -> tuple[Iterator[str], dict]:
     """Assemble one training record per instance, as a stream: return
     (blocks, report), where `blocks` yields the JSONL text (`jsonl_line`s) of
-    the records of each block of SFT_BLOCK consecutive instances in input
+    the records of each block of BLOCK consecutive instances in input
     order, and `report` is filled once it is exhausted with the records'
     `Composition` report, the length drops, CoT skipped and input count.
 
@@ -131,7 +134,7 @@ def build_sft(
     returns, each task's formats and descriptions are looked up and the CoT
     subset's records are built and sent through `client.map_prompts`, so a
     ConfigurationError or a CoT error comes before the first block. The
-    blocks are built once `blocks` is read, by `sft_workers` processes
+    blocks are built once `blocks` is read, by `block_workers` processes
     (`map_forked`), each at most about one block ahead of the reader, which
     holds one block of text. An error in a record is raised when its block is
     due, so it is the first one in input order. The closure audit reads the
@@ -233,7 +236,7 @@ def build_sft(
     def build_block(b: int) -> tuple[str, Composition, int]:
         """The JSONL text of the records of block `b`, their Composition, and
         the number of its instances dropped for length."""
-        positions = range(b * SFT_BLOCK, min((b + 1) * SFT_BLOCK, len(instances)))
+        positions = range(b * BLOCK, min((b + 1) * BLOCK, len(instances)))
         composition = Composition()
         records = []
         for pos in positions:
@@ -252,10 +255,10 @@ def build_sft(
     report: dict = {}
 
     def blocks() -> Iterator[str]:
-        n_blocks = -(-len(instances) // SFT_BLOCK)
+        n_blocks = -(-len(instances) // BLOCK)
         composition = Composition()
         dropped_length = 0
-        with closing(map_forked(build_block, n_blocks, sft_workers(n_blocks))) as built:
+        with closing(map_forked(build_block, n_blocks, block_workers(n_blocks))) as built:
             for text, counts, dropped in built:
                 composition.merge(counts)
                 dropped_length += dropped
@@ -268,11 +271,11 @@ def build_sft(
     return blocks(), report
 
 
-def sft_workers(n_blocks: int) -> int:
-    """The processes that build `n_blocks` blocks of SFT records: one per CPU
-    this process may run on, but no more than there are blocks, and only
-    this process where fork is not available or another thread is running
-    (a forked worker would inherit any lock that thread holds, held)."""
+def block_workers(n_blocks: int) -> int:
+    """The processes that run `n_blocks` blocks of a build: one per CPU this
+    process may run on, but no more than there are blocks, and only this
+    process where fork is not available or another thread is running (a
+    forked worker would inherit any lock that thread holds, held)."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), n_blocks))
@@ -283,7 +286,10 @@ def map_forked(fn: Callable[[int], T], n: int, workers: int) -> Iterator[T]:
     `map`. Otherwise `workers` forked processes run them, worker w taking w,
     w + workers, ..., and each sends its results as length-prefixed pickles
     down a pipe of its own, which it fills at most about one result ahead of
-    the reader. An exception in fn(i) is raised here when result i is due.
+    the reader. An exception in fn(i) is raised here when result i is due,
+    with the worker's traceback as its cause; one that does not come back
+    from pickling with its type and message comes as a RuntimeError that
+    names them.
 
     Fork only once what `fn` reads is fixed and no other thread is running:
     the workers see this process as it was at the fork. They end with
@@ -335,13 +341,27 @@ def _send_results(fn: Callable[[int], T], indices: Iterable[int], fd: int) -> No
             try:
                 frame = (True, fn(i))
             except Exception as e:
-                frame = (False, (e, traceback.format_exc()))
+                frame = (False, (_picklable(e), traceback.format_exc()))
             data = pickle.dumps(frame, pickle.HIGHEST_PROTOCOL)
             out.write(len(data).to_bytes(8, "little"))
             out.write(data)
             out.flush()
             if not frame[0]:
                 return
+
+
+def _picklable(error: Exception) -> Exception:
+    """`error` when it comes back from pickling with its type and message,
+    else a RuntimeError that names them."""
+    import pickle
+
+    try:
+        back = pickle.loads(pickle.dumps(error, pickle.HIGHEST_PROTOCOL))
+        if type(back) is type(error) and str(back) == str(error):
+            return error
+    except Exception:  # whatever pickling or the type's own __init__ raises
+        pass
+    return RuntimeError(f"{type(error).__qualname__} in a worker process: {error}")
 
 
 def _receive_result(pipe: BinaryIO, i: int) -> tuple[bool, Any]:
@@ -386,15 +406,20 @@ def _dpo_prompt(inst: IEInstance, fmt, pool: tuple[str, ...], seed: int) -> str:
 
 
 def build_dpo(instances: Sequence[IEInstance], plan: DpoPlan, client: BaseClient) -> tuple[list[dict], dict]:
-    """Score samples per instance, form pair candidates, and assemble the
-    final corpus of `dpo.jsonl` records (`build_pairs`). Gold answers use
-    the fixed evaluation format with an unshuffled item order so BLEU scores
-    have a stable reference.
+    """Draw and score samples per instance, form pair candidates, and
+    assemble the final corpus of `dpo.jsonl` records (`build_pairs`). Gold
+    answers use the fixed evaluation format with an unshuffled item order so
+    BLEU scores have a stable reference.
 
-    Instances are sampled through `client.map_prompts` and paired in input
-    order, so the corpus does not depend on the worker count. An instance
-    whose sampling fails with a TransportError is skipped; any other error
-    stops the instances not yet started and is raised."""
+    Every instance is sampled through `client.map_prompts` first, and its
+    stream is read to the end, so no pool thread runs once scoring starts.
+    An instance whose sampling fails with a TransportError is skipped; any
+    other error stops the instances not yet started and is raised. Then the
+    samples are scored in blocks of BLOCK consecutive instances by
+    `block_workers` processes (`map_forked`), which send back only the
+    scores; a scoring error is raised when its block is due. Pairs are
+    formed here in input order, so the corpus depends on neither the
+    client's nor the scoring's worker count."""
     library = load_format_library()
     pools = {}
     jobs = []
@@ -405,25 +430,35 @@ def build_dpo(instances: Sequence[IEInstance], plan: DpoPlan, client: BaseClient
             pools[inst.task] = load_description_pool(inst.task, plan.pool_dir)
         jobs.append((inst, gold_text, _dpo_prompt(inst, fmt, pools[inst.task], plan.seed)))
 
-    def sample(job):
-        """The instance's scored samples, or None when it is skipped."""
+    def draw(job):
+        """The instance's samples, or None when it is skipped."""
         inst, gold_text, prompt = job
         try:
-            return score_samples(prompt, gold_text, client, plan.samples_per_instance, plan.sample_temperature)
+            return draw_samples(prompt, gold_text, client, plan.samples_per_instance, plan.sample_temperature)
         except TransportError as e:
             logger.warning("skipping instance %s: %s", inst.id, e)
             return None
 
+    samples = list(client.map_prompts(draw, jobs, lambda job: job[2]))
+
+    def score_block(b: int) -> list[Optional[tuple[float, ...]]]:
+        """The scores of the samples of block `b`'s instances, None for a
+        skipped one."""
+        start = b * BLOCK
+        return [None if texts is None else score_samples(jobs[pos][1], texts)
+                for pos, texts in enumerate(samples[start:start + BLOCK], start)]
+
+    n_blocks = -(-len(jobs) // BLOCK)
+    with closing(map_forked(score_block, n_blocks, block_workers(n_blocks))) as blocks:
+        scores = [sample_scores for block in blocks for sample_scores in block]
     candidates = []
-    skipped = 0
-    results = client.map_prompts(sample, jobs, lambda job: job[2])
-    for (inst, gold_text, prompt), samples in zip(jobs, results, strict=True):
-        if samples is None:
-            skipped += 1
-        else:
-            candidates += build_pairs(inst.id, inst.dataset, prompt, gold_text, samples, plan.gap_threshold)
+    for (inst, gold_text, prompt), texts, sample_scores in zip(jobs, samples, scores, strict=True):
+        if texts is not None:
+            candidates += build_pairs(
+                inst.id, inst.dataset, prompt, gold_text, tuple(zip(texts, sample_scores)), plan.gap_threshold
+            )
     corpus, summary = assemble_dpo_corpus(candidates, plan)
-    summary["skipped_instances"] = skipped
+    summary["skipped_instances"] = samples.count(None)
     if not corpus:
         logger.warning("no qualifying pairs")
         summary["note"] = "no qualifying pairs"

@@ -43,15 +43,16 @@ class DpoPlan:
                 raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
-def score_samples(
-    prompt: str, gold_text: str, client: BaseClient, n: int, temperature: float
-) -> tuple[tuple[str, float], ...]:
-    """Draw n samples for the prompt, each with the gold text as its
-    reference, and return each with its BLEU against the gold text, whose
-    n-grams are counted once."""
-    texts = [client.complete(prompt, temperature, i, reference=gold_text) for i in range(n)]
-    reference = BleuReference.of(gold_text)
-    return tuple((t, reference.score(t)) for t in texts)
+def draw_samples(prompt: str, gold_text: str, client: BaseClient, n: int, temperature: float) -> tuple[str, ...]:
+    """n samples for the prompt, each drawn with the gold text as its
+    reference."""
+    return tuple(client.complete(prompt, temperature, i, reference=gold_text) for i in range(n))
+
+
+def score_samples(gold_text: str, texts: Sequence[str]) -> tuple[float, ...]:
+    """The BLEU of each text against the gold text, whose n-grams are counted
+    once."""
+    return tuple(map(BleuReference.of(gold_text).score, texts))
 
 
 def build_pairs(

@@ -15,8 +15,8 @@ import requests
 from conftest import assert_kept, fail_on_second, sft_records
 
 from iealign import pipeline
-from iealign.answers import serialize_answer
-from iealign.client import BaseClient, LiveClient, MockClient, ResponseCache
+from iealign.answers import ParseError, serialize_answer
+from iealign.client import BaseClient, LiveClient, MockClient, ResponseCache, TransportError
 from iealign.errors import ConfigurationError, DataError
 from iealign.formats import EVAL_FORMATS, load_format_library, spec_to_json
 from iealign.model import CLOSED_IE_TASKS, Extraction, TaskKind, jsonl_line, write_instances
@@ -208,7 +208,7 @@ def _log_builds(monkeypatch, path):
 
 
 def _force_workers(monkeypatch, workers):
-    monkeypatch.setattr(pipeline, "sft_workers", lambda n_blocks: min(workers, n_blocks))
+    monkeypatch.setattr(pipeline, "block_workers", lambda n_blocks: min(workers, n_blocks))
 
 
 def _assert_no_child_process():
@@ -234,12 +234,12 @@ def test_build_sft_builds_a_record_only_when_it_is_taken(tmp_path, monkeypatch):
         at_first = built()[len(cot_ids):]
         rest = list(blocks)
         records = sft_records([first, *rest])
-        assert [r["id"] for r in records if r["cot"]] == cot_ids and 0 < len(cot_ids) < pipeline.SFT_BLOCK
+        assert [r["id"] for r in records if r["cot"]] == cot_ids and 0 < len(cot_ids) < pipeline.BLOCK
         assert len(rest) == 3 and min(map(len, [first, *rest[:-1]])) > 1 << 16
-        block_ids = [{i.id for i in corpus[b * pipeline.SFT_BLOCK:(b + 1) * pipeline.SFT_BLOCK]} - set(cot_ids)
+        block_ids = [{i.id for i in corpus[b * pipeline.BLOCK:(b + 1) * pipeline.BLOCK]} - set(cot_ids)
                      for b in range(4)]
         if workers == 1:
-            assert at_first == [i.id for i in corpus[:pipeline.SFT_BLOCK] if i.id not in cot_ids]
+            assert at_first == [i.id for i in corpus[:pipeline.BLOCK] if i.id not in cot_ids]
         else:
             assert block_ids[0] <= set(at_first) <= block_ids[0] | block_ids[1] | block_ids[2]
         assert sorted(built()) == sorted(i.id for i in corpus)
@@ -273,12 +273,12 @@ def test_sft_block_workers_write_the_same_bytes_and_counts(tmp_path, monkeypatch
         _assert_no_child_process()
     assert runs[0] == runs[1] == runs[2]
     counts = runs[0][1]
-    assert len(corpus) > 3 * pipeline.SFT_BLOCK
+    assert len(corpus) > 3 * pipeline.BLOCK
     assert counts["dropped_length"] > 0 and counts["cot_count"] > 0 and counts["demo_rate"] > 0
     written = {rec["id"] for rec in sft_records([runs[0][0].decode("utf-8")])}
     positions = [corpus.index(t) for t in targets if t.id in written]
     assert counts["closure_violating_ids"] == [corpus[pos].id for pos in positions]
-    assert len({pos // pipeline.SFT_BLOCK for pos in positions}) > 1
+    assert len({pos // pipeline.BLOCK for pos in positions}) > 1
 
 
 def test_sft_block_workers_raise_a_block_error_as_one_process_does(tmp_path, monkeypatch):
@@ -289,7 +289,7 @@ def test_sft_block_workers_raise_a_block_error_as_one_process_does(tmp_path, mon
     out = tmp_path / "run"
     run_build_sft(corpus, SftOptions(seed=0, max_tokens=100_000), out)
     previous = {name: (out / name).read_bytes() for name in ("sft.jsonl", "manifest.json")}
-    bad = corpus[2 * pipeline.SFT_BLOCK + 5]
+    bad = corpus[2 * pipeline.BLOCK + 5]
     real_assemble = pipeline.assemble_input
 
     def failing_assemble(inst, *args):
@@ -316,7 +316,7 @@ def test_sft_block_workers_that_die_fail_the_build(tmp_path, monkeypatch):
     """A worker that ends without sending its block, here in the middle of
     it, fails the build, writes no corpus and is reaped."""
     corpus = _mixed_corpus(150, seed=2)
-    bad = corpus[2 * pipeline.SFT_BLOCK + 5]
+    bad = corpus[2 * pipeline.BLOCK + 5]
     real_assemble = pipeline.assemble_input
 
     def dying_assemble(inst, *args):
@@ -339,6 +339,43 @@ def test_sft_block_workers_are_reaped_when_the_stream_is_closed(monkeypatch):
     next(blocks)
     assert os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None  # running, not reaped
     blocks.close()
+    _assert_no_child_process()
+
+
+def test_map_forked_sends_an_error_that_does_not_unpickle_as_a_runtime_error():
+    """A ParseError does not come back from pickling (its __init__ takes an
+    offset the pickle does not hold), so two workers send a RuntimeError
+    that names it, with the worker's traceback as its cause."""
+
+    def parse(i):
+        if i == 3:
+            raise ParseError("bad", 3)
+        return i
+
+    with pytest.raises(RuntimeError) as caught:
+        list(pipeline.map_forked(parse, 6, 2))
+    assert str(caught.value) == "ParseError in a worker process: bad (at offset 3)"
+    assert "in parse" in str(caught.value.__cause__)
+    _assert_no_child_process()
+
+
+def test_map_forked_sends_an_error_that_does_not_pickle_as_a_runtime_error():
+    """An exception that does not pickle at all, here of a class local to
+    the test, reaches the caller as a RuntimeError that names it, not as a
+    worker that ended before sending its result."""
+
+    class LocalError(Exception):
+        pass
+
+    def fail(i):
+        if i == 2:
+            raise LocalError("cannot go on")
+        return i
+
+    with pytest.raises(RuntimeError) as caught:
+        list(pipeline.map_forked(fail, 6, 2))
+    assert str(caught.value) == f"{LocalError.__qualname__} in a worker process: cannot go on"
+    assert "in fail" in str(caught.value.__cause__)
     _assert_no_child_process()
 
 
@@ -470,6 +507,74 @@ def test_build_dpo_corpus_is_the_dpo_jsonl_records(tmp_path):
     run_build_dpo(corpus, plan, MockClient(policy="noisy_gold:0.6", seed=0), tmp_path / "run")
     lines = (tmp_path / "run" / "dpo.jsonl").read_text(encoding="utf-8").splitlines()
     assert pairs and [json.loads(line) for line in lines] == pairs
+
+
+class _RefusingClient(MockClient):
+    """A noisy mock that refuses the third sample of each prompt in
+    `refused` with a TransportError."""
+
+    def __init__(self, refused):
+        super().__init__(policy="noisy_gold:0.6", seed=0)
+        self.refused = refused
+
+    def _generate(self, prompt, temperature, index, reference):
+        if prompt in self.refused and index == 2:
+            raise TransportError("refused")
+        return super()._generate(prompt, temperature, index, reference)
+
+
+def _dpo_prompts(corpus, positions, seed):
+    return {dpo_prompt(corpus[pos], eval_format_for(corpus[pos].task), None, seed) for pos in positions}
+
+
+def test_dpo_block_workers_write_the_same_bytes_counts_and_calls(tmp_path, monkeypatch):
+    """dpo.jsonl, the manifest counts and the client's call count are the
+    same at 1, 2 and 3 block workers, over several blocks with instances
+    skipped on a TransportError in more than one of them."""
+    corpus = [i for i in _mixed_corpus(150, seed=2) if not i.is_na]
+    random.Random(0).shuffle(corpus)
+    plan = DpoPlan(target_size=300, seed=3)
+    refused_at = [5, pipeline.BLOCK + 17, 3 * pipeline.BLOCK + 2]
+    assert len(corpus) > 3 * pipeline.BLOCK
+    refused = _dpo_prompts(corpus, refused_at, plan.seed)
+    runs = []
+    for workers in (1, 2, 3):
+        _force_workers(monkeypatch, workers)
+        client = _RefusingClient(refused)
+        manifest = run_build_dpo(corpus, plan, client, tmp_path / f"w{workers}")
+        runs.append(((tmp_path / f"w{workers}" / "dpo.jsonl").read_bytes(), manifest["counts"], client.call_count))
+        _assert_no_child_process()
+    assert runs[0] == runs[1] == runs[2]
+    _, counts, calls = runs[0]
+    assert counts["skipped_instances"] == len(refused_at)
+    assert counts["total"] == plan.target_size and counts["online"] > 0
+    assert calls == 5 * len(corpus) - 3 * len(refused_at)  # two samples of each refused instance came
+
+
+def test_dpo_block_workers_raise_a_scoring_error_as_one_process_does(tmp_path, monkeypatch):
+    """A sample that cannot be scored in block 2 fails the build with the
+    same exception and message at 1 and 2 workers, writes no dpo.jsonl and
+    leaves no child process."""
+    corpus = [i for i in _mixed_corpus(150, seed=2) if not i.is_na]
+    plan = DpoPlan(target_size=100, seed=3)
+    bad = _dpo_prompts(corpus, [2 * pipeline.BLOCK + 5], plan.seed)
+
+    class _NotText(MockClient):
+        def _generate(self, prompt, temperature, index, reference):
+            return 42 if prompt in bad else super()._generate(prompt, temperature, index, reference)
+
+    errors = []
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        out = tmp_path / f"w{workers}"
+        with pytest.raises(Exception) as caught:
+            run_build_dpo(corpus, plan, _NotText(policy="noisy_gold:0.6"), out)
+        errors.append((type(caught.value), str(caught.value)))
+        if workers > 1:  # the worker's traceback comes along as the cause
+            assert "in score_block" in str(caught.value.__cause__)
+        assert not (out / "dpo.jsonl").exists()
+        _assert_no_child_process()
+    assert errors[0] == errors[1] == (AttributeError, "'int' object has no attribute 'lower'")
 
 
 def _count_calls(monkeypatch, name):
@@ -686,6 +791,32 @@ def test_live_dpo_unexpected_error_stops_queued_instances(tmp_path, monkeypatch,
     assert 3 <= session.posts <= 3 + workers < len(corpus)
     assert not (tmp_path / "run").exists()
     assert threading.active_count() == before
+
+
+def test_dpo_block_workers_fork_with_no_pool_thread_alive(tmp_path, monkeypatch):
+    """A live build samples on the client's pool of threads, and every one
+    of them has ended when the scoring's worker count is asked for, so the
+    scoring forks from this thread alone; the bytes are those of a build
+    that scores in this process."""
+    plan = DpoPlan(target_size=200, seed=2)
+    corpus, gold = _live_setup(monkeypatch, 300, plan.seed)
+    assert len(corpus) > 2 * pipeline.BLOCK
+    threads_at_fork = []
+
+    def two_workers(n_blocks):
+        threads_at_fork.append(threading.active_count())
+        return min(2, n_blocks)
+
+    runs = []
+    for run, workers in enumerate((two_workers, lambda n_blocks: 1)):
+        monkeypatch.setattr(pipeline, "block_workers", workers)
+        session = _KeyedSession(gold, latency_s=0.0)
+        run_build_dpo(corpus, plan, _live_client(session, 4), tmp_path / f"run{run}")
+        runs.append((tmp_path / f"run{run}" / "dpo.jsonl").read_bytes())
+        assert len({ident for _, ident in session.starts}) > 1
+        _assert_no_child_process()
+    assert threads_at_fork == [1]
+    assert runs[0] == runs[1]
 
 
 def _live_sft_setup(monkeypatch, opts):

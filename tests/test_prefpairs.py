@@ -5,7 +5,7 @@ import pytest
 
 from iealign.client import BaseClient, MockClient
 from iealign.errors import ConfigurationError
-from iealign.prefpairs import DpoPlan, assemble_dpo_corpus, build_pairs, score_samples
+from iealign.prefpairs import DpoPlan, assemble_dpo_corpus, build_pairs, draw_samples, score_samples
 
 GAP = 0.10  # DpoPlan's default gap_threshold, which these cases are written for
 GOLD = "the gold text here"
@@ -23,7 +23,8 @@ def _pairs(scores, gap=GAP):
 
 def test_score_samples_echo_gold_all_ones():
     client = MockClient(policy="echo_gold")
-    samples = score_samples("prompt", "alpha beta gamma delta", client, n=5, temperature=1.0)
+    texts = draw_samples("prompt", "alpha beta gamma delta", client, n=5, temperature=1.0)
+    samples = tuple(zip(texts, score_samples("alpha beta gamma delta", texts)))
     assert len(samples) == 5
     assert all(score == pytest.approx(1.0) for _, score in samples)
 
@@ -35,7 +36,8 @@ def test_score_samples_mixed_gold_and_noise():
         def _generate(self, prompt, temperature, index, reference):
             return gold if index == 0 else "zzz yyy"
 
-    samples = score_samples("prompt", gold, _GoldThenNoise(), n=5, temperature=1.0)
+    texts = draw_samples("prompt", gold, _GoldThenNoise(), n=5, temperature=1.0)
+    samples = tuple(zip(texts, score_samples(gold, texts)))
     scores = [score for _, score in samples]
     assert samples[0] == (gold, pytest.approx(1.0))
     assert all(sc < 0.01 for sc in scores[1:])
@@ -45,10 +47,10 @@ def test_score_samples_cached_rerun_zero_calls(tmp_path):
     from iealign.client import ResponseCache
 
     client = MockClient(policy="echo_gold", cache=ResponseCache(str(tmp_path)))
-    score_samples("prompt", "alpha beta", client, n=5, temperature=1.0)
+    draw_samples("prompt", "alpha beta", client, n=5, temperature=1.0)
     first = client.call_count
     assert first == 5
-    score_samples("prompt", "alpha beta", client, n=5, temperature=1.0)
+    draw_samples("prompt", "alpha beta", client, n=5, temperature=1.0)
     assert client.call_count == first  # all served from cache
 
 
