@@ -92,14 +92,14 @@ class SchemaDef:
         return frozenset(self.label_names())
 
     def validate(self) -> list[str]:
-        """Problems with the schema itself: a label name that is not a
-        non-empty string or that repeats, a guideline that is not a non-empty
-        string, an exemplar that is not a string."""
+        """Problems with the schema itself: no labels, a label name that is
+        not a non-empty string or that repeats, a guideline that is not a
+        non-empty string, an exemplar that is not a string."""
         return list(self._problems)
 
     @cached_property
     def _problems(self) -> tuple[str, ...]:
-        problems = []
+        problems = [] if self.labels else ["schema: no labels"]
         names = [l.name for l in self.labels if isinstance(l.name, str) and l.name]
         if len(names) != len(self.labels):
             problems.append("schema: a label name is not a non-empty string")

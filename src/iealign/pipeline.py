@@ -5,11 +5,12 @@ Every per-instance random decision draws from a stream seeded by (master
 seed, tag, instance id): one "sft" stream serves all of an SFT example's
 choices, and CoT eligibility and DPO descriptions keep streams of their own.
 So outputs are independent of processing order and worker count. Both builds
-do their per-instance CPU work in blocks of BLOCK consecutive instances, on
-the CPUs this process may run on (in forked workers; in this process alone
-where fork is not available). `build_sft` builds its CoT subset's records
-first and then the rest in blocks, whose text is written to `sft.jsonl` in
-input order, so the writing process holds one block of it, never the corpus.
+do their per-instance CPU work through one block runner, `map_blocks`: in
+blocks of consecutive instances, on the CPUs this process may run on (in
+forked workers; in this process alone where fork is not available).
+`build_sft` builds its CoT subset's records first and then the rest in
+blocks, whose text is written to `sft.jsonl` in input order, so the writing
+process holds one block of it, never the corpus.
 `build_dpo` draws every sample through the client first, then scores the
 samples with BLEU in blocks and pairs them in input order. Output files are
 JSON lines written atomically, so a failure mid-write keeps the previous
@@ -31,7 +32,7 @@ import traceback
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .answers import parse_answer, parse_answer_lenient, serialize_answer, ParseError
 from .augment import cot_prompt, generate_cot, sample_words_limit
@@ -65,9 +66,9 @@ logger = logging.getLogger(__name__)
 
 COT_SEPARATOR = "\n\n"  # between a CoT explanation and the answer, in a record's output
 
-# Both builds work in blocks of this many consecutive instances, one block
-# per process at a time: at sft_5k's sizes a block of SFT text is about
-# 0.35 MB, and it is all of the corpus the writing process holds.
+# `map_blocks` runs both builds in blocks of this many consecutive instances,
+# one block per process at a time: at sft_5k's sizes a block of SFT text is
+# about 0.35 MB, and it is all of the corpus the writing process holds.
 BLOCK = 128
 
 
@@ -124,9 +125,10 @@ def build_sft(
 ) -> tuple[Iterator[str], dict]:
     """Assemble one training record per instance, as a stream: return
     (blocks, report), where `blocks` yields the JSONL text (`jsonl_line`s) of
-    the records of each block of BLOCK consecutive instances in input
-    order, and `report` is filled once it is exhausted with the records'
-    `Composition` report, the length drops, CoT skipped and input count.
+    the records of each block of consecutive instances (`map_blocks`) in
+    input order, and `report` is filled once it is exhausted with the
+    records' `Composition` report, the length drops, CoT skipped and input
+    count.
 
     Stages per instance: format choice, task description, schema augmentation,
     answer serialization, demonstrations, prompt layout, length re-check, and
@@ -134,12 +136,12 @@ def build_sft(
     returns, each task's formats and descriptions are looked up and the CoT
     subset's records are built and sent through `client.map_prompts`, so a
     ConfigurationError or a CoT error comes before the first block. The
-    blocks are built once `blocks` is read, by `block_workers` processes
-    (`map_forked`), each at most about one block ahead of the reader, which
-    holds one block of text. An error in a record is raised when its block is
-    due, so it is the first one in input order. The closure audit reads the
-    projected gold the answer was serialized from, which parses back to
-    itself; the report counts the length check's tokens plus the CoT's.
+    blocks are built once `blocks` is read, by `map_blocks`' workers, each at
+    most about one block ahead of the reader, which holds one block of text.
+    An error in a record is raised when its block is due, so it is the first
+    one in input order. The closure audit reads the projected gold the answer
+    was serialized from, which parses back to itself; the report counts the
+    length check's tokens plus the CoT's.
 
     Each instance draws every choice from one stream seeded by its id, so
     building the CoT subset first, and the blocks in any process, changes no
@@ -233,10 +235,9 @@ def build_sft(
         )
         cots = dict(zip(jobs, requests, strict=True))
 
-    def build_block(b: int) -> tuple[str, Composition, int]:
-        """The JSONL text of the records of block `b`, their Composition, and
-        the number of its instances dropped for length."""
-        positions = range(b * BLOCK, min((b + 1) * BLOCK, len(instances)))
+    def build_block(positions: range) -> tuple[str, Composition, int]:
+        """The JSONL text of the records of the instances at `positions`,
+        their Composition, and the number of them dropped for length."""
         composition = Composition()
         records = []
         for pos in positions:
@@ -255,10 +256,9 @@ def build_sft(
     report: dict = {}
 
     def blocks() -> Iterator[str]:
-        n_blocks = -(-len(instances) // BLOCK)
         composition = Composition()
         dropped_length = 0
-        with closing(map_forked(build_block, n_blocks, block_workers(n_blocks))) as built:
+        with closing(map_blocks(build_block, len(instances))) as built:
             for text, counts, dropped in built:
                 composition.merge(counts)
                 dropped_length += dropped
@@ -281,24 +281,28 @@ def block_workers(n_blocks: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), n_blocks))
 
 
-def map_forked(fn: Callable[[int], T], n: int, workers: int) -> Iterator[T]:
-    """fn(0), ..., fn(n - 1), in order. With one worker they run here, in
-    `map`. Otherwise `workers` forked processes run them, worker w taking w,
-    w + workers, ..., and each sends its results as length-prefixed pickles
-    down a pipe of its own, which it fills at most about one result ahead of
-    the reader. An exception in fn(i) is raised here when result i is due,
-    with the worker's traceback as its cause; one that does not come back
-    from pickling with its type and message comes as a RuntimeError that
-    names them.
+def map_blocks(fn: Callable[[range], T], n: int) -> Iterator[T]:
+    """fn(block) for each block of BLOCK consecutive positions of range(n), in
+    order. With one worker (`block_workers`) they run here. Otherwise each
+    forked worker w runs blocks w, w + workers, ... and sends each result as a
+    pickle down a pipe of its own, which it fills at most about one result
+    ahead of the reader. An exception in fn(block), or in pickling its
+    result, is raised here when that result is due, with the worker's
+    traceback as its cause; one that does not come back from pickling with
+    its type and message comes as a RuntimeError that names them.
 
     Fork only once what `fn` reads is fixed and no other thread is running:
     the workers see this process as it was at the fork. They end with
     `os._exit`, so no inherited buffer or `finally` of this process runs
     twice, and every worker is killed and reaped when the stream ends, fails
     or is closed."""
+    blocks = [range(start, min(start + BLOCK, n)) for start in range(0, n, BLOCK)]
+    workers = block_workers(len(blocks))
     if workers == 1:
-        yield from map(fn, range(n))
+        yield from map(fn, blocks)
         return
+    import pickle  # only where workers run: the module adds about 0.5 MB to a process
+
     pids: list[int] = []
     pipes: list[BinaryIO] = []
     try:
@@ -310,14 +314,26 @@ def map_forked(fn: Callable[[int], T], n: int, workers: int) -> Iterator[T]:
                     os.close(read_fd)
                     for pipe in pipes:
                         pipe.close()
-                    _send_results(fn, range(w, n, workers), write_fd)
+                    with open(write_fd, "wb") as out:  # a reader that is gone makes a write raise
+                        for block in blocks[w::workers]:
+                            try:
+                                frame = pickle.dumps((True, fn(block)), pickle.HIGHEST_PROTOCOL)
+                            except Exception as e:
+                                error = (_picklable(e), traceback.format_exc())
+                                out.write(pickle.dumps((False, error), pickle.HIGHEST_PROTOCOL))
+                                break
+                            out.write(frame)
+                            out.flush()
                 finally:
                     os._exit(0)
             pids.append(pid)
             os.close(write_fd)
             pipes.append(open(read_fd, "rb"))
-        for i in range(n):
-            ok, value = _receive_result(pipes[i % workers], i)
+        for b in range(len(blocks)):
+            try:
+                ok, value = pickle.load(pipes[b % workers])
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"a worker process ended before sending result {b}") from None
             if not ok:
                 error, trace = value
                 raise error from RuntimeError(f"raised in a worker process:\n{trace}")
@@ -328,26 +344,6 @@ def map_forked(fn: Callable[[int], T], n: int, workers: int) -> Iterator[T]:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-
-
-def _send_results(fn: Callable[[int], T], indices: Iterable[int], fd: int) -> None:
-    """In a worker: send (True, fn(i)) for each of `indices`, or (False, (the
-    exception fn(i) raised, its traceback)) and stop. A reader that is gone
-    makes the next write raise BrokenPipeError."""
-    import pickle  # only where workers run: the module adds about 0.5 MB to a process
-
-    with open(fd, "wb") as out:
-        for i in indices:
-            try:
-                frame = (True, fn(i))
-            except Exception as e:
-                frame = (False, (_picklable(e), traceback.format_exc()))
-            data = pickle.dumps(frame, pickle.HIGHEST_PROTOCOL)
-            out.write(len(data).to_bytes(8, "little"))
-            out.write(data)
-            out.flush()
-            if not frame[0]:
-                return
 
 
 def _picklable(error: Exception) -> Exception:
@@ -362,17 +358,6 @@ def _picklable(error: Exception) -> Exception:
     except Exception:  # whatever pickling or the type's own __init__ raises
         pass
     return RuntimeError(f"{type(error).__qualname__} in a worker process: {error}")
-
-
-def _receive_result(pipe: BinaryIO, i: int) -> tuple[bool, Any]:
-    import pickle
-
-    header = pipe.read(8)
-    size = int.from_bytes(header, "little")
-    data = pipe.read(size)
-    if len(header) < 8 or len(data) < size:
-        raise RuntimeError(f"a worker process ended before sending result {i}")
-    return pickle.loads(data)
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +400,10 @@ def build_dpo(instances: Sequence[IEInstance], plan: DpoPlan, client: BaseClient
     stream is read to the end, so no pool thread runs once scoring starts.
     An instance whose sampling fails with a TransportError is skipped; any
     other error stops the instances not yet started and is raised. Then the
-    samples are scored in blocks of BLOCK consecutive instances by
-    `block_workers` processes (`map_forked`), which send back only the
-    scores; a scoring error is raised when its block is due. Pairs are
-    formed here in input order, so the corpus depends on neither the
-    client's nor the scoring's worker count."""
+    samples are scored in blocks of consecutive instances by `map_blocks`'
+    workers, which send back only the scores; a scoring error is raised
+    when its block is due. Pairs are formed here in input order, so the
+    corpus depends on neither the client's nor the scoring's worker count."""
     library = load_format_library()
     pools = {}
     jobs = []
@@ -441,15 +425,13 @@ def build_dpo(instances: Sequence[IEInstance], plan: DpoPlan, client: BaseClient
 
     samples = list(client.map_prompts(draw, jobs, lambda job: job[2]))
 
-    def score_block(b: int) -> list[Optional[tuple[float, ...]]]:
-        """The scores of the samples of block `b`'s instances, None for a
-        skipped one."""
-        start = b * BLOCK
-        return [None if texts is None else score_samples(jobs[pos][1], texts)
-                for pos, texts in enumerate(samples[start:start + BLOCK], start)]
+    def score_block(positions: range) -> list[Optional[tuple[float, ...]]]:
+        """The scores of the samples of the instances at `positions`, None
+        for a skipped one."""
+        return [None if samples[pos] is None else score_samples(jobs[pos][1], samples[pos])
+                for pos in positions]
 
-    n_blocks = -(-len(jobs) // BLOCK)
-    with closing(map_forked(score_block, n_blocks, block_workers(n_blocks))) as blocks:
+    with closing(map_blocks(score_block, len(jobs))) as blocks:
         scores = [sample_scores for block in blocks for sample_scores in block]
     candidates = []
     for (inst, gold_text, prompt), texts, sample_scores in zip(jobs, samples, scores, strict=True):

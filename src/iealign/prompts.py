@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import random
-import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -169,8 +168,6 @@ def attach_demonstrations(
 # ---------------------------------------------------------------------------
 # Prompt layout
 
-_PLACEHOLDER_RE = re.compile(r"\{(text)\}")
-
 
 def assemble_input(
     instance: IEInstance,
@@ -204,8 +201,4 @@ def assemble_input(
     if not text_inlined:
         sections.append(f"Text: {instance.text}")
 
-    prompt = "\n\n".join(sections)
-    leftover = _PLACEHOLDER_RE.search(prompt.replace(instance.text, ""))
-    if leftover:
-        raise AssemblyError(f"unresolved placeholder {{{leftover.group(1)}}}")
-    return prompt
+    return "\n\n".join(sections)

@@ -87,7 +87,8 @@ def test_ingest_missing_input_exits_2_without_output(runner, tmp_path):
     ('{"task": "NER"}', "is not a schema: KeyError('labels')"),
     ('["NER"]', "is not a schema"),
     ('{"task": "NER", "labels": [{"name": "person", "exemplars": [5]}]}', "an exemplar of label 'person' is not a string"),
-], ids=["not_json", "no_labels", "not_an_object", "exemplar_not_a_string"])
+    ('{"task": "NER", "labels": []}', "schema: no labels"),
+], ids=["not_json", "no_labels", "not_an_object", "exemplar_not_a_string", "empty_labels"])
 def test_ingest_bad_schema_file_exits_2(runner, tmp_path, text, message):
     """A schema file that is not a valid schema is a configuration error
     before any line is read, not a traceback or every line skipped."""
@@ -362,6 +363,23 @@ def test_build_sft_end_to_end(runner, tmp_path):
     assert len(lines) == len(corpus)
     manifest = json.loads((out / "manifest.json").read_text())
     assert "sft.jsonl" in manifest["outputs"]
+
+
+def test_build_sft_keeps_a_text_placeholder_in_a_demonstration(runner, tmp_path):
+    """An instance text that holds the literal `{text}` is content: it reaches
+    its own prompt and, as a demonstration, every other instance's."""
+    inst, corpus = _canonical(tmp_path, n=3)
+    _replace_line(inst, 2, json.dumps({**json.loads(inst.read_text(encoding="utf-8").splitlines()[1]),
+                                       "text": "Run print('{text}') in Paris."}))
+    cfg = _write_yaml(tmp_path / "sft.yaml", {
+        "instances": str(inst),
+        "options": {"demo_rate": 1.0, "demo_k_range": [2, 2]},
+    })
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["build-sft", "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    prompts = [json.loads(line)["prompt"] for line in (out / "sft.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert len(prompts) == len(corpus) and all("print('{text}')" in prompt for prompt in prompts)
 
 
 def test_build_sft_unknown_option_exits_2(runner, tmp_path):
@@ -916,6 +934,17 @@ def _schema_label_name_not_a_string(tmp_path):
     return _edited_second_instance(tmp_path, lambda rec, first: _with_label(rec, {"name": 5}))
 
 
+def _schema_without_labels(tmp_path):
+    """Three NA instances whose schema has no labels: nothing else in them is
+    wrong, so the first line is the one named."""
+    inst, _ = _canonical(tmp_path, n=3, na_rate=1.0)
+    records = [json.loads(line) for line in inst.read_text(encoding="utf-8").splitlines()]
+    inst.write_text("".join(json.dumps({**rec, "schema": {"task": "NER", "labels": []}}) + "\n" for rec in records),
+                    encoding="utf-8")
+    cfg = _write_yaml(tmp_path / "sft.yaml", {"instances": str(inst)})
+    return ["build-sft", "--config", cfg, "--out", str(tmp_path / "run")], 1
+
+
 def _instance_empty_slot_value(tmp_path):
     """An empty value renders as nothing in a template format, so it would
     not parse back."""
@@ -967,6 +996,7 @@ def _duplicate_prediction_id(tmp_path):
         _instance_label_not_in_schema,
         _schema_exemplar_not_a_string,
         _schema_label_name_not_a_string,
+        _schema_without_labels,
         _instance_empty_slot_value,
         _duplicate_instance_id,
         _prediction_without_output,

@@ -342,24 +342,25 @@ def test_sft_block_workers_are_reaped_when_the_stream_is_closed(monkeypatch):
     _assert_no_child_process()
 
 
-def test_map_forked_sends_an_error_that_does_not_unpickle_as_a_runtime_error():
+def test_map_blocks_sends_an_error_that_does_not_unpickle_as_a_runtime_error(monkeypatch):
     """A ParseError does not come back from pickling (its __init__ takes an
     offset the pickle does not hold), so two workers send a RuntimeError
     that names it, with the worker's traceback as its cause."""
 
-    def parse(i):
-        if i == 3:
+    def parse(block):
+        if 3 * pipeline.BLOCK in block:
             raise ParseError("bad", 3)
-        return i
+        return block
 
+    _force_workers(monkeypatch, 2)
     with pytest.raises(RuntimeError) as caught:
-        list(pipeline.map_forked(parse, 6, 2))
+        list(pipeline.map_blocks(parse, 6 * pipeline.BLOCK))
     assert str(caught.value) == "ParseError in a worker process: bad (at offset 3)"
     assert "in parse" in str(caught.value.__cause__)
     _assert_no_child_process()
 
 
-def test_map_forked_sends_an_error_that_does_not_pickle_as_a_runtime_error():
+def test_map_blocks_sends_an_error_that_does_not_pickle_as_a_runtime_error(monkeypatch):
     """An exception that does not pickle at all, here of a class local to
     the test, reaches the caller as a RuntimeError that names it, not as a
     worker that ended before sending its result."""
@@ -367,15 +368,27 @@ def test_map_forked_sends_an_error_that_does_not_pickle_as_a_runtime_error():
     class LocalError(Exception):
         pass
 
-    def fail(i):
-        if i == 2:
+    def fail(block):
+        if 2 * pipeline.BLOCK in block:
             raise LocalError("cannot go on")
-        return i
+        return block
 
+    _force_workers(monkeypatch, 2)
     with pytest.raises(RuntimeError) as caught:
-        list(pipeline.map_forked(fail, 6, 2))
+        list(pipeline.map_blocks(fail, 6 * pipeline.BLOCK))
     assert str(caught.value) == f"{LocalError.__qualname__} in a worker process: cannot go on"
     assert "in fail" in str(caught.value.__cause__)
+    _assert_no_child_process()
+
+
+def test_map_blocks_sends_a_result_that_does_not_pickle_as_its_error(monkeypatch):
+    """A block whose result does not pickle, here a lock, fails with the
+    pickling error and the worker's traceback as its cause, not as a worker
+    that ended before sending its result."""
+    _force_workers(monkeypatch, 2)
+    with pytest.raises(TypeError, match="pickle") as caught:
+        list(pipeline.map_blocks(lambda block: threading.Lock(), 3 * pipeline.BLOCK))
+    assert "raised in a worker process" in str(caught.value.__cause__)
     _assert_no_child_process()
 
 

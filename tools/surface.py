@@ -19,6 +19,8 @@ import ast
 import sys
 from pathlib import Path
 
+SOURCE = Path(__file__).resolve().parent.parent / "src"
+
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
     for deco in node.decorator_list:
@@ -90,14 +92,18 @@ def unreached(trees: list[ast.AST]) -> list[str]:
     return sorted(set(defined) - reached)
 
 
+def source_texts() -> list[str]:
+    """The text of each module of the iealign package, by file name."""
+    return [f.read_text(encoding="utf-8") for f in sorted((SOURCE / "iealign").glob("*.py"))]
+
+
 def main() -> None:
-    source = Path(__file__).resolve().parent.parent / "src"
-    texts = [f.read_text(encoding="utf-8") for f in sorted((source / "iealign").glob("*.py"))]
+    texts = source_texts()
     lines = sum(t.count("\n") for t in texts)
     print(f"source lines: {lines:,}")
     trees = [ast.parse(t) for t in texts]
     print(f"settable values: {sum(map(settable_values, trees))}")
-    sys.path.insert(0, str(source))
+    sys.path.insert(0, str(SOURCE))
     print(f"config keys: {config_keys()}")
     print(f"unreached: {', '.join(unreached(trees)) or '-'}")
 
