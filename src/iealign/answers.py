@@ -81,11 +81,10 @@ def _openie_accept(groups: dict[str, str]) -> bool:
     return all(unquote_value(groups.get(slot) or "") for slot in ("predicate", "subject"))
 
 
-def serialize_answer(gold: Extraction, spec: FormatSpec, seed: int | random.Random | None = None) -> str:
-    """Render a gold extraction. Triplet items are shuffled by `seed`: an int
-    seeds a fresh stream, a `random.Random` is drawn from (only when there is
-    more than one item to order), and None keeps the gold order. Empty gold
-    renders the fail output."""
+def serialize_answer(gold: Extraction, spec: FormatSpec, seed: random.Random | None = None) -> str:
+    """Render a gold extraction. Triplet items are shuffled by drawing from
+    `seed` (only when there is more than one item to order); None keeps the
+    gold order. Empty gold renders the fail output."""
     if spec.task is not gold.task:
         raise SerializationError(f"format {spec.name!r} is for {spec.task.value}, gold is {gold.task.value}")
     if gold.task is TaskKind.ONDEMANDIE:
@@ -94,7 +93,7 @@ def serialize_answer(gold: Extraction, spec: FormatSpec, seed: int | random.Rand
         return spec.fail_output
     items = list(gold.items)
     if spec.family == "Triplet" and seed is not None and len(items) > 1:
-        (seed if isinstance(seed, random.Random) else random.Random(seed)).shuffle(items)
+        seed.shuffle(items)
     values = [dict(zip(TASK_SLOTS[gold.task], item)) for item in items]
     if gold.task is TaskKind.EE:  # arguments: a JSON list of {word, role}, or the rendered sub-template
         render = None if spec.family == "Json" else _compiled(spec.arg_template).render

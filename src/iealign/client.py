@@ -166,6 +166,8 @@ class BaseClient:
 # ---------------------------------------------------------------------------
 # Mock backend
 
+MOCK_FALLBACK = "NA"  # the mock's answer to a request without a reference
+
 NOISE_VOCAB = (
     "lorem", "ipsum", "quux", "zebra", "puzzle", "random", "static", "noise",
     "filler", "blank", "arbitrary", "garble", "offbeat", "scatter", "jumble",
@@ -181,8 +183,8 @@ class MockClient(BaseClient):
       noisy_gold:<p>     the reference with each token independently
                          corrupted w.p. p
 
-    A request without a reference is answered from `fallback`. The client
-    holds no state besides its settings and its call count.
+    A request without a reference is answered from `MOCK_FALLBACK`. The
+    client holds no state besides its settings and its call count.
     """
 
     backend_id = "mock"
@@ -191,17 +193,15 @@ class MockClient(BaseClient):
         self,
         policy: str = "echo_gold",
         seed: int = 0,
-        fallback: str = "NA",
         cache: Optional[ResponseCache] = None,
     ):
         super().__init__(cache)
         self.policy = policy
         self.noise = _noise_rate(policy)
         self.seed = seed
-        self.fallback = fallback
 
     def identity(self) -> tuple:
-        return (self.backend_id, self.policy, self.seed, self.fallback)
+        return (self.backend_id, self.policy, self.seed, MOCK_FALLBACK)
 
     def _generate(self, prompt: str, temperature: float, index: int, reference: Optional[str]) -> str:
         if self.policy.startswith("fixed:"):
@@ -209,7 +209,7 @@ class MockClient(BaseClient):
         digest = prompt_digest(prompt)
         if reference is None:
             logger.warning("mock: no reference for prompt %s, using fallback", digest)
-            reference = self.fallback
+            reference = MOCK_FALLBACK
         return reference if self.noise is None else self._corrupt(reference, self.noise, digest, index)
 
     def _corrupt(self, gold: str, p: float, digest: str, index: int) -> str:

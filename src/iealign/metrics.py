@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .model import Extraction
 
@@ -230,12 +230,11 @@ def header_soft_f1(
     pred_headers: Sequence[str],
     gold_headers: Sequence[str],
     threshold: float = 0.5,
-    similarity: Callable[[str, str], float] = dice_similarity,
 ) -> PRF:
     """tp is the largest number of one-to-one (pred, gold) header pairs whose
-    similarity is >= threshold, an integer count."""
+    `dice_similarity` is >= threshold, an integer count."""
     matches = [
-        [1 if similarity(p, g) >= threshold else 0 for g in gold_headers] for p in pred_headers
+        [1 if dice_similarity(p, g) >= threshold else 0 for g in gold_headers] for p in pred_headers
     ]
     tp = max_assignment(matches)
     return PRF(tp, len(pred_headers) - tp, len(gold_headers) - tp)

@@ -71,13 +71,14 @@ COT_SEPARATOR = "\n\n"  # between a CoT explanation and the answer, in a record'
 # about 0.35 MB, and it is all of the corpus the writing process holds.
 BLOCK = 128
 
+DEMO_POOL_SIZE = 64  # per-task candidates demonstrations draw from
+
 
 @dataclass(frozen=True)
 class SftOptions:
     seed: int = 0
     demo_rate: float = 0.5
     demo_k_range: tuple[int, int] = (1, 8)
-    demo_pool_size: int = 64  # per-task candidates demonstrations draw from
     guideline_rate: float = 0.2
     symbol_rate: float = 0.1
     cot_rate: float = 0.1
@@ -93,7 +94,7 @@ class SftOptions:
         k_range = self.demo_k_range
         if len(k_range) != 2 or not 0 <= k_range[0] <= k_range[1]:
             raise ConfigurationError(f"demo_k_range must be (lo, hi) with 0 <= lo <= hi, got {k_range}")
-        for name, low in (("demo_pool_size", 0), ("cot_per_task", 0), ("max_tokens", 1)):
+        for name, low in (("cot_per_task", 0), ("max_tokens", 1)):
             if getattr(self, name) < low:
                 raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
@@ -135,9 +136,9 @@ def build_sft(
     CoT for the capped eligible subset (none without a client). Before this
     returns, each task's formats and descriptions are looked up and the CoT
     subset's records are built and sent through `client.map_prompts`, so a
-    ConfigurationError or a CoT error comes before the first block. The
-    blocks are built once `blocks` is read, by `map_blocks`' workers, each at
-    most about one block ahead of the reader, which holds one block of text.
+    CoT error comes before the first block. The blocks are built once
+    `blocks` is read, by `map_blocks`' workers, each at most about one block
+    ahead of the reader, which holds one block of text.
     An error in a record is raised when its block is due, so it is the first
     one in input order. The closure audit reads the projected gold the answer
     was serialized from, which parses back to itself; the report counts the
@@ -152,11 +153,7 @@ def build_sft(
     change to `demo_rate` or `demo_k_range` only the demonstrations.
     """
     library = load_format_library()
-    pools = {}
-    for task in dict.fromkeys(inst.task for inst in instances):
-        if not library.get(task):
-            raise ConfigurationError(f"no format specs for task {task.value}")
-        pools[task] = load_description_pool(task, opts.pool_dir)
+    pools = {task: load_description_pool(task, opts.pool_dir) for task in dict.fromkeys(i.task for i in instances)}
 
     # small per-task demonstration pools keep demo sampling O(1) per instance
     by_task: dict[TaskKind, list[IEInstance]] = {}
@@ -165,7 +162,7 @@ def build_sft(
     demo_pools: dict[TaskKind, list[IEInstance]] = {}
     for task, group in by_task.items():
         group_sorted = sorted(group, key=lambda i: i.id)
-        k = min(opts.demo_pool_size, len(group_sorted))
+        k = min(DEMO_POOL_SIZE, len(group_sorted))
         demo_pools[task] = derive_rng(opts.seed, "demopool", task.value).sample(group_sorted, k)
 
     eligible_by_task: dict[TaskKind, list[str]] = {}
@@ -369,11 +366,7 @@ def eval_format_for(task: TaskKind, library: Optional[dict] = None):
     format (OnDemandIE, RE and EE)."""
     if task in EVAL_FORMATS:
         return EVAL_FORMATS[task]
-    library = library or load_format_library()
-    specs = library.get(task)
-    if not specs:
-        raise ConfigurationError(f"no format available for task {task.value}")
-    return specs[0]
+    return (library or load_format_library())[task][0]
 
 
 def dpo_prompt(inst: IEInstance, fmt, pool_dir: Optional[str], seed: int) -> str:
@@ -405,13 +398,11 @@ def build_dpo(instances: Sequence[IEInstance], plan: DpoPlan, client: BaseClient
     when its block is due. Pairs are formed here in input order, so the
     corpus depends on neither the client's nor the scoring's worker count."""
     library = load_format_library()
-    pools = {}
+    pools = {task: load_description_pool(task, plan.pool_dir) for task in dict.fromkeys(i.task for i in instances)}
     jobs = []
     for inst in instances:
         fmt = eval_format_for(inst.task, library)
         gold_text = serialize_answer(inst.gold, fmt, seed=None)
-        if inst.task not in pools:
-            pools[inst.task] = load_description_pool(inst.task, plan.pool_dir)
         jobs.append((inst, gold_text, _dpo_prompt(inst, fmt, pools[inst.task], plan.seed)))
 
     def draw(job):

@@ -50,15 +50,12 @@ def _read_lines(path) -> list[str]:
 def load_description_pool(task: TaskKind, pool_dir: Optional[str]) -> tuple[str, ...]:
     """The packaged descriptions of `task`, then the lines of
     `pool_dir/<task>/generated.txt` in file order. A non-empty
-    `pool_dir/<task>/manual.txt` replaces the packaged descriptions. A pool
-    without descriptions is a ConfigurationError."""
+    `pool_dir/<task>/manual.txt` replaces the packaged descriptions."""
     packaged = resources.files("iealign").joinpath(f"data/pools/{task.value}/manual.txt")
     descriptions = _read_lines(packaged)
     if pool_dir is not None:
         base = Path(pool_dir) / task.value
         descriptions = (_read_lines(base / "manual.txt") or descriptions) + _read_lines(base / "generated.txt")
-    if not descriptions:
-        raise ConfigurationError(f"empty description pool for task {task.value}")
     return tuple(descriptions)
 
 

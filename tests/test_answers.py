@@ -53,7 +53,7 @@ def test_roundtrip_all_formats(task):
     for i in range(100):
         x = make_extraction(task, rng, schema)
         for spec in LIBRARY[task]:
-            s = serialize_answer(x, spec, seed=i)
+            s = serialize_answer(x, spec, seed=random.Random(i))
             y = parse_answer(s, spec, trigger=x.trigger)
             assert roundtrip_equal(x, y), (spec.name, x.items, s, y.items)
 
@@ -65,7 +65,7 @@ def test_roundtrip_eval_formats(task):
     spec = EVAL_FORMATS[task]
     for i in range(100):
         x = make_extraction(task, rng, schema)
-        s = serialize_answer(x, spec, seed=i)
+        s = serialize_answer(x, spec, seed=random.Random(i))
         y = parse_answer(s, spec, trigger=x.trigger)
         assert roundtrip_equal(x, y)
 
@@ -77,7 +77,7 @@ def test_roundtrip_property(task, seed):
     rng = random.Random(seed)
     x = make_extraction(task, rng, make_schema(task))
     for spec in LIBRARY[task]:
-        s = serialize_answer(x, spec, seed=seed)
+        s = serialize_answer(x, spec, seed=random.Random(seed))
         y = parse_answer(s, spec, trigger=x.trigger)
         assert roundtrip_equal(x, y)
 
@@ -257,10 +257,10 @@ def test_ondemand_table_passthrough():
 def test_triplet_shuffle_deterministic_and_seeded():
     gold = Extraction(TaskKind.NER, tuple((f"e{i}", "person") for i in range(6)))
     spec = EVAL_FORMATS[TaskKind.NER]
-    a1 = serialize_answer(gold, spec, seed=7)
-    a2 = serialize_answer(gold, spec, seed=7)
+    a1 = serialize_answer(gold, spec, seed=random.Random(7))
+    a2 = serialize_answer(gold, spec, seed=random.Random(7))
     assert a1 == a2
-    outputs = {serialize_answer(gold, spec, seed=s) for s in range(10)}
+    outputs = {serialize_answer(gold, spec, seed=random.Random(s)) for s in range(10)}
     assert len(outputs) > 1  # different seeds produce different orders
     assert serialize_answer(gold, spec, seed=None) == serialize_answer(gold, spec, seed=None)
 

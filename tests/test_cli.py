@@ -384,7 +384,8 @@ def test_build_sft_keeps_a_text_placeholder_in_a_demonstration(runner, tmp_path)
 
 def test_build_sft_unknown_option_exits_2(runner, tmp_path):
     inst, _ = _canonical(tmp_path)
-    for options in ({"bogus": 1}, {"seed": 3}):  # the seed is set at the top level
+    # the seed is set at the top level, and the demonstration pool size is a constant
+    for options in ({"bogus": 1}, {"seed": 3}, {"demo_pool_size": 64}):
         cfg = _write_yaml(tmp_path / "sft.yaml", {"instances": str(inst), "options": options})
         result = runner.invoke(main, ["build-sft", "--config", cfg, "--out", str(tmp_path / "run")])
         assert result.exit_code == 2
@@ -408,7 +409,7 @@ def test_build_dpo_unknown_plan_key_exits_2(runner, tmp_path):
     ("build-sft", "options", {"demo_k_range": [8, 1]}, "demo_k_range must be (lo, hi) with 0 <= lo <= hi"),
     ("build-sft", "options", {"demo_k_range": [-1, 2]}, "demo_k_range must be (lo, hi) with 0 <= lo <= hi"),
     ("build-sft", "options", {"cot_per_task": -1}, "cot_per_task must be >= 0, got -1"),
-    ("build-sft", "options", {"demo_pool_size": -1}, "demo_pool_size must be >= 0, got -1"),
+    ("build-sft", "options", {"cot_rate": 1.5}, "cot_rate must be in [0, 1], got 1.5"),
     ("build-sft", "options", {"max_tokens": 0}, "max_tokens must be >= 1, got 0"),
 ])
 def test_build_out_of_range_option_exits_2(runner, tmp_path, command, key, values, message):
@@ -497,7 +498,7 @@ def test_build_dpo_bad_live_setting_exits_2(runner, tmp_path, monkeypatch, backe
     ("build-sft", "options", "SFT option", {"symbol_rate": "high"}, "SFT option symbol_rate must be float, got 'high'"),
     ("build-dpo", None, "build-dpo config", {"instances": ["a"]}, "build-dpo config instances must be str, got ['a']"),
     ("build-dpo", "plan", "DPO plan option", {"offline_rate": None}, "DPO plan option offline_rate must be float, got None"),
-    ("build-dpo", "backend", "mock backend", {"fallback": 5}, "mock backend fallback must be str, got 5"),
+    ("build-dpo", "backend", "mock backend", {"seed": "5"}, "mock backend seed must be int, got '5'"),
     ("build-dpo", "backend", "live backend", {"model": 5}, "live backend model must be str, got 5"),
 ], ids=["ingest", "mix", "build-sft", "build-sft-options", "build-dpo", "build-dpo-plan", "mock-backend",
         "live-backend"])
@@ -750,6 +751,23 @@ def test_build_dpo_with_mock_backend(runner, tmp_path):
     assert len(lines) == 20
     offline = sum(1 for l in lines if json.loads(l)["origin"] == "offline")
     assert offline == 14  # 70% of 20
+
+
+@pytest.mark.parametrize("command,output", [("build-sft", "sft.jsonl"), ("build-dpo", "dpo.jsonl")])
+def test_build_ondemand_ie_from_the_packaged_descriptions(runner, tmp_path, command, output):
+    """On-demand IE instances build with no pool_dir: every prompt opens with
+    one of the packaged descriptions."""
+    from iealign.prompts import load_description_pool
+
+    inst, corpus = _canonical(tmp_path, TaskKind.ONDEMANDIE, n=30)
+    cfg = _write_yaml(tmp_path / "run.yaml", {"instances": str(inst)})
+    out = tmp_path / "run"
+    result = runner.invoke(main, [command, "--config", cfg, "--out", str(out), "--backend", "noisy_gold:0.6"])
+    assert result.exit_code == 0, result.output
+    records = [json.loads(line) for line in (out / output).read_text(encoding="utf-8").splitlines()]
+    assert records and {r["id"] for r in records} <= {i.id for i in corpus}
+    pool = load_description_pool(TaskKind.ONDEMANDIE, None)
+    assert all(r["prompt"].split("\n\n", 1)[0] in pool for r in records)
 
 
 # ---------------------------------------------------------------------------

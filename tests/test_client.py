@@ -47,7 +47,7 @@ def test_echo_gold_policy():
 
 def test_echo_gold_fallback_when_unregistered(caplog):
     """A request without a reference gets the fallback, with a warning."""
-    client = MockClient(policy="echo_gold", fallback="NA")
+    client = MockClient(policy="echo_gold")
     with caplog.at_level("WARNING", logger="iealign.client"):
         assert client.complete("unknown prompt", 0.7) == "NA"
     assert "using fallback" in caplog.text
@@ -151,7 +151,7 @@ def test_shared_cache_keeps_backends_apart(tmp_path, monkeypatch):
     clients = [
         MockClient(policy="noisy_gold:0.5", seed=0),
         MockClient(policy="noisy_gold:0.5", seed=1),
-        MockClient(policy="noisy_gold:0.5", seed=0, fallback="none"),
+        MockClient(policy="fixed:A", seed=0),
         LiveClient("http://a/v1", "m1", session=object()),
         LiveClient("http://b/v1", "m1", session=object()),
         LiveClient("http://a/v1", "m2", session=object()),

@@ -19,7 +19,7 @@ from iealign.pipeline import SftOptions, eval_format_for, evaluate, run_build_dp
 from iealign.prefpairs import DpoPlan
 from iealign.synth import make_corpus, make_extraction, make_schema
 
-# The tasks with a packaged description pool: every task but OnDemandIE.
+# The tasks SFT_DIGEST was pinned over: every task but OnDemandIE.
 SFT_TASKS = tuple(t for t in TaskKind if t is not TaskKind.ONDEMANDIE)
 EVAL_TASKS = tuple(sorted(CLOSED_IE_TASKS, key=lambda t: t.value)) + (TaskKind.OPENIE,)
 
@@ -103,7 +103,8 @@ def _parse_cases():
     for spec in specs + list(EVAL_FORMATS.values()):
         schema = make_schema(spec.task)
         for _ in range(30):
-            text = serialize_answer(make_extraction(spec.task, rng, schema), spec, seed=rng.randrange(100))
+            gold = make_extraction(spec.task, rng, schema)
+            text = serialize_answer(gold, spec, seed=random.Random(rng.randrange(100)))
             pos = rng.randrange(len(text) + 1)
             op = rng.randrange(3)
             if op == 0:  # delete

@@ -82,9 +82,9 @@ def test_build_sft_deterministic():
     assert r1 != r3
 
 
-# Every task with a packaged description pool, so each record's draws cover
-# the format, description, schema view, answer order and demonstrations.
-_STREAM_TASKS = tuple(t for t in TaskKind if t is not TaskKind.ONDEMANDIE)
+# Every task, so each record's draws cover the format, description, schema
+# view, answer order and demonstrations.
+_STREAM_TASKS = tuple(TaskKind)
 
 
 def _description(rec: dict) -> str:
@@ -392,20 +392,6 @@ def test_map_blocks_sends_a_result_that_does_not_pickle_as_its_error(monkeypatch
     _assert_no_child_process()
 
 
-def test_build_sft_missing_formats_fail_before_any_call_or_file(tmp_path, monkeypatch):
-    """A task with no formats is a ConfigurationError before any CoT request
-    or output file, even when its instances are the last and never take CoT."""
-    corpus = _mixed_corpus(20) + make_corpus(TaskKind.EE, 5, dataset="ds-EE", seed=0, na_rate=1.0)
-    without_ee = {task: specs for task, specs in load_format_library().items() if task is not TaskKind.EE}
-    monkeypatch.setattr(pipeline, "load_format_library", lambda: without_ee)
-    client = MockClient(policy="fixed:Because the text says so.")
-    opts = SftOptions(seed=3, cot_rate=0.5, max_tokens=100_000)
-    with pytest.raises(ConfigurationError, match="no format specs for task EE"):
-        run_build_sft(corpus, opts, tmp_path / "run", client=client)
-    assert client.call_count == 0
-    assert not (tmp_path / "run").exists()
-
-
 # ---------------------------------------------------------------------------
 # Stats / closure audit
 
@@ -468,13 +454,10 @@ def test_sft_build_audits_closure_on_the_restricted_gold(monkeypatch):
     assert report["closure_violating_ids"] == [target.id]
 
 
-def test_build_sft_records_pass_the_record_check(tmp_path):
-    # no description is packaged for on-demand IE
-    (tmp_path / TaskKind.ONDEMANDIE.value).mkdir()
-    (tmp_path / TaskKind.ONDEMANDIE.value / "manual.txt").write_text("Fill in the table.\n", encoding="utf-8")
+def test_build_sft_records_pass_the_record_check():
     corpus = _mixed_corpus(20, tasks=tuple(TaskKind))
     client = MockClient(policy="fixed:Because the text says so.")
-    opts = SftOptions(seed=2, cot_rate=0.5, cot_per_task=1000, max_tokens=100_000, pool_dir=str(tmp_path))
+    opts = SftOptions(seed=2, cot_rate=0.5, cot_per_task=1000, max_tokens=100_000)
     records, report = _build_sft(corpus, opts, client=client)
     assert report["cot_count"] > 0 and len(report["per_task"]) == len(TaskKind)
     assert all(check_sft_record(r) is r for r in records)

@@ -28,7 +28,15 @@ LIBRARY = load_format_library()
 # Description pools
 
 
-@pytest.mark.parametrize("task", [t for t in TaskKind if t is not TaskKind.ONDEMANDIE])
+def test_every_task_has_packaged_formats_and_descriptions():
+    """Every task builds from the package alone: it has a format spec and a
+    non-empty description pool without a pool_dir."""
+    for task in TaskKind:
+        assert LIBRARY[task], task
+        assert load_description_pool(task, None), task
+
+
+@pytest.mark.parametrize("task", list(TaskKind))
 def test_packaged_pools_have_ten_manual_descriptions(task):
     pool = load_description_pool(task, None)
     assert len(pool) == 10
@@ -53,14 +61,14 @@ def test_pool_dir_manual_replaces_packaged_descriptions(tmp_path):
     assert pool == ("mine one", "mine two", "extra one")
 
 
-def test_empty_pool_is_a_configuration_error(tmp_path):
-    """OnDemandIE has no packaged descriptions: its pool is empty unless
-    pool_dir gives some, and an empty pool names its task."""
-    with pytest.raises(ConfigurationError, match="empty description pool for task OnDemandIE"):
-        load_description_pool(TaskKind.ONDEMANDIE, None)
+def test_pool_dir_extends_the_packaged_ondemand_pool(tmp_path):
+    """An empty pool_dir manual.txt keeps the packaged OnDemandIE
+    descriptions, and pool_dir's generated.txt follows them."""
+    packaged = load_description_pool(TaskKind.ONDEMANDIE, None)
     (tmp_path / "OnDemandIE").mkdir()
+    (tmp_path / "OnDemandIE" / "manual.txt").write_text("\n  \n", encoding="utf-8")
     (tmp_path / "OnDemandIE" / "generated.txt").write_text("Answer with a table.\n", encoding="utf-8")
-    assert load_description_pool(TaskKind.ONDEMANDIE, str(tmp_path)) == ("Answer with a table.",)
+    assert load_description_pool(TaskKind.ONDEMANDIE, str(tmp_path)) == packaged + ("Answer with a table.",)
 
 
 # ---------------------------------------------------------------------------
