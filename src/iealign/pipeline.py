@@ -4,18 +4,20 @@ construction, corpus statistics, and evaluation.
 Every per-instance random decision draws from a stream seeded by (master
 seed, tag, instance id): one "sft" stream serves all of an SFT example's
 choices, and CoT eligibility and DPO descriptions keep streams of their own.
-So outputs are independent of processing order and worker count. Both builds
-do their per-instance CPU work through one block runner, `map_blocks`: in
-blocks of consecutive instances, on the CPUs this process may run on (in
-forked workers; in this process alone where fork is not available).
+So outputs are independent of processing order and worker count. Both
+builds, `stats` and `evaluate` do their per-item CPU work through one block
+runner, `map_blocks`: in blocks of consecutive items, on the CPUs this
+process may run on (in forked workers; in this process alone where fork is
+not available).
 `build_sft` builds its CoT subset's records first and then the rest in
 blocks, whose text is written to `sft.jsonl` in input order, so the writing
 process holds one block of it, never the corpus.
 `build_dpo` draws every sample through the client first, then scores the
-samples with BLEU in blocks and pairs them in input order. Output files are
-JSON lines written atomically, so a failure mid-write keeps the previous
-file; every run emits a manifest with content digests so reruns can be
-verified byte-for-byte.
+samples with BLEU in blocks and pairs them in input order. `stats` merges
+its blocks' counts, and `evaluate` sums its blocks' per-instance rows, in
+input order. Output files are JSON lines written atomically, so a failure
+mid-write keeps the previous file; every run emits a manifest with content
+digests so reruns can be verified byte-for-byte.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import traceback
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import BinaryIO, Callable, Iterator, Optional, Sequence, TypeVar
 
 from .answers import parse_answer, parse_answer_lenient, serialize_answer, ParseError
 from .augment import cot_prompt, generate_cot, sample_words_limit
@@ -66,8 +68,8 @@ logger = logging.getLogger(__name__)
 
 COT_SEPARATOR = "\n\n"  # between a CoT explanation and the answer, in a record's output
 
-# `map_blocks` runs both builds in blocks of this many consecutive instances,
-# one block per process at a time: at sft_5k's sizes a block of SFT text is
+# `map_blocks` runs its work in blocks of this many consecutive items, one
+# block per process at a time: at sft_5k's sizes a block of SFT text is
 # about 0.35 MB, and it is all of the corpus the writing process holds.
 BLOCK = 128
 
@@ -269,8 +271,8 @@ def build_sft(
 
 
 def block_workers(n_blocks: int) -> int:
-    """The processes that run `n_blocks` blocks of a build: one per CPU this
-    process may run on, but no more than there are blocks, and only this
+    """The processes that run `n_blocks` blocks of `map_blocks`: one per CPU
+    this process may run on, but no more than there are blocks, and only this
     process where fork is not available or another thread is running (a
     forked worker would inherit any lock that thread holds, held)."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
@@ -534,18 +536,30 @@ class Composition:
         }
 
 
-def stats(records: Iterable[dict]) -> dict:
+def stats(records: Sequence[dict]) -> dict:
     """The `Composition` report of SFT records read back from a corpus: each
     closed-IE answer is parsed leniently under its record's format for the
-    labels it uses, and each prompt and output is counted."""
+    labels it uses, and each prompt and output is counted. The records are
+    counted in blocks of consecutive records on the block runner
+    (`map_blocks`), and the blocks' counts are merged in input order, so
+    the report does not depend on the worker count."""
+
+    def count_block(positions: range) -> Composition:
+        composition = Composition()
+        for pos in positions:
+            rec = records[pos]
+            labels_used = ()
+            if TaskKind(rec["task"]) in CLOSED_IE_TASKS:
+                spec = spec_from_json(rec["format"])
+                labels_used = parse_answer_lenient(rec["answer"], spec, rec.get("trigger")).extraction.labels_used()
+            tokens = whitespace_token_count(rec["prompt"]) + whitespace_token_count(rec["output"])
+            composition.add(rec, labels_used, tokens)
+        return composition
+
     composition = Composition()
-    for rec in records:
-        labels_used = ()
-        if TaskKind(rec["task"]) in CLOSED_IE_TASKS:
-            spec = spec_from_json(rec["format"])
-            labels_used = parse_answer_lenient(rec["answer"], spec, rec.get("trigger")).extraction.labels_used()
-        tokens = whitespace_token_count(rec["prompt"]) + whitespace_token_count(rec["output"])
-        composition.add(rec, labels_used, tokens)
+    with closing(map_blocks(count_block, len(records))) as blocks:
+        for counts in blocks:
+            composition.merge(counts)
     return composition.report()
 
 
@@ -557,45 +571,50 @@ def evaluate(predictions: dict[str, str], gold_instances: Sequence[IEInstance]) 
     """Score predicted answer texts against gold instances with exact-match
     micro F1 under each task's fixed evaluation grammar (`eval_format_for`).
     Unparseable or missing predictions score zero extractions and are counted;
-    predictions whose id no gold instance has are logged as a count."""
+    predictions whose id no gold instance has are logged as a count.
+
+    The instances are scored in blocks of consecutive instances on the block
+    runner (`map_blocks`), which send back only their `per_instance` rows; the
+    totals are summed here from the rows in input order, so the report does
+    not depend on the worker count."""
     library = load_format_library()
-    parts: list[PRF] = []
-    parse_failures = 0
-    diagnostics: list[dict] = []
-    for inst in gold_instances:
-        spec = eval_format_for(inst.task, library)
-        text = predictions.get(inst.id)
-        notes: list[str] = []
-        if text is None:
-            parse_failures += 1
-            pred = Extraction(inst.task, trigger=inst.gold.trigger)
-            notes.append("missing prediction")
-        else:
-            try:
-                pred = parse_answer(text, spec, trigger=inst.gold.trigger)
-            except ParseError as e:
-                parse_failures += 1
+
+    def score_block(positions: range) -> list[dict]:
+        rows = []
+        for pos in positions:
+            inst = gold_instances[pos]
+            spec = eval_format_for(inst.task, library)
+            text = predictions.get(inst.id)
+            notes: list[str] = []
+            if text is None:
                 pred = Extraction(inst.task, trigger=inst.gold.trigger)
-                notes.append(str(e))
-        prf = exact_match_f1(pred, inst.gold)
-        parts.append(prf)
-        diagnostics.append(
-            {"id": inst.id, "tp": prf.tp, "fp": prf.fp, "fn": prf.fn, "notes": notes}
-        )
+                notes.append("missing prediction")
+            else:
+                try:
+                    pred = parse_answer(text, spec, trigger=inst.gold.trigger)
+                except ParseError as e:
+                    pred = Extraction(inst.task, trigger=inst.gold.trigger)
+                    notes.append(str(e))
+            prf = exact_match_f1(pred, inst.gold)
+            rows.append({"id": inst.id, "tp": prf.tp, "fp": prf.fp, "fn": prf.fn, "notes": notes})
+        return rows
+
+    with closing(map_blocks(score_block, len(gold_instances))) as blocks:
+        rows = [row for block in blocks for row in block]
     unknown = len(predictions.keys() - {inst.id for inst in gold_instances})
     if unknown:
         logger.warning("%d prediction ids match no gold instance and are not scored", unknown)
-    total = micro_prf(parts)
+    total = micro_prf(PRF(row["tp"], row["fp"], row["fn"]) for row in rows)
     return {
         "n": len(gold_instances),
-        "parse_failures": parse_failures,
+        "parse_failures": sum(1 for row in rows if row["notes"]),
         "tp": total.tp,
         "fp": total.fp,
         "fn": total.fn,
         "precision": total.precision,
         "recall": total.recall,
         "f1": total.f1,
-        "per_instance": diagnostics,
+        "per_instance": rows,
     }
 
 

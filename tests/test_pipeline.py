@@ -40,7 +40,7 @@ from iealign.pipeline import (
     write_manifest,
 )
 from iealign.prefpairs import DpoPlan
-from iealign.synth import make_corpus, make_instance, make_schema
+from iealign.synth import make_corpus, make_extraction, make_instance, make_schema
 
 
 def _mixed_corpus(n_per_task=120, seed=0, tasks=(TaskKind.NER, TaskKind.RE, TaskKind.ED)):
@@ -434,6 +434,57 @@ def test_sft_build_report_equals_stats_over_its_records():
     assert any(i.is_na for i in corpus)
     assert any(r["trigger"] for r in records if r["task"] == TaskKind.EAE.value)
     assert min(report["demo_rate"], report["guideline_rate"], report["symbol_rate"], report["cot_count"]) > 0
+
+
+def _block_records():
+    """SFT records of more than three blocks, tasks mixed."""
+    corpus = _mixed_corpus(150, seed=2)
+    random.Random(0).shuffle(corpus)
+    records, _ = _build_sft(corpus, SftOptions(seed=6, max_tokens=100_000))
+    assert len(records) > 3 * pipeline.BLOCK
+    return records
+
+
+def test_stats_block_workers_write_the_same_report(monkeypatch):
+    """`stats`' report is the same at 1, 2 and 3 block workers, over several
+    blocks with closure violations in more than one block, whose ids keep
+    input order; every run goes through `map_blocks`."""
+    records = _block_records()
+    tampered = [pos for pos, rec in enumerate(records) if rec["task"] == TaskKind.NER.value][::15]
+    for pos in tampered:
+        records[pos] = dict(records[pos], format=spec_to_json(EVAL_FORMATS[TaskKind.NER]),
+                            answer="[Answer]: something: label_not_in_any_view;")
+    mapped = _count_calls(monkeypatch, "map_blocks")
+    reports = []
+    for workers in (1, 2, 3):
+        _force_workers(monkeypatch, workers)
+        reports.append(json.dumps(stats(records), sort_keys=True))
+        _assert_no_child_process()
+    assert reports[0] == reports[1] == reports[2]
+    assert [n for _, n in mapped] == [len(records)] * 3
+    report = json.loads(reports[0])
+    assert report["total"] == len(records) and report["closure_violations"] == len(tampered)
+    assert report["closure_violating_ids"] == [records[pos]["id"] for pos in tampered]
+    assert len({pos // pipeline.BLOCK for pos in tampered}) > 1
+
+
+def test_stats_block_workers_raise_a_record_error_as_one_process_does(monkeypatch):
+    """A record in block 2 whose task is no TaskKind value makes `stats`
+    raise the same exception and message at 1 and 2 workers, and leaves no
+    child process."""
+    records = _block_records()
+    bad = 2 * pipeline.BLOCK + 5
+    records[bad] = dict(records[bad], task="NotATask")
+    errors = []
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        with pytest.raises(Exception) as caught:
+            stats(records)
+        errors.append((type(caught.value), str(caught.value)))
+        if workers > 1:  # the worker's traceback comes along as the cause
+            assert "in count_block" in str(caught.value.__cause__)
+        _assert_no_child_process()
+    assert errors[0] == errors[1] == (ValueError, "'NotATask' is not a valid TaskKind")
 
 
 def test_sft_build_audits_closure_on_the_restricted_gold(monkeypatch):
@@ -921,6 +972,93 @@ def test_evaluate_files_and_task_guard(tmp_path):
     assert report["f1"] == 1.0
     with pytest.raises(ConfigurationError):
         evaluate_files(pred_path, gold_path, task=TaskKind.RE)
+
+
+# Prediction texts that no evaluation format parses.
+_JUNK = ("[Answer]: (((((", "<<garbled>> ;;; ::", "[Answer]: ]]]]")
+
+
+def _block_gold():
+    """Gold instances of more than three blocks: every closed-IE task plus
+    OpenIE, some NA, shuffled."""
+    tasks = (*sorted(CLOSED_IE_TASKS, key=lambda t: t.value), TaskKind.OPENIE)
+    gold = [i for t in tasks for i in make_corpus(t, 70, dataset=f"ds-{t.value}", seed=5, na_rate=0.1)]
+    random.Random(1).shuffle(gold)
+    assert len(gold) > 3 * pipeline.BLOCK
+    return gold
+
+
+def _mixed_predictions(gold, seed):
+    """Predictions for `gold`: a tenth missing, a tenth unparseable, and of
+    the rest half exact and half perturbed (the first gold item dropped, one
+    or two new items added)."""
+    library = load_format_library()
+    rng = random.Random(seed)
+    preds = {}
+    for inst in gold:
+        kind = rng.random()
+        if kind < 0.1:
+            continue
+        if kind < 0.2:
+            preds[inst.id] = rng.choice(_JUNK)
+            continue
+        items = inst.gold.items
+        if kind >= 0.6:
+            extra = make_extraction(inst.task, rng, inst.schema, allow_empty=False, max_items=2).items
+            items = items[1:] + tuple(item for item in extra if item not in items)
+        pred = Extraction(inst.task, items, trigger=inst.gold.trigger)
+        preds[inst.id] = serialize_answer(pred, eval_format_for(inst.task, library), seed=None)
+    return preds
+
+
+def test_evaluate_block_workers_write_the_same_report(monkeypatch):
+    """`evaluate`'s report is the same at 1, 2 and 3 block workers, over
+    several blocks of missing, unparseable, exact and perturbed predictions;
+    its rows keep input order and every run goes through `map_blocks`."""
+    gold = _block_gold()
+    preds = _mixed_predictions(gold, seed=1)
+    mapped = _count_calls(monkeypatch, "map_blocks")
+    reports = []
+    for workers in (1, 2, 3):
+        _force_workers(monkeypatch, workers)
+        reports.append(json.dumps(evaluate(preds, gold), ensure_ascii=False, sort_keys=True, indent=2))
+        _assert_no_child_process()
+    assert reports[0] == reports[1] == reports[2]
+    assert [n for _, n in mapped] == [len(gold)] * 3
+    report = json.loads(reports[0])
+    rows = report["per_instance"]
+    assert [row["id"] for row in rows] == [inst.id for inst in gold]
+    missing = [row for row in rows if row["notes"] == ["missing prediction"]]
+    assert missing and report["parse_failures"] > len(missing)
+    assert report["parse_failures"] == sum(1 for row in rows if row["notes"])
+    assert min(report["tp"], report["fp"], report["fn"]) > 0 and 0 < report["f1"] < 1
+
+
+def test_evaluate_block_workers_raise_a_scoring_error_as_one_process_does(monkeypatch):
+    """An instance in block 2 whose scoring raises makes `evaluate` raise the
+    same exception and message at 1 and 2 workers, and leaves no child
+    process."""
+    gold = _block_gold()
+    preds = _mixed_predictions(gold, seed=1)
+    bad = gold[2 * pipeline.BLOCK + 5]
+    real_score = pipeline.exact_match_f1
+
+    def failing_score(pred, gold_extraction):
+        if gold_extraction is bad.gold:
+            raise ValueError(f"cannot score {bad.id}")
+        return real_score(pred, gold_extraction)
+
+    monkeypatch.setattr(pipeline, "exact_match_f1", failing_score)
+    errors = []
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        with pytest.raises(Exception) as caught:
+            evaluate(preds, gold)
+        errors.append((type(caught.value), str(caught.value)))
+        if workers > 1:  # the worker's traceback comes along as the cause
+            assert "in failing_score" in str(caught.value.__cause__)
+        _assert_no_child_process()
+    assert errors[0] == errors[1] == (ValueError, f"cannot score {bad.id}")
 
 
 def test_load_predictions_rejects_malformed(tmp_path):
