@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple, Optional
 
-from .formats import CompiledTemplate, compile_template, compile_truncations, unquote_value
+from .formats import CompiledTemplate, compile_template, template_slots, unquote_value
 from .model import EE_ARG_SLOTS, OPTIONAL_SLOTS, TASK_SLOTS, Extraction, FormatSpec, TaskKind
 
 
@@ -62,22 +62,19 @@ class ParseResult:
 
 
 @lru_cache(maxsize=256)
-def _compiled(template: str) -> CompiledTemplate:
+def _compiled(template: str, task: TaskKind) -> CompiledTemplate:
+    """A template of `task`'s answers. The task's optional slots are its
+    droppable tail, and in such a template every slot may match empty."""
+    droppable = len(OPTIONAL_SLOTS.get(task, ()))
     # EE arguments blobs may legitimately be empty (an event with no
     # arguments) and contain sub-template separators, hence optional + loose
     special = {"arguments"} if "{arguments}" in template else set()
-    return compile_template(template, optional=special, loose=special)
-
-
-@lru_cache(maxsize=64)
-def _compiled_openie(template: str) -> tuple[CompiledTemplate, ...]:
-    """The template with 0, 1 and 2 trailing slots dropped, longest first."""
-    return tuple(compile_truncations(template, optional_count=2))
+    optional = set(template_slots(template)) if droppable else special
+    return compile_template(template, optional, special, droppable)
 
 
 def _openie_accept(groups: dict[str, str]) -> bool:
-    # A match with an empty predicate or subject is degenerate; a shorter
-    # variant may still match.
+    # A match with an empty predicate or subject is degenerate.
     return all(unquote_value(groups.get(slot) or "") for slot in ("predicate", "subject"))
 
 
@@ -96,7 +93,7 @@ def serialize_answer(gold: Extraction, spec: FormatSpec, seed: random.Random | N
         seed.shuffle(items)
     values = [dict(zip(TASK_SLOTS[gold.task], item)) for item in items]
     if gold.task is TaskKind.EE:  # arguments: a JSON list of {word, role}, or the rendered sub-template
-        render = None if spec.family == "Json" else _compiled(spec.arg_template).render
+        render = None if spec.family == "Json" else _compiled(spec.arg_template, gold.task).render
         for v in values:
             args = [{"word": w, "role": r} for w, r in v["arguments"]]
             v["arguments"] = args if render is None else spec.arg_separator.join(map(render, args))
@@ -108,20 +105,12 @@ def serialize_answer(gold: Extraction, spec: FormatSpec, seed: random.Random | N
         if gold.task is TaskKind.EAE:
             payload = {"task": gold.task.value, "trigger": gold.trigger, "items": values}
         return json.dumps(payload, ensure_ascii=False)
+    template = _compiled(spec.answer_template, gold.task)
     rendered = []
     for item, v in zip(items, values):
-        if gold.task is TaskKind.OPENIE:
-            # drop the absent trailing slots, in the template's slot order
-            variants = _compiled_openie(spec.answer_template)
-            slots = variants[0].slots
-            dropped = 0
-            while len(slots) - dropped > 3 and v.get(slots[-1 - dropped]) is None:
-                dropped += 1
-            rendered.append(variants[dropped].render(v))
-        elif None in map(v.get, TASK_SLOTS[gold.task]):
+        if gold.task is not TaskKind.OPENIE and None in map(v.get, TASK_SLOTS[gold.task]):
             raise SerializationError(f"missing slot value in item {item!r}")
-        else:
-            rendered.append(_compiled(spec.answer_template).render(v))
+        rendered.append(template.render(v))
     return spec.answer_prefix + spec.item_separator.join(rendered)
 
 
@@ -139,7 +128,7 @@ def _parsed_item(task: TaskKind, groups: dict[str, Optional[str]], spec: FormatS
                  diagnostics: list[Diagnostic]) -> tuple:
     """The item a template match's `groups` hold."""
     if task is TaskKind.EE:  # the last slot, arguments, holds the rendered sub-template
-        args = _parse_items_loop(groups.get("arguments") or "", (_compiled(spec.arg_template),),
+        args = _parse_items_loop(groups.get("arguments") or "", _compiled(spec.arg_template, task),
                                  spec.arg_separator, diagnostics, label="argument")
         return _unquoted(groups, TASK_SLOTS[task][:-1]) + (tuple([_unquoted(g, EE_ARG_SLOTS) for g in args]),)
     item = _unquoted(groups, TASK_SLOTS[task])
@@ -148,25 +137,22 @@ def _parsed_item(task: TaskKind, groups: dict[str, Optional[str]], spec: FormatS
     return item
 
 
-def _parse_items_loop(text: str, templates: tuple[CompiledTemplate, ...], separator: str,
+def _parse_items_loop(text: str, template: CompiledTemplate, separator: str,
                       diagnostics: list[Diagnostic], label: str = "item",
                       accept=None) -> list[dict[str, str]]:
-    """Match items from the start of `text`, trying `templates` in order at
-    each position and skipping a match that `accept(groups)` rejects; stop
-    with a diagnostic at the first position no template matches."""
+    """Match items of `template` from the start of `text`; stop with a
+    diagnostic at the first position where it does not match, or where
+    `accept(groups)` rejects its match."""
     items = []
     pos = 0
     n = len(text)
     sep = separator.strip()
-    patterns = []
-    for tpl in templates:
-        pattern = tpl.pattern
-        if tpl.parts[-1] == "":
-            # template ends with a slot: terminate it at the separator or the end,
-            # otherwise the trailing lazy slot would match a single unit
-            term = f"(?={re.escape(separator)}|$)" if sep else r"(?=\s|$)"
-            pattern = re.compile(pattern.pattern + term)
-        patterns.append(pattern)
+    pattern = template.pattern
+    if template.parts[-1] == "":
+        # template ends with a slot: terminate it at the separator or the end,
+        # otherwise the trailing lazy slot would match a single unit
+        term = f"(?={re.escape(separator)}|$)" if sep else r"(?=\s|$)"
+        pattern = re.compile(pattern.pattern + term)
     while pos < n:
         while pos < n and text[pos].isspace():
             pos += 1
@@ -175,11 +161,8 @@ def _parse_items_loop(text: str, templates: tuple[CompiledTemplate, ...], separa
         if sep and text.startswith(sep, pos):
             pos += len(sep)
             continue
-        for pattern in patterns:
-            m = pattern.match(text, pos)
-            if m is not None and (accept is None or accept(m.groupdict())):
-                break
-        else:
+        m = pattern.match(text, pos)
+        if m is None or (accept is not None and not accept(m.groupdict())):
             diagnostics.append(Diagnostic(
                 DiagnosticKind.UNPARSEABLE, pos, f"unparseable {label} at offset {pos}: {text[pos:pos + 40]!r}"
             ))
@@ -222,11 +205,11 @@ def parse_answer_lenient(
         if task is TaskKind.EAE and trigger is None:
             trigger = extra
     else:
+        template = _compiled(spec.answer_template, task)
         if task is TaskKind.OPENIE:
-            groups = _parse_items_loop(body, _compiled_openie(spec.answer_template), ",", diagnostics,
-                                       accept=_openie_accept)
+            groups = _parse_items_loop(body, template, ",", diagnostics, accept=_openie_accept)
         else:
-            groups = _parse_items_loop(body, (_compiled(spec.answer_template),), spec.item_separator, diagnostics)
+            groups = _parse_items_loop(body, template, spec.item_separator, diagnostics)
         items = [_parsed_item(task, g, spec, diagnostics) for g in groups]
 
     deduped: list[tuple] = []

@@ -29,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DataError
 from .model import atomic_open, writable_as
 from .seeds import derive_seed
 
@@ -166,8 +166,6 @@ class BaseClient:
 # ---------------------------------------------------------------------------
 # Mock backend
 
-MOCK_FALLBACK = "NA"  # the mock's answer to a request without a reference
-
 NOISE_VOCAB = (
     "lorem", "ipsum", "quux", "zebra", "puzzle", "random", "static", "noise",
     "filler", "blank", "arbitrary", "garble", "offbeat", "scatter", "jumble",
@@ -183,8 +181,9 @@ class MockClient(BaseClient):
       noisy_gold:<p>     the reference with each token independently
                          corrupted w.p. p
 
-    A request without a reference is answered from `MOCK_FALLBACK`. The
-    client holds no state besides its settings and its call count.
+    Under `echo_gold` and `noisy_gold`, a request without a reference is a
+    DataError naming the policy. The client holds no state besides its
+    settings and its call count.
     """
 
     backend_id = "mock"
@@ -201,16 +200,16 @@ class MockClient(BaseClient):
         self.seed = seed
 
     def identity(self) -> tuple:
-        return (self.backend_id, self.policy, self.seed, MOCK_FALLBACK)
+        # "NA" was the answer to a request without a reference, before such a
+        # request became an error; it stays so that existing cache keys stay hits.
+        return (self.backend_id, self.policy, self.seed, "NA")
 
     def _generate(self, prompt: str, temperature: float, index: int, reference: Optional[str]) -> str:
         if self.policy.startswith("fixed:"):
             return self.policy[len("fixed:"):]
-        digest = prompt_digest(prompt)
         if reference is None:
-            logger.warning("mock: no reference for prompt %s, using fallback", digest)
-            reference = MOCK_FALLBACK
-        return reference if self.noise is None else self._corrupt(reference, self.noise, digest, index)
+            raise DataError(f"mock policy {self.policy!r} needs a reference, and the request has none")
+        return reference if self.noise is None else self._corrupt(reference, self.noise, prompt_digest(prompt), index)
 
     def _corrupt(self, gold: str, p: float, digest: str, index: int) -> str:
         rng = random.Random(derive_seed(self.seed, "noisy", digest, str(index)))

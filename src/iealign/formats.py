@@ -4,6 +4,8 @@ An answer template is a per-item string with named slots, e.g.
 "({subject}; {relation}; {object});". Slot values that contain structural
 characters are wrapped in double quotes with backslash escapes so that the
 grammar stays unambiguous and parsing is an exact inverse of rendering.
+A template may end in a droppable tail of slots that an item leaves out,
+each with the literal before it: an open IE tuple's time and location.
 
 The library of training-time formats is shipped as JSON data files under
 ``iealign/data/formats``. The six held-out evaluation format strings are
@@ -67,6 +69,10 @@ class CompiledTemplate:
     "forced": the quotes move out of the literals and the value is rendered
     with exactly one layer of quoting, so quotes never nest ambiguously.
     Loose slots hold pre-rendered text and render as is.
+
+    The last `droppable` slots are the droppable tail: the regex nests each,
+    with the literal before it, in an optional group, so a dropped slot's
+    group reads None, and `render` leaves out each trailing one that is None.
     """
 
     slots: tuple[str, ...]
@@ -74,29 +80,36 @@ class CompiledTemplate:
     pattern: re.Pattern
     forced: frozenset
     loose: frozenset
+    droppable: int
 
     def render(self, values: dict[str, str | None]) -> str:
-        out = [self.parts[0]]
-        for slot, lit in zip(self.slots, self.parts[1:]):
+        keep = len(self.slots)
+        while keep > len(self.slots) - self.droppable and values.get(self.slots[keep - 1]) is None:
+            keep -= 1
+        out = []
+        for lit, slot in zip(self.parts, self.slots[:keep]):
             v = values.get(slot)
+            out.append(lit)
             if slot in self.loose:
                 out.append(v or "")
             elif slot in self.forced:
                 out.append(force_quote(v or ""))
             else:
                 out.append(quote_value(v) if v else "")
-            out.append(lit)
+        out.append(self.parts[-1])
         return "".join(out)
 
 
 _FORCED_SLOT_PATTERN = r'(?P<%s>"(?:[^"\\]|\\[\s\S])*?")'
 
 
-def compile_template(template: str, optional: set[str], loose: set[str] | None = None) -> CompiledTemplate:
-    loose = loose or set()
+def compile_template(template: str, optional: set[str], loose: set[str], droppable: int) -> CompiledTemplate:
+    """Compile `template`. Optional slots may match empty, loose slots match
+    pre-rendered text, and the last `droppable` (literal + slot) pieces form
+    the droppable tail."""
     slots: list[str] = []
     parts: list[str] = []
-    regex: list[str] = []
+    pieces: list[str] = []  # per slot: the regex of the literal before it and of the slot
     forced: set[str] = set()
     pos = 0
     strip_leading = False
@@ -112,44 +125,25 @@ def compile_template(template: str, optional: set[str], loose: set[str] | None =
             forced.add(slot)
             strip_leading = True
         parts.append(literal)
-        regex.append(re.escape(literal))
         if slot in forced:
-            regex.append(_FORCED_SLOT_PATTERN % slot)
+            slot_regex = _FORCED_SLOT_PATTERN % slot
         else:
             quantifier = "*?" if slot in optional else "+?"
             unit = _LOOSE_SLOT_UNIT if slot in loose else _SLOT_UNIT
-            regex.append(f"(?P<{slot}>{unit}{quantifier})")
+            slot_regex = f"(?P<{slot}>{unit}{quantifier})"
+        pieces.append(re.escape(literal) + slot_regex)
         slots.append(slot)
         pos = m.end()
     tail = template[pos:]
     if strip_leading:
         tail = tail[1:]
     parts.append(tail)
-    regex.append(re.escape(tail))
-    pattern = re.compile("".join(regex))
-    return CompiledTemplate(tuple(slots), tuple(parts), pattern, frozenset(forced), frozenset(loose))
-
-
-def compile_truncations(template: str, optional_count: int) -> list[CompiledTemplate]:
-    """Compiled variants of an OpenIE-style template with 0..optional_count
-    trailing slots dropped, longest first."""
-    base = compile_template(template, optional=set())
-    variants = []
-
-    def slot_token(i: int) -> str:
-        token = "{" + base.slots[i] + "}"
-        return f'"{token}"' if base.slots[i] in base.forced else token
-
-    for dropped in range(optional_count + 1):
-        keep = len(base.slots) - dropped
-        # Rebuild the template with only the first `keep` slots; absent middle
-        # slots render empty, so every slot in a variant may match empty.
-        text = base.parts[0] + "".join(
-            slot_token(i) + (base.parts[i + 1] if i < keep - 1 else "")
-            for i in range(keep)
-        ) + base.parts[-1]
-        variants.append(compile_template(text, optional=set(base.slots)))
-    return variants
+    kept = len(pieces) - droppable
+    dropped = ""
+    for piece in reversed(pieces[kept:]):  # nested: a slot drops only with every slot after it
+        dropped = f"(?:{piece}{dropped})?"
+    pattern = re.compile("".join(pieces[:kept]) + dropped + re.escape(tail))
+    return CompiledTemplate(tuple(slots), tuple(parts), pattern, frozenset(forced), frozenset(loose), droppable)
 
 
 def template_slots(template: str) -> tuple[str, ...]:

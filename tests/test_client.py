@@ -45,12 +45,11 @@ def test_echo_gold_policy():
     assert client.complete("prompt", 0.7, reference="the gold answer") == "the gold answer"
 
 
-def test_echo_gold_fallback_when_unregistered(caplog):
-    """A request without a reference gets the fallback, with a warning."""
-    client = MockClient(policy="echo_gold")
-    with caplog.at_level("WARNING", logger="iealign.client"):
-        assert client.complete("unknown prompt", 0.7) == "NA"
-    assert "using fallback" in caplog.text
+def test_mock_request_without_reference_is_a_data_error():
+    """A request without a reference is a DataError naming the policy."""
+    for policy in ("echo_gold", "noisy_gold:0.5"):
+        with pytest.raises(DataError, match=re.escape(repr(policy))):
+            MockClient(policy=policy).complete("unknown prompt", 0.7)
 
 
 def test_fixed_policy():

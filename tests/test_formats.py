@@ -1,5 +1,5 @@
 """Template engine and format library tests: quoting, compilation, forced
-(quote-wrapped) slots, truncation variants, and spec validation."""
+(quote-wrapped) slots, the droppable tail, and spec validation."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from iealign.formats import (
     EVAL_FORMATS,
     compile_template,
-    compile_truncations,
     force_quote,
     load_format_library,
     normalize_slot,
@@ -19,7 +18,7 @@ from iealign.formats import (
     unquote_value,
     validate_spec,
 )
-from iealign.model import TaskKind
+from iealign.model import TASK_SLOTS, TaskKind
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +63,7 @@ def test_quote_roundtrip_property(value):
 
 
 def test_compile_template_parts_and_slots():
-    tpl = compile_template("({subject}; {relation}; {object});", set())
+    tpl = compile_template("({subject}; {relation}; {object});", set(), set(), 0)
     assert tpl.slots == ("subject", "relation", "object")
     assert tpl.parts == ("(", "; ", "; ", ");")
     assert not tpl.forced
@@ -72,12 +71,12 @@ def test_compile_template_parts_and_slots():
 
 def test_normalize_slot_spaces():
     assert normalize_slot("first event") == "first_event"
-    tpl = compile_template("({first event}; {second event})", set())
+    tpl = compile_template("({first event}; {second event})", set(), set(), 0)
     assert tpl.slots == ("first_event", "second_event")
 
 
 def test_render_parse_inverse():
-    tpl = compile_template("{entity}: {type};", set())
+    tpl = compile_template("{entity}: {type};", set(), set(), 0)
     text = tpl.render({"entity": "New York, NY", "type": "location"})
     assert text == '"New York, NY": location;'
     m = tpl.pattern.match(text)
@@ -86,7 +85,7 @@ def test_render_parse_inverse():
 
 
 def test_forced_slots_absorb_template_quotes():
-    tpl = compile_template('The event "{event}" is a "{class}".', set())
+    tpl = compile_template('The event "{event}" is a "{class}".', set(), set(), 0)
     assert tpl.forced == {"event", "class"}
     text = tpl.render({"event": "semi;colon", "class": "attack"})
     # exactly one layer of quotes even for structural values
@@ -96,7 +95,7 @@ def test_forced_slots_absorb_template_quotes():
 
 
 def test_forced_slot_with_inner_quotes():
-    tpl = compile_template('x "{a}" y', set())
+    tpl = compile_template('x "{a}" y', set(), set(), 0)
     value = 'has "inner" quotes'
     text = tpl.render({"a": value})
     m = tpl.pattern.match(text)
@@ -105,24 +104,63 @@ def test_forced_slot_with_inner_quotes():
 
 
 def test_template_ends_with_slot():
-    tpl = compile_template("{word}: {role}", set())
+    tpl = compile_template("{word}: {role}", set(), set(), 0)
     assert tpl.parts[-1] == ""
     text = tpl.render({"word": "w", "role": "agent"})
     assert text == "w: agent"
 
 
-def test_truncation_variants_longest_first():
-    variants = compile_truncations("({predicate}; {subject}; {object}; {time}; {location})", 2)
-    assert [len(v.slots) for v in variants] == [5, 4, 3]
-    full = variants[0].pattern.match("(met; bob; carol; ; home)")
-    assert full is not None
-    short = variants[2].pattern.match("(met; bob; carol)")
-    assert short is not None
+OPENIE_TEMPLATE = "({predicate}; {subject}; {object}; {time}; {location})"
+OPENIE_SLOTS = TASK_SLOTS[TaskKind.OPENIE]
 
 
-def test_truncation_preserves_forced_quotes():
-    variants = compile_truncations('"{predicate}" links "{subject}" to "{object}" at "{time}" in "{location}"', 2)
-    assert all("predicate" in v.forced for v in variants)
+def _openie_template(template=OPENIE_TEMPLATE):
+    return compile_template(template, set(OPENIE_SLOTS), set(), 2)
+
+
+def test_droppable_tail_matches_three_to_five_slots():
+    tpl = _openie_template()
+    for text, kept in [
+        ("(met; bob; carol; noon; home)", 5),
+        ("(met; bob; carol; noon)", 4),
+        ("(met; bob; carol)", 3),
+        ("(met; bob; carol; ; home)", 5),
+    ]:
+        m = tpl.pattern.fullmatch(text)
+        assert m is not None, text
+        groups = m.groupdict()
+        # a dropped slot's group reads None; a kept one, even empty, a string
+        assert [groups[slot] is not None for slot in OPENIE_SLOTS] == [True] * kept + [False] * (5 - kept), text
+
+
+def test_droppable_tail_is_only_the_tail():
+    tpl = _openie_template()
+    assert tpl.pattern.fullmatch("(met; bob)") is None  # the object is not droppable
+    # location drops only with time: a lone fourth slot is time, never location
+    assert tpl.pattern.fullmatch("(met; bob; carol; home)").group("location") is None
+
+
+def test_render_leaves_out_trailing_none_slots_with_their_literals():
+    tpl = _openie_template()
+    values = dict(zip(OPENIE_SLOTS, ("met", "bob", "carol", "noon", "home")))
+    assert tpl.render(values) == "(met; bob; carol; noon; home)"
+    assert tpl.render({**values, "location": None}) == "(met; bob; carol; noon)"
+    assert tpl.render({**values, "time": None, "location": None}) == "(met; bob; carol)"
+    # an absent slot before a present one renders empty in its place
+    assert tpl.render({**values, "time": None}) == "(met; bob; carol; ; home)"
+    # only the droppable tail is left out
+    assert tpl.render({**values, "object": None, "time": None, "location": None}) == "(met; bob; )"
+
+
+def test_droppable_tail_preserves_forced_quotes():
+    tpl = _openie_template('"{predicate}" links "{subject}" to "{object}" at "{time}" in "{location}"')
+    assert tpl.forced == set(OPENIE_SLOTS)
+    values = dict(zip(OPENIE_SLOTS, ("met", "bob", "carol", "noon", "home")))
+    assert tpl.render({**values, "location": None}) == '"met" links "bob" to "carol" at "noon"'
+    assert tpl.render({**values, "time": None, "location": None}) == '"met" links "bob" to "carol"'
+    m = tpl.pattern.fullmatch('"met" links "a; b" to "carol" at "noon"')
+    assert unquote_value(m.group("subject")) == "a; b"
+    assert m.group("time") == '"noon"' and m.group("location") is None
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,19 @@ def test_sft_cot_record_output_is_explanation_then_answer():
     assert all(rec["cot"] is None and rec["output"] == rec["answer"] for rec in records)
 
 
+def test_mock_without_reference_gives_no_cot():
+    """A mock that echoes a reference has none for a CoT request: each one is
+    skipped, and no record carries an explanation."""
+    corpus = make_corpus(TaskKind.NER, 60, seed=2)
+    opts = SftOptions(seed=5, cot_rate=1.0, max_tokens=100_000)
+    records, report = _build_sft(corpus, opts, client=MockClient(policy="echo_gold"))
+    subset = [i.id for i in corpus if cot_eligible(i.id, i.is_na, opts)]
+    assert subset
+    assert report["cot_count"] == 0
+    assert report["cot_skipped"] == len(subset)
+    assert all(rec["cot"] is None and rec["output"] == rec["answer"] for rec in records)
+
+
 def _log_builds(monkeypatch, path):
     """Append the id of each instance whose prompt is assembled to `path`,
     from this process and from any block worker forked after this."""
