@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple, Optional
 
-from .formats import CompiledTemplate, compile_template, template_slots, unquote_value
+from .formats import CompiledTemplate, compile_template, unquote_value
 from .model import EE_ARG_SLOTS, OPTIONAL_SLOTS, TASK_SLOTS, Extraction, FormatSpec, TaskKind
 
 
@@ -64,18 +64,12 @@ class ParseResult:
 @lru_cache(maxsize=256)
 def _compiled(template: str, task: TaskKind) -> CompiledTemplate:
     """A template of `task`'s answers. The task's optional slots are its
-    droppable tail, and in such a template every slot may match empty."""
-    droppable = len(OPTIONAL_SLOTS.get(task, ()))
+    droppable tail, and only they may match empty."""
+    optional = OPTIONAL_SLOTS.get(task, ())
     # EE arguments blobs may legitimately be empty (an event with no
     # arguments) and contain sub-template separators, hence optional + loose
     special = {"arguments"} if "{arguments}" in template else set()
-    optional = set(template_slots(template)) if droppable else special
-    return compile_template(template, optional, special, droppable)
-
-
-def _openie_accept(groups: dict[str, str]) -> bool:
-    # A match with an empty predicate or subject is degenerate.
-    return all(unquote_value(groups.get(slot) or "") for slot in ("predicate", "subject"))
+    return compile_template(template, special.union(optional), special, len(optional))
 
 
 def serialize_answer(gold: Extraction, spec: FormatSpec, seed: random.Random | None = None) -> str:
@@ -92,13 +86,13 @@ def serialize_answer(gold: Extraction, spec: FormatSpec, seed: random.Random | N
     if spec.family == "Triplet" and seed is not None and len(items) > 1:
         seed.shuffle(items)
     values = [dict(zip(TASK_SLOTS[gold.task], item)) for item in items]
+    optional = OPTIONAL_SLOTS.get(gold.task, ())
     if gold.task is TaskKind.EE:  # arguments: a JSON list of {word, role}, or the rendered sub-template
         render = None if spec.family == "Json" else _compiled(spec.arg_template, gold.task).render
         for v in values:
             args = [{"word": w, "role": r} for w, r in v["arguments"]]
             v["arguments"] = args if render is None else spec.arg_separator.join(map(render, args))
     if spec.family == "Json":
-        optional = OPTIONAL_SLOTS.get(gold.task, ())
         if optional:  # an absent optional slot is left out
             values = [{slot: x for slot, x in v.items() if x is not None or slot not in optional} for v in values]
         payload = {"task": gold.task.value, "items": values}
@@ -106,9 +100,10 @@ def serialize_answer(gold: Extraction, spec: FormatSpec, seed: random.Random | N
             payload = {"task": gold.task.value, "trigger": gold.trigger, "items": values}
         return json.dumps(payload, ensure_ascii=False)
     template = _compiled(spec.answer_template, gold.task)
+    required = [slot for slot in TASK_SLOTS[gold.task] if slot not in optional]
     rendered = []
     for item, v in zip(items, values):
-        if gold.task is not TaskKind.OPENIE and None in map(v.get, TASK_SLOTS[gold.task]):
+        if None in map(v.get, required):
             raise SerializationError(f"missing slot value in item {item!r}")
         rendered.append(template.render(v))
     return spec.answer_prefix + spec.item_separator.join(rendered)
@@ -132,17 +127,16 @@ def _parsed_item(task: TaskKind, groups: dict[str, Optional[str]], spec: FormatS
                                  spec.arg_separator, diagnostics, label="argument")
         return _unquoted(groups, TASK_SLOTS[task][:-1]) + (tuple([_unquoted(g, EE_ARG_SLOTS) for g in args]),)
     item = _unquoted(groups, TASK_SLOTS[task])
-    if task is TaskKind.OPENIE:  # an empty slot, quoted or not, is absent
-        return tuple([v or None for v in item])
+    optional = OPTIONAL_SLOTS.get(task)
+    if optional:  # an empty optional slot, quoted or not, is absent
+        return tuple([None if not v and slot in optional else v for slot, v in zip(TASK_SLOTS[task], item)])
     return item
 
 
 def _parse_items_loop(text: str, template: CompiledTemplate, separator: str,
-                      diagnostics: list[Diagnostic], label: str = "item",
-                      accept=None) -> list[dict[str, str]]:
+                      diagnostics: list[Diagnostic], label: str = "item") -> list[dict[str, str]]:
     """Match items of `template` from the start of `text`; stop with a
-    diagnostic at the first position where it does not match, or where
-    `accept(groups)` rejects its match."""
+    diagnostic at the first position where it does not match."""
     items = []
     pos = 0
     n = len(text)
@@ -162,7 +156,7 @@ def _parse_items_loop(text: str, template: CompiledTemplate, separator: str,
             pos += len(sep)
             continue
         m = pattern.match(text, pos)
-        if m is None or (accept is not None and not accept(m.groupdict())):
+        if m is None:
             diagnostics.append(Diagnostic(
                 DiagnosticKind.UNPARSEABLE, pos, f"unparseable {label} at offset {pos}: {text[pos:pos + 40]!r}"
             ))
@@ -206,10 +200,8 @@ def parse_answer_lenient(
             trigger = extra
     else:
         template = _compiled(spec.answer_template, task)
-        if task is TaskKind.OPENIE:
-            groups = _parse_items_loop(body, template, ",", diagnostics, accept=_openie_accept)
-        else:
-            groups = _parse_items_loop(body, template, spec.item_separator, diagnostics)
+        separator = "," if task is TaskKind.OPENIE else spec.item_separator  # OpenIE tuples may be comma-separated
+        groups = _parse_items_loop(body, template, separator, diagnostics)
         items = [_parsed_item(task, g, spec, diagnostics) for g in groups]
 
     deduped: list[tuple] = []

@@ -5,7 +5,7 @@ An answer template is a per-item string with named slots, e.g.
 characters are wrapped in double quotes with backslash escapes so that the
 grammar stays unambiguous and parsing is an exact inverse of rendering.
 A template may end in a droppable tail of slots that an item leaves out,
-each with the literal before it: an open IE tuple's time and location.
+each with the literal before it: an open IE tuple's object, time and location.
 
 The library of training-time formats is shipped as JSON data files under
 ``iealign/data/formats``. The six held-out evaluation format strings are

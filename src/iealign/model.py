@@ -63,9 +63,10 @@ TASK_SLOTS: dict[TaskKind, tuple[str, ...]] = {
 
 EE_ARG_SLOTS = ("word", "role")
 
-# Trailing OpenIE slots that may be omitted entirely.
+# Each task's optional slots, the only ones an item may leave out (None): the
+# last slots of TASK_SLOTS, which its answer templates may drop as their tail.
 OPTIONAL_SLOTS: dict[TaskKind, tuple[str, ...]] = {
-    TaskKind.OPENIE: ("time", "location"),
+    TaskKind.OPENIE: ("object", "time", "location"),
 }
 
 
@@ -125,7 +126,7 @@ class Extraction:
       EAE    (argument, role)             -- `trigger` names the event
       EE     (trigger, event_type, ((argument, role), ...))
       ERE    (event1, relation, event2)
-      OpenIE (predicate, subject, object, time | None, location | None)
+      OpenIE (predicate, subject, object | None, time | None, location | None)
       OnDemandIE has no items; `table` holds the markdown table text.
     """
 

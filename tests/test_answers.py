@@ -98,7 +98,7 @@ def _instances(draw) -> IEInstance:
         if task is TaskKind.EE:
             return draw(_TEXT), draw(label), tuple(draw(st.lists(st.tuples(_TEXT, label), max_size=2)))
         if task is TaskKind.OPENIE:
-            return draw(_TEXT), draw(_TEXT), draw(_TEXT), draw(st.none() | _TEXT), draw(st.none() | _TEXT)
+            return draw(_TEXT), draw(_TEXT), draw(st.none() | _TEXT), draw(st.none() | _TEXT), draw(st.none() | _TEXT)
         if task in (TaskKind.RC, TaskKind.RE, TaskKind.ERE):
             return draw(_TEXT), draw(label), draw(_TEXT)
         return draw(_TEXT), draw(label)
@@ -188,11 +188,14 @@ def test_openie_middle_absent_slot():
      (("met", "Alice", "Bob", None, None), ("left", "Carol", "home", "today", None)), []),
     ("(met; Alice; Bob),(left; Carol; home)",
      (("met", "Alice", "Bob", None, None), ("left", "Carol", "home", None, None)), []),
-    # an empty predicate or subject matches no variant
+    # a required slot, predicate or subject, needs a value
     ("(; Alice; Bob)", (), [(DiagnosticKind.UNPARSEABLE, 0)]),
     ("(met; ; Bob; ; Paris)", (), [(DiagnosticKind.UNPARSEABLE, 0)]),
-    # any other empty slot, quoted or not, is absent
+    # an empty optional slot, quoted or not, is absent
     ('(met; Alice; ""; ; Paris)', (("met", "Alice", None, None, "Paris"),), []),
+    ("(met; Alice)", (("met", "Alice", None, None, None),), []),
+    # a quoted empty required slot parses as in every other task
+    ('(""; Alice; Bob)', (("", "Alice", "Bob", None, None),), []),
 ])
 def test_openie_parse_exact(body, items, diagnostics):
     result = parse_answer_lenient("[Answer]: " + body, EVAL_FORMATS[TaskKind.OPENIE])
@@ -215,6 +218,40 @@ def test_openie_render_exact(name, expected):
     text = serialize_answer(gold, spec, seed=None)
     assert text == expected
     assert parse_answer(text, spec).items == gold.items
+
+
+_OPENIE_SPECS = {s.name: s for s in LIBRARY[TaskKind.OPENIE] + [EVAL_FORMATS[TaskKind.OPENIE]]}
+
+
+def test_openie_gold_without_an_object_is_valid():
+    gold = Extraction(TaskKind.OPENIE, (("met", "Alice", None, None, None),))
+    assert validate_instance(IEInstance("i", "d", TaskKind.OPENIE, "Alice met.", None, gold, False)) == []
+
+
+@pytest.mark.parametrize("name,expected", [
+    ("eval-openie", "[Answer]: (met; Alice)"),
+    ("openie-nl", 'The predicate "met" connects "Alice".'),
+    ("openie-json", '{"task": "OpenIE", "items": [{"predicate": "met", "subject": "Alice"}]}'),
+])
+def test_openie_render_without_an_object(name, expected):
+    """The object drops with time and location, leaving no dangling literal
+    or key."""
+    gold = Extraction(TaskKind.OPENIE, (("met", "Alice", None, None, None),))
+    spec = _OPENIE_SPECS[name]
+    assert serialize_answer(gold, spec) == expected
+
+
+@pytest.mark.parametrize("present", [(o, t, l) for o in (0, 1) for t in (0, 1) for l in (0, 1)],
+                         ids=lambda p: "".join("otl"[i] if x else "-" for i, x in enumerate(p)))
+@pytest.mark.parametrize("name", list(_OPENIE_SPECS))
+def test_openie_optional_slots_round_trip(present, name):
+    """Every mix of absent object, time and location round-trips."""
+    optional = tuple(v if keep else None for v, keep in zip(("Bob", "today", "Paris"), present))
+    gold = Extraction(TaskKind.OPENIE, (("met", "Alice") + optional, ("left", "Carol") + optional))
+    spec = _OPENIE_SPECS[name]
+    text = serialize_answer(gold, spec)
+    result = parse_answer_lenient(text, spec)
+    assert (result.extraction.items, result.diagnostics) == (gold.items, []), text
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ EVAL_TASKS = tuple(sorted(CLOSED_IE_TASKS, key=lambda t: t.value)) + (TaskKind.O
 SFT_DIGEST = "625c7ab4fa5619606c55279bf5abe229ead7df430a9199fb60bf66564fa68019"
 DPO_DIGEST = "46559693dceb57d6709b7b47859d1c0a367d4b7b753aa58d6207fd5716ef8e85"
 EVALUATE_DIGEST = "44bc6f65007acbd6242eb1b1e342940c9e3eea1f4f1f946e58655bc8b1658b40"
-PARSE_DIGEST = "6da9cc41c33e0ae260c6fc37fd91561a3940cf8121318831036c91d732c7ca9a"
+PARSE_DIGEST = "5fa3852beb8a3a57c73d439ecceb15b4faa2968d7956c4ef9c8a30e579d63c1a"
 
 
 def _sha256(path) -> str:

@@ -170,7 +170,7 @@ def test_validate_wrong_slot_count():
         (Extraction(TaskKind.NER, ((["a"], "person"),)), "not a string"),
         (Extraction(TaskKind.EE, (("t", "attack", (("a",),)),)), "argument ('a',) has 1 slots"),
         (Extraction(TaskKind.EAE, (("a", "agent"),), trigger=5), "trigger 5 is not a string"),
-        (Extraction(TaskKind.OPENIE, (("p", "s", None, None, None),)), "not a string"),
+        (Extraction(TaskKind.OPENIE, ((None, "s", "o", None, None),)), "not a string"),
     ],
 )
 def test_validate_shape_is_checked_before_labels(gold, problem):

@@ -15,7 +15,7 @@ UNREACHED = {
     "sentence_bleu_m3", "tuple_pair_score",
 }
 # The counts today; a change that drops a value or key lowers its bound.
-MAX_SETTABLE_VALUES = 83
+MAX_SETTABLE_VALUES = 82
 MAX_CONFIG_KEYS = 50
 
 
