@@ -13,12 +13,10 @@ import random
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
-from itertools import chain
 from typing import NamedTuple, Optional
 
 from .formats import CompiledTemplate, compile_template, unquote_value
-from .model import EE_ARG_SLOTS, OPTIONAL_SLOTS, TASK_SLOTS, Extraction, FormatSpec, TaskKind
+from .model import EE_ARG_SLOTS, TASK_SLOTS, Extraction, FormatSpec, TaskKind, item_from_slots, slot_values
 
 
 class SerializationError(ValueError):
@@ -61,17 +59,6 @@ class ParseResult:
 # Serialization
 
 
-@lru_cache(maxsize=256)
-def _compiled(template: str, task: TaskKind) -> CompiledTemplate:
-    """A template of `task`'s answers. The task's optional slots are its
-    droppable tail, and only they may match empty."""
-    optional = OPTIONAL_SLOTS.get(task, ())
-    # EE arguments blobs may legitimately be empty (an event with no
-    # arguments) and contain sub-template separators, hence optional + loose
-    special = {"arguments"} if "{arguments}" in template else set()
-    return compile_template(template, special.union(optional), special, len(optional))
-
-
 def serialize_answer(gold: Extraction, spec: FormatSpec, seed: random.Random | None = None) -> str:
     """Render a gold extraction. Triplet items are shuffled by drawing from
     `seed` (only when there is more than one item to order); None keeps the
@@ -85,58 +72,47 @@ def serialize_answer(gold: Extraction, spec: FormatSpec, seed: random.Random | N
     items = list(gold.items)
     if spec.family == "Triplet" and seed is not None and len(items) > 1:
         seed.shuffle(items)
-    values = [dict(zip(TASK_SLOTS[gold.task], item)) for item in items]
-    optional = OPTIONAL_SLOTS.get(gold.task, ())
+    for item in items:
+        if None in slot_values(gold.task, item):
+            raise SerializationError(f"missing slot value in item {item!r}")
+    # every None left is an absent optional slot, which is left out
+    values = [{slot: x for slot, x in zip(TASK_SLOTS[gold.task], item) if x is not None} for item in items]
     if gold.task is TaskKind.EE:  # arguments: a JSON list of {word, role}, or the rendered sub-template
-        render = None if spec.family == "Json" else _compiled(spec.arg_template, gold.task).render
+        render = None if spec.family == "Json" else compile_template(spec.arg_template, gold.task).render
         for v in values:
             args = [{"word": w, "role": r} for w, r in v["arguments"]]
             v["arguments"] = args if render is None else spec.arg_separator.join(map(render, args))
     if spec.family == "Json":
-        if optional:  # an absent optional slot is left out
-            values = [{slot: x for slot, x in v.items() if x is not None or slot not in optional} for v in values]
         payload = {"task": gold.task.value, "items": values}
         if gold.task is TaskKind.EAE:
             payload = {"task": gold.task.value, "trigger": gold.trigger, "items": values}
         return json.dumps(payload, ensure_ascii=False)
-    template = _compiled(spec.answer_template, gold.task)
-    required = [slot for slot in TASK_SLOTS[gold.task] if slot not in optional]
-    rendered = []
-    for item, v in zip(items, values):
-        if None in map(v.get, required):
-            raise SerializationError(f"missing slot value in item {item!r}")
-        rendered.append(template.render(v))
-    return spec.answer_prefix + spec.item_separator.join(rendered)
+    render = compile_template(spec.answer_template, gold.task).render
+    return spec.answer_prefix + spec.item_separator.join(map(render, values))
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 
 
-def _unquoted(groups: dict[str, Optional[str]], slots: tuple[str, ...]) -> tuple:
-    """The values of `slots` in a template match, unquoted; a slot the
-    template lacks is None."""
-    return tuple([None if (text := groups.get(slot)) is None else unquote_value(text) for slot in slots])
-
-
-def _parsed_item(task: TaskKind, groups: dict[str, Optional[str]], spec: FormatSpec,
+def _parsed_item(task: TaskKind, values: dict[str, Optional[str]], spec: FormatSpec,
                  diagnostics: list[Diagnostic]) -> tuple:
-    """The item a template match's `groups` hold."""
+    """The item of a template match's slot `values`; a slot the template lacks is None."""
     if task is TaskKind.EE:  # the last slot, arguments, holds the rendered sub-template
-        args = _parse_items_loop(groups.get("arguments") or "", _compiled(spec.arg_template, task),
+        args = _parse_items_loop(values.get("arguments") or "", compile_template(spec.arg_template, task),
                                  spec.arg_separator, diagnostics, label="argument")
-        return _unquoted(groups, TASK_SLOTS[task][:-1]) + (tuple([_unquoted(g, EE_ARG_SLOTS) for g in args]),)
-    item = _unquoted(groups, TASK_SLOTS[task])
-    optional = OPTIONAL_SLOTS.get(task)
-    if optional:  # an empty optional slot, quoted or not, is absent
-        return tuple([None if not v and slot in optional else v for slot, v in zip(TASK_SLOTS[task], item)])
-    return item
+        values["arguments"] = tuple([tuple(map(arg.get, EE_ARG_SLOTS)) for arg in args])
+    try:
+        return item_from_slots(task, values)
+    except KeyError:  # a required slot the template lacks
+        return item_from_slots(task, {**dict.fromkeys(TASK_SLOTS[task]), **values})
 
 
 def _parse_items_loop(text: str, template: CompiledTemplate, separator: str,
-                      diagnostics: list[Diagnostic], label: str = "item") -> list[dict[str, str]]:
-    """Match items of `template` from the start of `text`; stop with a
-    diagnostic at the first position where it does not match."""
+                      diagnostics: list[Diagnostic], label: str = "item") -> list[dict[str, Optional[str]]]:
+    """Match items of `template` from the start of `text`, each as its slots'
+    values: unquoted, but for a loose slot's, and None for a dropped slot's.
+    Stop with a diagnostic at the first position where it does not match."""
     items = []
     pos = 0
     n = len(text)
@@ -161,7 +137,8 @@ def _parse_items_loop(text: str, template: CompiledTemplate, separator: str,
                 DiagnosticKind.UNPARSEABLE, pos, f"unparseable {label} at offset {pos}: {text[pos:pos + 40]!r}"
             ))
             break
-        items.append(m.groupdict())
+        items.append({slot: v if v is None or slot in template.loose else unquote_value(v)
+                      for slot, v in m.groupdict().items()})
         pos = m.end()
     return items
 
@@ -179,11 +156,7 @@ def _strip_prefix(text: str, spec: FormatSpec, diagnostics: list[Diagnostic]) ->
     return text
 
 
-def parse_answer_lenient(
-    text: str,
-    spec: FormatSpec,
-    trigger: Optional[str] = None,
-) -> ParseResult:
+def parse_answer_lenient(text: str, spec: FormatSpec, trigger: Optional[str] = None) -> ParseResult:
     task = spec.task
     diagnostics: list[Diagnostic] = []
     body = text.strip()
@@ -199,10 +172,10 @@ def parse_answer_lenient(
         if task is TaskKind.EAE and trigger is None:
             trigger = extra
     else:
-        template = _compiled(spec.answer_template, task)
+        template = compile_template(spec.answer_template, task)
         separator = "," if task is TaskKind.OPENIE else spec.item_separator  # OpenIE tuples may be comma-separated
-        groups = _parse_items_loop(body, template, separator, diagnostics)
-        items = [_parsed_item(task, g, spec, diagnostics) for g in groups]
+        matches = _parse_items_loop(body, template, separator, diagnostics)
+        items = [_parsed_item(task, values, spec, diagnostics) for values in matches]
 
     deduped: list[tuple] = []
     seen = set()
@@ -213,19 +186,14 @@ def parse_answer_lenient(
             seen.add(it)
             deduped.append(it)
 
-    extraction = Extraction(
-        task,
-        tuple(deduped),
-        trigger=trigger if task is TaskKind.EAE else None,
-    )
-    return ParseResult(extraction, diagnostics)
+    return ParseResult(Extraction(task, tuple(deduped), trigger=trigger if task is TaskKind.EAE else None), diagnostics)
 
 
 def _parse_json_body(body: str, task: TaskKind, diagnostics: list[Diagnostic]):
     extra = None
     try:
         payload = json.loads(body)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # RecursionError: nested too deep to decode
         # recover an embedded JSON object if the model wrapped it in prose
         start, end = body.find("{"), body.rfind("}")
         if start == -1 or end <= start:
@@ -234,7 +202,7 @@ def _parse_json_body(body: str, task: TaskKind, diagnostics: list[Diagnostic]):
         try:
             payload = json.loads(body[start : end + 1])
             diagnostics.append(Diagnostic(DiagnosticKind.RECOVERED_JSON, 0, "recovered embedded JSON object"))
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             diagnostics.append(Diagnostic(DiagnosticKind.BAD_JSON, 0, f"malformed JSON: {e}"))
             return [], extra
     if not isinstance(payload, dict) or "items" not in payload:
@@ -246,31 +214,23 @@ def _parse_json_body(body: str, task: TaskKind, diagnostics: list[Diagnostic]):
         diagnostics.append(Diagnostic(DiagnosticKind.BAD_JSON, 0, f"JSON 'items' is not a list: {payload['items']!r}"))
         return [], extra
     items = []
-    slots = TASK_SLOTS[task]
-    optional = OPTIONAL_SLOTS.get(task, ())
     for obj in payload["items"]:
         if not isinstance(obj, dict):
             diagnostics.append(Diagnostic(DiagnosticKind.BAD_ITEM, 0, f"non-object item: {obj!r}"))
             continue
-        if task is TaskKind.EE:  # arguments: a list of {word, role}, which may be left out
-            try:
+        try:  # a KeyError for the first slot the item lacks and may not leave out
+            values = obj
+            if task is TaskKind.EE:  # arguments: a list of {word, role}, which may be left out
                 arguments = obj.get("arguments", [])
                 if not isinstance(arguments, list):
                     raise TypeError  # a bad EE item, as below
-                args = tuple((a["word"], a["role"]) for a in arguments)
-                item = (obj["trigger"], obj["type"], args)
-            except (KeyError, TypeError):
-                diagnostics.append(Diagnostic(DiagnosticKind.BAD_ITEM, 0, f"bad EE item: {obj!r}"))
-                continue
-            values = [*item[:2], *chain.from_iterable(args)]
-        else:
-            try:  # a KeyError for the first slot the item lacks and may not leave out
-                item = tuple([obj.get(slot) if slot in optional else obj[slot] for slot in slots])
-            except KeyError as e:
-                diagnostics.append(Diagnostic(DiagnosticKind.BAD_ITEM, 0, f"item missing slot {e}: {obj!r}"))
-                continue
-            values = [v for slot, v in zip(slots, item) if v is not None or slot not in optional]
-        if all(isinstance(v, str) for v in values):
+                values = {**obj, "arguments": tuple((a["word"], a["role"]) for a in arguments)}
+            item = item_from_slots(task, values)
+        except (KeyError, TypeError) as e:
+            problem = "bad EE item" if task is TaskKind.EE else f"item missing slot {e}"
+            diagnostics.append(Diagnostic(DiagnosticKind.BAD_ITEM, 0, f"{problem}: {obj!r}"))
+            continue
+        if all(isinstance(v, str) for v in slot_values(task, item)):
             items.append(item)
         else:
             diagnostics.append(Diagnostic(DiagnosticKind.BAD_ITEM, 0, f"item slot value is not a string: {obj!r}"))

@@ -4,8 +4,10 @@ An answer template is a per-item string with named slots, e.g.
 "({subject}; {relation}; {object});". Slot values that contain structural
 characters are wrapped in double quotes with backslash escapes so that the
 grammar stays unambiguous and parsing is an exact inverse of rendering.
-A template may end in a droppable tail of slots that an item leaves out,
-each with the literal before it: an open IE tuple's object, time and location.
+`compile_template(template, task)` makes every template's regex; its droppable
+tail is the task's optional slots, each with the literal before it (an open IE
+tuple's object, time and location). `model.item_from_slots` makes a match an
+item, and alone decides that an empty optional slot is absent.
 
 The library of training-time formats is shipped as JSON data files under
 ``iealign/data/formats``. The six held-out evaluation format strings are
@@ -17,9 +19,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
-from .model import EE_ARG_SLOTS, TASK_SLOTS, FormatSpec, TaskKind
+from .model import EE_ARG_SLOTS, OPTIONAL_SLOTS, TASK_SLOTS, FormatSpec, TaskKind
 
 _SLOT_RE = re.compile(r"\{([a-zA-Z_][a-zA-Z0-9_ ]*)\}")
 _QUOTE_TRIGGERS = frozenset(';:()"\n,.|[]')
@@ -103,10 +106,14 @@ class CompiledTemplate:
 _FORCED_SLOT_PATTERN = r'(?P<%s>"(?:[^"\\]|\\[\s\S])*?")'
 
 
-def compile_template(template: str, optional: set[str], loose: set[str], droppable: int) -> CompiledTemplate:
-    """Compile `template`. Optional slots may match empty, loose slots match
-    pre-rendered text, and the last `droppable` (literal + slot) pieces form
-    the droppable tail."""
+@lru_cache(maxsize=256)
+def compile_template(template: str, task: TaskKind) -> CompiledTemplate:
+    """Compile `template`, an answer or EE argument template of `task`. Its
+    droppable tail is the task's `OPTIONAL_SLOTS`; only they and EE's loose
+    `arguments` slot (the rendered argument sub-template, empty for an event
+    without arguments) may match empty. A slot named twice is a ValueError."""
+    optional = OPTIONAL_SLOTS.get(task, ())
+    loose = frozenset({"arguments"} if task is TaskKind.EE else ())
     slots: list[str] = []
     parts: list[str] = []
     pieces: list[str] = []  # per slot: the regex of the literal before it and of the slot
@@ -115,6 +122,8 @@ def compile_template(template: str, optional: set[str], loose: set[str], droppab
     strip_leading = False
     for m in _SLOT_RE.finditer(template):
         slot = normalize_slot(m.group(1))
+        if slot in slots:
+            raise ValueError(f"template {template!r} names slot {slot!r} twice")
         literal = template[pos : m.start()]
         if strip_leading:
             literal = literal[1:]
@@ -128,7 +137,7 @@ def compile_template(template: str, optional: set[str], loose: set[str], droppab
         if slot in forced:
             slot_regex = _FORCED_SLOT_PATTERN % slot
         else:
-            quantifier = "*?" if slot in optional else "+?"
+            quantifier = "*?" if slot in optional or slot in loose else "+?"
             unit = _LOOSE_SLOT_UNIT if slot in loose else _SLOT_UNIT
             slot_regex = f"(?P<{slot}>{unit}{quantifier})"
         pieces.append(re.escape(literal) + slot_regex)
@@ -138,12 +147,12 @@ def compile_template(template: str, optional: set[str], loose: set[str], droppab
     if strip_leading:
         tail = tail[1:]
     parts.append(tail)
-    kept = len(pieces) - droppable
+    kept = len(pieces) - len(optional)
     dropped = ""
     for piece in reversed(pieces[kept:]):  # nested: a slot drops only with every slot after it
         dropped = f"(?:{piece}{dropped})?"
     pattern = re.compile("".join(pieces[:kept]) + dropped + re.escape(tail))
-    return CompiledTemplate(tuple(slots), tuple(parts), pattern, frozenset(forced), frozenset(loose), droppable)
+    return CompiledTemplate(tuple(slots), tuple(parts), pattern, frozenset(forced), loose, len(optional))
 
 
 def template_slots(template: str) -> tuple[str, ...]:

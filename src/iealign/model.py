@@ -20,6 +20,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import AbstractSet, Any, Callable, Iterable, Iterator, Mapping, Optional, TextIO, TypeVar
 
@@ -65,9 +67,37 @@ EE_ARG_SLOTS = ("word", "role")
 
 # Each task's optional slots, the only ones an item may leave out (None): the
 # last slots of TASK_SLOTS, which its answer templates may drop as their tail.
+# Only `item_from_slots`, `slot_values` and `formats.compile_template` read it.
 OPTIONAL_SLOTS: dict[TaskKind, tuple[str, ...]] = {
     TaskKind.OPENIE: ("object", "time", "location"),
 }
+
+
+_ITEM_OF = {task: itemgetter(*slots) for task, slots in TASK_SLOTS.items()}  # a tuple: 2+ slots each
+
+
+def item_from_slots(task: TaskKind, values: Mapping[str, Any]) -> tuple:
+    """The `task` item whose slots hold `values`, a slot -> value mapping. An
+    optional slot that is missing or empty ("") is None, so an item reads the
+    same whatever the format it was parsed from; a missing required slot is a
+    KeyError."""
+    optional = OPTIONAL_SLOTS.get(task)
+    if optional is None:
+        return _ITEM_OF[task](values)
+    return tuple([values[slot] if slot not in optional else None if (v := values.get(slot)) == "" else v
+                  for slot in TASK_SLOTS[task]])
+
+
+def slot_values(task: TaskKind, item: tuple) -> list:
+    """The values of a `task` item that must be strings: for EE the trigger,
+    the type and each argument's word and role; for every other task each
+    slot but an absent (None) optional one."""
+    if task is TaskKind.EE:
+        return [item[0], item[1], *chain.from_iterable(item[2])]
+    optional = OPTIONAL_SLOTS.get(task)
+    if optional is None:
+        return list(item)
+    return [v for slot, v in zip(TASK_SLOTS[task], item) if v is not None or slot not in optional]
 
 
 @dataclass(frozen=True)
@@ -215,28 +245,23 @@ def stable_id(dataset: str, index: int, text: str) -> str:
 def gold_shape_problems(gold: Extraction) -> list[str]:
     """Problems with the shape of `gold`, as raw input can have them: every
     item must have the task's width (`TASK_SLOTS`; EE arguments
-    `EE_ARG_SLOTS`) and non-empty string slot values (an absent optional slot
-    is None; a template renders an empty value as nothing, so it would not
-    parse back), and a trigger or table must be a string or None."""
+    `EE_ARG_SLOTS`) and non-empty string `slot_values` (a template renders an
+    empty value as nothing, so it would not parse back), and a trigger or
+    table must be a string or None."""
     problems = []
     for name, value in (("trigger", gold.trigger), ("table", gold.table)):
         if value is not None and not isinstance(value, str):
             problems.append(f"gold: {name} {value!r} is not a string")
     slots = TASK_SLOTS.get(gold.task, ())
-    optional = OPTIONAL_SLOTS.get(gold.task, ())
     for it in gold.items:
         if len(it) != len(slots):
             problems.append(f"gold: item {it!r} has {len(it)} slots, expected {len(slots)}")
             continue
-        values = it
         if gold.task is TaskKind.EE:
-            values = list(it[:2])
             for arg in it[2]:
                 if len(arg) != len(EE_ARG_SLOTS):
                     problems.append(f"gold: argument {arg!r} has {len(arg)} slots, expected {len(EE_ARG_SLOTS)}")
-                values.extend(arg)
-        elif optional:
-            values = [v for slot, v in zip(slots, it) if v is not None or slot not in optional]
+        values = slot_values(gold.task, it)
         if not all(isinstance(v, str) for v in values):
             problems.append(f"gold: item {it!r} has a slot value that is not a string")
         elif "" in values:
@@ -460,9 +485,9 @@ def read_records(path, convert: Callable[[Any, int], T], lenient: bool) -> tuple
     """`convert(value, lineno)` of each non-blank line of a JSONL file, and the
     number of lines skipped. The file is read in binary mode and decoded line
     by line, so a bad byte is reported at its own line. A line that is not
-    UTF-8 JSON, or that `convert` rejects with DataError, ValueError, KeyError
-    or TypeError, raises DataError naming the line; when `lenient`, it is
-    logged and skipped instead."""
+    UTF-8 JSON, or nests too deep to decode, or that `convert` rejects with
+    DataError, ValueError, KeyError or TypeError, raises DataError naming the
+    line; when `lenient`, it is logged and skipped instead."""
     out: list[T] = []
     skipped = 0
     with open(path, "rb") as f:
@@ -472,7 +497,7 @@ def read_records(path, convert: Callable[[Any, int], T], lenient: bool) -> tuple
             try:
                 try:
                     value = json.loads(line.decode("utf-8"))
-                except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+                except (ValueError, RecursionError) as e:  # JSONDecodeError, UnicodeDecodeError, or too deep
                     raise DataError(f"invalid JSON: {e}", line=lineno) from None
                 out.append(convert(value, lineno))
             except (DataError, ValueError, KeyError, TypeError) as e:

@@ -254,6 +254,23 @@ def test_openie_optional_slots_round_trip(present, name):
     assert (result.extraction.items, result.diagnostics) == (gold.items, []), text
 
 
+_OPTIONAL_VALUES = st.none() | st.just("") | _TEXT
+
+
+@given(st.tuples(_TEXT.filter(bool), _TEXT.filter(bool), _OPTIONAL_VALUES, _OPTIONAL_VALUES, _OPTIONAL_VALUES))
+@settings(max_examples=150, deadline=None)
+def test_openie_item_reads_the_same_under_every_format(values):
+    """An OpenIE item whose object, time and location are each present,
+    absent or empty, rendered under each OpenIE format, parses to one item:
+    an empty optional slot is absent whatever the format."""
+    gold = Extraction(TaskKind.OPENIE, (values,))
+    expected = values[:2] + tuple(v or None for v in values[2:])
+    for name, spec in _OPENIE_SPECS.items():
+        text = serialize_answer(gold, spec)
+        result = parse_answer_lenient(text, spec)
+        assert (result.extraction.items, result.diagnostics) == ((expected,), []), (name, text)
+
+
 # ---------------------------------------------------------------------------
 # Empty gold / fail output
 
@@ -277,6 +294,15 @@ def test_serialize_task_mismatch_raises():
     gold = Extraction(TaskKind.NER, (("a", "person"),))
     with pytest.raises(SerializationError):
         serialize_answer(gold, EVAL_FORMATS[TaskKind.ED])
+
+
+@pytest.mark.parametrize("item", [("a", None), ("met", None, "Bob", None, None), ("t", "e", ((None, "r"),))],
+                         ids=["ner", "openie", "ee-argument"])
+def test_serialize_required_slot_none_raises_under_every_format(item):
+    gold = Extraction({2: TaskKind.NER, 5: TaskKind.OPENIE, 3: TaskKind.EE}[len(item)], (item,))
+    for spec in LIBRARY[gold.task]:
+        with pytest.raises(SerializationError, match="missing slot value"):
+            serialize_answer(gold, spec)
 
 
 def test_ondemand_table_passthrough():
@@ -400,6 +426,17 @@ def test_lenient_json_value_that_is_not_a_string_is_a_diagnostic(spec, payload, 
     assert result.extraction.items == items
     assert result.extraction.trigger == trigger
     assert [d.kind for d in result.diagnostics] == kinds
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"items": ' + "[" * 100_000 + "]" * 100_000 + "}", "malformed JSON: maximum recursion depth exceeded"),
+    ("[" * 100_000 + "]" * 100_000, "no JSON object found"),
+], ids=["object", "bare"])
+def test_lenient_json_nested_too_deep_is_bad_json(text, message):
+    result = parse_answer_lenient(text, _NER_JSON)
+    assert result.extraction.items == ()
+    assert [d.kind for d in result.diagnostics] == [DiagnosticKind.BAD_JSON]
+    assert result.diagnostics[0].message.startswith(message)
 
 
 _JSON_VALUES = st.recursive(

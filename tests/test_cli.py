@@ -824,18 +824,22 @@ def test_stats_cli_counts_malformed(runner, tmp_path):
     assert runner.invoke(main, ["build-sft", "--config", cfg, "--out", str(run)]).exit_code == 0
     corpus_path = run / "sft.jsonl"
     record = json.loads(corpus_path.read_text(encoding="utf-8").splitlines()[0])
+    slot_twice = {"family": "Triplet", "name": "slot-twice", "task": "NER", "input_template": "",
+                  "answer_template": "{entity}: {entity};"}
     not_sft_records = [
         {"id": "a"},
         {"id": "a", "task": "NER", "format": 5, "demonstrations": []},
         {**record, "task": "XX"},
+        {**record, "format": slot_twice},  # a template that cannot compile
     ]
     with open(corpus_path, "ab") as f:
         f.write(b"oops not json\n" + b'{"cut mid-character": "caf\xc3\n')
+        f.write(b"[" * 100_000 + b"]" * 100_000 + b"\n")  # nested too deep to decode
         f.write(b"".join(json.dumps(r).encode("utf-8") + b"\n" for r in not_sft_records))
     result = runner.invoke(main, ["stats", "--corpus", str(corpus_path)])
     assert result.exit_code == 0, result.output
     report = json.loads(result.output)
-    assert report["malformed_lines"] == 5
+    assert report["malformed_lines"] == 7
     assert report["total"] == 15
     assert report["closure_violations"] == 0
 
@@ -990,6 +994,14 @@ def _prediction_output_not_a_string(tmp_path):
     return ["evaluate", "--pred", str(pred), "--gold", str(inst)], 2
 
 
+def _prediction_nested_too_deep(tmp_path):
+    inst, corpus = _canonical(tmp_path, n=3)
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(f'{{"id": "{corpus[0].id}", "output": "NA"}}\n' + "[" * 100_000 + "]" * 100_000 + "\n",
+                    encoding="utf-8")
+    return ["evaluate", "--pred", str(pred), "--gold", str(inst)], 2
+
+
 def _duplicate_prediction_id(tmp_path):
     inst, corpus = _canonical(tmp_path, n=3)
     perfect = _perfect_ner_output(corpus[0])
@@ -1019,6 +1031,7 @@ def _duplicate_prediction_id(tmp_path):
         _duplicate_instance_id,
         _prediction_without_output,
         _prediction_output_not_a_string,
+        _prediction_nested_too_deep,
         _duplicate_prediction_id,
     ],
     ids=lambda case: case.__name__.lstrip("_"),

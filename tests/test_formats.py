@@ -63,7 +63,7 @@ def test_quote_roundtrip_property(value):
 
 
 def test_compile_template_parts_and_slots():
-    tpl = compile_template("({subject}; {relation}; {object});", set(), set(), 0)
+    tpl = compile_template("({subject}; {relation}; {object});", TaskKind.RC)
     assert tpl.slots == ("subject", "relation", "object")
     assert tpl.parts == ("(", "; ", "; ", ");")
     assert not tpl.forced
@@ -71,12 +71,12 @@ def test_compile_template_parts_and_slots():
 
 def test_normalize_slot_spaces():
     assert normalize_slot("first event") == "first_event"
-    tpl = compile_template("({first event}; {second event})", set(), set(), 0)
+    tpl = compile_template("({first event}; {second event})", TaskKind.ERE)
     assert tpl.slots == ("first_event", "second_event")
 
 
 def test_render_parse_inverse():
-    tpl = compile_template("{entity}: {type};", set(), set(), 0)
+    tpl = compile_template("{entity}: {type};", TaskKind.NER)
     text = tpl.render({"entity": "New York, NY", "type": "location"})
     assert text == '"New York, NY": location;'
     m = tpl.pattern.match(text)
@@ -85,7 +85,7 @@ def test_render_parse_inverse():
 
 
 def test_forced_slots_absorb_template_quotes():
-    tpl = compile_template('The event "{event}" is a "{class}".', set(), set(), 0)
+    tpl = compile_template('The event "{event}" is a "{class}".', TaskKind.ED)
     assert tpl.forced == {"event", "class"}
     text = tpl.render({"event": "semi;colon", "class": "attack"})
     # exactly one layer of quotes even for structural values
@@ -95,7 +95,7 @@ def test_forced_slots_absorb_template_quotes():
 
 
 def test_forced_slot_with_inner_quotes():
-    tpl = compile_template('x "{a}" y', set(), set(), 0)
+    tpl = compile_template('x "{a}" y', TaskKind.NER)
     value = 'has "inner" quotes'
     text = tpl.render({"a": value})
     m = tpl.pattern.match(text)
@@ -104,7 +104,7 @@ def test_forced_slot_with_inner_quotes():
 
 
 def test_template_ends_with_slot():
-    tpl = compile_template("{word}: {role}", set(), set(), 0)
+    tpl = compile_template("{word}: {role}", TaskKind.EAE)
     assert tpl.parts[-1] == ""
     text = tpl.render({"word": "w", "role": "agent"})
     assert text == "w: agent"
@@ -114,16 +114,13 @@ OPENIE_TEMPLATE = "({predicate}; {subject}; {object}; {time}; {location})"
 OPENIE_SLOTS = TASK_SLOTS[TaskKind.OPENIE]
 
 
-def _openie_template(template=OPENIE_TEMPLATE):
-    return compile_template(template, set(OPENIE_SLOTS), set(), 2)
-
-
-def test_droppable_tail_matches_three_to_five_slots():
-    tpl = _openie_template()
+def test_droppable_tail_matches_two_to_five_slots():
+    tpl = compile_template(OPENIE_TEMPLATE, TaskKind.OPENIE)
     for text, kept in [
         ("(met; bob; carol; noon; home)", 5),
         ("(met; bob; carol; noon)", 4),
         ("(met; bob; carol)", 3),
+        ("(met; bob)", 2),
         ("(met; bob; carol; ; home)", 5),
     ]:
         m = tpl.pattern.fullmatch(text)
@@ -134,33 +131,46 @@ def test_droppable_tail_matches_three_to_five_slots():
 
 
 def test_droppable_tail_is_only_the_tail():
-    tpl = _openie_template()
-    assert tpl.pattern.fullmatch("(met; bob)") is None  # the object is not droppable
+    tpl = compile_template(OPENIE_TEMPLATE, TaskKind.OPENIE)
+    assert tpl.pattern.fullmatch("(met)") is None  # the subject is not droppable
+    assert tpl.pattern.fullmatch("(; bob)") is None  # nor may a required slot match empty
     # location drops only with time: a lone fourth slot is time, never location
-    assert tpl.pattern.fullmatch("(met; bob; carol; home)").group("location") is None
+    m = tpl.pattern.fullmatch("(met; bob; carol; home)")
+    assert m.group("time") == "home" and m.group("location") is None
 
 
 def test_render_leaves_out_trailing_none_slots_with_their_literals():
-    tpl = _openie_template()
+    tpl = compile_template(OPENIE_TEMPLATE, TaskKind.OPENIE)
     values = dict(zip(OPENIE_SLOTS, ("met", "bob", "carol", "noon", "home")))
     assert tpl.render(values) == "(met; bob; carol; noon; home)"
     assert tpl.render({**values, "location": None}) == "(met; bob; carol; noon)"
     assert tpl.render({**values, "time": None, "location": None}) == "(met; bob; carol)"
+    assert tpl.render({**values, "object": None, "time": None, "location": None}) == "(met; bob)"
     # an absent slot before a present one renders empty in its place
     assert tpl.render({**values, "time": None}) == "(met; bob; carol; ; home)"
-    # only the droppable tail is left out
-    assert tpl.render({**values, "object": None, "time": None, "location": None}) == "(met; bob; )"
+    assert tpl.render({**values, "object": None, "time": None}) == "(met; bob; ; ; home)"
 
 
 def test_droppable_tail_preserves_forced_quotes():
-    tpl = _openie_template('"{predicate}" links "{subject}" to "{object}" at "{time}" in "{location}"')
+    template = '"{predicate}" links "{subject}" to "{object}" at "{time}" in "{location}"'
+    tpl = compile_template(template, TaskKind.OPENIE)
     assert tpl.forced == set(OPENIE_SLOTS)
     values = dict(zip(OPENIE_SLOTS, ("met", "bob", "carol", "noon", "home")))
     assert tpl.render({**values, "location": None}) == '"met" links "bob" to "carol" at "noon"'
     assert tpl.render({**values, "time": None, "location": None}) == '"met" links "bob" to "carol"'
+    assert tpl.render({**values, "object": None, "time": None, "location": None}) == '"met" links "bob"'
     m = tpl.pattern.fullmatch('"met" links "a; b" to "carol" at "noon"')
     assert unquote_value(m.group("subject")) == "a; b"
     assert m.group("time") == '"noon"' and m.group("location") is None
+    m = tpl.pattern.fullmatch('"met" links "a; b"')
+    assert m.group("object") is None
+
+
+def test_compile_template_rejects_a_slot_named_twice():
+    with pytest.raises(ValueError, match="names slot 'entity' twice"):
+        compile_template("{entity}: {entity};", TaskKind.NER)
+    with pytest.raises(ValueError, match="names slot 'first_event' twice"):
+        compile_template("({first event}; {first_event})", TaskKind.ERE)
 
 
 # ---------------------------------------------------------------------------

@@ -525,8 +525,13 @@ def test_build_sft_records_pass_the_record_check():
     records, report = _build_sft(corpus, opts, client=client)
     assert report["cot_count"] > 0 and len(report["per_task"]) == len(TaskKind)
     assert all(check_sft_record(r) is r for r in records)
+    ee = {"family": "Triplet", "name": "ee", "task": "EE", "input_template": "",
+          "answer_template": "{trigger}: {type} [{arguments}]", "arg_template": "{word}: {role}"}
+    assert check_sft_record(dict(records[0], format=ee))
     for bad in ({"id": "a"}, dict(records[0], task="XX"), dict(records[0], format=5),
-                dict(records[0], schema_view_labels=[5]), dict(records[0], format={"family": "Json"})):
+                dict(records[0], schema_view_labels=[5]), dict(records[0], format={"family": "Json"}),
+                dict(records[0], format=dict(ee, answer_template="{trigger}: {trigger} [{arguments}]")),
+                dict(records[0], format=dict(ee, arg_template="{word}: {word}"))):
         with pytest.raises((KeyError, TypeError, ValueError)):
             check_sft_record(bad)
 
