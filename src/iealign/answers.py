@@ -13,6 +13,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .formats import CompiledTemplate, compile_template, unquote_value
@@ -108,6 +109,15 @@ def _parsed_item(task: TaskKind, values: dict[str, Optional[str]], spec: FormatS
         return item_from_slots(task, {**dict.fromkeys(TASK_SLOTS[task]), **values})
 
 
+@lru_cache(maxsize=256)
+def _slot_terminated(pattern: re.Pattern, separator: str) -> re.Pattern:
+    """`pattern`, of a template that ends with a slot, with that slot ended
+    at the separator or the end: otherwise the trailing lazy slot would
+    match a single unit."""
+    term = f"(?={re.escape(separator)}|$)" if separator.strip() else r"(?=\s|$)"
+    return re.compile(pattern.pattern + term)
+
+
 def _parse_items_loop(text: str, template: CompiledTemplate, separator: str,
                       diagnostics: list[Diagnostic], label: str = "item") -> list[dict[str, Optional[str]]]:
     """Match items of `template` from the start of `text`, each as its slots'
@@ -117,12 +127,7 @@ def _parse_items_loop(text: str, template: CompiledTemplate, separator: str,
     pos = 0
     n = len(text)
     sep = separator.strip()
-    pattern = template.pattern
-    if template.parts[-1] == "":
-        # template ends with a slot: terminate it at the separator or the end,
-        # otherwise the trailing lazy slot would match a single unit
-        term = f"(?={re.escape(separator)}|$)" if sep else r"(?=\s|$)"
-        pattern = re.compile(pattern.pattern + term)
+    pattern = template.pattern if template.parts[-1] else _slot_terminated(template.pattern, separator)
     while pos < n:
         while pos < n and text[pos].isspace():
             pos += 1

@@ -5,9 +5,10 @@ An answer template is a per-item string with named slots, e.g.
 characters are wrapped in double quotes with backslash escapes so that the
 grammar stays unambiguous and parsing is an exact inverse of rendering.
 `compile_template(template, task)` makes every template's regex; its droppable
-tail is the task's optional slots, each with the literal before it (an open IE
-tuple's object, time and location). `model.item_from_slots` makes a match an
-item, and alone decides that an empty optional slot is absent.
+tail is its trailing run of the task's optional slots, each with the literal
+before it (an open IE tuple's object, time and location).
+`model.item_from_slots` makes a match an item, and alone decides that an
+empty optional slot is absent.
 
 The library of training-time formats is shipped as JSON data files under
 ``iealign/data/formats``. The six held-out evaluation format strings are
@@ -45,11 +46,12 @@ def force_quote(value: str) -> str:
 
 
 _QUOTED_LITERAL = re.compile(r'"(?:[^"\\]|\\[\s\S])*"', re.DOTALL)
+_ESCAPE = re.compile(r"\\([\s\S])")
 
 
 def unquote_value(text: str) -> str:
     if _QUOTED_LITERAL.fullmatch(text):
-        return re.sub(r"\\([\s\S])", r"\1", text[1:-1])
+        return _ESCAPE.sub(r"\1", text[1:-1])
     return text
 
 
@@ -109,9 +111,10 @@ _FORCED_SLOT_PATTERN = r'(?P<%s>"(?:[^"\\]|\\[\s\S])*?")'
 @lru_cache(maxsize=256)
 def compile_template(template: str, task: TaskKind) -> CompiledTemplate:
     """Compile `template`, an answer or EE argument template of `task`. Its
-    droppable tail is the task's `OPTIONAL_SLOTS`; only they and EE's loose
-    `arguments` slot (the rendered argument sub-template, empty for an event
-    without arguments) may match empty. A slot named twice is a ValueError."""
+    droppable tail is its trailing run of the task's `OPTIONAL_SLOTS`, found
+    by name; only optional slots and EE's loose `arguments` slot (the
+    rendered argument sub-template, empty for an event without arguments)
+    may match empty. A slot named twice is a ValueError."""
     optional = OPTIONAL_SLOTS.get(task, ())
     loose = frozenset({"arguments"} if task is TaskKind.EE else ())
     slots: list[str] = []
@@ -147,12 +150,14 @@ def compile_template(template: str, task: TaskKind) -> CompiledTemplate:
     if strip_leading:
         tail = tail[1:]
     parts.append(tail)
-    kept = len(pieces) - len(optional)
+    kept = len(slots)
+    while kept and slots[kept - 1] in optional:
+        kept -= 1
     dropped = ""
     for piece in reversed(pieces[kept:]):  # nested: a slot drops only with every slot after it
         dropped = f"(?:{piece}{dropped})?"
     pattern = re.compile("".join(pieces[:kept]) + dropped + re.escape(tail))
-    return CompiledTemplate(tuple(slots), tuple(parts), pattern, frozenset(forced), loose, len(optional))
+    return CompiledTemplate(tuple(slots), tuple(parts), pattern, frozenset(forced), loose, len(slots) - kept)
 
 
 def template_slots(template: str) -> tuple[str, ...]:

@@ -7,17 +7,18 @@ choices, and CoT eligibility and DPO descriptions keep streams of their own.
 So outputs are independent of processing order and worker count. Both
 builds, `stats` and `evaluate` do their per-item CPU work through one block
 runner, `map_blocks`: in blocks of consecutive items, on the CPUs this
-process may run on (in forked workers; in this process alone where fork is
-not available).
+process may run on (in workers forked first and fed each block's payload
+through a pipe; in this process alone where fork is not available).
 `build_sft` builds its CoT subset's records first and then the rest in
 blocks, whose text is written to `sft.jsonl` in input order, so the writing
 process holds one block of it, never the corpus.
-`build_dpo` draws every sample through the client first, then scores the
-samples with BLEU in blocks and pairs them in input order. `stats` merges
-its blocks' counts, and `evaluate` sums its blocks' per-instance rows, in
-input order. Output files are JSON lines written atomically, so a failure
-mid-write keeps the previous file; every run emits a manifest with content
-digests so reruns can be verified byte-for-byte.
+`build_dpo` draws each block's samples through the client as the block
+runner takes them, so the workers score one block with BLEU while the next
+is drawn, and pairs each block's samples as its scores come back, in input
+order. `stats` merges its blocks' counts, and `evaluate` sums its blocks'
+per-instance rows, in input order. Output files are JSON lines written
+atomically, so a failure mid-write keeps the previous file; every run emits
+a manifest with content digests so reruns can be verified byte-for-byte.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ import signal
 import threading
 import time
 import traceback
+from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Optional, Sequence, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .answers import parse_answer, parse_answer_lenient, serialize_answer, ParseError
 from .augment import cot_prompt, generate_cot, sample_words_limit
@@ -58,6 +61,7 @@ from .prefpairs import DpoPlan, assemble_dpo_corpus, build_pairs, draw_samples, 
 from .prompts import SchemaView, assemble_input, attach_demonstrations, augment_schema, load_description_pool
 from .seeds import derive_rng, derive_seed
 
+P = TypeVar("P")
 T = TypeVar("T")
 
 logger = logging.getLogger(__name__)
@@ -257,7 +261,7 @@ def build_sft(
     def blocks() -> Iterator[str]:
         composition = Composition()
         dropped_length = 0
-        with closing(map_blocks(build_block, len(instances))) as built:
+        with closing(map_blocks(build_block, len(instances), block_ranges(len(instances)))) as built:
             for text, counts, dropped in built:
                 composition.merge(counts)
                 dropped_length += dropped
@@ -280,69 +284,127 @@ def block_workers(n_blocks: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), n_blocks))
 
 
-def map_blocks(fn: Callable[[range], T], n: int) -> Iterator[T]:
-    """fn(block) for each block of BLOCK consecutive positions of range(n), in
-    order. With one worker (`block_workers`) they run here. Otherwise each
-    forked worker w runs blocks w, w + workers, ... and sends each result as a
-    pickle down a pipe of its own, which it fills at most about one result
-    ahead of the reader. An exception in fn(block), or in pickling its
-    result, is raised here when that result is due, with the worker's
-    traceback as its cause; one that does not come back from pickling with
-    its type and message comes as a RuntimeError that names them.
+def block_ranges(n: int) -> list[range]:
+    """The blocks of BLOCK consecutive positions of range(n)."""
+    return [range(start, min(start + BLOCK, n)) for start in range(0, n, BLOCK)]
+
+
+def map_blocks(fn: Callable[[P], T], n: int, payloads: Iterable[P]) -> Iterator[T]:
+    """fn(payload) for each of `payloads`, in order: one per block of BLOCK
+    consecutive positions of range(n), such as its range (`block_ranges`).
+    With one worker (`block_workers`) they run here, as map(fn, payloads).
+    Otherwise the workers are forked first; then each payload is taken here,
+    in order, and payload b is sent as a pickle down the input pipe of
+    worker b % workers once its result b - workers has come back, so a
+    payload is only ever written to an idle worker and no payload or result
+    is too large to pass. Each worker sends its results down an output pipe
+    of its own. An exception in fn(payload), or in pickling its result, is
+    raised here when that result is due, with the worker's traceback as its
+    cause; one that does not come back from pickling with its type and
+    message comes as a RuntimeError that names them. An exception in taking
+    a payload is raised after the results before it, as at one worker. A
+    worker that ends before taking its payload or sending its result is a
+    RuntimeError.
 
     Fork only once what `fn` reads is fixed and no other thread is running:
-    the workers see this process as it was at the fork. They end with
-    `os._exit`, so no inherited buffer or `finally` of this process runs
-    twice, and every worker is killed and reaped when the stream ends, fails
-    or is closed."""
-    blocks = [range(start, min(start + BLOCK, n)) for start in range(0, n, BLOCK)]
-    workers = block_workers(len(blocks))
-    if workers == 1:
-        yield from map(fn, blocks)
-        return
-    import pickle  # only where workers run: the module adds about 0.5 MB to a process
-
+    the workers see this process as it was at the fork. `payloads` is read
+    only after it, so a thread it starts never meets a fork. Workers end
+    with `os._exit`, so no inherited buffer or `finally` of this process
+    runs twice. When the stream ends, fails or is closed, every worker is
+    killed and reaped and `payloads` is closed."""
     pids: list[int] = []
-    pipes: list[BinaryIO] = []
+    inputs: list[BinaryIO] = []  # worker w reads its payloads from inputs[w]
+    outputs: list[BinaryIO] = []  # and writes its results to outputs[w]
     try:
+        workers = block_workers(-(-n // BLOCK))
+        if workers == 1:
+            yield from map(fn, payloads)
+            return
+        import pickle  # only where workers run: the module adds about 0.5 MB to a process
+
         for w in range(workers):
-            read_fd, write_fd = os.pipe()
+            payload_read, payload_write = os.pipe()
+            result_read, result_write = os.pipe()
             pid = os.fork()
             if pid == 0:
                 try:
-                    os.close(read_fd)
-                    for pipe in pipes:
+                    os.close(payload_write)
+                    os.close(result_read)
+                    for pipe in inputs + outputs:
                         pipe.close()
-                    with open(write_fd, "wb") as out:  # a reader that is gone makes a write raise
-                        for block in blocks[w::workers]:
-                            try:
-                                frame = pickle.dumps((True, fn(block)), pickle.HIGHEST_PROTOCOL)
-                            except Exception as e:
-                                error = (_picklable(e), traceback.format_exc())
-                                out.write(pickle.dumps((False, error), pickle.HIGHEST_PROTOCOL))
-                                break
-                            out.write(frame)
-                            out.flush()
+                    # a reader that is gone makes a write raise
+                    with open(payload_read, "rb") as inp, open(result_write, "wb") as out:
+                        _serve(fn, inp, out)
                 finally:
                     os._exit(0)
             pids.append(pid)
-            os.close(write_fd)
-            pipes.append(open(read_fd, "rb"))
-        for b in range(len(blocks)):
+            os.close(payload_read)
+            os.close(result_write)
+            inputs.append(open(payload_write, "wb"))
+            outputs.append(open(result_read, "rb"))
+
+        def receive(b: int):
             try:
-                ok, value = pickle.load(pipes[b % workers])
+                ok, value = pickle.load(outputs[b % workers])
             except (EOFError, pickle.UnpicklingError):
                 raise RuntimeError(f"a worker process ended before sending result {b}") from None
             if not ok:
                 error, trace = value
                 raise error from RuntimeError(f"raised in a worker process:\n{trace}")
-            yield value
+            return value
+
+        taking = iter(payloads)
+        sent = 0
+        while True:
+            try:
+                payload = next(taking)
+            except StopIteration:
+                break
+            except Exception:  # raised after the results before it, as by map()
+                yield from map(receive, range(max(0, sent - workers), sent))
+                raise
+            frame = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+            result = receive(sent - workers) if sent >= workers else None
+            try:
+                inputs[sent % workers].write(frame)
+                inputs[sent % workers].flush()
+            except BrokenPipeError:
+                raise RuntimeError(f"a worker process ended before sending result {sent}") from None
+            sent += 1
+            if sent > workers:
+                yield result
+        yield from map(receive, range(max(0, sent - workers), sent))
     finally:
-        for pipe in pipes:
-            pipe.close()
+        for pipe in inputs + outputs:
+            try:
+                pipe.close()
+            except BrokenPipeError:  # the unwritten rest of a payload to a worker that is gone
+                pass
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        if hasattr(payloads, "close"):
+            payloads.close()
+
+
+def _serve(fn: Callable, inp: BinaryIO, out: BinaryIO) -> None:
+    """A block worker's loop: fn(payload) for each payload read from `inp`,
+    each result, or the first exception, written to `out`."""
+    import pickle
+
+    while True:
+        try:
+            payload = pickle.load(inp)
+        except EOFError:
+            return
+        try:
+            frame = pickle.dumps((True, fn(payload)), pickle.HIGHEST_PROTOCOL)
+        except Exception as e:
+            error = (_picklable(e), traceback.format_exc())
+            out.write(pickle.dumps((False, error), pickle.HIGHEST_PROTOCOL))
+            return
+        out.write(frame)
+        out.flush()
 
 
 def _picklable(error: Exception) -> Exception:
@@ -391,14 +453,17 @@ def build_dpo(instances: Sequence[IEInstance], plan: DpoPlan, client: BaseClient
     answers use the fixed evaluation format with an unshuffled item order so
     BLEU scores have a stable reference.
 
-    Every instance is sampled through `client.map_prompts` first, and its
-    stream is read to the end, so no pool thread runs once scoring starts.
-    An instance whose sampling fails with a TransportError is skipped; any
-    other error stops the instances not yet started and is raised. Then the
-    samples are scored in blocks of consecutive instances by `map_blocks`'
-    workers, which send back only the scores; a scoring error is raised
-    when its block is due. Pairs are formed here in input order, so the
-    corpus depends on neither the client's nor the scoring's worker count."""
+    The instances are sampled through `client.map_prompts`, one block of
+    consecutive instances at a time, as `map_blocks` takes each block's
+    samples to send to a worker to score: so one block is scored while the
+    next is drawn. The workers are forked before the client's first call,
+    so its pool of threads starts only after the fork. An instance whose
+    sampling fails with a TransportError is skipped; any other error stops
+    the instances not yet started and is raised after the blocks before it.
+    The workers send back only the scores, and a scoring error is raised
+    when its block is due. Pairs are formed here as each block's scores come
+    back, in input order, so the corpus depends on neither the client's nor
+    the scoring's worker count."""
     library = load_format_library()
     pools = {task: load_description_pool(task, plan.pool_dir) for task in dict.fromkeys(i.task for i in instances)}
     jobs = []
@@ -416,24 +481,35 @@ def build_dpo(instances: Sequence[IEInstance], plan: DpoPlan, client: BaseClient
             logger.warning("skipping instance %s: %s", inst.id, e)
             return None
 
-    samples = list(client.map_prompts(draw, jobs, lambda job: job[2]))
+    drawn: deque[tuple[int, list]] = deque()  # each block taken to be scored, until its scores come
 
-    def score_block(positions: range) -> list[Optional[tuple[float, ...]]]:
-        """The scores of the samples of the instances at `positions`, None
-        for a skipped one."""
-        return [None if samples[pos] is None else score_samples(jobs[pos][1], samples[pos])
-                for pos in positions]
+    def sample_blocks() -> Iterator[tuple[int, list]]:
+        """Each block: its first position and its instances' samples."""
+        with closing(client.map_prompts(draw, jobs, lambda job: job[2])) as samples:
+            for start in range(0, len(jobs), BLOCK):
+                drawn.append((start, list(islice(samples, BLOCK))))
+                yield drawn[-1]
 
-    with closing(map_blocks(score_block, len(jobs))) as blocks:
-        scores = [sample_scores for block in blocks for sample_scores in block]
+    def score_block(block: tuple[int, list]) -> list[Optional[tuple[float, ...]]]:
+        """The scores of each instance's samples, None for a skipped one."""
+        start, samples = block
+        return [None if texts is None else score_samples(jobs[pos][1], texts)
+                for pos, texts in enumerate(samples, start)]
+
     candidates = []
-    for (inst, gold_text, prompt), texts, sample_scores in zip(jobs, samples, scores, strict=True):
-        if texts is not None:
-            candidates += build_pairs(
-                inst.id, inst.dataset, prompt, gold_text, tuple(zip(texts, sample_scores)), plan.gap_threshold
-            )
+    skipped = 0
+    with closing(map_blocks(score_block, len(jobs), sample_blocks())) as blocks:
+        for scores in blocks:
+            start, samples = drawn.popleft()
+            for (inst, gold_text, prompt), texts, sample_scores in zip(jobs[start:start + BLOCK], samples, scores):
+                if texts is None:
+                    skipped += 1
+                    continue
+                candidates += build_pairs(
+                    inst.id, inst.dataset, prompt, gold_text, tuple(zip(texts, sample_scores)), plan.gap_threshold
+                )
     corpus, summary = assemble_dpo_corpus(candidates, plan)
-    summary["skipped_instances"] = samples.count(None)
+    summary["skipped_instances"] = skipped
     if not corpus:
         logger.warning("no qualifying pairs")
         summary["note"] = "no qualifying pairs"
@@ -562,7 +638,7 @@ def stats(records: Sequence[dict]) -> dict:
         return composition
 
     composition = Composition()
-    with closing(map_blocks(count_block, len(records))) as blocks:
+    with closing(map_blocks(count_block, len(records), block_ranges(len(records)))) as blocks:
         for counts in blocks:
             composition.merge(counts)
     return composition.report()
@@ -604,7 +680,7 @@ def evaluate(predictions: dict[str, str], gold_instances: Sequence[IEInstance]) 
             rows.append({"id": inst.id, "tp": prf.tp, "fp": prf.fp, "fn": prf.fn, "notes": notes})
         return rows
 
-    with closing(map_blocks(score_block, len(gold_instances))) as blocks:
+    with closing(map_blocks(score_block, len(gold_instances), block_ranges(len(gold_instances)))) as blocks:
         rows = [row for block in blocks for row in block]
     unknown = len(predictions.keys() - {inst.id for inst in gold_instances})
     if unknown:

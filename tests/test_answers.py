@@ -220,6 +220,16 @@ def test_openie_render_exact(name, expected):
     assert parse_answer(text, spec).items == gold.items
 
 
+def test_openie_template_without_time_and_location_needs_its_predicate():
+    """A three-slot OpenIE template drops only its object: an answer that
+    leaves out the predicate is unparseable, not an item with it None."""
+    spec = FormatSpec("Triplet", "openie-three", TaskKind.OPENIE, "", "({subject}; {predicate}; {object})")
+    result = parse_answer_lenient("(Alice)", spec)
+    assert result.extraction.items == ()
+    assert [(d.kind, d.offset) for d in result.diagnostics] == [(DiagnosticKind.UNPARSEABLE, 0)]
+    assert parse_answer_lenient("(Alice; met)", spec).extraction.items == (("met", "Alice", None, None, None),)
+
+
 _OPENIE_SPECS = {s.name: s for s in LIBRARY[TaskKind.OPENIE] + [EVAL_FORMATS[TaskKind.OPENIE]]}
 
 

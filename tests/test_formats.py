@@ -139,6 +139,23 @@ def test_droppable_tail_is_only_the_tail():
     assert m.group("time") == "home" and m.group("location") is None
 
 
+def test_droppable_tail_is_the_trailing_optional_slots_by_name():
+    """Only a template's trailing run of the task's optional slots may drop,
+    however many slots it has and in whatever order."""
+    triplet = compile_template("({subject}; {predicate}; {object})", TaskKind.OPENIE)
+    assert triplet.droppable == 1
+    assert triplet.pattern.fullmatch("(Alice)") is None  # the predicate is not droppable
+    assert triplet.pattern.fullmatch("(Alice; met)").group("object") is None
+    assert triplet.render({"subject": "Alice", "predicate": "met", "object": None}) == "(Alice; met)"
+    object_first = compile_template("({object}; {subject}; {predicate})", TaskKind.OPENIE)
+    assert object_first.droppable == 0
+    assert object_first.pattern.fullmatch("(bob; met)") is None
+    location_first = compile_template("({predicate}; {subject}; {location}; {object})", TaskKind.OPENIE)
+    assert location_first.droppable == 2
+    assert location_first.pattern.fullmatch("(met; bob)").groupdict() == {
+        "predicate": "met", "subject": "bob", "location": None, "object": None}
+
+
 def test_render_leaves_out_trailing_none_slots_with_their_literals():
     tpl = compile_template(OPENIE_TEMPLATE, TaskKind.OPENIE)
     values = dict(zip(OPENIE_SLOTS, ("met", "bob", "carol", "noon", "home")))

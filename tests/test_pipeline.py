@@ -5,6 +5,7 @@ and manifest/atomic-output behavior."""
 import json
 import os
 import random
+import signal
 import threading
 import time
 from collections import Counter
@@ -367,7 +368,7 @@ def test_map_blocks_sends_an_error_that_does_not_unpickle_as_a_runtime_error(mon
 
     _force_workers(monkeypatch, 2)
     with pytest.raises(RuntimeError) as caught:
-        list(pipeline.map_blocks(parse, 6 * pipeline.BLOCK))
+        list(pipeline.map_blocks(parse, 6 * pipeline.BLOCK, pipeline.block_ranges(6 * pipeline.BLOCK)))
     assert str(caught.value) == "ParseError in a worker process: bad (at offset 3)"
     assert "in parse" in str(caught.value.__cause__)
     _assert_no_child_process()
@@ -388,7 +389,7 @@ def test_map_blocks_sends_an_error_that_does_not_pickle_as_a_runtime_error(monke
 
     _force_workers(monkeypatch, 2)
     with pytest.raises(RuntimeError) as caught:
-        list(pipeline.map_blocks(fail, 6 * pipeline.BLOCK))
+        list(pipeline.map_blocks(fail, 6 * pipeline.BLOCK, pipeline.block_ranges(6 * pipeline.BLOCK)))
     assert str(caught.value) == f"{LocalError.__qualname__} in a worker process: cannot go on"
     assert "in fail" in str(caught.value.__cause__)
     _assert_no_child_process()
@@ -399,9 +400,128 @@ def test_map_blocks_sends_a_result_that_does_not_pickle_as_its_error(monkeypatch
     pickling error and the worker's traceback as its cause, not as a worker
     that ended before sending its result."""
     _force_workers(monkeypatch, 2)
+    n = 3 * pipeline.BLOCK
     with pytest.raises(TypeError, match="pickle") as caught:
-        list(pipeline.map_blocks(lambda block: threading.Lock(), 3 * pipeline.BLOCK))
+        list(pipeline.map_blocks(lambda block: threading.Lock(), n, pipeline.block_ranges(n)))
     assert "raised in a worker process" in str(caught.value.__cause__)
+    _assert_no_child_process()
+
+
+def _run_blocks(monkeypatch, workers, fn, n, payloads):
+    """What `map_blocks` yields at `workers` with the caller's `payloads()`,
+    up to the exception it raises (or None). A SIGALRM after 30 s ends a
+    run that hangs on a pipe as a TimeoutError."""
+    _force_workers(monkeypatch, workers)
+
+    def expire(signum, frame):
+        raise TimeoutError("no result within 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    results = []
+    try:
+        for result in pipeline.map_blocks(fn, n, payloads()):
+            results.append(result)
+    except Exception as e:
+        return results, (type(e), str(e))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    return results, None
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_map_blocks_passes_payloads_and_results_larger_than_a_pipe_buffer(monkeypatch, workers):
+    """Every payload and every result is larger than a 64 KiB pipe buffer,
+    and each comes through whole, in order, as at one worker."""
+    n = 7 * pipeline.BLOCK
+
+    def payloads():
+        for b in range(0, n, pipeline.BLOCK):
+            yield b, bytes([b % 251]) * (100_000 + b)
+
+    def fn(payload):
+        b, data = payload
+        return b, data[::-1] + bytes(50_000), len(data)
+
+    expected, _ = _run_blocks(monkeypatch, 1, fn, n, payloads)
+    assert len(expected) == 7 and min(len(result[1]) for result in expected) > 1 << 16
+    assert _run_blocks(monkeypatch, workers, fn, n, payloads) == (expected, None)
+    _assert_no_child_process()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("failing_block", [None, 4])
+def test_map_blocks_raises_a_payload_error_as_at_one_worker(monkeypatch, workers, failing_block):
+    """A payload iterator that raises at payload 5 yields the results
+    before it and then its exception, as at one worker; a block before it
+    that raises comes first. No child process is left."""
+    n = 8 * pipeline.BLOCK
+
+    def payloads():
+        for b in range(8):
+            if b == 5:
+                raise DataError(f"cannot take payload {b}")
+            yield b
+
+    def fn(b):
+        if b == failing_block:
+            raise ValueError(f"block {b} failed")
+        return [b] * 10
+
+    expected = _run_blocks(monkeypatch, 1, fn, n, payloads)
+    if failing_block is None:
+        assert expected == ([[b] * 10 for b in range(5)], (DataError, "cannot take payload 5"))
+    else:
+        assert expected == ([[b] * 10 for b in range(4)], (ValueError, "block 4 failed"))
+    assert _run_blocks(monkeypatch, workers, fn, n, payloads) == expected
+    _assert_no_child_process()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_map_blocks_closed_after_its_first_result_reaps_workers_and_closes_payloads(monkeypatch, workers):
+    """Closing the stream after its first result kills and reaps every
+    worker and closes the payload generator, so its `finally` runs."""
+    closed = []
+
+    def payloads():
+        try:
+            yield from range(6)
+        finally:
+            closed.append(True)
+
+    _force_workers(monkeypatch, workers)
+    taken = payloads()  # held here, so that only closing it runs its `finally`
+    stream = pipeline.map_blocks(lambda b: b * 2, 6 * pipeline.BLOCK, taken)
+    assert next(stream) == 0
+    assert os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None  # running, not reaped
+    assert not closed
+    stream.close()
+    assert closed == [True]
+    _assert_no_child_process()
+
+
+class _ExitOnUnpickling:
+    """Unpickled, ends the process that unpickles it."""
+
+    def __reduce__(self):
+        return os._exit, (3,)
+
+
+def test_map_blocks_worker_that_dies_taking_its_payload_is_a_runtime_error(monkeypatch):
+    """A worker that ends while it reads its payload, larger than a pipe
+    buffer, breaks the pipe the payload is written to: that is the
+    RuntimeError of a worker that ended, and every worker is reaped."""
+
+    def payloads():
+        yield 0
+        yield 1
+        yield _ExitOnUnpickling(), bytes(1 << 20)
+        yield 3
+
+    results, error = _run_blocks(monkeypatch, 2, lambda payload: payload, 4 * pipeline.BLOCK, payloads)
+    # payload 2 is written before result 0 is yielded: the write fails first
+    assert results == [] and error == (RuntimeError, "a worker process ended before sending result 2")
     _assert_no_child_process()
 
 
@@ -474,7 +594,7 @@ def test_stats_block_workers_write_the_same_report(monkeypatch):
         reports.append(json.dumps(stats(records), sort_keys=True))
         _assert_no_child_process()
     assert reports[0] == reports[1] == reports[2]
-    assert [n for _, n in mapped] == [len(records)] * 3
+    assert [(n, blocks) for _, n, blocks in mapped] == [(len(records), pipeline.block_ranges(len(records)))] * 3
     report = json.loads(reports[0])
     assert report["total"] == len(records) and report["closure_violations"] == len(tampered)
     assert report["closure_violating_ids"] == [records[pos]["id"] for pos in tampered]
@@ -768,29 +888,33 @@ def _live_client(session, workers, cache_dir=None):
 @pytest.mark.parametrize("refuse_one", [False, True])
 def test_live_dpo_bytes_independent_of_worker_count(tmp_path, monkeypatch, refuse_one):
     """dpo.jsonl and the manifest counts are the same for 1, 2, 4 and the
-    live client's own count of workers, a prompt that always gets a 401 is
-    skipped the same way, and no more than `workers` threads post (none but
-    the caller's at 1)."""
-    plan = DpoPlan(target_size=100, seed=2)  # more than the candidates: all kept, in input order
-    corpus, gold = _live_setup(monkeypatch, 40, plan.seed)
+    live client's own count of workers, at 1 and 2 block workers over two
+    blocks; a prompt that always gets a 401 is skipped the same way, and no
+    more than `workers` threads post (none but the caller's at 1)."""
+    plan = DpoPlan(target_size=500, seed=2, samples_per_instance=2)  # all candidates kept, in input order
+    corpus, gold = _live_setup(monkeypatch, pipeline.BLOCK + 12, plan.seed)
     assert len(gold) == len(corpus)
-    refused = list(gold)[7:8] if refuse_one else []
+    refused = list(gold)[pipeline.BLOCK + 7:pipeline.BLOCK + 8] if refuse_one else []
     runs = {}
-    for workers in (1, 2, 4, LiveClient.workers):
-        session = _KeyedSession(gold, refused=refused)
-        client = _live_client(session, workers)
-        manifest = run_build_dpo(corpus, plan, client, tmp_path / f"w{workers}")
-        runs[workers] = ((tmp_path / f"w{workers}" / "dpo.jsonl").read_bytes(), manifest["counts"])
-        assert client.call_count == session.posts - len(refused)
-        assert session.posts == 5 * len(corpus) - 4 * len(refused)  # a 401 is not retried
-        threads = {ident for _, ident in session.starts}
-        if workers == 1:
-            assert threads == {threading.get_ident()}
-        else:
-            assert threading.get_ident() not in threads and len(threads) <= workers
-    assert runs[1] == runs[2] == runs[4] == runs[LiveClient.workers]
-    assert runs[1][1]["skipped_instances"] == len(refused)
-    assert runs[1][1]["total"] > 0
+    for block_workers in (1, 2):
+        _force_workers(monkeypatch, block_workers)
+        for workers in (1, 2, 4, LiveClient.workers):
+            session = _KeyedSession(gold, refused=refused)
+            client = _live_client(session, workers)
+            out = tmp_path / f"b{block_workers}w{workers}"
+            manifest = run_build_dpo(corpus, plan, client, out)
+            runs[block_workers, workers] = ((out / "dpo.jsonl").read_bytes(), manifest["counts"])
+            assert client.call_count == session.posts - len(refused)
+            assert session.posts == 2 * len(corpus) - len(refused)  # a 401 is not retried
+            threads = {ident for _, ident in session.starts}
+            if workers == 1:
+                assert threads == {threading.get_ident()}
+            else:
+                assert threading.get_ident() not in threads and len(threads) <= workers
+            _assert_no_child_process()
+    assert all(run == runs[1, 1] for run in runs.values())
+    assert runs[1, 1][1]["skipped_instances"] == len(refused)
+    assert 0 < runs[1, 1][1]["total"] < plan.target_size
 
 
 @pytest.mark.parametrize("cached", [False, True])
@@ -859,17 +983,19 @@ def test_live_dpo_unexpected_error_stops_queued_instances(tmp_path, monkeypatch,
 
 
 def test_dpo_block_workers_fork_with_no_pool_thread_alive(tmp_path, monkeypatch):
-    """A live build samples on the client's pool of threads, and every one
-    of them has ended when the scoring's worker count is asked for, so the
-    scoring forks from this thread alone; the bytes are those of a build
-    that scores in this process."""
+    """A live build samples on the client's pool of threads, which starts
+    only once the scoring's workers are forked: so the workers fork from
+    this thread alone, while blocks are sampled on many threads after it;
+    the bytes are those of a build that scores in this process."""
     plan = DpoPlan(target_size=200, seed=2)
     corpus, gold = _live_setup(monkeypatch, 300, plan.seed)
     assert len(corpus) > 2 * pipeline.BLOCK
     threads_at_fork = []
+    forked_at = []
 
     def two_workers(n_blocks):
         threads_at_fork.append(threading.active_count())
+        forked_at.append(time.monotonic())
         return min(2, n_blocks)
 
     runs = []
@@ -879,6 +1005,8 @@ def test_dpo_block_workers_fork_with_no_pool_thread_alive(tmp_path, monkeypatch)
         run_build_dpo(corpus, plan, _live_client(session, 4), tmp_path / f"run{run}")
         runs.append((tmp_path / f"run{run}" / "dpo.jsonl").read_bytes())
         assert len({ident for _, ident in session.starts}) > 1
+        if run == 0:  # every post comes after the workers are forked
+            assert min(start for start, _ in session.starts) > forked_at[0]
         _assert_no_child_process()
     assert threads_at_fork == [1]
     assert runs[0] == runs[1]
@@ -1042,7 +1170,7 @@ def test_evaluate_block_workers_write_the_same_report(monkeypatch):
         reports.append(json.dumps(evaluate(preds, gold), ensure_ascii=False, sort_keys=True, indent=2))
         _assert_no_child_process()
     assert reports[0] == reports[1] == reports[2]
-    assert [n for _, n in mapped] == [len(gold)] * 3
+    assert [(n, blocks) for _, n, blocks in mapped] == [(len(gold), pipeline.block_ranges(len(gold)))] * 3
     report = json.loads(reports[0])
     rows = report["per_instance"]
     assert [row["id"] for row in rows] == [inst.id for inst in gold]
