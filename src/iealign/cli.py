@@ -29,7 +29,7 @@ import yaml
 from .client import BACKENDS, make_client
 from .errors import ConfigurationError, DataError
 from .ingest import MixturePlan, ReaderSpec, filter_length, filter_na, load_dataset, mix_general, mix_proportional
-from .model import TaskKind, read_instances, read_records, writable_as, write_instances, write_json_atomic
+from .model import TaskKind, json_report, read_instances, read_records, writable_as, write_instances, write_json_atomic
 from .pipeline import (
     DpoPlan,
     SftOptions,
@@ -148,7 +148,7 @@ def _write_json(data: dict, out: Optional[str]) -> None:
     if out:
         write_json_atomic(data, out)
     else:
-        click.echo(json.dumps(data, ensure_ascii=False, sort_keys=True, indent=2))
+        click.echo(json_report(data), nl=False)
 
 
 @click.group()

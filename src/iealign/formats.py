@@ -25,8 +25,13 @@ from importlib import resources
 
 from .model import EE_ARG_SLOTS, OPTIONAL_SLOTS, TASK_SLOTS, FormatSpec, TaskKind
 
-_SLOT_RE = re.compile(r"\{([a-zA-Z_][a-zA-Z0-9_ ]*)\}")
-_QUOTE_TRIGGERS = frozenset(';:()"\n,.|[]')
+# A slot, with its quotes when the template wraps it in them ("{type}").
+_SLOT_RE = re.compile(r'(?P<quote>"?)\{(?P<name>[a-zA-Z_][a-zA-Z0-9_ ]*)\}(?P=quote)')
+# The structural characters: a slot value holding one is rendered quoted.
+_STRUCTURAL = ';:()"\n,.|[]'
+_QUOTE_TRIGGERS = frozenset(_STRUCTURAL)
+# A complete quoted literal: a quoted body holds no unescaped quote.
+_QUOTED = r'"(?:[^"\\]|\\[\s\S])*"'
 
 
 def normalize_slot(name: str) -> str:
@@ -45,7 +50,7 @@ def force_quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-_QUOTED_LITERAL = re.compile(r'"(?:[^"\\]|\\[\s\S])*"', re.DOTALL)
+_QUOTED_LITERAL = re.compile(_QUOTED)
 _ESCAPE = re.compile(r"\\([\s\S])")
 
 
@@ -60,10 +65,10 @@ def unquote_value(text: str) -> str:
 # so structural characters inside quotes never end a slot. Plain units exclude
 # every quoting trigger: a rendered value containing one is always quoted, so
 # an unquoted structural character can only be template punctuation.
-_SLOT_UNIT = r'(?:"(?:[^"\\]|\\[\s\S])*"|[^;:()"\n,.|\[\]])'
+_SLOT_UNIT = f"(?:{_QUOTED}|[^{re.escape(_STRUCTURAL)}])"
 # Loose variant for slots holding pre-rendered sub-template text (which
 # legitimately contains separators), e.g. an event's arguments blob.
-_LOOSE_SLOT_UNIT = r'(?:"(?:[^"\\]|\\[\s\S])*"|[^"\n])'
+_LOOSE_SLOT_UNIT = f'(?:{_QUOTED}|[^"\\n])'
 
 
 @dataclass(frozen=True)
@@ -105,9 +110,6 @@ class CompiledTemplate:
         return "".join(out)
 
 
-_FORCED_SLOT_PATTERN = r'(?P<%s>"(?:[^"\\]|\\[\s\S])*?")'
-
-
 @lru_cache(maxsize=256)
 def compile_template(template: str, task: TaskKind) -> CompiledTemplate:
     """Compile `template`, an answer or EE argument template of `task`. Its
@@ -122,23 +124,15 @@ def compile_template(template: str, task: TaskKind) -> CompiledTemplate:
     pieces: list[str] = []  # per slot: the regex of the literal before it and of the slot
     forced: set[str] = set()
     pos = 0
-    strip_leading = False
     for m in _SLOT_RE.finditer(template):
-        slot = normalize_slot(m.group(1))
+        slot = normalize_slot(m["name"])
         if slot in slots:
             raise ValueError(f"template {template!r} names slot {slot!r} twice")
         literal = template[pos : m.start()]
-        if strip_leading:
-            literal = literal[1:]
-            strip_leading = False
-        if literal.endswith('"') and template[m.end() : m.end() + 1] == '"':
-            # template-quoted slot: absorb the quotes into the slot pattern
-            literal = literal[:-1]
-            forced.add(slot)
-            strip_leading = True
         parts.append(literal)
-        if slot in forced:
-            slot_regex = _FORCED_SLOT_PATTERN % slot
+        if m["quote"]:  # template-quoted slot: its quotes are the slot pattern's
+            forced.add(slot)
+            slot_regex = f"(?P<{slot}>{_QUOTED})"
         else:
             quantifier = "*?" if slot in optional or slot in loose else "+?"
             unit = _LOOSE_SLOT_UNIT if slot in loose else _SLOT_UNIT
@@ -147,8 +141,6 @@ def compile_template(template: str, task: TaskKind) -> CompiledTemplate:
         slots.append(slot)
         pos = m.end()
     tail = template[pos:]
-    if strip_leading:
-        tail = tail[1:]
     parts.append(tail)
     kept = len(slots)
     while kept and slots[kept - 1] in optional:
@@ -161,7 +153,7 @@ def compile_template(template: str, task: TaskKind) -> CompiledTemplate:
 
 
 def template_slots(template: str) -> tuple[str, ...]:
-    return tuple(normalize_slot(m.group(1)) for m in _SLOT_RE.finditer(template))
+    return tuple(normalize_slot(m["name"]) for m in _SLOT_RE.finditer(template))
 
 
 # ---------------------------------------------------------------------------

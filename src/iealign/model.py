@@ -4,9 +4,9 @@ All types are immutable values after construction. Instances round-trip
 through one JSON object per line (UTF-8) with fields exactly
 {id, dataset, task, text, schema, gold, is_na}; unknown fields are rejected.
 This module is also the one place that decides how a file is written
-(`atomic_open`; `write_json_atomic` for every JSON report, `jsonl_line` for
-every JSONL line) and how JSONL is read back: `read_records` is the one loop
-over the lines of a JSONL file.
+(`atomic_open`; `json_report` for the text of every JSON report, printed or
+written, `jsonl_line` for every JSONL line) and how JSONL is read back:
+`read_records` is the one loop over the lines of a JSONL file.
 """
 
 from __future__ import annotations
@@ -457,10 +457,15 @@ def atomic_open(path) -> Iterator[TextIO]:
         raise
 
 
+def json_report(data: Any) -> str:
+    """The text of a JSON report: indented, keys sorted, non-ASCII kept, newline-ended."""
+    return json.dumps(data, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+
+
 def write_json_atomic(data: Any, path) -> None:
-    """Write one indented JSON document with sorted keys, atomically."""
+    """Write the JSON report `data` (`json_report`), atomically."""
     with atomic_open(path) as f:
-        f.write(json.dumps(data, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+        f.write(json_report(data))
 
 
 def jsonl_line(record: Any) -> str:

@@ -32,7 +32,7 @@ import signal
 import threading
 import time
 import traceback
-from collections import deque
+from collections import Counter, deque
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
@@ -238,9 +238,9 @@ def build_sft(
         )
         cots = dict(zip(jobs, requests, strict=True))
 
-    def build_block(positions: range) -> tuple[str, Composition, int]:
-        """The JSONL text of the records of the instances at `positions`,
-        their Composition, and the number of them dropped for length."""
+    def build_block(positions: range) -> tuple[str, Composition]:
+        """The JSONL text of the records of the instances at `positions`, but
+        the ones dropped for length, and their Composition."""
         composition = Composition()
         records = []
         for pos in positions:
@@ -254,20 +254,18 @@ def build_sft(
                 tokens += whitespace_token_count(cot)
             composition.add(record, labels_used, tokens)
             records.append(record)
-        return "".join(map(jsonl_line, records)), composition, len(positions) - len(records)
+        return "".join(map(jsonl_line, records)), composition
 
     report: dict = {}
 
     def blocks() -> Iterator[str]:
         composition = Composition()
-        dropped_length = 0
         with closing(map_blocks(build_block, len(instances), block_ranges(len(instances)))) as built:
-            for text, counts, dropped in built:
+            for text, counts in built:
                 composition.merge(counts)
-                dropped_length += dropped
                 yield text
         report.update(composition.report())
-        report["dropped_length"] = dropped_length
+        report["dropped_length"] = len(instances) - report["total"]
         report["cot_skipped"] = len(cots) - report["cot_count"]
         report["input_instances"] = len(instances)
 
@@ -551,66 +549,59 @@ class Composition:
     """The composition report of SFT records, counted one record at a time:
     per-task/per-dataset counts, demo/guideline/CoT/symbol rates, a length
     histogram, and the audit that no closed-IE answer uses a label outside
-    its prompt's schema section."""
+    its prompt's schema section. Each tally is a Counter but the violating
+    ids, a list, so the Compositions of consecutive blocks of records merge
+    in input order by adding their Counters and extending the list."""
 
     def __init__(self):
-        self.per_task: dict[str, int] = {}
-        self.per_dataset: dict[str, int] = {}
-        self.demo_hist: dict[int, int] = {}
-        self.length_hist: dict[int, int] = {}  # by the bucket's first token count
-        self.n = self.n_with_demos = self.n_closed = self.n_guidelines = self.n_symbolized = self.n_cot = 0
+        self.counts = Counter()  # n, with_demos, closed, guidelines, symbolized, cot
+        self.per_task = Counter()
+        self.per_dataset = Counter()
+        self.demo_hist = Counter()
+        self.length_hist = Counter()  # by the bucket's first token count
         self.violating_ids: list[str] = []
 
     def add(self, rec: dict, labels_used: Sequence[str], tokens: int) -> None:
         """Count the SFT record `rec`, whose answer uses the schema labels
         `labels_used` and whose prompt and output hold `tokens` whitespace
         tokens."""
-        self.n += 1
-        self.per_task[rec["task"]] = self.per_task.get(rec["task"], 0) + 1
+        self.counts["n"] += 1
+        self.per_task[rec["task"]] += 1
         if rec.get("dataset"):
-            self.per_dataset[rec["dataset"]] = self.per_dataset.get(rec["dataset"], 0) + 1
+            self.per_dataset[rec["dataset"]] += 1
         k = len(rec["demonstrations"])
         if k:
-            self.n_with_demos += 1
-            self.demo_hist[k] = self.demo_hist.get(k, 0) + 1
+            self.counts["with_demos"] += 1
+            self.demo_hist[k] += 1
         if TaskKind(rec["task"]) in CLOSED_IE_TASKS:
-            self.n_closed += 1
-            self.n_guidelines += rec["has_guidelines"]
-            self.n_symbolized += rec["symbolized"]
+            self.counts["closed"] += 1
+            self.counts["guidelines"] += rec["has_guidelines"]
+            self.counts["symbolized"] += rec["symbolized"]
             if not set(labels_used) <= set(rec["schema_view_labels"]):
                 self.violating_ids.append(rec["id"])
         if rec["cot"]:
-            self.n_cot += 1
-        bucket = (tokens // 256) * 256
-        self.length_hist[bucket] = self.length_hist.get(bucket, 0) + 1
+            self.counts["cot"] += 1
+        self.length_hist[(tokens // 256) * 256] += 1
 
     def merge(self, other: Composition) -> None:
         """Count the records `other` counted, which follow the ones counted
         here in input order."""
-        for mine, theirs in ((self.per_task, other.per_task), (self.per_dataset, other.per_dataset),
-                             (self.demo_hist, other.demo_hist), (self.length_hist, other.length_hist)):
-            for key, n in theirs.items():
-                mine[key] = mine.get(key, 0) + n
-        self.n += other.n
-        self.n_with_demos += other.n_with_demos
-        self.n_closed += other.n_closed
-        self.n_guidelines += other.n_guidelines
-        self.n_symbolized += other.n_symbolized
-        self.n_cot += other.n_cot
-        self.violating_ids += other.violating_ids
+        for name, tally in vars(self).items():
+            tally += vars(other)[name]  # in place: a Counter adds, the list extends
 
     def report(self) -> dict:
-        n, n_closed = self.n, self.n_closed
+        counts = self.counts
+        n, n_closed = counts["n"], counts["closed"]
         return {
             "total": n,
-            "per_task": self.per_task,
-            "per_dataset": self.per_dataset,
-            "demo_rate": self.n_with_demos / n if n else 0.0,
+            "per_task": dict(self.per_task),
+            "per_dataset": dict(self.per_dataset),
+            "demo_rate": counts["with_demos"] / n if n else 0.0,
             "demo_histogram": {str(k): v for k, v in sorted(self.demo_hist.items())},
-            "guideline_rate": self.n_guidelines / n_closed if n_closed else 0.0,
-            "symbol_rate": self.n_symbolized / n_closed if n_closed else 0.0,
-            "cot_count": self.n_cot,
-            "cot_rate": self.n_cot / n if n else 0.0,
+            "guideline_rate": counts["guidelines"] / n_closed if n_closed else 0.0,
+            "symbol_rate": counts["symbolized"] / n_closed if n_closed else 0.0,
+            "cot_count": counts["cot"],
+            "cot_rate": counts["cot"] / n if n else 0.0,
             "length_histogram": {f"{b}-{b + 255}": v for b, v in sorted(self.length_hist.items())},
             "closure_violations": len(self.violating_ids),
             "closure_violating_ids": self.violating_ids[:20],
@@ -736,17 +727,9 @@ def run_build_sft(
     client: Optional[BaseClient] = None,
     config: Optional[dict] = None,
 ) -> dict:
-    out_dir = Path(out_dir)
     started = time.monotonic()
     blocks, report = build_sft(instances, opts, client=client)
-    write_jsonl_atomic(blocks, out_dir / "sft.jsonl")
-    return write_manifest(
-        out_dir / "manifest.json",
-        config or {"seed": opts.seed},
-        report,
-        {"sft.jsonl": out_dir / "sft.jsonl"},
-        started,
-    )
+    return _write_build(out_dir, "sft.jsonl", blocks, report, config or {"seed": opts.seed}, started)
 
 
 def run_build_dpo(
@@ -756,17 +739,17 @@ def run_build_dpo(
     out_dir,
     config: Optional[dict] = None,
 ) -> dict:
-    out_dir = Path(out_dir)
     started = time.monotonic()
     corpus, summary = build_dpo(instances, plan, client)
-    write_jsonl_atomic(map(jsonl_line, corpus), out_dir / "dpo.jsonl")
-    return write_manifest(
-        out_dir / "manifest.json",
-        config or {"seed": plan.seed},
-        summary,
-        {"dpo.jsonl": out_dir / "dpo.jsonl"},
-        started,
-    )
+    return _write_build(out_dir, "dpo.jsonl", map(jsonl_line, corpus), summary, config or {"seed": plan.seed}, started)
+
+
+def _write_build(out_dir, name: str, lines: Iterable[str], counts: dict, config: dict, started: float) -> dict:
+    """Write a build's JSONL text `lines` to `out_dir/name`, then its manifest,
+    whose counts are `counts` as they stand once `lines` is exhausted."""
+    out = Path(out_dir) / name
+    write_jsonl_atomic(lines, out)
+    return write_manifest(Path(out_dir) / "manifest.json", config, counts, {name: out}, started)
 
 
 def load_predictions(path) -> dict[str, str]:

@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .answers import serialize_answer
-from .errors import ConfigurationError
 from .model import (
     Extraction,
     FormatSpec,
@@ -89,8 +88,6 @@ def augment_schema(
     labels with probability `symbol_rate`, independently, and project the
     gold onto the view. What this draws from `rng` depends on the schema
     alone, never on the rates."""
-    if not schema.labels:
-        raise ConfigurationError("empty schema")
     k = rng.randint(1, len(schema.labels))
     shown = rng.sample(schema.labels, k)
     include_guidelines = rng.random() < guideline_rate

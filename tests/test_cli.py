@@ -817,6 +817,28 @@ def test_evaluate_warns_once_for_prediction_ids_without_gold(runner, tmp_path, c
     ]
 
 
+def test_evaluate_and_stats_print_the_bytes_their_out_file_holds(runner, tmp_path):
+    """Without --out, `evaluate` and `stats` print exactly the bytes their
+    --out file holds: one report text, non-ASCII kept, newline-ended."""
+    corpus = make_corpus(TaskKind.NER, 12, dataset="données", seed=2)
+    inst = tmp_path / "inst.jsonl"
+    write_instances(corpus, inst)
+    pred = tmp_path / "pred.jsonl"  # a right answer, one that does not parse, and the rest missing
+    preds = [{"id": corpus[0].id, "output": _perfect_ner_output(corpus[0])}, {"id": corpus[1].id, "output": "é («"}]
+    pred.write_text("".join(json.dumps(p) + "\n" for p in preds), encoding="utf-8")
+    run = tmp_path / "run"
+    cfg = _write_yaml(tmp_path / "sft.yaml", {"instances": str(inst), "options": {"max_tokens": 100000}})
+    assert runner.invoke(main, ["build-sft", "--config", cfg, "--out", str(run)]).exit_code == 0
+    for args in (["evaluate", "--pred", str(pred), "--gold", str(inst)], ["stats", "--corpus", str(run / "sft.jsonl")]):
+        out = tmp_path / f"{args[0]}.json"
+        written = runner.invoke(main, [*args, "--out", str(out)])
+        printed = runner.invoke(main, args)
+        assert written.exit_code == printed.exit_code == 0, printed.output
+        assert written.stdout_bytes == b""
+        assert printed.stdout_bytes == out.read_bytes()
+        assert "données".encode("utf-8") in printed.stdout_bytes and printed.stdout_bytes.endswith(b"}\n")
+
+
 def test_stats_cli_counts_malformed(runner, tmp_path):
     inst, _ = _canonical(tmp_path, n=15)
     run = tmp_path / "run"

@@ -1,11 +1,14 @@
 """Template engine and format library tests: quoting, compilation, forced
 (quote-wrapped) slots, the droppable tail, and spec validation."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iealign.formats import (
+    _SLOT_UNIT,
     EVAL_FORMATS,
     compile_template,
     force_quote,
@@ -49,6 +52,15 @@ def test_unquote_leaves_partial_quotes_alone():
 def test_force_quote_always_quotes():
     assert force_quote("plain") == '"plain"'
     assert unquote_value(force_quote('say "hi"')) == 'say "hi"'
+
+
+def test_quote_value_leaves_unquoted_exactly_what_the_plain_slot_unit_matches():
+    """Rendering and parsing agree on every character: a value with `c`
+    inside is rendered raw exactly when `c` alone is a plain unit of a slot
+    pattern, so a raw value always parses back as one slot."""
+    for c in [chr(i) for i in range(128)] + ["\u00e9", "\u00a0", "\u2028", "\u4e2d", "\U0001f600"]:
+        value = "a" + c + "b"
+        assert (quote_value(value) == value) == bool(re.fullmatch(_SLOT_UNIT, c)), repr(c)
 
 
 @given(st.text(min_size=0, max_size=40))

@@ -2,6 +2,7 @@
 construction, composition stats with the label-closure audit, evaluation,
 and manifest/atomic-output behavior."""
 
+import functools
 import json
 import os
 import random
@@ -14,14 +15,18 @@ from dataclasses import replace
 import pytest
 import requests
 from conftest import assert_kept, fail_on_second, sft_records
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iealign import pipeline
-from iealign.answers import ParseError, serialize_answer
+from iealign.answers import ParseError, parse_answer_lenient, serialize_answer
 from iealign.client import BaseClient, LiveClient, MockClient, ResponseCache, TransportError
 from iealign.errors import ConfigurationError, DataError
-from iealign.formats import EVAL_FORMATS, load_format_library, spec_to_json
+from iealign.formats import EVAL_FORMATS, load_format_library, spec_from_json, spec_to_json
+from iealign.ingest import whitespace_token_count
 from iealign.model import CLOSED_IE_TASKS, Extraction, TaskKind, jsonl_line, write_instances
 from iealign.pipeline import (
+    Composition,
     SftOptions,
     build_dpo,
     build_sft,
@@ -567,6 +572,50 @@ def test_sft_build_report_equals_stats_over_its_records():
     assert any(i.is_na for i in corpus)
     assert any(r["trigger"] for r in records if r["task"] == TaskKind.EAE.value)
     assert min(report["demo_rate"], report["guideline_rate"], report["symbol_rate"], report["cot_count"]) > 0
+
+
+@functools.lru_cache(maxsize=None)
+def _counted_sft_records() -> tuple:
+    """The records of a small SFT build, each with the labels its answer
+    uses and its tokens, as `stats` counts them; every seventh closed-IE
+    record also uses a label outside its schema view."""
+    tasks = (TaskKind.NER, TaskKind.EE, TaskKind.OPENIE)
+    corpus = [i for t in tasks for i in make_corpus(t, 12, dataset=f"ds-{t.value}", seed=7, na_rate=0.2)]
+    opts = SftOptions(seed=3, guideline_rate=0.5, symbol_rate=0.3, cot_rate=0.5, max_tokens=100_000)
+    records, _ = _build_sft(corpus, opts, client=MockClient(policy="fixed:first this, then that"))
+    counted = []
+    for pos, rec in enumerate(records):
+        labels_used = ()
+        if TaskKind(rec["task"]) in CLOSED_IE_TASKS:
+            spec = spec_from_json(rec["format"])
+            labels_used = parse_answer_lenient(rec["answer"], spec, rec["trigger"]).extraction.labels_used()
+            labels_used += ("label_not_in_any_view",) if pos % 7 == 0 else ()
+        counted.append((rec, labels_used, whitespace_token_count(rec["prompt"]) + whitespace_token_count(rec["output"])))
+    return tuple(counted)
+
+
+def _composition(counted) -> Composition:
+    composition = Composition()
+    for rec, labels_used, tokens in counted:
+        composition.add(rec, labels_used, tokens)
+    return composition
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_composition_of_consecutive_runs_merged_in_order_equals_one_count(data):
+    """Records cut at any positions into consecutive runs, empty ones among
+    them, each counted into its own Composition and merged in order, report
+    what one Composition over all the records reports."""
+    counted = _counted_sft_records()
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(counted)), max_size=8)))
+    merged = Composition()
+    for start, end in zip([0, *cuts], [*cuts, len(counted)]):
+        merged.merge(_composition(counted[start:end]))
+    whole = _composition(counted).report()
+    assert merged.report() == whole
+    assert min(whole["demo_rate"], whole["guideline_rate"], whole["symbol_rate"], whole["cot_count"]) > 0
+    assert whole["closure_violations"] > 1 and len(whole["per_dataset"]) == 3
 
 
 def _block_records():

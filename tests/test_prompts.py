@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iealign.errors import ConfigurationError
 from iealign.formats import EVAL_FORMATS, load_format_library
 from iealign.model import TaskKind
 from iealign.prompts import (
@@ -125,14 +124,6 @@ def test_guideline_rate_flip():
         for s in range(2000)
     )
     assert 0.15 < hits / 2000 < 0.25
-
-
-def test_augment_empty_schema_rejected():
-    from iealign.model import SchemaDef
-
-    inst = make_instance(TaskKind.NER, "d", 0, random.Random(0))
-    with pytest.raises(ConfigurationError):
-        augment_schema(SchemaDef(TaskKind.NER, ()), inst.gold, guideline_rate=0.2, symbol_rate=0.1, rng=random.Random(0))
 
 
 def test_render_schema_section_with_guidelines():

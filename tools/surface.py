@@ -1,5 +1,5 @@
-"""Print the size of iealign's source: its line total, its settable values
-and its config keys, then the top-level functions and classes that no
+"""Print the size of iealign's source: its line total and each module's
+lines, its settable values and its config keys, then the top-level functions and classes that no
 reached code in it names.
 
 A settable value is a parameter with a default (keyword-only ones included)
@@ -92,15 +92,22 @@ def unreached(trees: list[ast.AST]) -> list[str]:
     return sorted(set(defined) - reached)
 
 
+def source_files() -> list[Path]:
+    """Each module of the iealign package, by file name."""
+    return sorted((SOURCE / "iealign").glob("*.py"))
+
+
 def source_texts() -> list[str]:
-    """The text of each module of the iealign package, by file name."""
-    return [f.read_text(encoding="utf-8") for f in sorted((SOURCE / "iealign").glob("*.py"))]
+    """The text of each of `source_files`."""
+    return [f.read_text(encoding="utf-8") for f in source_files()]
 
 
 def main() -> None:
     texts = source_texts()
-    lines = sum(t.count("\n") for t in texts)
-    print(f"source lines: {lines:,}")
+    lines = [t.count("\n") for t in texts]
+    print(f"source lines: {sum(lines):,}")
+    for f, n in zip(source_files(), lines):
+        print(f"  {f.name}: {n:,}")
     trees = [ast.parse(t) for t in texts]
     print(f"settable values: {sum(map(settable_values, trees))}")
     sys.path.insert(0, str(SOURCE))
