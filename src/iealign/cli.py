@@ -81,14 +81,9 @@ def _load_config(path: str, label: str, types: dict, required: tuple, seed: Opti
 # The type of each key the top level of a build's config may hold. `options:`
 # and `plan:` take the fields of SftOptions and DpoPlan, whose seed is set at
 # the top level.
-SFT_KEYS = {
-    "instances": str, "seed": int, "options": Optional[dict], "backend": Optional[dict],
-    "cache_dir": Optional[str],
-}
-DPO_KEYS = {
-    "instances": str, "seed": int, "plan": Optional[dict], "backend": Optional[dict],
-    "cache_dir": Optional[str],
-}
+_BUILD_KEYS = {"instances": str, "seed": int, "backend": Optional[dict], "cache_dir": Optional[str]}
+SFT_KEYS = {**_BUILD_KEYS, "options": Optional[dict]}
+DPO_KEYS = {**_BUILD_KEYS, "plan": Optional[dict]}
 
 
 def _params(cls, *skip) -> tuple[dict, tuple]:
@@ -243,7 +238,9 @@ def _make_backend(cfg: dict, backend_override: Optional[str]):
     """The client for the config's `backend` mapping with --backend applied,
     or None when neither names one. An override of the config's kind updates
     its settings; one of the other kind replaces them, so a live config's
-    endpoint never reaches a mock. A mapping without a `kind` is a mock's."""
+    endpoint never reaches a mock. A mapping without a `kind` is a mock's.
+    An overridden mapping becomes the config's `backend`, so the manifest's
+    config digest covers it."""
     backend_cfg = {"kind": "mock", **cfg["backend"]} if cfg.get("backend") else {}
     if backend_override:
         if backend_override in BACKENDS:
@@ -253,7 +250,7 @@ def _make_backend(cfg: dict, backend_override: Optional[str]):
         else:
             override = {"kind": "mock", "policy": backend_override}
         same_kind = backend_cfg.get("kind") == override["kind"]
-        backend_cfg = {**(backend_cfg if same_kind else {}), **override}
+        backend_cfg = cfg["backend"] = {**(backend_cfg if same_kind else {}), **override}
     if not backend_cfg:
         return None
     kind = backend_cfg["kind"]

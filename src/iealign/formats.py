@@ -8,7 +8,8 @@ grammar stays unambiguous and parsing is an exact inverse of rendering.
 tail is its trailing run of the task's optional slots, each with the literal
 before it (an open IE tuple's object, time and location).
 `model.item_from_slots` makes a match an item, and alone decides that an
-empty optional slot is absent.
+empty optional slot is absent. `check_format(spec)` is the one check of a
+format, made by the library loader and by `stats`' record check.
 
 The library of training-time formats is shipped as JSON data files under
 ``iealign/data/formats``. The six held-out evaluation format strings are
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 
 from .model import EE_ARG_SLOTS, OPTIONAL_SLOTS, TASK_SLOTS, FormatSpec, TaskKind
@@ -152,10 +153,6 @@ def compile_template(template: str, task: TaskKind) -> CompiledTemplate:
     return CompiledTemplate(tuple(slots), tuple(parts), pattern, frozenset(forced), loose, len(slots) - kept)
 
 
-def template_slots(template: str) -> tuple[str, ...]:
-    return tuple(normalize_slot(m["name"]) for m in _SLOT_RE.finditer(template))
-
-
 # ---------------------------------------------------------------------------
 # FormatSpec (de)serialization
 
@@ -168,25 +165,33 @@ def spec_from_json(data: dict) -> FormatSpec:
     return FormatSpec(**{**data, "task": TaskKind(data["task"])})
 
 
-def validate_spec(spec: FormatSpec) -> list[str]:
+def check_format(spec: FormatSpec) -> FormatSpec:
+    """`spec`, or one ValueError naming every problem: an unknown family, an empty
+    fail output, and under Triplet and NaturalLanguage a slot its task lacks
+    (EE arguments: `EE_ARG_SLOTS`) or named twice, or no EE argument template."""
     problems = []
-    if not spec.fail_output:
-        problems.append("fail_output: empty")
     if spec.family not in ("Triplet", "Json", "NaturalLanguage", "Markdown"):
         problems.append(f"family: unknown {spec.family!r}")
+    if not spec.fail_output:
+        problems.append("fail_output: empty")
     if spec.family in ("Triplet", "NaturalLanguage"):
-        allowed = set(TASK_SLOTS.get(spec.task, ()))
-        used = set(template_slots(spec.answer_template))
-        extra = used - allowed
-        if extra:
-            problems.append(f"answer_template: unknown slots {sorted(extra)}")
+        templates = [("answer_template", spec.answer_template, TASK_SLOTS.get(spec.task, ()))]
         if spec.task is TaskKind.EE:
-            arg_extra = set(template_slots(spec.arg_template)) - set(EE_ARG_SLOTS)
-            if arg_extra:
-                problems.append(f"arg_template: unknown slots {sorted(arg_extra)}")
+            templates.append(("arg_template", spec.arg_template, EE_ARG_SLOTS))
             if not spec.arg_template:
                 problems.append("arg_template: required for EE")
-    return problems
+        for field, template, allowed in templates:
+            try:
+                slots = compile_template(template, spec.task).slots
+            except ValueError as e:  # a slot named twice
+                problems.append(f"{field}: {e}")
+                continue
+            extra = sorted(set(slots) - set(allowed))
+            if extra:
+                problems.append(f"{field}: unknown slots {extra}")
+    if problems:
+        raise ValueError(f"bad format spec {spec.name!r}: {'; '.join(problems)}")
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -200,70 +205,47 @@ def load_format_library() -> dict[TaskKind, list[FormatSpec]]:
     for entry in sorted(root.iterdir(), key=lambda e: e.name):
         if not entry.name.endswith(".json"):
             continue
-        specs = [spec_from_json(d) for d in json.loads(entry.read_text(encoding="utf-8"))]
-        for spec in specs:
-            problems = validate_spec(spec)
-            if problems:
-                raise ValueError(f"bad format spec {spec.name!r}: {problems}")
+        for data in json.loads(entry.read_text(encoding="utf-8")):
+            spec = check_format(spec_from_json(data))
             library.setdefault(spec.task, []).append(spec)
     return library
 
 
 # The held-out evaluation output-format descriptions, one fixed format per
-# task, embedded verbatim.
+# task, embedded verbatim; all are Triplet formats behind "[Answer]: ".
+_EVAL_FORMAT = partial(FormatSpec, family="Triplet", answer_prefix="[Answer]: ")
 EVAL_FORMATS: dict[TaskKind, FormatSpec] = {
-    TaskKind.NER: FormatSpec(
-        family="Triplet",
+    TaskKind.NER: _EVAL_FORMAT(
         name="eval-ner",
         task=TaskKind.NER,
         input_template='Please give the answer in the form "[Answer]: {entity}: {type}; ".',
         answer_template="{entity}: {type};",
-        item_separator=" ",
-        fail_output="NA",
-        answer_prefix="[Answer]: ",
     ),
-    TaskKind.RC: FormatSpec(
-        family="Triplet",
+    TaskKind.RC: _EVAL_FORMAT(
         name="eval-rc",
         task=TaskKind.RC,
         input_template='Please give the answer in the tuple form "[Answer]: ({subject}; {relation}; {object}); ".',
         answer_template="({subject}; {relation}; {object});",
-        item_separator=" ",
-        fail_output="NA",
-        answer_prefix="[Answer]: ",
     ),
-    TaskKind.ED: FormatSpec(
-        family="Triplet",
+    TaskKind.ED: _EVAL_FORMAT(
         name="eval-ed",
         task=TaskKind.ED,
         input_template='Please give the answer in the form "[Answer]: {event}: {class}; ".',
         answer_template="{event}: {class};",
-        item_separator=" ",
-        fail_output="NA",
-        answer_prefix="[Answer]: ",
     ),
-    TaskKind.EAE: FormatSpec(
-        family="Triplet",
+    TaskKind.EAE: _EVAL_FORMAT(
         name="eval-eae",
         task=TaskKind.EAE,
         input_template='Please give the answer in the form "[Answer]: {word}: {role}; ".',
         answer_template="{word}: {role};",
-        item_separator=" ",
-        fail_output="NA",
-        answer_prefix="[Answer]: ",
     ),
-    TaskKind.ERE: FormatSpec(
-        family="Triplet",
+    TaskKind.ERE: _EVAL_FORMAT(
         name="eval-ere",
         task=TaskKind.ERE,
         input_template='Please give the answer in the tuple form "[Answer]: ({first event}; {relation}; {second event}); ".',
         answer_template="({first event}; {relation}; {second event});",
-        item_separator=" ",
-        fail_output="NA",
-        answer_prefix="[Answer]: ",
     ),
-    TaskKind.OPENIE: FormatSpec(
-        family="Triplet",
+    TaskKind.OPENIE: _EVAL_FORMAT(
         name="eval-openie",
         task=TaskKind.OPENIE,
         input_template=(
@@ -272,8 +254,5 @@ EVAL_FORMATS: dict[TaskKind, FormatSpec] = {
             "not exist, it can be omitted."
         ),
         answer_template="({predicate}; {subject}; {object}; {time}; {location})",
-        item_separator=" ",
-        fail_output="NA",
-        answer_prefix="[Answer]: ",
     ),
 }

@@ -13,7 +13,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, zip_longest
 from typing import Iterable, Optional, Sequence
 
 from .model import Extraction
@@ -145,18 +145,18 @@ class BleuReference:
                 numerators[n] = sum(map(min, counts.values(), map(ref_ngrams.__getitem__, counts)))
         if numerators[1] == 0:
             return 0.0
-        precisions: list[float] = []
+        log_sum = 0.0  # added in order: sum() of floats compensates on Python 3.12+
         zeros_seen = 1
         for n in range(1, BLEU_MAX_N + 1):
             num, den = numerators[n], max(1, len(cand) - n + 1)
             if num == 0:
-                precisions.append(1.0 / (2**zeros_seen * den))
+                log_sum += math.log(1.0 / (2**zeros_seen * den))
                 zeros_seen += 1
             else:
-                precisions.append(num / den)
+                log_sum += math.log(num / den)
         c, r = len(cand), self.length
         bp = 1.0 if c > r else math.exp(1.0 - r / c)
-        return bp * math.exp(sum(math.log(p) for p in precisions) / BLEU_MAX_N)
+        return bp * math.exp(log_sum / BLEU_MAX_N)
 
 
 def sentence_bleu_m3(candidate: str, reference: str) -> float:
@@ -211,8 +211,10 @@ def max_assignment(scores: Sequence[Sequence[float]]) -> float:
             j1 = way[j0]
             row_of[j0] = row_of[j1]
             j0 = j1
-    col_of = {row_of[j]: j for j in range(1, m + 1) if row_of[j]}
-    return sum(scores[i - 1][col_of[i] - 1] for i in range(1, n + 1))
+    total = 0  # row by row, added in order as in BleuReference.score
+    for i, j in sorted((row_of[j], j) for j in range(1, m + 1) if row_of[j]):
+        total += scores[i - 1][j - 1]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +265,13 @@ def _slot_token_f1(a: Optional[str], b: Optional[str]) -> Optional[float]:
 
 def tuple_pair_score(pred: Sequence[Optional[str]], gold: Sequence[Optional[str]]) -> float:
     """Slot-averaged token F1 over the slots present in either tuple."""
-    width = max(len(pred), len(gold))
-    scores = []
-    for k in range(width):
-        a = pred[k] if k < len(pred) else None
-        b = gold[k] if k < len(gold) else None
+    total, count = 0.0, 0  # added in order, as in BleuReference.score
+    for a, b in zip_longest(pred, gold):
         s = _slot_token_f1(a, b)
         if s is not None:
-            scores.append(s)
-    return sum(scores) / len(scores) if scores else 0.0
+            total += s
+            count += 1
+    return total / count if count else 0.0
 
 
 def openie_tuple_f1(

@@ -48,7 +48,7 @@ CLOSED_IE_TASKS = frozenset(
     {TaskKind.NER, TaskKind.RC, TaskKind.RE, TaskKind.ED, TaskKind.EAE, TaskKind.EE, TaskKind.ERE}
 )
 # Closed-IE tasks whose items hold their one schema label at index 1 (all but EE).
-_PAIR_LABEL_TASKS = (TaskKind.NER, TaskKind.RC, TaskKind.RE, TaskKind.ED, TaskKind.EAE, TaskKind.ERE)
+_PAIR_LABEL_TASKS = CLOSED_IE_TASKS - {TaskKind.EE}
 
 # Canonical slot order per task; template slot names map to item positions.
 # OnDemandIE has no items.

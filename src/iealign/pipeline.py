@@ -43,7 +43,7 @@ from .answers import parse_answer, parse_answer_lenient, serialize_answer, Parse
 from .augment import cot_prompt, generate_cot, sample_words_limit
 from .client import BaseClient, TransportError
 from .errors import ConfigurationError, DataError
-from .formats import EVAL_FORMATS, compile_template, load_format_library, spec_from_json, spec_to_json
+from .formats import EVAL_FORMATS, check_format, load_format_library, spec_from_json, spec_to_json
 from .ingest import whitespace_token_count
 from .metrics import PRF, exact_match_f1, micro_prf
 from .model import (
@@ -529,19 +529,15 @@ SFT_RECORD_TYPES = {
 def check_sft_record(rec) -> dict:
     """`rec` when it holds every field `stats` reads, with its type: its task a
     TaskKind value, its labels strings and its format one `spec_from_json`
-    reads, with string values and templates that compile. Otherwise a KeyError,
-    TypeError or ValueError."""
+    reads, with string values, that `check_format` passes. Otherwise a
+    KeyError, TypeError or ValueError."""
     for name, kind in SFT_RECORD_TYPES.items():
         if not isinstance(rec[name], kind):
             raise TypeError(f"SFT record {name} is {type(rec[name]).__name__}")
     if not all(isinstance(v, str) for v in [*rec["schema_view_labels"], *rec["format"].values()]):
         raise TypeError("SFT record labels and format values must be strings")
     TaskKind(rec["task"])
-    spec = spec_from_json(rec["format"])
-    if spec.family != "Json":  # the templates an answer is parsed with
-        compile_template(spec.answer_template, spec.task)
-        if spec.task is TaskKind.EE:
-            compile_template(spec.arg_template, spec.task)
+    check_format(spec_from_json(rec["format"]))
     return rec
 
 

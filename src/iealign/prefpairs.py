@@ -103,13 +103,16 @@ def assemble_dpo_corpus(pairs: Sequence[dict], plan: DpoPlan) -> tuple[list[dict
     derive_rng(plan.seed, "dpo", "shuffle").shuffle(corpus)
 
     per_dataset: dict[str, dict] = {}
+    delta_sum = 0.0  # added in order, as in BleuReference.score
     for p in corpus:
         stats = per_dataset.setdefault(
             p["dataset"], {"count": 0, "online": 0, "offline": 0, "delta_sum": 0.0}
         )
+        delta = p["chosen_score"] - p["rejected_score"]
         stats["count"] += 1
         stats[p["origin"]] += 1
-        stats["delta_sum"] += p["chosen_score"] - p["rejected_score"]
+        stats["delta_sum"] += delta
+        delta_sum += delta
     for stats in per_dataset.values():
         stats["mean_delta"] = stats.pop("delta_sum") / stats["count"]
 
@@ -122,11 +125,7 @@ def assemble_dpo_corpus(pairs: Sequence[dict], plan: DpoPlan) -> tuple[list[dict
         "online": len(chosen_on),
         "offline": len(chosen_off),
         "offline_rate": len(chosen_off) / len(corpus) if corpus else 0.0,
-        "mean_delta": (
-            sum(p["chosen_score"] - p["rejected_score"] for p in corpus) / len(corpus)
-            if corpus
-            else 0.0
-        ),
+        "mean_delta": delta_sum / len(corpus) if corpus else 0.0,
         "instances_in_both": len(on_ids & off_ids),
         "per_dataset": per_dataset,
     }

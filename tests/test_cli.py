@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from conftest import assert_kept, fail_on_second
 
 from iealign.cli import DPO_KEYS, SFT_KEYS, _load_config, _make_backend, _options, _write_json, main
-from iealign.pipeline import SftOptions
+from iealign.pipeline import SftOptions, config_digest
 from iealign.prefpairs import DpoPlan
 from iealign.errors import DataError
 from iealign.formats import load_format_library, spec_to_json
@@ -753,6 +753,24 @@ def test_build_dpo_with_mock_backend(runner, tmp_path):
     assert offline == 14  # 70% of 20
 
 
+def test_manifest_config_digest_covers_a_backend_override(runner, tmp_path):
+    """The manifest digests the config with the backend that --backend made;
+    without --backend, the config as the file holds it."""
+    inst, _ = _canonical(tmp_path, n=20)
+    config = {"instances": str(inst), "plan": {"target_size": 10}, "backend": {"policy": "noisy_gold:0.6"}}
+    cfg = _write_yaml(tmp_path / "dpo.yaml", config)
+    digests = {}
+    for override in (None, "echo_gold", "noisy_gold:0.6"):
+        out = tmp_path / f"run-{override}"
+        args = ["build-dpo", "--config", cfg, "--out", str(out)] + (["--backend", override] if override else [])
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        digests[override] = json.loads((out / "manifest.json").read_text())["config_digest"]
+    assert digests["echo_gold"] != digests["noisy_gold:0.6"]
+    assert digests[None] == config_digest(config)
+    assert digests["noisy_gold:0.6"] == config_digest({**config, "backend": {"kind": "mock", "policy": "noisy_gold:0.6"}})
+
+
 @pytest.mark.parametrize("command,output", [("build-sft", "sft.jsonl"), ("build-dpo", "dpo.jsonl")])
 def test_build_ondemand_ie_from_the_packaged_descriptions(runner, tmp_path, command, output):
     """On-demand IE instances build with no pool_dir: every prompt opens with
@@ -864,6 +882,25 @@ def test_stats_cli_counts_malformed(runner, tmp_path):
     assert report["malformed_lines"] == 7
     assert report["total"] == 15
     assert report["closure_violations"] == 0
+
+
+def test_stats_cli_counts_a_format_the_loader_rejects_as_malformed(runner, tmp_path):
+    """A record whose format fails the library's own check is a malformed
+    line, not a record parsed under a broken format."""
+    inst, _ = _canonical(tmp_path, n=20)
+    run = tmp_path / "run"
+    cfg = _write_yaml(tmp_path / "sft.yaml", {"instances": str(inst), "options": {"max_tokens": 100000}})
+    assert runner.invoke(main, ["build-sft", "--config", cfg, "--out", str(run)]).exit_code == 0
+    corpus_path = run / "sft.jsonl"
+    records = [json.loads(line) for line in corpus_path.read_text(encoding="utf-8").splitlines()]
+    assert len(records) == 20 and {r["format"]["family"] for r in records[:3]} <= {"Triplet", "NaturalLanguage"}
+    for i, edit in enumerate([{"family": "Yaml"}, {"answer_template": "{entity}: {kind};"}, {"fail_output": ""}]):
+        records[i] = {**records[i], "format": {**records[i]["format"], **edit}}
+    corpus_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    result = runner.invoke(main, ["stats", "--corpus", str(corpus_path)])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert report["malformed_lines"] == 3 and report["total"] == 17
 
 
 def test_stats_cli_counts_a_record_whose_template_lacks_its_label_slot(runner, tmp_path):

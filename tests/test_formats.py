@@ -1,7 +1,11 @@
 """Template engine and format library tests: quoting, compilation, forced
 (quote-wrapped) slots, the droppable tail, and spec validation."""
 
+import hashlib
+import json
 import re
+from dataclasses import replace
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 from iealign.formats import (
     _SLOT_UNIT,
     EVAL_FORMATS,
+    check_format,
     compile_template,
     force_quote,
     load_format_library,
@@ -17,9 +22,7 @@ from iealign.formats import (
     quote_value,
     spec_from_json,
     spec_to_json,
-    template_slots,
     unquote_value,
-    validate_spec,
 )
 from iealign.model import TASK_SLOTS, TaskKind
 
@@ -214,8 +217,8 @@ def test_load_format_library_all_tasks_covered():
             continue
         families = {s.family for s in specs}
         assert {"Triplet", "Json", "NaturalLanguage"} <= families, task
-        for spec in specs:
-            assert validate_spec(spec) == []
+    for spec in chain.from_iterable(lib.values()):  # OnDemandIE's too
+        assert check_format(spec) is spec
 
 
 def test_spec_json_roundtrip():
@@ -232,9 +235,17 @@ def test_eval_formats_cover_fixed_grammar_tasks():
     for spec in EVAL_FORMATS.values():
         assert spec.answer_prefix == "[Answer]: "
         assert spec.fail_output == "NA"
+        assert check_format(spec) is spec
 
 
-def test_validate_spec_flags_unknown_slots():
+def test_eval_formats_hold_the_pinned_bytes():
+    """Every field of the six evaluation formats, the prompts among them:
+    no other digest covers five of the six `input_template`s."""
+    text = json.dumps([spec_to_json(s) for s in EVAL_FORMATS.values()], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == "cc9e84971d028f28371e356b5e2ac431c75b1717da96eb417ce5a99b3e6cc86e"
+
+
+def test_check_format_names_an_unknown_slot():
     bad = spec_from_json(
         {
             "family": "Triplet",
@@ -244,9 +255,23 @@ def test_validate_spec_flags_unknown_slots():
             "answer_template": "{entity}: {nonsense};",
         }
     )
-    problems = validate_spec(bad)
-    assert any("unknown slots" in p for p in problems)
+    with pytest.raises(ValueError, match="answer_template: unknown slots \\['nonsense'\\]"):
+        check_format(bad)
 
 
-def test_template_slots_extraction():
-    assert template_slots("({a}; {b c})") == ("a", "b_c")
+def test_check_format_names_every_problem():
+    ee = spec_from_json({"family": "Yaml", "name": "ee", "task": "EE", "input_template": "x",
+                         "answer_template": "{trigger} {type} {arguments}", "fail_output": ""})
+    with pytest.raises(ValueError) as info:
+        check_format(ee)
+    assert all(p in str(info.value) for p in ("family: unknown 'Yaml'", "fail_output: empty"))
+    nl = replace(ee, family="NaturalLanguage", fail_output="NA", answer_template="{type} {type} {arguments}")
+    with pytest.raises(ValueError) as info:
+        check_format(nl)
+    assert all(p in str(info.value) for p in ("arg_template: required for EE", "names slot 'type' twice"))
+    with pytest.raises(ValueError, match="arg_template: unknown slots \\['kind'\\]"):
+        check_format(replace(nl, answer_template="{trigger} {type} {arguments}", arg_template="{word} {kind}"))
+
+
+def test_compile_template_normalizes_slot_names():
+    assert compile_template("({a}; {b c})", TaskKind.NER).slots == ("a", "b_c")
