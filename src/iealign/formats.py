@@ -168,7 +168,10 @@ def spec_from_json(data: dict) -> FormatSpec:
 def check_format(spec: FormatSpec) -> FormatSpec:
     """`spec`, or one ValueError naming every problem: an unknown family, an empty
     fail output, and under Triplet and NaturalLanguage a slot its task lacks
-    (EE arguments: `EE_ARG_SLOTS`) or named twice, or no EE argument template."""
+    (EE arguments: `EE_ARG_SLOTS`) or named twice, a required slot (all but
+    the task's `OPTIONAL_SLOTS`) left out, or no EE argument template. A
+    template without a required slot would render answers that do not
+    parse back to their items."""
     problems = []
     if spec.family not in ("Triplet", "Json", "NaturalLanguage", "Markdown"):
         problems.append(f"family: unknown {spec.family!r}")
@@ -177,9 +180,11 @@ def check_format(spec: FormatSpec) -> FormatSpec:
     if spec.family in ("Triplet", "NaturalLanguage"):
         templates = [("answer_template", spec.answer_template, TASK_SLOTS.get(spec.task, ()))]
         if spec.task is TaskKind.EE:
-            templates.append(("arg_template", spec.arg_template, EE_ARG_SLOTS))
-            if not spec.arg_template:
+            if spec.arg_template:
+                templates.append(("arg_template", spec.arg_template, EE_ARG_SLOTS))
+            else:
                 problems.append("arg_template: required for EE")
+        optional = OPTIONAL_SLOTS.get(spec.task, ())
         for field, template, allowed in templates:
             try:
                 slots = compile_template(template, spec.task).slots
@@ -189,6 +194,9 @@ def check_format(spec: FormatSpec) -> FormatSpec:
             extra = sorted(set(slots) - set(allowed))
             if extra:
                 problems.append(f"{field}: unknown slots {extra}")
+            missing = [slot for slot in allowed if slot not in slots and slot not in optional]
+            if missing:
+                problems.append(f"{field}: missing slots {missing}")
     if problems:
         raise ValueError(f"bad format spec {spec.name!r}: {'; '.join(problems)}")
     return spec

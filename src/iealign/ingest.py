@@ -78,7 +78,9 @@ def load_schema(path) -> Optional[SchemaDef]:
 def load_dataset(spec: ReaderSpec, lenient: bool) -> list[IEInstance]:
     """Read the spec's raw file into validated canonical instances, in source
     order. A malformed line, or one whose instance id an earlier line holds,
-    is a DataError naming it; in lenient mode it is logged and skipped."""
+    is a DataError naming it; in lenient mode it is logged and skipped. The
+    instances share the schema, and each gold label is the schema's own
+    name string (`model.gold_from_json`)."""
     schema = load_schema(spec.schema) if spec.schema else None
     if schema is None and spec.task in CLOSED_IE_TASKS:
         raise ConfigurationError(f"a {spec.task.value} reader needs a schema: closed IE checks each label against one")
@@ -113,7 +115,7 @@ def _read_record(spec: ReaderSpec, schema: Optional[SchemaDef], raw, lineno: int
     if not isinstance(text, str):
         raise DataError("text is not a string", line=lineno, field=spec.text_field)
     try:
-        gold = gold_from_json(spec.task, raw[spec.gold_field])
+        gold = gold_from_json(spec.task, raw[spec.gold_field], schema)
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"bad gold encoding: {e}", line=lineno, field=spec.gold_field)
     problems = gold_shape_problems(gold)  # before the null labels are read off the items

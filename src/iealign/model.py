@@ -109,8 +109,8 @@ class LabelDef:
 
 @dataclass(frozen=True)
 class SchemaDef:
-    """A task's labels. Its label set and its problems are worked out once per
-    object, so instances that share one SchemaDef share that work."""
+    """A task's labels. Its label strings and its problems are worked out once
+    per object, so instances that share one SchemaDef share that work."""
 
     task: TaskKind
     labels: tuple[LabelDef, ...]
@@ -119,8 +119,11 @@ class SchemaDef:
         return tuple(l.name for l in self.labels)
 
     @cached_property
-    def label_set(self) -> frozenset[str]:
-        return frozenset(self.label_names())
+    def label_strings(self) -> dict[str, str]:
+        """Each label name that is a string, mapped to that very string: the
+        schema's label set, and the objects that gold read under it holds in
+        its label slots (`gold_from_json`)."""
+        return {l.name: l.name for l in self.labels if isinstance(l.name, str)}
 
     def validate(self) -> list[str]:
         """Problems with the schema itself: no labels, a label name that is
@@ -144,7 +147,7 @@ class SchemaDef:
         return tuple(problems)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Extraction:
     """Task-tagged extraction result.
 
@@ -206,7 +209,7 @@ class Extraction:
         return Extraction(self.task, items, self.trigger, self.table)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IEInstance:
     id: str
     dataset: str
@@ -286,7 +289,7 @@ def validate_extraction(gold: Extraction, schema: Optional[SchemaDef]) -> list[s
         if schema is None:
             problems.append("schema: missing for closed IE task")
         else:
-            known = schema.label_set
+            known = schema.label_strings
             for lab in gold.labels_used():
                 if lab not in known:
                     problems.append(f"gold: label {lab!r} not in schema")
@@ -338,19 +341,39 @@ def gold_to_json(gold: Extraction) -> Any:
     return [list(it) for it in gold.items]
 
 
-def gold_from_json(task: TaskKind, data: Any) -> Extraction:
+def gold_from_json(task: TaskKind, data: Any, schema: Optional[SchemaDef]) -> Extraction:
+    """The gold that `data` encodes. A label slot (those `Extraction.labels_used`
+    reads) holding a label of `schema` holds the schema's own name string, so
+    the many instances of one schema keep one copy of each label."""
     if task is TaskKind.ONDEMANDIE:
         return Extraction(task, table=data["table"])
+    labels = schema.label_strings if schema is not None else {}
     if task is TaskKind.EAE:
-        return Extraction(task, tuple(tuple(it) for it in data["args"]), trigger=data["trigger"])
+        return Extraction(task, _labelled_items(data["args"], labels), trigger=data["trigger"])
     if task is TaskKind.EE:
-        return Extraction(
-            task,
-            tuple(
-                (ev["trigger"], ev["type"], tuple(tuple(a) for a in ev["arguments"])) for ev in data
-            ),
-        )
+        events = []
+        for ev in data:
+            trigger, etype = ev["trigger"], ev["type"]
+            if type(etype) is str:
+                etype = labels.get(etype, etype)
+            events.append((trigger, etype, _labelled_items(ev["arguments"], labels)))
+        return Extraction(task, tuple(events))
+    if task in _PAIR_LABEL_TASKS:
+        return Extraction(task, _labelled_items(data, labels))
     return Extraction(task, tuple(tuple(it) for it in data))
+
+
+def _labelled_items(data: Iterable, labels: Mapping[str, str]) -> tuple:
+    """`tuple(tuple(it) for it in data)`, but a label at index 1 that is a key
+    of `labels` is its value. Only a str is looked up, so a label of another
+    type, or an item too short to hold one, is kept for validation to report."""
+    items = []
+    for it in data:
+        item = tuple(it)
+        if len(item) > 1 and type(label := item[1]) is str:
+            item = (item[0], labels.get(label, label), *item[2:])
+        items.append(item)
+    return tuple(items)
 
 
 def schema_to_json(schema: Optional[SchemaDef]) -> Any:
@@ -393,13 +416,17 @@ def instance_to_record(inst: IEInstance) -> dict:
     }
 
 
-def instance_from_record(record: dict, schemas: dict[bytes, Optional[SchemaDef]]) -> IEInstance:
+def instance_from_record(
+    record: dict, schemas: dict[bytes, Optional[SchemaDef]], datasets: dict[str, str]
+) -> IEInstance:
     """The instance a canonical record holds. `schemas` maps each raw schema
     value read so far, in its `marshal` form, to its SchemaDef: a schema
     equal to an earlier one is not built again, and the instances share it.
     Equal forms mean equal JSON values (marshal keeps 1 and true apart, which
     `==` would not), and marshal is several times faster than `repr` or
-    `json.dumps` on a schema."""
+    `json.dumps` on a schema. `datasets` maps each dataset name read so far
+    to the first string that held it, which the instances of that dataset
+    share; their gold labels are the schema's own (`gold_from_json`)."""
     if not isinstance(record, dict):
         raise TypeError(f"record is {type(record).__name__}, not an object")
     if record.keys() != _RECORD_FIELD_SET:
@@ -411,13 +438,17 @@ def instance_from_record(record: dict, schemas: dict[bytes, Optional[SchemaDef]]
     key = marshal.dumps(record["schema"])
     if key not in schemas:
         schemas[key] = schema_from_json(record["schema"])
+    schema = schemas[key]
+    dataset = record["dataset"]
+    if type(dataset) is str:  # any other type is rejected by the reader's type check
+        dataset = datasets.setdefault(dataset, dataset)
     return IEInstance(
         id=record["id"],
-        dataset=record["dataset"],
+        dataset=dataset,
         task=task,
         text=record["text"],
-        schema=schemas[key],
-        gold=gold_from_json(task, record["gold"]),
+        schema=schema,
+        gold=gold_from_json(task, record["gold"], schema),
         is_na=record["is_na"],
     )
 
@@ -523,12 +554,15 @@ def read_instances(path) -> list[IEInstance]:
     instance (`validate_instance`), or whose id an earlier line holds, is a
     DataError naming its line. Each distinct schema is built and validated
     once, and the instances that hold it share one SchemaDef, so a file's
-    many copies of a few schemas are neither all kept nor all checked."""
+    many copies of a few schemas are neither all kept nor all checked. In
+    the same way the instances share one string per distinct dataset name,
+    and each gold label is its schema's own `LabelDef.name` string."""
     seen: set[str] = set()
     schemas: dict[bytes, Optional[SchemaDef]] = {}
+    datasets: dict[str, str] = {}
 
     def convert(record: Any, lineno: int) -> IEInstance:
-        inst = instance_from_record(record, schemas)
+        inst = instance_from_record(record, schemas, datasets)
         if not (isinstance(inst.id, str) and isinstance(inst.dataset, str) and isinstance(inst.text, str)
                 and isinstance(inst.is_na, bool)):
             raise TypeError("instance id, dataset and text must be strings, and is_na a bool")

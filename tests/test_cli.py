@@ -904,9 +904,9 @@ def test_stats_cli_counts_a_format_the_loader_rejects_as_malformed(runner, tmp_p
 
 
 def test_stats_cli_counts_a_record_whose_template_lacks_its_label_slot(runner, tmp_path):
-    """A record whose format's template has no label slot parses leniently
-    to items labelled None: stats exits 0 and counts the record as a closure
-    violation."""
+    """A record whose format's template has no label slot is malformed: its
+    answers could not parse back to labelled items. stats exits 0, counts it
+    as a malformed line and reads no closure violation from it."""
     inst, _ = _canonical(tmp_path, n=15)
     run = tmp_path / "run"
     cfg = _write_yaml(tmp_path / "sft.yaml", {"instances": str(inst), "options": {"max_tokens": 100000}})
@@ -921,9 +921,9 @@ def test_stats_cli_counts_a_record_whose_template_lacks_its_label_slot(runner, t
     result = runner.invoke(main, ["stats", "--corpus", str(corpus_path)])
     assert result.exit_code == 0, result.output
     report = json.loads(result.output)
-    assert report["total"] == 15 and report["malformed_lines"] == 0
-    assert report["closure_violations"] == 1
-    assert report["closure_violating_ids"] == [records[0]["id"]]
+    assert report["total"] == 14 and report["malformed_lines"] == 1
+    assert report["closure_violations"] == 0
+    assert report["closure_violating_ids"] == []
 
 
 def test_stats_cli_counts_a_json_answer_whose_slot_value_is_a_list(runner, tmp_path):

@@ -24,7 +24,7 @@ from iealign.formats import (
     spec_to_json,
     unquote_value,
 )
-from iealign.model import TASK_SLOTS, TaskKind
+from iealign.model import TASK_SLOTS, FormatSpec, TaskKind
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +271,22 @@ def test_check_format_names_every_problem():
     assert all(p in str(info.value) for p in ("arg_template: required for EE", "names slot 'type' twice"))
     with pytest.raises(ValueError, match="arg_template: unknown slots \\['kind'\\]"):
         check_format(replace(nl, answer_template="{trigger} {type} {arguments}", arg_template="{word} {kind}"))
+
+
+def test_check_format_names_a_required_slot_the_template_leaves_out():
+    """A template without a required slot renders answers that lose it, so
+    gold would not parse back to itself; OpenIE's optional tail may go."""
+    ner = FormatSpec("Triplet", "ner", TaskKind.NER, "x", "{entity};")
+    with pytest.raises(ValueError, match=r"answer_template: missing slots \['type'\]"):
+        check_format(ner)
+    ee = FormatSpec("NaturalLanguage", "ee", TaskKind.EE, "x", "{trigger} is {type}: {arguments}",
+                    arg_template="{word}")
+    with pytest.raises(ValueError, match=r"arg_template: missing slots \['role'\]"):
+        check_format(ee)
+    openie = FormatSpec("Triplet", "openie", TaskKind.OPENIE, "x", "({predicate}; {subject});")
+    assert check_format(openie) is openie
+    with pytest.raises(ValueError, match=r"missing slots \['subject'\]"):
+        check_format(replace(openie, answer_template="({predicate}; {object});"))
 
 
 def test_compile_template_normalizes_slot_names():

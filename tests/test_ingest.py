@@ -114,6 +114,27 @@ def test_null_labels_removed_for_every_closed_ie_task(tmp_path, task, gold, kept
     assert load_dataset(spec, lenient=False)[0].gold.items == kept
 
 
+def test_load_dataset_shares_the_schema_labels(tmp_path):
+    """Each gold label loaded is the schema's own LabelDef.name string, after
+    the null labels are dropped; a label outside the schema is still the
+    line's data error."""
+    gold = [
+        {"trigger": "went", "type": "NONE", "arguments": [["Bob", "agent"]]},
+        {"trigger": "hit", "type": "attack", "arguments": [["Bob", "agent"], ["today", "NONE"], ["Paris", "target"]]},
+    ]
+    path = tmp_path / "raw.jsonl"
+    path.write_text(json.dumps({"text": "Bob hit Paris today and went", "gold": gold}) + "\n", encoding="utf-8")
+    spec = ReaderSpec("d", TaskKind.EE, str(path), schema=str(write_schema(tmp_path, TaskKind.EE)), null_labels=("NONE",))
+    [inst] = load_dataset(spec, lenient=False)
+    assert inst.gold.items == (("hit", "attack", (("Bob", "agent"), ("Paris", "target"))),)
+    for label in inst.gold.labels_used():
+        assert any(label is l.name for l in inst.schema.labels), label
+    gold[1]["type"] = "parade"
+    path.write_text(json.dumps({"text": "Bob hit Paris today and went", "gold": gold}) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"gold: label 'parade' not in schema \| line 1$"):
+        load_dataset(spec, lenient=False)
+
+
 def test_schema_task_mismatch(tmp_path):
     raw = write_raw(tmp_path, make_corpus(TaskKind.NER, 2, seed=0))
     schema = write_schema(tmp_path, TaskKind.ED)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import json
+import pickle
 import random
 
 from iealign.errors import DataError
@@ -65,18 +67,53 @@ def test_read_instances_builds_each_distinct_schema_once(tmp_path):
     assert back[0].schema is not back[4].schema and back[8].schema is None
 
 
+def _ner_and_ee_file(tmp_path):
+    path = tmp_path / "in.jsonl"
+    write_instances(make_corpus(TaskKind.NER, 6, dataset="news", seed=1)
+                    + make_corpus(TaskKind.EE, 6, dataset="events", seed=2), path)
+    return path
+
+
+def test_read_instances_shares_schema_labels_and_dataset_names(tmp_path):
+    """Each gold label read, EE event types and argument roles included, is
+    its schema's own LabelDef.name string, and the instances of one dataset
+    share one dataset string; a label outside the schema is still the
+    line's data error."""
+    path = _ner_and_ee_file(tmp_path)
+    back = read_instances(path)
+    roles = [role for i in back if i.task is TaskKind.EE for *_, args in i.gold.items for _, role in args]
+    assert roles and sum(len(i.gold.labels_used()) for i in back) > len(roles)
+    for inst in back:
+        for label in inst.gold.labels_used():
+            assert any(label is l.name for l in inst.schema.labels), (inst.id, label)
+    assert all(i.dataset is back[0].dataset for i in back[:6])
+    assert all(i.dataset is back[6].dataset for i in back[6:])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    record.update(id="news-planet", gold=[["Paris", "planet"]], is_na=False)
+    path.write_text("\n".join([*lines[:3], json.dumps(record)]) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"bad record: ValueError\(\"invalid instance: gold: label 'planet' not in schema\"\) \| line 4$"):
+        read_instances(path)
+
+
+def test_instances_hold_no_dict_and_pickle_to_equal_values(tmp_path):
+    for inst in read_instances(_ner_and_ee_file(tmp_path)):
+        assert not hasattr(inst, "__dict__") and not hasattr(inst.gold, "__dict__")
+        assert pickle.loads(pickle.dumps(inst)) == inst
+
+
 def test_unknown_record_field_rejected():
     rec = instance_to_record(make_instance(TaskKind.NER, "ds", 0, random.Random(0)))
     rec["extra"] = 1
     with pytest.raises(ValueError, match="unknown record fields"):
-        instance_from_record(rec, {})
+        instance_from_record(rec, {}, {})
 
 
 def test_missing_record_field_rejected():
     rec = instance_to_record(make_instance(TaskKind.NER, "ds", 0, random.Random(0)))
     del rec["is_na"]
     with pytest.raises(ValueError, match="missing record fields"):
-        instance_from_record(rec, {})
+        instance_from_record(rec, {}, {})
 
 
 def test_read_records_strict_and_lenient(tmp_path, caplog):
